@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -68,14 +69,17 @@ def _evaluate(cfg: MollifierConfig, tol: float, n_max: int) -> KappaReport:
 def _report_with_normalized_q(cfg: MollifierConfig, tol: float, n_max: int) -> KappaReport:
     """Evaluate, renormalizing Q to Q(0) = 1 first when the input does not
     satisfy the constraint exactly; the unnormalized value is kept in the
-    diagnostics."""
+    diagnostics.  Every constant is quadratic in Q, so c - 1 scales by Q(0)^2
+    and the unnormalized value needs no second evaluation."""
     q0 = cfg.Q(0.0)
     if abs(q0 - 1.0) <= 1e-12:
         return _evaluate(cfg, tol, n_max)
     report = _evaluate(moments.renormalized_q(cfg), tol, n_max)
-    verbatim = _evaluate(cfg, tol, n_max)
+    c_verbatim = 1.0 + q0 * q0 * (report.c - 1.0)
     report.diagnostics.update(
-        q0_verbatim=q0, kappa_verbatim=verbatim.kappa, c_verbatim=verbatim.c,
+        q0_verbatim=q0,
+        kappa_verbatim=moments.compute_kappa(c_verbatim, cfg.R),
+        c_verbatim=c_verbatim,
     )
     return report
 
@@ -157,7 +161,12 @@ def parse_config(path: str) -> tuple[MollifierConfig, float, int]:
         raise ConfigError("missing required key 'p1_coeffs'")
     mode = entries.get("mode", (moments.ALL_ZEROS, 0))[0]
     quad_tol = scalar("quad_tol", quad.DEFAULT_TOL)
-    n_max = int(scalar("quad_max_nodes", quad.N_MAX))
+    max_nodes = scalar("quad_max_nodes", quad.N_MAX)
+    if not (math.isfinite(quad_tol) and quad_tol > 0):
+        raise ConfigError("quad_tol must be finite and positive")
+    if not (math.isfinite(max_nodes) and max_nodes >= 1):
+        raise ConfigError("quad_max_nodes must be finite and at least 1")
+    n_max = int(max_nodes)
     try:
         cfg = MollifierConfig(
             theta1=theta1, theta2=theta2, R=R,

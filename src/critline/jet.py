@@ -2,8 +2,10 @@
 
 A jet with caps (mx, my) stores the Taylor coefficients of x**i * y**j for
 i <= mx, j <= my on a dense grid; everything beyond the caps is truncated
-exactly.  Mixed partial derivatives at x = y = 0 are read off the grid, which
-makes the d^2/dxdy and d^4/dx^2dy^2 operators of the moment formulas exact.
+exactly.  Mixed partial derivatives at x = y = 0 are read off the grid.  The
+verification oracles use this ring for exact derivatives of their kernels; the
+moment constants use closed-form Taylor coefficients instead, and the tests
+rebuild the jet form of those kernels as a reference.
 
 Coefficients may themselves be numpy arrays (a shared "batch" of quadrature
 nodes), so a single jet expression evaluates the integrand at every node at
@@ -128,17 +130,9 @@ class Jet:
         return float(val) if val.ndim == 0 else val
 
 
-def jet_exp(a: Jet) -> Jet:
-    return a.exp()
-
-
 def jet_eval_poly(p: Polynomial, a: Jet) -> Jet:
     """Horner evaluation of a real polynomial over the jet ring."""
     acc = Jet.constant(np.zeros(a.batch_shape), a.mx, a.my)
     for c in reversed(p.coeffs):
         acc = acc * a + c
     return acc
-
-
-def mixed_partial(a: Jet, i: int, j: int):
-    return a.mixed_partial(i, j)

@@ -2,8 +2,12 @@
 
 The total constant is c = c1 + 2*c12 + c2 and the zero-proportion bound is
 kappa >= 1 - log(c)/R.  c1 is a plain double integral; c12 and c2 carry the
-formal derivative operators d^2/dxdy and d^4/dx^2dy^2 at x = y = 0, realized
-exactly with (1,1)- and (2,2)-jets so that quadrature is the only error source.
+formal derivative operators d^2/dxdy and d^4/dx^2dy^2 at x = y = 0.  Every
+argument in their kernels is linear in (x, y), so each integrand returns, per
+quadrature node, the closed-form Taylor coefficient the operator reads ([xy]
+for c12, [x^2 y^2] for c2); the operators are exact and quadrature is the only
+error source.  The quadrature's order-doubling delta is measured on that
+coefficient.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from typing import Any
 import numpy as np
 
 from . import quad
-from .jet import Jet, jet_eval_poly
 from .poly import Polynomial
 
 THETA1_MAX = 4.0 / 7.0
@@ -43,6 +46,11 @@ class MollifierConfig:
     mode: str = ALL_ZEROS
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.theta1, self.theta2, self.R)):
+            raise ConfigError("theta1, theta2 and R must be finite")
+        for name in ("Q", "P1", "P2"):
+            if not all(math.isfinite(c) for c in getattr(self, name).coeffs):
+                raise ConfigError(f"{name} has a non-finite coefficient")
         if not self.R > 0:
             raise ConfigError("R must be positive")
         if not 0 < self.theta2:
@@ -105,7 +113,92 @@ def c1_raw(Q: Polynomial, P1: Polynomial, R: float, theta1: float, tol=quad.DEFA
     return 1.0 + value / theta1, trace
 
 
-# -- c12: (1,1)-jet over simplex(a,b) x [0,1] ------------------------------
+# -- closed-form Taylor coefficients -----------------------------------------
+#
+# Every argument in the c12 and c2 integrands is linear in the formal offsets
+# (x, y), so the Taylor coefficients of a polynomial of it, and of its
+# exponential, are closed forms (Taylor-mode differentiation specialized to
+# degree-1 inputs).  Coefficient series are lists indexed by power, grids are
+# lists of lists indexed [i][j] for x^i y^j; entries are per-node arrays.
+
+
+def _taylor(p: Polynomial, order: int) -> list[Polynomial]:
+    """``p^(k) / k!`` for k = 0..order: at c0 they give the coefficients of
+    h^k in p(c0 + h)."""
+    out = [p]
+    for k in range(1, order + 1):
+        out.append(out[-1].derivative().scale(1.0 / k))
+    return out
+
+
+def _series(taylor: list[Polynomial], c0, c) -> list:
+    """Coefficients of h^k, k < len(taylor), in p(c0 + c*h)."""
+    out, ck = [taylor[0](c0)], c
+    for p in taylor[1:]:
+        out.append(p(c0) * ck)
+        ck = ck * c
+    return out
+
+
+def _grid(taylor: list[Polynomial], c0, cx, cy, cap: int) -> list[list]:
+    """Coefficients of x^i y^j, i, j <= cap, in p(c0 + cx*x + cy*y): that is
+    p^(i+j)(c0) cx^i cy^j / (i! j!), read from ``taylor`` (order 2*cap)."""
+    t = [p(c0) for p in taylor]
+    px, py = [1.0, cx, cx * cx], [1.0, cy, cy * cy]
+    return [
+        [math.comb(i + j, i) * t[i + j] * px[i] * py[j] for j in range(cap + 1)]
+        for i in range(cap + 1)
+    ]
+
+
+def _times_exp(s: list, L) -> list:
+    """Coefficients of e^(L*h) * s(h), truncated at the length of s."""
+    e = [1.0, L, 0.5 * L * L][: len(s)]
+    return [_coeff(e, s, k) for k in range(len(s))]
+
+
+def _coeff(a: list, b: list, k: int, l: int | None = None):
+    """The coefficient of h^k (series) or x^k y^l (grids) in the product a*b."""
+    if l is None:
+        terms = (a[m] * b[k - m] for m in range(k + 1))
+    else:
+        terms = (a[i][j] * b[k - i][l - j] for i in range(k + 1) for j in range(l + 1))
+    acc = next(terms)
+    for term in terms:
+        acc = acc + term
+    return acc
+
+
+# -- c12: [xy] over simplex(a,b) x [0,1] -------------------------------------
+
+
+def c12_integrand(
+    Q: Polynomial, P1: Polynomial, P2: Polynomial, R: float, theta1: float, theta2: float
+):
+    """Per-node [xy] coefficient of the c12 kernel on the cube (s, t, u).
+
+    The kernel is e^(R u th2 (a-b)) * e^(-R th1 x) Q(a u th2 - th1 x)
+    * e^(R th1 y) Q(1 - b u th2 + th1 y) * P1(1 - (1-u) th2/th1 + x + y)
+    * u^2 (1-u) P2''((1-a-b)u) with a = s, b = (1-s)t and Jacobian 1-s.  The
+    two exponential-times-Q factors depend on x only and on y only, so they
+    form a rank-1 outer product that contracts against P1's (1,1) grid.
+    """
+    q = _taylor(Q, 1)
+    p1 = _taylor(P1, 2)
+    P2dd = P2.derivative().derivative()
+
+    def integrand(s, t, u):
+        a = s
+        b = (1.0 - s) * t
+        jac = 1.0 - s
+        X = _times_exp(_series(q, a * u * theta2, -theta1), -R * theta1)
+        Y = _times_exp(_series(q, 1.0 - b * u * theta2, theta1), R * theta1)
+        XY = [[xi * yj for yj in Y] for xi in X]
+        grid = _grid(p1, 1.0 - (1.0 - u) * theta2 / theta1, 1.0, 1.0, 1)
+        scalar = u * u * (1.0 - u) * P2dd((1.0 - a - b) * u) * jac
+        return _coeff(XY, grid, 1, 1) * np.exp(R * u * theta2 * (a - b)) * scalar
+
+    return integrand
 
 
 def c12_raw(
@@ -121,26 +214,58 @@ def c12_raw(
 ):
     if P2.is_zero or P1.is_zero:
         return 0.0, []
-    P2dd = P2.derivative().derivative()
-
-    def integrand(s, t, u):
-        # simplex substitution: a = s, b = (1-s)t with Jacobian (1-s)
-        a = s
-        b = (1.0 - s) * t
-        jac = 1.0 - s
-        expo = Jet.linear(R * u * theta2 * (a - b), -R * theta1, R * theta1, 1, 1).exp()
-        qa = jet_eval_poly(Q, Jet.linear(a * u * theta2, -theta1, 0.0, 1, 1))
-        qb = jet_eval_poly(Q, Jet.linear(1.0 - b * u * theta2, 0.0, theta1, 1, 1))
-        p1 = jet_eval_poly(P1, Jet.linear(1.0 - (1.0 - u) * theta2 / theta1, 1.0, 1.0, 1, 1))
-        scalar = u * u * (1.0 - u) * P2dd((1.0 - a - b) * u) * jac
-        return expo * qa * qb * p1 * scalar
-
-    jet_value, trace = quad.integrate_converged(integrand, ("cube", 3), tol=tol, n_start=n_start, n_max=n_max)
+    integrand = c12_integrand(Q, P1, P2, R, theta1, theta2)
+    value, trace = quad.integrate_converged(integrand, ("cube", 3), tol=tol, n_start=n_start, n_max=n_max)
     prefac = 4.0 * (theta2**2 / theta1**2) * math.exp(R)
-    return prefac * jet_value.mixed_partial(1, 1), trace
+    return prefac * value, trace  # d^2/dxdy = 1! 1! [xy]
 
 
-# -- c2: (2,2)-jet over [0,1]^4 --------------------------------------------
+# -- c2: [x^2 y^2] over [0,1]^4 ----------------------------------------------
+
+
+def c2_integrand(Q: Polynomial, P2: Polynomial, P2_other: Polynomial, R: float, theta2: float):
+    """Per-node [x^2 y^2] coefficient of the c2 kernel on the cube (t, r, u, v).
+
+    With E = x + y - v(y+r) - u(x+r) and G = 1 + th2 E, the kernel is
+    (1/th2 + E)(1-r)^4 * e^(-th2 R E + 2 R t G) * Q(th2(u(x+r) - y) + tG)
+    * Q(th2(v(y+r) - x) + tG) * (x+r) P2''((1-u)(x+r)) * (y+r) P2_other''((1-v)(y+r)).
+    The exponential splits into e^L0 e^(Lx x) e^(Ly y); with the x-only and
+    y-only P2 factors it is a rank-1 outer product X(x) Y(y).  The linear
+    front factor shifts the index, so only three coefficients of
+    X Y Q Q are needed.
+    """
+    q = _taylor(Q, 4)
+    pa = _taylor(P2.derivative().derivative(), 2)
+    pb = _taylor(P2_other.derivative().derivative(), 2)
+
+    def side(taylor, r, w, L):
+        # e^(L h) (h + r) P''(w (h + r)), h = x or y
+        D = _series(taylor, w * r, w)
+        return _times_exp([r * D[0], D[0] + r * D[1], D[1] + r * D[2]], L)
+
+    def integrand(t, r, u, v):
+        e0, ex, ey = -r * (u + v), 1.0 - u, 1.0 - v
+        g0, gx, gy = 1.0 + theta2 * e0, theta2 * ex, theta2 * ey
+        rt = 2.0 * R * t
+        L0 = rt * g0 - theta2 * R * e0
+        Lx = rt * gx - theta2 * R * ex
+        Ly = rt * gy - theta2 * R * ey
+        tg0, tgx, tgy = t * g0, t * gx, t * gy
+        qa = _grid(q, theta2 * u * r + tg0, theta2 * u + tgx, tgy - theta2, 2)
+        qb = _grid(q, theta2 * v * r + tg0, tgx - theta2, theta2 * v + tgy, 2)
+        qq = [[_coeff(qa, qb, k, l) for l in range(3)] for k in range(3)]
+        X = side(pa, r, ex, Lx)
+        Y = side(pb, r, ey, Ly)
+        XY = [[xi * yj for yj in Y] for xi in X]
+        # front = (1/th2 + e0) + ex x + ey y
+        g = (
+            (1.0 / theta2 + e0) * _coeff(XY, qq, 2, 2)
+            + ex * _coeff(XY, qq, 1, 2)
+            + ey * _coeff(XY, qq, 2, 1)
+        )
+        return g * np.exp(L0) * (1.0 - r) ** 4
+
+    return integrand
 
 
 def c2_raw(
@@ -160,31 +285,9 @@ def c2_raw(
     other = P2 if P2_other is None else P2_other
     if P2.is_zero or other.is_zero:
         return 0.0, []
-    Add = P2.derivative().derivative()
-    Bdd = other.derivative().derivative()
-
-    def integrand(t, r, u, v):
-        # E = x + y - v(y+r) - u(x+r); G = 1 + theta2*E, both linear in (x, y)
-        e0, ex, ey = -r * (u + v), 1.0 - u, 1.0 - v
-        g0, gx, gy = 1.0 + theta2 * e0, theta2 * ex, theta2 * ey
-        E = Jet.linear(e0, ex, ey, 2, 2)
-        exp_e = Jet.linear(-theta2 * R * e0, -theta2 * R * ex, -theta2 * R * ey, 2, 2).exp()
-        exp_g = Jet.linear(2.0 * R * t * g0, 2.0 * R * t * gx, 2.0 * R * t * gy, 2, 2).exp()
-        qa = jet_eval_poly(
-            Q, Jet.linear(theta2 * u * r + t * g0, theta2 * u + t * gx, -theta2 + t * gy, 2, 2)
-        )
-        qb = jet_eval_poly(
-            Q, Jet.linear(theta2 * v * r + t * g0, -theta2 + t * gx, theta2 * v + t * gy, 2, 2)
-        )
-        xr = Jet.linear(r, 1.0, 0.0, 2, 2)
-        yr = Jet.linear(r, 0.0, 1.0, 2, 2)
-        p2a = jet_eval_poly(Add, Jet.linear((1.0 - u) * r, 1.0 - u, 0.0, 2, 2))
-        p2b = jet_eval_poly(Bdd, Jet.linear((1.0 - v) * r, 0.0, 1.0 - v, 2, 2))
-        front = ((1.0 / theta2) + E) * ((1.0 - r) ** 4)
-        return front * exp_e * exp_g * qa * qb * (xr * yr) * (p2a * p2b)
-
-    jet_value, trace = quad.integrate_converged(integrand, ("cube", 4), tol=tol, n_start=n_start, n_max=n_max)
-    return (2.0 / 3.0) * jet_value.mixed_partial(2, 2), trace
+    integrand = c2_integrand(Q, P2, other, R, theta2)
+    value, trace = quad.integrate_converged(integrand, ("cube", 4), tol=tol, n_start=n_start, n_max=n_max)
+    return (2.0 / 3.0) * (4.0 * value), trace  # d^4/dx^2dy^2 = 2! 2! [x^2 y^2]
 
 
 # -- public per-config operations ------------------------------------------

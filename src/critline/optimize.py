@@ -55,10 +55,6 @@ class GramSystem:
     def size(self) -> int:
         return self.M.shape[0]
 
-    @property
-    def n_p2(self) -> int:
-        return self.size - self.d1
-
     def split(self, w: np.ndarray) -> tuple[Polynomial, Polynomial]:
         """Translate a coefficient vector back into (P1, P2)."""
         a, b = w[: self.d1], w[self.d1 :]

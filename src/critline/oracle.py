@@ -1,6 +1,6 @@
 """Independent numerical verification of the exactly-checkable identities.
 
-Everything here deliberately avoids the jet/moment evaluation paths it is
+Everything here deliberately avoids the moment evaluation paths it is
 checking: contour integrals use the trapezoid rule on circles, sums use sieved
 arithmetic tables, and derivative operators get 4th-order finite differences.
 Asymptotic statements are tested as bounded-normalized-error properties (their
@@ -18,7 +18,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import moments, quad
-from .jet import Jet, jet_eval_poly
+from .jet import Jet
 from .poly import Polynomial
 
 EXACT_TOL = 1e-10
@@ -502,7 +502,7 @@ def _tensor_integral_ld(f, d: int, n: int = 32) -> np.longdouble:
 
 def _c12_scalar(cfg: moments.MollifierConfig, x, y, n: int = 32):
     """The c12 integrand's inner integral at real offsets (x, y), pre-factor
-    included; finite differences of this reproduce the jet-based c12."""
+    included; finite differences of this reproduce the kernel's c12."""
     ld = np.longdouble
     th1, th2, R = ld(cfg.theta1), ld(cfg.theta2), ld(cfg.R)
     x, y = ld(x), ld(y)
@@ -568,7 +568,7 @@ def fd_c2(cfg: moments.MollifierConfig, h: float = FD_H, n: int = 24) -> float:
 
 
 def check_jet_operators(cfg: moments.MollifierConfig, rel_tol: float = 1e-6):
-    """Jet-based c12 and c2 against the finite-difference oracle."""
+    """The moment kernels' c12 and c2 against the finite-difference oracle."""
     c12_jet = moments.compute_c12(cfg, tol=1e-10)
     c2_jet = moments.compute_c2(cfg, tol=1e-10)
     c12_fd = fd_c12(cfg)

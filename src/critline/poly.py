@@ -76,14 +76,6 @@ class Polynomial:
         return self + other.scale(-1.0)
 
 
-def eval_poly(p: Polynomial, x):
-    return p(x)
-
-
-def derivative(p: Polynomial) -> Polynomial:
-    return p.derivative()
-
-
 @dataclass(frozen=True)
 class QSpec:
     """Q in the ``(1 - 2x)`` basis: ``const + sum_k odd_coeffs[k] * (1-2x)**k_odd``.

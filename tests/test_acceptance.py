@@ -16,6 +16,8 @@ from critline.cli import EXIT_OK, main
 from critline.poly import P2Spec, Polynomial, QSpec, make_p1, make_p2, make_q
 from critline.presets import KAPPA_P1, kappa_preset, kappa_star_preset
 
+pytestmark = pytest.mark.slow
+
 THETA1 = 4.0 / 7.0
 THETA2 = 0.5
 

@@ -3,11 +3,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from critline import cli, oracle
+from critline import cli, moments, oracle
 from critline.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFY, main, parse_config
 from critline.moments import ConfigError
+from critline.presets import PRESETS
 
 CHEAP_CONFIG = """\
 # a small, fast parameter point
@@ -135,6 +137,29 @@ def test_unknown_preset_is_config_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["R = inf", "R = nan", "theta1 = inf", "p2_coeffs = nan", "quad_tol = nan", "quad_max_nodes = inf"],
+)
+def test_non_finite_config_is_config_error(tmp_path, capsys, line):
+    path = tmp_path / "nonfinite.cfg"
+    lines = {"R": "R = 1.1", "p1_coeffs": "p1_coeffs = 0.6, 0.4"}
+    lines[line.split(" ")[0]] = line
+    path.write_text("\n".join(lines.values()) + "\n")
+    assert main(["eval", str(path)]) == EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
+
+
+def test_overflowing_integrand_is_numerical_error(tmp_path, capsys):
+    # e^(2Rv) overflows: the first order is already non-finite and the ladder stops there
+    path = tmp_path / "huge.cfg"
+    path.write_text("R = 1e308\np1_coeffs = 0.6, 0.4\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["eval", str(path)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "non-finite integral at n = 16" in err
+
+
 def test_non_convergence_is_numerical_error(tmp_path, capsys):
     path = tmp_path / "strict.cfg"
     path.write_text(
@@ -159,8 +184,8 @@ def test_verify_pass_and_fail_exit_codes(monkeypatch, capsys):
 
 
 def test_reproduce_normalizes_preset_q(tmp_path, monkeypatch):
-    # stub the heavy evaluation: reproduce must renormalize Q(0) = 1.002 -> 1
-    # and keep the verbatim kappa in the diagnostics
+    # stub the heavy evaluation: reproduce must renormalize Q(0) = 1.002 -> 1,
+    # evaluate once, and derive the verbatim values from the normalized report
     from critline.moments import KappaReport
 
     captured = []
@@ -172,8 +197,33 @@ def test_reproduce_normalizes_preset_q(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_evaluate", fake_evaluate)
     out = tmp_path / "rep.json"
     assert main(["reproduce", "--preset", "kappa", "--json", str(out)]) == EXIT_OK
-    assert captured[0] == pytest.approx(1.0, abs=1e-12)  # normalized run first
-    assert captured[1] == pytest.approx(1.002, abs=1e-12)  # verbatim for diagnostics
+    assert captured == [pytest.approx(1.0, abs=1e-12)]  # the normalized run only
     payload = json.loads(out.read_text())
-    assert payload["diagnostics"]["q0_verbatim"] == pytest.approx(1.002)
-    assert "kappa_verbatim" in payload["diagnostics"]
+    diagnostics = payload["diagnostics"]
+    assert diagnostics["q0_verbatim"] == pytest.approx(1.002)
+    assert diagnostics["c_verbatim"] == pytest.approx(1.0 + 1.002**2 * (2.0 - 1.0), rel=1e-14)
+    assert diagnostics["kappa_verbatim"] == pytest.approx(
+        1.0 - math.log(diagnostics["c_verbatim"]) / 1.28, rel=1e-14
+    )
+
+
+def test_reproduce_evaluates_once(tmp_path, monkeypatch):
+    # the verbatim diagnostics follow from the one normalized evaluation and
+    # agree with a direct evaluation of the verbatim preset
+    monkeypatch.delenv("MOLLIFIER_THREADS", raising=False)
+    calls = []
+    real_evaluate = moments.evaluate
+
+    def counting_evaluate(cfg, *args, **kwargs):
+        calls.append(cfg.Q(0.0))
+        return real_evaluate(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(moments, "evaluate", counting_evaluate)
+    out = tmp_path / "rep.json"
+    assert main(["reproduce", "--preset", "kappa", "--json", str(out)]) == EXIT_OK
+    assert calls == [pytest.approx(1.0, abs=1e-12)]
+    diagnostics = json.loads(out.read_text())["diagnostics"]
+    verbatim = real_evaluate(PRESETS["kappa"]())
+    assert diagnostics["q0_verbatim"] == pytest.approx(1.002, abs=1e-12)
+    assert diagnostics["c_verbatim"] == pytest.approx(verbatim.c, rel=1e-12)
+    assert diagnostics["kappa_verbatim"] == pytest.approx(verbatim.kappa, abs=1e-12)

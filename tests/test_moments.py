@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from critline import moments
+from critline import moments, quad
+from critline.jet import Jet, jet_eval_poly
 from critline.moments import (
     SIMPLE_ZEROS,
     ConfigError,
@@ -15,6 +17,7 @@ from critline.moments import (
     renormalized_q,
 )
 from critline.poly import P2Spec, Polynomial, QSpec, make_p1, make_p2, make_q
+from critline.presets import kappa_preset, kappa_star_preset
 
 THETA1 = 4.0 / 7.0
 THETA2 = 0.5
@@ -50,6 +53,22 @@ def test_config_rejects_bad_parameters():
         small_config(theta2=-0.1)
     with pytest.raises(ConfigError):
         small_config(mode="everything")
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_config_rejects_non_finite_inputs(bad):
+    with pytest.raises(ConfigError, match="finite"):
+        small_config(R=bad)
+    with pytest.raises(ConfigError):
+        small_config(theta1=bad)
+    with pytest.raises(ConfigError):
+        small_config(theta2=bad)
+    with pytest.raises(ConfigError, match="P2"):
+        small_config(P2=make_p2(P2Spec((bad,))))
+    with pytest.raises(ConfigError, match="Q"), np.errstate(invalid="ignore"):
+        small_config(Q=make_q(QSpec(odd_coeffs=(bad,), const=0.7)))
+    with pytest.raises(ConfigError, match="P1"):
+        small_config(P1=Polynomial((0.0, 1.0, bad)))
 
 
 def test_simple_zeros_requires_linear_q():
@@ -172,3 +191,92 @@ def test_renormalization_rescales_the_quadratic_part():
     raw = evaluate(cfg, tol=1e-6)
     normed = evaluate(renormalized_q(cfg), tol=1e-6)
     assert normed.c - 1.0 == pytest.approx((raw.c - 1.0) / q0**2, rel=1e-9)
+
+
+# -- closed-form kernels against the jet ring ---------------------------------
+
+
+def jet_c12_integrand(Q, P1, P2, R, theta1, theta2):
+    """The (1,1)-jet c12 integrand the closed-form kernel replaced."""
+    P2dd = P2.derivative().derivative()
+
+    def integrand(s, t, u):
+        a = s
+        b = (1.0 - s) * t
+        jac = 1.0 - s
+        expo = Jet.linear(R * u * theta2 * (a - b), -R * theta1, R * theta1, 1, 1).exp()
+        qa = jet_eval_poly(Q, Jet.linear(a * u * theta2, -theta1, 0.0, 1, 1))
+        qb = jet_eval_poly(Q, Jet.linear(1.0 - b * u * theta2, 0.0, theta1, 1, 1))
+        p1 = jet_eval_poly(P1, Jet.linear(1.0 - (1.0 - u) * theta2 / theta1, 1.0, 1.0, 1, 1))
+        scalar = u * u * (1.0 - u) * P2dd((1.0 - a - b) * u) * jac
+        return expo * qa * qb * p1 * scalar
+
+    return integrand
+
+
+def jet_c2_integrand(Q, P2, P2_other, R, theta2):
+    """The (2,2)-jet c2 integrand the closed-form kernel replaced."""
+    Add = P2.derivative().derivative()
+    Bdd = P2_other.derivative().derivative()
+
+    def integrand(t, r, u, v):
+        e0, ex, ey = -r * (u + v), 1.0 - u, 1.0 - v
+        g0, gx, gy = 1.0 + theta2 * e0, theta2 * ex, theta2 * ey
+        E = Jet.linear(e0, ex, ey, 2, 2)
+        exp_e = Jet.linear(-theta2 * R * e0, -theta2 * R * ex, -theta2 * R * ey, 2, 2).exp()
+        exp_g = Jet.linear(2.0 * R * t * g0, 2.0 * R * t * gx, 2.0 * R * t * gy, 2, 2).exp()
+        qa = jet_eval_poly(
+            Q, Jet.linear(theta2 * u * r + t * g0, theta2 * u + t * gx, -theta2 + t * gy, 2, 2)
+        )
+        qb = jet_eval_poly(
+            Q, Jet.linear(theta2 * v * r + t * g0, -theta2 + t * gx, theta2 * v + t * gy, 2, 2)
+        )
+        xr = Jet.linear(r, 1.0, 0.0, 2, 2)
+        yr = Jet.linear(r, 0.0, 1.0, 2, 2)
+        p2a = jet_eval_poly(Add, Jet.linear((1.0 - u) * r, 1.0 - u, 0.0, 2, 2))
+        p2b = jet_eval_poly(Bdd, Jet.linear((1.0 - v) * r, 0.0, 1.0 - v, 2, 2))
+        front = ((1.0 / theta2) + E) * ((1.0 - r) ** 4)
+        return front * exp_e * exp_g * qa * qb * (xr * yr) * (p2a * p2b)
+
+    return integrand
+
+
+def kernel_panel():
+    """Seeded configurations plus the two presets: Q of degree 1 to 7, and a
+    second P2 factor that differs from the first."""
+    rng = np.random.default_rng(20261018)
+    panel = []
+    for n_odd in (1, 2, 3, 4):
+        odd = tuple(rng.uniform(-0.5, 0.8, size=n_odd))
+        p1 = rng.uniform(-0.5, 1.0, size=int(rng.integers(2, 6)))
+        panel.append(dict(
+            Q=make_q(QSpec(odd_coeffs=odd, const=1.0 - sum(odd))),
+            P1=make_p1(tuple(p1 / p1.sum()), normalize=True),
+            P2=make_p2(P2Spec(tuple(rng.uniform(-0.5, 0.5, size=3)))),
+            P2_other=make_p2(P2Spec(tuple(rng.uniform(-0.5, 0.5, size=2)))),
+            R=float(rng.uniform(0.8, 1.6)),
+            theta2=float(rng.uniform(0.3, 0.5)),
+        ))
+    for preset in (kappa_preset(), kappa_star_preset()):
+        panel.append(dict(Q=preset.Q, P1=preset.P1, P2=preset.P2, P2_other=preset.P2,
+                          R=preset.R, theta2=preset.theta2))
+    return panel
+
+
+@pytest.mark.parametrize("point", kernel_panel())
+def test_closed_form_kernels_match_the_jet_ring(point):
+    rule = quad.gauss_rule(8)
+    Q, P1, P2, other, R, th2 = (point[k] for k in ("Q", "P1", "P2", "P2_other", "R", "theta2"))
+    c12 = quad.integrate_cube(moments.c12_integrand(Q, P1, P2, R, THETA1, th2), 3, rule)
+    c12_jet = quad.integrate_cube(jet_c12_integrand(Q, P1, P2, R, THETA1, th2), 3, rule)
+    assert c12 == pytest.approx(float(c12_jet.coeffs[1, 1]), rel=1e-13, abs=0.0)
+    c2 = quad.integrate_cube(moments.c2_integrand(Q, P2, other, R, th2), 4, rule)
+    c2_jet = quad.integrate_cube(jet_c2_integrand(Q, P2, other, R, th2), 4, rule)
+    assert c2 == pytest.approx(float(c2_jet.coeffs[2, 2]), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])
+def test_preset_ladders_stop_at_32(preset):
+    report = evaluate(renormalized_q(preset()))
+    for name in ("c1_trace", "c12_trace", "c2_trace"):
+        assert [n for n, _ in report.diagnostics[name]] == [16, 32], name

@@ -101,9 +101,29 @@ def test_non_convergence_raises_with_trace():
     assert [n for n, _ in trace] == [16, 32]
 
 
+def test_non_finite_order_raises_at_once():
+    # a NaN cannot converge; the ladder must stop at the first order, not run to n_max
+    with pytest.raises(QuadratureError, match="non-finite") as exc_info:
+        integrate_converged(lambda *xs: np.full_like(xs[0], np.nan), ("cube", 4))
+    assert exc_info.value.trace == [(16, None)]
+    # an order that turns non-finite after a finite one stops there too
+    calls = []
+
+    def late_nan(x):
+        calls.append(x.size)
+        return np.full_like(x, np.nan if len(calls) > 1 else 1.0)
+
+    with pytest.raises(QuadratureError) as exc_info:
+        integrate_converged(late_nan, ("cube", 1), tol=1e-12)
+    assert [n for n, _ in exc_info.value.trace] == [16, 32]
+    assert calls == [16, 32]
+
+
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         integrate_converged(lambda x: x, ("cube", 1), tol=0.0)
+    with pytest.raises(ValueError):
+        integrate_converged(lambda x: x, ("cube", 1), tol=math.nan)
     with pytest.raises(ValueError):
         integrate_converged(lambda x: x, ("disk", 1))
 
