@@ -8,6 +8,11 @@ quadrature node, the closed-form Taylor coefficient the operator reads ([xy]
 for c12, [x^2 y^2] for c2); the operators are exact and quadrature is the only
 error source.  The quadrature's order-doubling delta is measured on that
 coefficient.
+
+Each kernel is bilinear in its two smoothing polynomials (P1 and P1 for c1,
+P1 and P2 for c12, P2 and P2 for c2).  Given :class:`Monomials` families in
+their place, the same kernel returns a whole block of the bilinear form per
+node, which is how :mod:`critline.optimize` assembles its Gram matrix.
 """
 
 from __future__ import annotations
@@ -100,17 +105,33 @@ class KappaReport:
 # -- c1: real double integral ---------------------------------------------
 
 
-def c1_raw(Q: Polynomial, P1: Polynomial, R: float, theta1: float, tol=quad.DEFAULT_TOL, n_start=quad.N_SEQUENCE_START, n_max=quad.N_MAX):
-    """1 + (1/theta1) * int int e^{2Rv} (Q(v)P1'(u) + th1 Q'(v)P1(u) + th1 R Q(v)P1(u))^2."""
+def c1_integrand(Q: Polynomial, P1: Polynomial, P1_other: Polynomial, R: float, theta1: float):
+    """e^{2Rv} L(P1) L(P1_other) on the square (u, v), bilinear in
+    (P1, P1_other), with L(P) = Q(v)P'(u) + th1 Q'(v)P(u) + th1 R Q(v)P(u)."""
     Qd = Q.derivative()
-    P1d = P1.derivative()
+
+    def linear_form(P):
+        Pd = P.derivative()
+        return lambda u, v: Q(v) * Pd(u) + theta1 * Qd(v) * P(u) + theta1 * R * Q(v) * P(u)
+
+    left, right = linear_form(P1), linear_form(P1_other)
 
     def integrand(u, v):
-        lin = Q(v) * P1d(u) + theta1 * Qd(v) * P1(u) + theta1 * R * Q(v) * P1(u)
-        return np.exp(2.0 * R * v) * lin * lin
+        return np.exp(2.0 * R * v) * left(u, v) * right(u, v)
 
+    return integrand
+
+
+def c1_from_integral(value, theta1: float):
+    """c1 - 1 from the integral of :func:`c1_integrand`."""
+    return value / theta1
+
+
+def c1_raw(Q: Polynomial, P1: Polynomial, R: float, theta1: float, tol=quad.DEFAULT_TOL, n_start=quad.N_SEQUENCE_START, n_max=quad.N_MAX):
+    """1 + (1/theta1) * int int e^{2Rv} (Q(v)P1'(u) + th1 Q'(v)P1(u) + th1 R Q(v)P1(u))^2."""
+    integrand = c1_integrand(Q, P1, P1, R, theta1)
     value, trace = quad.integrate_converged(integrand, ("cube", 2), tol=tol, n_start=n_start, n_max=n_max)
-    return 1.0 + value / theta1, trace
+    return 1.0 + c1_from_integral(value, theta1), trace
 
 
 # -- closed-form Taylor coefficients -----------------------------------------
@@ -169,6 +190,44 @@ def _coeff(a: list, b: list, k: int, l: int | None = None):
     return acc
 
 
+# -- monomial families: a Gram block per kernel call -------------------------
+
+
+class Monomials:
+    """Monomials c_k x^(p_k) evaluated together, members on the leading axes.
+
+    ``coeffs`` and ``powers`` share a shape whose last axis has length 1, so a
+    call on node values of shape (m,) puts the node axis last: (na, 1, m) for
+    :meth:`rows`, (1, nb, m) for :meth:`columns`.  Passed to the c1, c12 and
+    c2 kernels in place of a :class:`Polynomial` (they use only evaluation,
+    ``derivative`` and ``scale``), two families make the unchanged kernel
+    arithmetic broadcast to a whole (na, nb, m) block of the bilinear form.
+    """
+
+    def __init__(self, coeffs: np.ndarray, powers: np.ndarray):
+        self.coeffs = coeffs
+        self.powers = powers
+
+    @classmethod
+    def rows(cls, powers) -> "Monomials":
+        p = np.asarray(powers).reshape(-1, 1, 1)
+        return cls(np.ones(p.shape), p)
+
+    @classmethod
+    def columns(cls, powers) -> "Monomials":
+        p = np.asarray(powers).reshape(1, -1, 1)
+        return cls(np.ones(p.shape), p)
+
+    def __call__(self, x):
+        return self.coeffs * x**self.powers
+
+    def derivative(self) -> "Monomials":
+        return Monomials(self.coeffs * self.powers, np.maximum(self.powers - 1, 0))
+
+    def scale(self, factor: float) -> "Monomials":
+        return Monomials(factor * self.coeffs, self.powers)
+
+
 # -- c12: [xy] over simplex(a,b) x [0,1] -------------------------------------
 
 
@@ -201,6 +260,11 @@ def c12_integrand(
     return integrand
 
 
+def c12_from_integral(value, R: float, theta1: float, theta2: float):
+    """c12 from the integral of :func:`c12_integrand` (d^2/dxdy = 1! 1! [xy])."""
+    return 4.0 * (theta2**2 / theta1**2) * math.exp(R) * value
+
+
 def c12_raw(
     Q: Polynomial,
     P1: Polynomial,
@@ -216,8 +280,7 @@ def c12_raw(
         return 0.0, []
     integrand = c12_integrand(Q, P1, P2, R, theta1, theta2)
     value, trace = quad.integrate_converged(integrand, ("cube", 3), tol=tol, n_start=n_start, n_max=n_max)
-    prefac = 4.0 * (theta2**2 / theta1**2) * math.exp(R)
-    return prefac * value, trace  # d^2/dxdy = 1! 1! [xy]
+    return c12_from_integral(value, R, theta1, theta2), trace
 
 
 # -- c2: [x^2 y^2] over [0,1]^4 ----------------------------------------------
@@ -268,6 +331,11 @@ def c2_integrand(Q: Polynomial, P2: Polynomial, P2_other: Polynomial, R: float, 
     return integrand
 
 
+def c2_from_integral(value):
+    """c2 from the integral of :func:`c2_integrand` (d^4/dx^2dy^2 = 2! 2! [x^2 y^2])."""
+    return (2.0 / 3.0) * (4.0 * value)
+
+
 def c2_raw(
     Q: Polynomial,
     P2: Polynomial,
@@ -287,7 +355,7 @@ def c2_raw(
         return 0.0, []
     integrand = c2_integrand(Q, P2, other, R, theta2)
     value, trace = quad.integrate_converged(integrand, ("cube", 4), tol=tol, n_start=n_start, n_max=n_max)
-    return (2.0 / 3.0) * (4.0 * value), trace  # d^4/dx^2dy^2 = 2! 2! [x^2 y^2]
+    return c2_from_integral(value), trace
 
 
 # -- public per-config operations ------------------------------------------

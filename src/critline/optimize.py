@@ -3,28 +3,34 @@
 For fixed (Q, R, theta1, theta2) the total constant c is an inhomogeneous
 quadratic form in the concatenated coefficient vector w = (P1 coeffs, P2
 coeffs): c(w) = 1 + w'Mw.  The inner problem (best P1, P2 subject to
-P1(1) = 1) is therefore a constrained linear solve, and only the few outer
-parameters (R and Q's odd-basis coefficients) need derivative-free search.
+P1(1) = 1) is therefore a constrained linear solve (Conrey's quadratic-form
+optimization), and only the few outer parameters (R and Q's odd-basis
+coefficients) need derivative-free search.  M is assembled from the bilinear
+c1, c12 and c2 kernels of :mod:`critline.moments`, one quadrature pass per
+block, with the monomial basis on both sides.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import moments, quad
-from .moments import KappaReport, MollifierConfig
-from .poly import P2Spec, Polynomial, QSpec, make_p1, make_p2, make_q
+from .moments import KappaReport, MollifierConfig, Monomials
+from .poly import Polynomial, QSpec, make_p1, make_p2, make_q
 
 GRAM_TOL = 1e-9
 GRAM_N_START = 8
 GRAM_N_MAX = 64
-SYMMETRY_TOL = 1e-12
 DIAMETER_TOL = 1e-6
 MAX_ITERATIONS = 2000
+# why optimize_full scored an outer point 1e6; counted in its diagnostics
+REJECTION_REASONS = (
+    "R_out_of_range", "c_min_nonpositive", "optimize_error", "quadrature_error", "value_error",
+)
 
 ALL_ZEROS = moments.ALL_ZEROS
 SIMPLE_ZEROS = moments.SIMPLE_ZEROS
@@ -64,29 +70,6 @@ class GramSystem:
         return 1.0 + float(w @ self.M @ w)
 
 
-def _quadratic_part(
-    Q: Polynomial,
-    P1: Polynomial,
-    P2: Polynomial,
-    R: float,
-    theta1: float,
-    theta2: float,
-    tol: float,
-    n_start: int,
-    n_max: int,
-) -> float:
-    """c(P1, P2) - 1: the purely quadratic part of the total constant."""
-    out = 0.0
-    if not P1.is_zero:
-        out += moments.c1_raw(Q, P1, R, theta1, tol=tol, n_start=n_start, n_max=n_max)[0] - 1.0
-        out += 2.0 * moments.c12_raw(
-            Q, P1, P2, R, theta1, theta2, tol=tol, n_start=n_start, n_max=n_max
-        )[0]
-    if not P2.is_zero:
-        out += moments.c2_raw(Q, P2, R=R, theta2=theta2, tol=tol, n_start=n_start, n_max=n_max)[0]
-    return out
-
-
 def build_gram(
     Q: Polynomial,
     R: float,
@@ -98,12 +81,16 @@ def build_gram(
     n_start: int = GRAM_N_START,
     n_max: int = GRAM_N_MAX,
 ) -> GramSystem:
-    """Assemble M entry-wise by polarization on the monomial basis.
+    """Assemble M on the monomial basis with one quadrature pass per block.
 
-    ``d2 = 0`` disables the second mollifier piece entirely (no P2 columns);
-    otherwise ``d2 >= 3`` since P2 vanishes to third order.  Evaluations are
-    memoized on the coefficient vector, with q(-w) = q(w) folded in, so each
-    distinct integral is computed once per assembly.
+    The c1, c12 and c2 kernels are bilinear in their two smoothing
+    polynomials, so each block is one :func:`quad.integrate_converged` call
+    on the kernel with a :class:`~critline.moments.Monomials` family on each
+    side: c1 is d1 x d1, c12 is d1 x (d2 - 2) and c2 is (d2 - 2) x (d2 - 2).
+    The diagonal blocks are stored as (K + K')/2, the quadratic form they
+    define, so M is symmetric by construction.  ``d2 = 0`` disables the
+    second mollifier piece entirely (no P2 columns, one pass); otherwise
+    ``d2 >= 3`` since P2 vanishes to third order.
     """
     if d1 < 1:
         raise OptimizeError("d1 must be >= 1")
@@ -112,34 +99,23 @@ def build_gram(
     n_p2 = 0 if d2 == 0 else d2 - 2
     size = d1 + n_p2
 
-    def basis(idx: int) -> tuple[Polynomial, Polynomial]:
-        w = np.zeros(size)
-        w[idx] = 1.0
-        a, b = w[:d1], w[d1:]
-        return Polynomial((0.0,) + tuple(a)), make_p2(tuple(b))
+    def block(integrand, d: int) -> np.ndarray:
+        value, _ = quad.integrate_converged(
+            integrand, ("cube", d), tol=tol, n_start=n_start, n_max=n_max
+        )
+        return value
 
-    cache: dict[tuple, float] = {}
-
-    def q_form(pair_s, pair_t, sign: float) -> float:
-        p1 = pair_s[0] + pair_t[0].scale(sign)
-        p2 = pair_s[1] + pair_t[1].scale(sign)
-        key = p1.coeffs + (None,) + p2.coeffs
-        flip = next((c for c in key if c), None)
-        if flip is not None and flip < 0:
-            key = tuple(-c if c else c for c in key)
-        if key not in cache:
-            cache[key] = _quadratic_part(Q, p1, p2, R, theta1, theta2, tol, n_start, n_max)
-        return cache[key]
-
+    p1_rows, p1_cols = Monomials.rows(range(1, d1 + 1)), Monomials.columns(range(1, d1 + 1))
     M = np.zeros((size, size))
-    pairs = [basis(i) for i in range(size)]
-    for s in range(size):
-        for t in range(s, size):
-            plus = q_form(pairs[s], pairs[t], 1.0)
-            minus = q_form(pairs[s], pairs[t], -1.0)
-            M[s, t] = M[t, s] = 0.25 * (plus - minus)
-    if not np.allclose(M, M.T, atol=SYMMETRY_TOL):
-        raise OptimizeError("polarized Gram matrix failed the symmetry check")
+    K1 = block(moments.c1_integrand(Q, p1_rows, p1_cols, R, theta1), 2)
+    M[:d1, :d1] = moments.c1_from_integral(0.5 * (K1 + K1.T), theta1)
+    if n_p2:
+        p2_rows, p2_cols = Monomials.rows(range(3, d2 + 1)), Monomials.columns(range(3, d2 + 1))
+        K12 = block(moments.c12_integrand(Q, p1_rows, p2_cols, R, theta1, theta2), 3)
+        M[:d1, d1:] = moments.c12_from_integral(K12, R, theta1, theta2)
+        M[d1:, :d1] = M[:d1, d1:].T
+        K2 = block(moments.c2_integrand(Q, p2_rows, p2_cols, R, theta2), 4)
+        M[d1:, d1:] = moments.c2_from_integral(0.5 * (K2 + K2.T))
     e = np.concatenate([np.ones(d1), np.zeros(n_p2)])
     return GramSystem(M=M, e=e, d1=d1, d2=d2, Q=Q, R=R, theta1=theta1, theta2=theta2)
 
@@ -297,8 +273,10 @@ def optimize_full(
     if mode == SIMPLE_ZEROS:
         q_degree = 1
     powers = _odd_powers(q_degree)
-    evaluations = 0
+    evaluations = admissible = 0
     best: dict[str, Any] = {"kappa": -math.inf}
+    # outer points scored 1e6 instead of a kappa, by reason
+    rejected = dict.fromkeys(REJECTION_REASONS, 0)
 
     def inner(params: np.ndarray, tol: float):
         R = float(params[0])
@@ -310,16 +288,27 @@ def optimize_full(
         w, c_min = solve_constrained(sys)
         return sys, w, c_min
 
+    def reject(reason: str) -> float:
+        rejected[reason] += 1
+        return 1e6
+
     def objective(params: np.ndarray) -> float:
-        nonlocal evaluations
+        nonlocal evaluations, admissible
         evaluations += 1
         try:
             solved = inner(params, search_gram_tol)
-        except (OptimizeError, quad.QuadratureError, ValueError):
-            return 1e6
-        if solved is None or solved[2] <= 0:
-            return 1e6
+        except OptimizeError:
+            return reject("optimize_error")
+        except quad.QuadratureError:
+            return reject("quadrature_error")
+        except ValueError:
+            return reject("value_error")
+        if solved is None:
+            return reject("R_out_of_range")
         _, _, c_min = solved
+        if c_min <= 0:
+            return reject("c_min_nonpositive")
+        admissible += 1
         kappa = moments.compute_kappa(c_min, float(params[0]))
         if kappa > best["kappa"]:
             best.update(kappa=kappa, params=params.copy())
@@ -340,6 +329,8 @@ def optimize_full(
     report = moments.evaluate(cfg)
     report.diagnostics.update(
         outer_evaluations=evaluations,
+        admissible_evaluations=admissible,
+        rejected_evaluations=rejected,
         inner_c_min=c_min,
         seeds=len(seeds),
     )

@@ -13,7 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from math import comb, factorial
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
@@ -119,20 +119,6 @@ class ArithmeticTables:
                     table[d::d] += prev[d]
             self._dk[k] = table
         return self._dk[k]
-
-    def sigma(self, alpha: complex, beta: complex, l: int) -> complex:
-        """sigma_{alpha,-beta}(l) = sum over ab = l of a^{-alpha} b^{beta}."""
-        if l < 1:
-            raise OracleError("l must be positive")
-        total = 0.0 + 0.0j
-        for a in range(1, int(math.isqrt(l)) + 1):
-            if l % a:
-                continue
-            b = l // a
-            total += a ** (-alpha) * b**beta
-            if a != b:
-                total += b ** (-alpha) * a**beta
-        return total
 
 
 # -- contour integration ----------------------------------------------------
@@ -312,7 +298,7 @@ def _l1_pair(i: int, alpha: float, beta: float, logq: float):
         expo = Jet.linear(-logq * alpha * u, beta - alpha * u, 0.0, 2, 0).exp()
         return expo * ((1.0 - u) ** (i - 2))
 
-    inner = quad.integrate_cube(integrand, 1, quad.gauss_rule(96))
+    inner = Jet(2, 0, quad.integrate_cube(lambda u: integrand(u).coeffs, 1, quad.gauss_rule(96)))
     base = Jet.linear(logq, 1.0, 0.0, 2, 0)
     power = Jet.constant(1.0, 2, 0)
     for _ in range(i - 1):

@@ -11,7 +11,7 @@ The three families are:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -58,10 +58,6 @@ class Polynomial:
         if self.degree == 0:
             return Polynomial((0.0,))
         return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
-
-    def antiderivative(self) -> "Polynomial":
-        """Formal antiderivative with zero constant term."""
-        return Polynomial((0.0,) + tuple(c / (k + 1) for k, c in enumerate(self.coeffs)))
 
     def scale(self, factor: float) -> "Polynomial":
         return Polynomial(tuple(factor * c for c in self.coeffs))
@@ -116,6 +112,8 @@ def make_q(spec: QSpec) -> Polynomial:
     for c, k in zip(spec.odd_coeffs, spec.powers()):
         term = np.polynomial.polynomial.polypow(base, k)
         out[: len(term)] += c * term
+    if not np.all(np.isfinite(out)):
+        raise PolynomialError("Q has a non-finite coefficient")
     q = Polynomial(tuple(out))
     defect = q_symmetry_defect(q)
     if defect > Q_SYMMETRY_TOL:

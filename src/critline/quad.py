@@ -3,12 +3,10 @@
 All integrands in this project are entire (polynomials times exponentials), so
 fixed-order tensor rules with order doubling converge spectrally; there is no
 adaptive subdivision.  Integrands must be vectorized: they receive one numpy
-array per coordinate and return either an array of values or a batched
-:class:`~critline.jet.Jet`.  For a jet the doubling delta is the largest over
-its whole coefficient grid.  The moment kernels return plain arrays, the one
-Taylor coefficient their derivative operator reads, so their delta is measured
-on that coefficient: it is never larger than the grid-wide delta of the same
-kernel written as a jet, and a ladder stops no later.
+array per coordinate and return an array whose last axis is the node axis.
+Leading axes, if any, are independent integrals done in the same pass (a
+whole Gram block at once); the result has their shape, and the doubling delta
+is the largest relative change over its entries.
 
 Node evaluation is chunked so high orders in four dimensions stay within
 memory.  The chunk size is a constant, not an option, because it fixes the
@@ -22,8 +20,6 @@ from functools import lru_cache
 from math import fsum
 
 import numpy as np
-
-from .jet import Jet
 
 DEFAULT_TOL = 1e-10
 N_SEQUENCE_START = 16
@@ -62,20 +58,13 @@ def gauss_rule(n: int) -> QuadratureRule:
     return rule
 
 
-def _weighted_sum(values, weights: np.ndarray):
-    if isinstance(values, Jet):
-        coeffs = (values.coeffs * weights).sum(axis=-1)
-        return Jet(values.mx, values.my, coeffs)
-    return float(np.sum(np.asarray(values, dtype=float) * weights))
-
-
-def _accumulate(parts):
-    if parts and isinstance(parts[0], Jet):
-        total = parts[0]
-        for p in parts[1:]:
-            total = total + p
-        return total
-    return fsum(parts)
+def _accumulate(parts: list[np.ndarray]):
+    """Sum the per-chunk partials entry by entry with ``fsum``; a float for a
+    scalar integrand, an array of the leading shape otherwise."""
+    stacked = np.stack(parts)
+    columns = stacked.reshape(len(parts), -1).T
+    total = np.array([fsum(col) for col in columns]).reshape(stacked.shape[1:])
+    return float(total) if total.ndim == 0 else total
 
 
 def integrate_cube(f, d: int, rule: QuadratureRule, chunk: int = _CHUNK):
@@ -92,9 +81,7 @@ def integrate_cube(f, d: int, rule: QuadratureRule, chunk: int = _CHUNK):
         coords = [rule.nodes[m] for m in multi]
         weights = np.prod(np.stack([rule.weights[m] for m in multi]), axis=0)
         values = f(*coords)
-        if not isinstance(values, Jet):
-            values = np.broadcast_to(np.asarray(values, dtype=float), (stop - start,))
-        parts.append(_weighted_sum(values, weights))
+        parts.append(np.sum(values * weights, axis=-1))
     return _accumulate(parts)
 
 
@@ -104,17 +91,9 @@ def integrate_simplex2(f, rule: QuadratureRule):
 
 
 def _rel_diff(new, old) -> float:
-    if isinstance(new, Jet):
-        a, b = new.coeffs, old.coeffs
-        scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
-        return float(np.max(np.abs(a - b) / scale))
-    scale = max(abs(new), abs(old), 1.0)
-    return abs(new - old) / scale
-
-
-def _is_finite(value) -> bool:
-    coeffs = value.coeffs if isinstance(value, Jet) else value
-    return bool(np.all(np.isfinite(coeffs)))
+    """The largest entry of |new - old| / max(|new|, |old|, 1)."""
+    scale = np.maximum(np.maximum(np.abs(new), np.abs(old)), 1.0)
+    return float(np.max(np.abs(new - old) / scale))
 
 
 def integrate_converged(
@@ -153,7 +132,7 @@ def integrate_converged(
         value = run(n)
         delta = None if prev is None else _rel_diff(value, prev)
         trace.append((n, delta))
-        if not _is_finite(value):
+        if not np.all(np.isfinite(value)):
             raise QuadratureError(f"non-finite integral at n = {n}: trace {trace}", trace)
         if delta is not None and delta < tol:
             return value, trace

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from critline import moments
+from critline import moments, optimize, quad
 from critline.optimize import (
     GramSystem,
     OptimizeError,
@@ -12,6 +12,7 @@ from critline.optimize import (
     solve_constrained,
 )
 from critline.poly import P2Spec, Polynomial, QSpec, make_p2, make_q
+from critline.presets import kappa_preset, kappa_star_preset
 
 THETA1 = 4.0 / 7.0
 THETA2 = 0.5
@@ -144,3 +145,104 @@ def test_gram_split_normalizes_p1(small_gram):
     p1, p2 = small_gram.split(w)
     assert p1(1.0) == pytest.approx(1.0, abs=1e-14)
     assert p2.coeffs[:3] == (0.0, 0.0, 0.0)
+
+
+# -- one-pass blocks against polarization --------------------------------------
+
+
+def polarized_gram(Q, R, theta1, theta2, d1, d2, tol):
+    """M entry by entry from full c1/c12/c2 evaluations, as 1/4 (q(s + t) - q(s - t))."""
+    size = d1 + d2 - 2
+
+    def q(w):
+        p1 = Polynomial((0.0,) + tuple(w[:d1]))
+        p2 = make_p2(P2Spec(tuple(w[d1:])))
+        out = 0.0
+        if not p1.is_zero:
+            out += moments.c1_raw(Q, p1, R, theta1, tol=tol, n_start=8, n_max=64)[0] - 1.0
+            out += 2.0 * moments.c12_raw(Q, p1, p2, R, theta1, theta2, tol=tol, n_start=8, n_max=64)[0]
+        if not p2.is_zero:
+            out += moments.c2_raw(Q, p2, R=R, theta2=theta2, tol=tol, n_start=8, n_max=64)[0]
+        return out
+
+    M = np.zeros((size, size))
+    eye = np.eye(size)
+    for s in range(size):
+        for t in range(s, size):
+            M[s, t] = M[t, s] = 0.25 * (q(eye[s] + eye[t]) - q(eye[s] - eye[t]))
+    return M
+
+
+def test_one_pass_gram_matches_polarization():
+    Q = make_q(QSpec(odd_coeffs=(0.55, -0.07), const=0.52))
+    assert Q.degree == 3
+    g = build_gram(Q, 1.2, THETA1, THETA2, d1=3, d2=4, tol=1e-10)
+    reference = polarized_gram(Q, 1.2, THETA1, THETA2, 3, 4, tol=1e-10)
+    assert np.max(np.abs(g.M - reference)) < 1e-13
+    assert np.array_equal(g.M, g.M.T)
+
+
+@pytest.fixture(scope="module", params=[kappa_preset, kappa_star_preset], ids=["kappa", "kappa-star"])
+def preset_gram(request):
+    cfg = moments.renormalized_q(request.param())
+    gram = build_gram(cfg.Q, cfg.R, cfg.theta1, cfg.theta2, 5, 5, tol=1e-10)
+    a, b = np.array(cfg.P1.coeffs[1:]), np.array(cfg.P2.coeffs[3:])
+    assert (a.size, b.size) == (5, 3)
+    return cfg, gram, a, b
+
+
+def test_gram_total_equals_evaluate_at_presets(preset_gram):
+    cfg, gram, a, b = preset_gram
+    assert gram.total(np.concatenate([a, b])) == pytest.approx(moments.evaluate(cfg).c, abs=1e-12)
+
+
+def test_presets_sit_at_the_p2_scale_optimum(preset_gram):
+    # c(s) = c1 + 2s c12 + s^2 c2 is stationary at s = 1 iff c12 + c2 = 0,
+    # read from moments.evaluate and from the Gram blocks
+    cfg, gram, a, b = preset_gram
+    report = moments.evaluate(cfg)
+    assert abs(report.c12 + report.c2) < 1e-8
+    d1 = gram.d1
+    assert abs(a @ gram.M[:d1, d1:] @ b + b @ gram.M[d1:, d1:] @ b) < 1e-8
+
+
+# -- rejected outer points ---------------------------------------------------
+
+
+def small_search(**kwargs):
+    return optimize.optimize_full(
+        theta1=THETA1, theta2=THETA2, d1=2, d2=0, q_degree=1,
+        mode=moments.SIMPLE_ZEROS, max_iterations=6, extra_seeds=1, **kwargs,
+    )
+
+
+def test_outer_points_are_all_counted():
+    diag = small_search().diagnostics
+    rejected = diag["rejected_evaluations"]
+    assert set(rejected) == set(optimize.REJECTION_REASONS)
+    assert diag["admissible_evaluations"] + sum(rejected.values()) == diag["outer_evaluations"]
+    assert diag["admissible_evaluations"] > 0
+
+
+def test_rejected_outer_points_are_counted_by_reason(monkeypatch):
+    search_tol = 1e-5
+    failures = [quad.QuadratureError("injected"), OptimizeError("injected"), ValueError("injected")]
+    real_build = optimize.build_gram
+    builds = []
+
+    def flaky_build(*args, tol, **kwargs):
+        builds.append(tol)
+        if tol == search_tol and len(builds) % 4:
+            raise failures[len(builds) % 4 - 1]
+        return real_build(*args, tol=tol, **kwargs)
+
+    monkeypatch.setattr(optimize, "build_gram", flaky_build)
+    diag = small_search(search_gram_tol=search_tol).diagnostics
+    assert builds[-1] == optimize.GRAM_TOL  # the final re-solve
+    phase = np.arange(1, len(builds)) % 4  # one per search build
+    rejected = diag["rejected_evaluations"]
+    assert rejected["quadrature_error"] == np.sum(phase == 1)
+    assert rejected["optimize_error"] == np.sum(phase == 2)
+    assert rejected["value_error"] == np.sum(phase == 3)
+    assert diag["admissible_evaluations"] == np.sum(phase == 0)
+    assert diag["admissible_evaluations"] + sum(rejected.values()) == diag["outer_evaluations"]

@@ -51,15 +51,6 @@ def test_divisor_functions():
         t.dk(6)
 
 
-def test_sigma_shifted_divisor_sum():
-    t = ArithmeticTables(10)
-    assert t.sigma(0.0, 0.0, 12) == pytest.approx(6.0)  # plain divisor count
-    # sigma_{1,0}(4) = sum over ab=4 of a^{-1} = 1 + 1/2 + 1/4
-    assert t.sigma(1.0, 0.0, 4).real == pytest.approx(1.75)
-    with pytest.raises(OracleError):
-        t.sigma(0.0, 0.0, 0)
-
-
 def test_tables_bounds():
     with pytest.raises(OracleError):
         ArithmeticTables(0)

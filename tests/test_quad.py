@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from critline import quad
-from critline.jet import Jet
 from critline.quad import (
     QuadratureError,
     gauss_rule,
@@ -128,26 +127,68 @@ def test_invalid_arguments():
         integrate_converged(lambda x: x, ("disk", 1))
 
 
-# -- jet-valued integrands ---------------------------------------------------
+# -- array-valued integrands -------------------------------------------------
 
 
-def test_jet_integrand_matches_componentwise():
+def test_array_integrand_matches_componentwise():
     rule = gauss_rule(10)
 
     def f(u, v):
-        return Jet.linear(u * v, u, v, 1, 1)
+        return np.stack([u * v, u, v])
 
-    jet_value = integrate_cube(f, 2, rule)
-    assert isinstance(jet_value, Jet)
-    assert jet_value.mixed_partial(0, 0) == pytest.approx(0.25, rel=1e-13)  # int uv
-    assert jet_value.mixed_partial(1, 0) == pytest.approx(0.5, rel=1e-13)  # int u
-    assert jet_value.mixed_partial(0, 1) == pytest.approx(0.5, rel=1e-13)  # int v
+    value = integrate_cube(f, 2, rule)
+    assert value.shape == (3,)
+    assert value[0] == pytest.approx(0.25, rel=1e-13)  # int uv
+    assert value[1] == pytest.approx(0.5, rel=1e-13)  # int u
+    assert value[2] == pytest.approx(0.5, rel=1e-13)  # int v
+    for k, g in enumerate((lambda u, v: u * v, lambda u, v: u, lambda u, v: v)):
+        assert value[k] == integrate_cube(g, 2, rule)
 
 
-def test_jet_integrand_convergence():
+def test_array_integrand_convergence():
     def f(u):
-        return Jet.linear(0.0, u, -u, 1, 1).exp()
+        # [exp(u), -u^2]: the second entry is d^2/dxdy of exp(u x - u y) at 0
+        return np.stack([np.exp(u), -u * u])
 
     value, _ = integrate_converged(f, ("cube", 1), tol=1e-12)
-    # d^2/dxdy of exp(u x - u y) at 0 is -u^2; integrated: -1/3
-    assert value.mixed_partial(1, 1) == pytest.approx(-1.0 / 3.0, rel=1e-12)
+    assert value[0] == pytest.approx(math.e - 1.0, rel=1e-12)
+    assert value[1] == pytest.approx(-1.0 / 3.0, rel=1e-12)
+
+
+def test_array_delta_is_the_largest_relative_change():
+    # both entries have a kink, so both still move from n = 16 to n = 32
+    entries = (lambda x: 1e3 * np.abs(x - 0.5), lambda x: np.abs(x - 0.3))
+
+    def rel_change(g):
+        old, new = integrate_cube(g, 1, gauss_rule(16)), integrate_cube(g, 1, gauss_rule(32))
+        return abs(new - old) / max(abs(new), abs(old), 1.0)
+
+    changes = [rel_change(g) for g in entries]
+    assert min(changes) > 0
+    with pytest.raises(QuadratureError) as exc_info:
+        integrate_converged(lambda x: np.stack([g(x) for g in entries]), ("cube", 1), tol=1e-15, n_max=32)
+    assert exc_info.value.trace == [(16, None), (32, max(changes))]
+
+
+def test_array_integrand_chunking_is_exact():
+    rule = gauss_rule(16)
+
+    def f(x, y, z):
+        base = np.exp(x) * np.cos(y) * z
+        return np.stack([base, base * x, np.sin(z)])[:, None, :] * np.array([1.0, -2.0])[:, None]
+
+    whole = integrate_cube(f, 3, rule)
+    chunked = integrate_cube(f, 3, rule, chunk=97)
+    assert whole.shape == chunked.shape == (3, 2)
+    np.testing.assert_allclose(chunked, whole, rtol=1e-14, atol=0.0)
+
+
+def test_nan_in_one_entry_raises_at_the_first_order():
+    def f(x):
+        out = np.stack([x, x * x, np.exp(x)])
+        out[1, 3] = np.nan
+        return out
+
+    with pytest.raises(QuadratureError, match="non-finite") as exc_info:
+        integrate_converged(f, ("cube", 1))
+    assert exc_info.value.trace == [(16, None)]
