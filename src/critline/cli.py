@@ -84,11 +84,15 @@ def _report_with_normalized_q(cfg: MollifierConfig, tol: float, n_max: int) -> K
     return report
 
 
+def _write_json(path: str, payload: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(payload + "\n")
+
+
 def _emit(report: KappaReport, json_path: str | None) -> None:
     payload = json.dumps(report.to_dict(), indent=2)
     if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        _write_json(json_path, payload)
     print(f"c1     = {report.c1:.12f}")
     print(f"c12    = {report.c12:.12f}")
     print(f"c2     = {report.c2:.12f}")
@@ -224,6 +228,14 @@ def run_verify(args) -> int:
         failures += not r.passed
         print(f"{r.name:<{width}}  error={r.error:.3e}  threshold={r.threshold:.3e}  {verdict}")
     print(f"{len(results) - failures}/{len(results)} checks passed")
+    if args.json:
+        checks = [
+            {"name": r.name, "error": r.error, "threshold": r.threshold, "passed": r.passed}
+            for r in results
+        ]
+        payload = {"schema": 1, "suite": args.suite, "passed": len(results) - failures,
+                   "total": len(results), "checks": checks}
+        _write_json(args.json, json.dumps(payload, indent=2))
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
@@ -261,6 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the independent identity/property checks")
     p.add_argument("--suite", default="all",
                    choices=["all", "euler", "contour", "mobius", "mellin", "qop", "jets"])
+    p.add_argument("--json", help="write the per-check results as JSON to this path")
     p.set_defaults(func=run_verify)
     return parser
 

@@ -170,7 +170,8 @@ def nelder_mead(
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.size == 0:
         raise OptimizeError("x0 must be a nonempty vector")
-    if not math.isfinite(f(x0)):
+    f0 = f(x0)
+    if not math.isfinite(f0):
         raise OptimizeError("objective is not finite at x0")
 
     n = x0.size
@@ -179,7 +180,7 @@ def nelder_mead(
         step = np.zeros(n)
         step[k] = initial_step if x0[k] == 0.0 else initial_step * max(abs(x0[k]), 1.0)
         simplex.append(x0 + step)
-    values = [f(x) for x in simplex]
+    values = [f0] + [f(x) for x in simplex[1:]]
 
     for _ in range(max_iterations):
         order = np.argsort(values)

@@ -2,7 +2,12 @@
 
 Everything here deliberately avoids the moment evaluation paths it is
 checking: contour integrals use the trapezoid rule on circles, sums use sieved
-arithmetic tables, and derivative operators get 4th-order finite differences.
+arithmetic tables, and derivative operators get 4th-order finite differences
+of long-double tensor-product Gauss integrals.  Work that does not change
+between evaluations is done once: the circles share their roots of unity,
+and each finite-difference integrand is evaluated factor by factor on the
+axes it depends on.  Both are the same rules as the plain per-point forms,
+only with loop-invariant factors hoisted.
 Asymptotic statements are tested as bounded-normalized-error properties (their
 O(.) constants are not quantified), never as equalities.
 """
@@ -12,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb, factorial
 from typing import Any, Callable
 
@@ -141,27 +147,48 @@ class ContourSpec:
     dps: int | None = None
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.center) and math.isfinite(self.radius)):
+            raise OracleError("center and radius must be finite")
         if self.radius <= 0:
             raise OracleError("radius must be positive")
         if self.n_points < 64:
             raise OracleError("n_points must be >= 64")
 
 
+@lru_cache(maxsize=4)
+def _roots_of_unity(n: int, dps: int | None) -> tuple:
+    """The trapezoid nodes exp(2*pi*i*k/n) on the unit circle, k < n: complex
+    numbers, or mpmath numbers computed at ``dps`` digits.
+
+    They depend only on (n, dps), so every circle shares them and forms its
+    points as center + radius * node.
+    """
+    if dps is None:
+        return tuple(cmath.exp(2j * cmath.pi * k / n) for k in range(n))
+    import mpmath
+
+    with mpmath.workdps(dps):
+        return tuple(mpmath.exp(2j * mpmath.pi * k / n) for k in range(n))
+
+
 def contour_circle(f: Callable[[complex], complex], spec: ContourSpec) -> complex:
     """(1/2*pi*i) times the integral of f around the circle."""
     n = spec.n_points
+    nodes = _roots_of_unity(n, spec.dps)
     if spec.dps is not None:
         import mpmath
 
         with mpmath.workdps(spec.dps):
+            # converted once (exactly) instead of at every point
+            center, radius = mpmath.mpmathify(spec.center), mpmath.mpmathify(spec.radius)
             total = mpmath.mpc(0)
-            for k in range(n):
-                z = spec.center + spec.radius * mpmath.exp(2j * mpmath.pi * k / n)
-                total += f(z) * (z - spec.center)
+            for node in nodes:
+                z = center + radius * node
+                total += f(z) * (z - center)
             return complex(total / n)
     total = 0.0 + 0.0j
-    for k in range(n):
-        z = spec.center + spec.radius * cmath.exp(2j * cmath.pi * k / n)
+    for node in nodes:
+        z = spec.center + spec.radius * node
         total += f(z) * (z - spec.center)
     return total / n
 
@@ -241,6 +268,16 @@ def check_logsave(k: int, sigma: float, x: float, tables: ArithmeticTables | Non
     )
 
 
+def _gauss_rule_ld(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1] in extended precision.
+
+    Kept separate from the quad module on purpose: the oracles must not share
+    code paths with what they check.
+    """
+    x64, w64 = np.polynomial.legendre.leggauss(n)
+    return ((x64 + 1.0) / 2.0).astype(np.longdouble), (w64 / 2.0).astype(np.longdouble)
+
+
 # -- contour identities -----------------------------------------------------
 
 
@@ -275,9 +312,7 @@ def _k2_pair(j: int, alpha: float, beta: float, logq: float):
     )
     # triangle via b = (1 - a)t; extended precision because the logq^j
     # prefactor amplifies the quadrature sum's rounding
-    x64, w64 = np.polynomial.legendre.leggauss(96)
-    xs = ((x64 + 1.0) / 2.0).astype(np.longdouble)
-    ws = (w64 / 2.0).astype(np.longdouble)
+    xs, ws = _gauss_rule_ld(96)
     a = xs[:, None]
     b = (1.0 - a) * xs[None, :]
     vals = (1.0 - a - b) ** (j - 2) * np.exp(logq * (-a * alpha + b * beta)) * (1.0 - a)
@@ -467,69 +502,72 @@ _D2_OFFSETS = (-2.0, -1.0, 0.0, 1.0, 2.0)
 _D2_WEIGHTS = (-1.0, 16.0, -30.0, 16.0, -1.0)
 
 
-def _tensor_integral_ld(f, d: int, n: int = 32) -> np.longdouble:
-    """Plain tensor-product Gauss-Legendre on [0,1]^d in extended precision.
-
-    Kept separate from the quad module on purpose: the finite-difference
-    oracle must not share code paths with what it checks, and the stencil
-    divides by h^4, which amplifies double-rounding of the plain integrals
-    beyond the 1e-6 comparison floor.
-    """
-    x64, w64 = np.polynomial.legendre.leggauss(n)
-    x = ((x64 + 1.0) / 2.0).astype(np.longdouble)
-    w = (w64 / 2.0).astype(np.longdouble)
-    grids = np.meshgrid(*([x] * d), indexing="ij")
-    weight = np.longdouble(1.0)
-    for g in np.meshgrid(*([w] * d), indexing="ij"):
-        weight = weight * g
-    values = f(*[g.ravel() for g in grids])
-    return np.sum(values * weight.ravel())
-
-
 def _c12_scalar(cfg: moments.MollifierConfig, x, y, n: int = 32):
     """The c12 integrand's inner integral at real offsets (x, y), pre-factor
-    included; finite differences of this reproduce the kernel's c12."""
+    included; finite differences of this reproduce the kernel's c12.
+
+    A tensor-product Gauss rule of order n on [0,1]^3 in extended precision:
+    the stencil divides by h^2, which amplifies double rounding of the plain
+    integrals beyond the 1e-6 comparison floor.  The axes are (s, t, u) with
+    the triangle point (a, b) = (s, (1 - s) t); each factor is evaluated on
+    the axes it depends on and broadcast, which is the same rule as
+    evaluating it at every node.
+    """
     ld = np.longdouble
     th1, th2, R = ld(cfg.theta1), ld(cfg.theta2), ld(cfg.R)
     x, y = ld(x), ld(y)
     Q, P1 = cfg.Q, cfg.P1
     P2dd = cfg.P2.derivative().derivative()
-
-    def f(s, t, u):
-        a = s
-        b = (1.0 - s) * t
-        jac = 1.0 - s
-        expo = np.exp(R * (th1 * (y - x) + u * th2 * (a - b)))
-        return (
-            u * u * (1.0 - u) * expo
-            * Q(-x * th1 + a * u * th2) * Q(1.0 + y * th1 - b * u * th2)
-            * P1(x + y + 1.0 - (1.0 - u) * th2 / th1)
-            * P2dd((1.0 - a - b) * u) * jac
-        )
-
-    value = _tensor_integral_ld(f, 3, n)
+    nodes, weights = _gauss_rule_ld(n)
+    s, t, u = nodes[:, None, None], nodes[None, :, None], nodes[None, None, :]
+    a = s
+    b = (1.0 - s) * t
+    jac = 1.0 - s
+    expo = np.exp(R * (th1 * (y - x) + u * th2 * (a - b)))
+    values = (
+        u * u * (1.0 - u) * expo
+        * Q(-x * th1 + a * u * th2) * Q(1.0 + y * th1 - b * u * th2)
+        * P1(x + y + 1.0 - (1.0 - u) * th2 / th1)
+        * P2dd((1.0 - a - b) * u) * jac
+    )
+    weight = weights[:, None, None] * weights[None, :, None] * weights[None, None, :]
+    value = np.sum(values * weight)
     return 4.0 * (th2**2 / th1**2) * np.exp(R) * value
 
 
 def _c2_scalar(cfg: moments.MollifierConfig, x, y, n: int = 32):
-    """The c2 inner integral at real offsets (x, y) (pre-factor 2/3 included)."""
+    """The c2 inner integral at real offsets (x, y) (pre-factor 2/3 included).
+
+    A tensor-product Gauss rule of order n on [0,1]^4 over (t, r, u, v) in
+    extended precision (the stencil divides by 144 h^4), with the integrand
+    split by axis: only Q(A + tG), exp(2RtG) and Q(B + tG) depend on t, with
+    A = theta2 (-y + u (x + r)) and B = theta2 (-x + v (y + r)), so every
+    other factor is built once on the (r, u, v) grid.  The t-dependent
+    factors are contracted with the t weights one node at a time, then the
+    (r, u, v) sum is taken; this is the same rule as summing the full
+    integrand over all n^4 nodes.
+    """
     ld = np.longdouble
     th2, R = ld(cfg.theta2), ld(cfg.R)
     x, y = ld(x), ld(y)
     Q = cfg.Q
     P2dd = cfg.P2.derivative().derivative()
-
-    def f(t, r, u, v):
-        E = x + y - v * (y + r) - u * (x + r)
-        G = 1.0 + th2 * E
-        return (
-            (1.0 - r) ** 4 * (1.0 / th2 + E) * np.exp(-th2 * R * E)
-            * Q(th2 * (-y + u * (x + r)) + t * G) * np.exp(2.0 * R * t * G)
-            * Q(th2 * (-x + v * (y + r)) + t * G)
-            * (x + r) * (y + r) * P2dd((1.0 - u) * (x + r)) * P2dd((1.0 - v) * (y + r))
-        )
-
-    return (2.0 / 3.0) * _tensor_integral_ld(f, 4, n)
+    nodes, weights = _gauss_rule_ld(n)
+    r, u, v = nodes[:, None, None], nodes[None, :, None], nodes[None, None, :]
+    E = x + y - v * (y + r) - u * (x + r)
+    G = 1.0 + th2 * E
+    A = th2 * (-y + u * (x + r))
+    B = th2 * (-x + v * (y + r))
+    outer = (
+        (1.0 - r) ** 4 * (1.0 / th2 + E) * np.exp(-th2 * R * E)
+        * (x + r) * (y + r) * P2dd((1.0 - u) * (x + r)) * P2dd((1.0 - v) * (y + r))
+        * (weights[:, None, None] * weights[None, :, None] * weights[None, None, :])
+    )
+    inner = np.zeros_like(G)
+    for t, w in zip(nodes, weights):
+        tG = t * G
+        inner += w * (Q(A + tG) * np.exp(2.0 * R * tG) * Q(B + tG))
+    return (2.0 / 3.0) * np.sum(inner * outer)
 
 
 def fd_c12(cfg: moments.MollifierConfig, h: float = FD_H, n: int = 32) -> float:

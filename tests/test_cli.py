@@ -180,6 +180,35 @@ def test_verify_pass_and_fail_exit_codes(monkeypatch, capsys):
     assert "1/2 checks passed" in capsys.readouterr().out
 
 
+def test_verify_json_lists_checks_in_run_order(tmp_path, monkeypatch, capsys):
+    results = [
+        oracle.CheckResult.from_error("first", {"x": 1.0}, 0.5, 1.0),
+        oracle.CheckResult.from_error("second", {}, 2.0, 1.0),
+        oracle.CheckResult.from_error("third", {}, 0.0, 0.0),
+    ]
+    monkeypatch.setattr(cli.oracle, "run_suite", lambda name: results)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--suite", "euler", "--json", str(out)]) == EXIT_VERIFY
+    stdout = capsys.readouterr().out
+    assert stdout.splitlines()[-1] == "2/3 checks passed"
+    assert str(out) not in stdout
+    first = out.read_bytes()
+    assert json.loads(first) == {
+        "schema": 1, "suite": "euler", "passed": 2, "total": 3,
+        "checks": [
+            {"name": "first", "error": 0.5, "threshold": 1.0, "passed": True},
+            {"name": "second", "error": 2.0, "threshold": 1.0, "passed": False},
+            {"name": "third", "error": 0.0, "threshold": 0.0, "passed": True},
+        ],
+    }
+    main(["verify", "--suite", "euler", "--json", str(out)])
+    assert out.read_bytes() == first
+    # stdout is the same with and without the file
+    capsys.readouterr()
+    main(["verify", "--suite", "euler"])
+    assert capsys.readouterr().out == stdout
+
+
 # -- reproduce ---------------------------------------------------------------
 
 

@@ -42,6 +42,19 @@ def test_nelder_mead_one_dimensional():
     assert fx < 1e-4
 
 
+def test_nelder_mead_evaluates_x0_once():
+    # 3 simplex vertices, a reflection, then a reflection and an expansion
+    points = []
+
+    def f(v):
+        points.append(tuple(v))
+        return float(v[0] + v[1])
+
+    nelder_mead(f, [0.0, 0.0], max_iterations=2)
+    assert len(points) == 6
+    assert len(set(points)) == 6
+
+
 def test_nelder_mead_input_validation():
     with pytest.raises(OptimizeError):
         nelder_mead(lambda v: float(v.sum()), [])

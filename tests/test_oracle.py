@@ -19,6 +19,7 @@ from critline.oracle import (
     contour_circle,
 )
 from critline.poly import Polynomial, QSpec, make_p1, make_q
+from critline.presets import kappa_preset, kappa_star_preset
 
 
 # -- arithmetic tables -------------------------------------------------------
@@ -82,6 +83,58 @@ def test_contour_spec_validation():
         ContourSpec(radius=0.0)
     with pytest.raises(OracleError):
         ContourSpec(n_points=8)
+
+
+@pytest.mark.parametrize(
+    "center, radius",
+    [(math.nan, 1.0), (math.inf, 1.0), (complex(0.0, math.nan), 1.0),
+     (0.0, math.nan), (0.0, math.inf)],
+)
+def test_contour_spec_rejects_non_finite(center, radius):
+    with pytest.raises(OracleError):
+        ContourSpec(center=center, radius=radius)
+
+
+def _contour_circle_per_point(f, spec):
+    """contour_circle with every node computed by its own exp: the form the
+    shared roots of unity replaced."""
+    n = spec.n_points
+    if spec.dps is not None:
+        import mpmath
+
+        with mpmath.workdps(spec.dps):
+            total = mpmath.mpc(0)
+            for k in range(n):
+                z = spec.center + spec.radius * mpmath.exp(2j * mpmath.pi * k / n)
+                total += f(z) * (z - spec.center)
+            return complex(total / n)
+    total = 0.0 + 0.0j
+    for k in range(n):
+        z = spec.center + spec.radius * cmath.exp(2j * cmath.pi * k / n)
+        total += f(z) * (z - spec.center)
+    return total / n
+
+
+@pytest.mark.parametrize("dps", [None, 40])
+def test_shared_contour_nodes_change_no_value(dps):
+    def f(z):
+        return oracle._exp_any(3.0 * z) / ((z + 0.2) * z**3)
+
+    for spec in (
+        ContourSpec(center=0.0, radius=0.3, dps=dps),
+        ContourSpec(center=-0.2, radius=0.1, n_points=96, dps=dps),
+        ContourSpec(center=complex(0.1, -0.05), radius=0.45, dps=dps),
+    ):
+        expected = _contour_circle_per_point(f, spec)
+        assert contour_circle(f, spec) == expected
+        assert contour_circle(f, spec) == expected
+
+
+def test_contour_node_cache_is_bounded():
+    for n_points in range(64, 80):
+        contour_circle(lambda z: 1.0 / z, ContourSpec(n_points=n_points))
+    info = oracle._roots_of_unity.cache_info()
+    assert info.currsize <= info.maxsize < 16
 
 
 def test_contour_extended_precision_path():
@@ -163,3 +216,85 @@ def test_run_suite_unknown_name():
 def test_qop_suite_passes():
     results = oracle.run_suite("qop")
     assert results and all(r.passed for r in results)
+
+
+# -- finite-difference oracle ------------------------------------------------
+
+
+def _tensor_integral_ld(f, d, n):
+    """Tensor-product Gauss-Legendre on [0,1]^d in long double, evaluating f
+    at every node of a meshgrid: the form the factored scalars replaced."""
+    x64, w64 = np.polynomial.legendre.leggauss(n)
+    x = ((x64 + 1.0) / 2.0).astype(np.longdouble)
+    w = (w64 / 2.0).astype(np.longdouble)
+    grids = np.meshgrid(*([x] * d), indexing="ij")
+    weight = np.longdouble(1.0)
+    for g in np.meshgrid(*([w] * d), indexing="ij"):
+        weight = weight * g
+    values = f(*[g.ravel() for g in grids])
+    return np.sum(values * weight.ravel())
+
+
+def _c12_scalar_meshgrid(cfg, x, y, n):
+    ld = np.longdouble
+    th1, th2, R = ld(cfg.theta1), ld(cfg.theta2), ld(cfg.R)
+    x, y = ld(x), ld(y)
+    Q, P1 = cfg.Q, cfg.P1
+    P2dd = cfg.P2.derivative().derivative()
+
+    def f(s, t, u):
+        a = s
+        b = (1.0 - s) * t
+        jac = 1.0 - s
+        expo = np.exp(R * (th1 * (y - x) + u * th2 * (a - b)))
+        return (
+            u * u * (1.0 - u) * expo
+            * Q(-x * th1 + a * u * th2) * Q(1.0 + y * th1 - b * u * th2)
+            * P1(x + y + 1.0 - (1.0 - u) * th2 / th1)
+            * P2dd((1.0 - a - b) * u) * jac
+        )
+
+    value = _tensor_integral_ld(f, 3, n)
+    return 4.0 * (th2**2 / th1**2) * np.exp(R) * value
+
+
+def _c2_scalar_meshgrid(cfg, x, y, n):
+    ld = np.longdouble
+    th2, R = ld(cfg.theta2), ld(cfg.R)
+    x, y = ld(x), ld(y)
+    Q = cfg.Q
+    P2dd = cfg.P2.derivative().derivative()
+
+    def f(t, r, u, v):
+        E = x + y - v * (y + r) - u * (x + r)
+        G = 1.0 + th2 * E
+        return (
+            (1.0 - r) ** 4 * (1.0 / th2 + E) * np.exp(-th2 * R * E)
+            * Q(th2 * (-y + u * (x + r)) + t * G) * np.exp(2.0 * R * t * G)
+            * Q(th2 * (-x + v * (y + r)) + t * G)
+            * (x + r) * (y + r) * P2dd((1.0 - u) * (x + r)) * P2dd((1.0 - v) * (y + r))
+        )
+
+    return (2.0 / 3.0) * _tensor_integral_ld(f, 4, n)
+
+
+@pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])
+def test_factored_fd_scalars_match_the_meshgrid_form(preset):
+    cfg = preset()
+    h = oracle.FD_H
+    offsets = [(0.0, 0.0), (h, -2 * h), (-2 * h, 2 * h), (2 * h, h), (0.3, -0.2)]
+    for n in (6, 8):
+        for x, y in offsets:
+            for factored, reference in (
+                (oracle._c12_scalar, _c12_scalar_meshgrid),
+                (oracle._c2_scalar, _c2_scalar_meshgrid),
+            ):
+                got = factored(cfg, x, y, n=n)
+                want = reference(cfg, x, y, n=n)
+                assert got.dtype == np.longdouble
+                assert abs(got - want) <= 1e-17 * abs(want), (n, x, y, factored.__name__)
+
+
+def test_jet_operators_pass_at_the_kappa_preset():
+    result = oracle.check_jet_operators(kappa_preset())
+    assert result.passed, result
