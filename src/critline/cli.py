@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import moments, oracle, optimize, quad
 from .moments import ConfigError, KappaReport, MollifierConfig
@@ -31,41 +29,6 @@ CONFIG_KEYS = {
 }
 
 
-def _threads() -> int:
-    raw = os.environ.get("MOLLIFIER_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"MOLLIFIER_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ConfigError("MOLLIFIER_THREADS must be >= 1")
-    return value
-
-
-def _evaluate(cfg: MollifierConfig, tol: float, n_max: int) -> KappaReport:
-    """Full evaluation; the three constants run concurrently when the
-    MOLLIFIER_THREADS cap allows it."""
-    threads = _threads()
-    if threads == 1:
-        return moments.evaluate(cfg, tol=tol, n_max=n_max)
-    with ThreadPoolExecutor(max_workers=min(threads, 3)) as pool:
-        f1 = pool.submit(moments.c1_raw, cfg.Q, cfg.P1, cfg.R, cfg.theta1, tol, n_max=n_max)
-        f12 = pool.submit(
-            moments.c12_raw, cfg.Q, cfg.P1, cfg.P2, cfg.R, cfg.theta1, cfg.theta2,
-            tol, n_max=n_max,
-        )
-        f2 = pool.submit(moments.c2_raw, cfg.Q, cfg.P2, R=cfg.R, theta2=cfg.theta2,
-                         tol=tol, n_max=n_max)
-        c1, t1 = f1.result()
-        c12, t12 = f12.result()
-        c2, t2 = f2.result()
-    c = c1 + 2.0 * c12 + c2
-    return KappaReport(
-        c1=c1, c12=c12, c2=c2, c=c, kappa=moments.compute_kappa(c, cfg.R), config=cfg,
-        diagnostics={"quad_tol": tol, "c1_trace": t1, "c12_trace": t12, "c2_trace": t2},
-    )
-
-
 def _report_with_normalized_q(cfg: MollifierConfig, tol: float, n_max: int) -> KappaReport:
     """Evaluate, renormalizing Q to Q(0) = 1 first when the input does not
     satisfy the constraint exactly; the unnormalized value is kept in the
@@ -73,8 +36,8 @@ def _report_with_normalized_q(cfg: MollifierConfig, tol: float, n_max: int) -> K
     and the unnormalized value needs no second evaluation."""
     q0 = cfg.Q(0.0)
     if abs(q0 - 1.0) <= 1e-12:
-        return _evaluate(cfg, tol, n_max)
-    report = _evaluate(moments.renormalized_q(cfg), tol, n_max)
+        return moments.evaluate(cfg, tol=tol, n_max=n_max)
+    report = moments.evaluate(moments.renormalized_q(cfg), tol=tol, n_max=n_max)
     c_verbatim = 1.0 + q0 * q0 * (report.c - 1.0)
     report.diagnostics.update(
         q0_verbatim=q0,
@@ -168,8 +131,8 @@ def parse_config(path: str) -> tuple[MollifierConfig, float, int]:
     max_nodes = scalar("quad_max_nodes", quad.N_MAX)
     if not (math.isfinite(quad_tol) and quad_tol > 0):
         raise ConfigError("quad_tol must be finite and positive")
-    if not (math.isfinite(max_nodes) and max_nodes >= 1):
-        raise ConfigError("quad_max_nodes must be finite and at least 1")
+    if not (math.isfinite(max_nodes) and 1 <= max_nodes <= quad.N_MAX):
+        raise ConfigError(f"quad_max_nodes must be finite and in [1, {quad.N_MAX}]")
     n_max = int(max_nodes)
     try:
         cfg = MollifierConfig(

@@ -6,7 +6,7 @@ formal derivative operators d^2/dxdy and d^4/dx^2dy^2 at x = y = 0.  Every
 argument in their kernels is linear in (x, y), so each integrand returns, per
 quadrature node, the closed-form Taylor coefficient the operator reads ([xy]
 for c12, [x^2 y^2] for c2); the operators are exact and quadrature is the only
-error source.  The quadrature's order-doubling delta is measured on that
+error source.  The quadrature ladder's delta is measured on that
 coefficient.
 
 Each kernel is bilinear in its two smoothing polynomials (P1 and P1 for c1,

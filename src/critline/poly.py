@@ -48,9 +48,17 @@ class Polynomial:
         return self.coeffs == (0.0,)
 
     def __call__(self, x):
-        """Horner evaluation; accepts scalars or numpy arrays."""
-        acc = np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
-        for c in reversed(self.coeffs):
+        """Horner evaluation; accepts scalars or numpy arrays.
+
+        An array evaluates in ``np.result_type(x, float)``.  A scalar or 0-d
+        array keeps the type that ``0.0 * x + c`` gives it (a Python float
+        for a Python number, a numpy scalar otherwise)."""
+        *lower, lead = self.coeffs
+        if np.ndim(x):
+            acc = np.full(np.shape(x), lead, dtype=np.result_type(x, float))
+        else:
+            acc = 0.0 * x + lead
+        for c in reversed(lower):
             acc = acc * x + c
         return acc
 

@@ -1,11 +1,14 @@
 """Gauss-Legendre quadrature on [0,1]^d and the standard triangle.
 
 All integrands in this project are entire (polynomials times exponentials), so
-fixed-order tensor rules with order doubling converge spectrally; there is no
-adaptive subdivision.  Integrands must be vectorized: they receive one numpy
+fixed-order tensor rules converge geometrically in the order; there is no
+adaptive subdivision.  :func:`integrate_converged` climbs the ladder
+n = 12, 18, 27, 41, ... (n -> ceil(3n/2), the last rung clamped to ``n_max``)
+and stops when two successive rungs agree; it never runs a rung of more than
+``NODE_BUDGET`` nodes.  Integrands must be vectorized: they receive one numpy
 array per coordinate and return an array whose last axis is the node axis.
 Leading axes, if any, are independent integrals done in the same pass (a
-whole Gram block at once); the result has their shape, and the doubling delta
+whole Gram block at once); the result has their shape, and the ladder's delta
 is the largest relative change over its entries.
 
 Node evaluation is chunked so high orders in four dimensions stay within
@@ -22,8 +25,12 @@ from math import fsum
 import numpy as np
 
 DEFAULT_TOL = 1e-10
-N_SEQUENCE_START = 16
+N_SEQUENCE_START = 12
 N_MAX = 256
+# Largest rung, in nodes n**d.  2^24 = 64^4 = 256^3, so the Gram's n_max in 4-D
+# and N_MAX in 3-D fit; a 4-D ladder that has not converged by n = 62 fails
+# there instead of climbing to 256^4 = 4.3e9 nodes.
+NODE_BUDGET = 1 << 24
 # Nodes per integrand call.  Measured on the kappa preset's c2 (n = 16 and 32,
 # 2-core x86-64 VM, numpy 2.4): 0.87-0.93 s at 2^19, 0.52-0.58 s at 2^16,
 # 0.38-0.44 s at 2^13 and 2^14, 0.44-0.54 s at 2^12, 0.66-0.77 s at 2^11.
@@ -33,7 +40,7 @@ _CHUNK = 1 << 14
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the doubling sequence fails to converge; carries the trace."""
+    """Raised when the order ladder fails to converge; carries the trace."""
 
     def __init__(self, message: str, trace=None):
         super().__init__(message)
@@ -96,6 +103,16 @@ def _rel_diff(new, old) -> float:
     return float(np.max(np.abs(new - old) / scale))
 
 
+def ladder(n_start: int = N_SEQUENCE_START, n_max: int = N_MAX):
+    """The orders n_start, ceil(3 n_start / 2), ..., the last clamped to n_max."""
+    n = n_start
+    while n <= n_max:
+        yield n
+        if n == n_max:
+            return
+        n = min(-(-3 * n // 2), n_max)
+
+
 def integrate_converged(
     f,
     domain,
@@ -103,32 +120,40 @@ def integrate_converged(
     n_start: int = N_SEQUENCE_START,
     n_max: int = N_MAX,
 ):
-    """Evaluate with order doubling n = 16, 32, ... until the relative change
-    drops below ``tol``.
+    """Evaluate on the rungs of :func:`ladder`, n = 12, 18, 27, ..., until the
+    relative change between two successive rungs drops below ``tol``.
 
     ``domain`` is ``("cube", d)`` or ``"simplex2"``.  Returns ``(value, trace)``
     where the trace lists ``(n, delta)`` pairs (delta is None for the first
     order).  Raises :class:`QuadratureError` with the trace on non-convergence,
-    and at the first order whose value is not finite: more nodes cannot repair
-    a NaN or an overflow, and in 4-D the orders up to ``n_max`` cost billions
-    of nodes.
+    at the first order whose value is not finite (more nodes cannot repair a
+    NaN or an overflow), and before any rung of more than ``NODE_BUDGET``
+    nodes.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if domain == "simplex2":
+        d = 2
+    else:
+        kind, d = domain
+        if kind != "cube":
+            raise ValueError(f"unknown domain {domain!r}")
 
     def run(n):
         rule = gauss_rule(n)
         if domain == "simplex2":
             return integrate_simplex2(f, rule)
-        kind, d = domain
-        if kind != "cube":
-            raise ValueError(f"unknown domain {domain!r}")
         return integrate_cube(f, d, rule)
 
     trace = []
     prev = None
-    n = n_start
-    while n <= n_max:
+    for n in ladder(n_start, n_max):
+        if n**d > NODE_BUDGET:
+            raise QuadratureError(
+                f"n = {n} in {d}-D exceeds the node budget of {NODE_BUDGET} nodes "
+                f"before converging to {tol:g}: trace {trace}",
+                trace,
+            )
         value = run(n)
         delta = None if prev is None else _rel_diff(value, prev)
         trace.append((n, delta))
@@ -137,7 +162,6 @@ def integrate_converged(
         if delta is not None and delta < tol:
             return value, trace
         prev = value
-        n *= 2
     raise QuadratureError(
         f"quadrature did not converge to {tol:g} by n = {n_max}: trace {trace}", trace
     )

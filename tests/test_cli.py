@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from critline import cli, moments, oracle
+from critline import cli, moments, oracle, quad
 from critline.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFY, main, parse_config
 from critline.moments import ConfigError
 from critline.presets import PRESETS
@@ -97,23 +97,6 @@ def test_eval_is_deterministic(cheap_config, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_eval_thread_parity(cheap_config, tmp_path, monkeypatch):
-    serial, threaded = tmp_path / "serial.json", tmp_path / "threaded.json"
-    monkeypatch.setenv("MOLLIFIER_THREADS", "1")
-    assert main(["eval", cheap_config, "--json", str(serial)]) == EXIT_OK
-    monkeypatch.setenv("MOLLIFIER_THREADS", "3")
-    assert main(["eval", cheap_config, "--json", str(threaded)]) == EXIT_OK
-    assert serial.read_bytes() == threaded.read_bytes()
-
-
-def test_bad_threads_env_is_config_error(cheap_config, monkeypatch, capsys):
-    monkeypatch.setenv("MOLLIFIER_THREADS", "many")
-    assert main(["eval", cheap_config]) == EXIT_CONFIG
-    monkeypatch.setenv("MOLLIFIER_THREADS", "0")
-    assert main(["eval", cheap_config]) == EXIT_CONFIG
-    capsys.readouterr()
-
-
 def test_empty_p2_zeroes_cross_terms(tmp_path):
     path = tmp_path / "nop2.cfg"
     path.write_text("R = 1.1\np1_coeffs = 0.6, 0.4\nquad_tol = 1e-7\n")
@@ -150,6 +133,15 @@ def test_non_finite_config_is_config_error(tmp_path, capsys, line):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "257", "300"])
+def test_quad_max_nodes_outside_the_rules_is_config_error(tmp_path, capsys, value):
+    # the ladder's last rung is n_max itself, so it must have a Gauss rule
+    path = tmp_path / "order.cfg"
+    path.write_text(f"R = 1.1\np1_coeffs = 0.6, 0.4\nquad_max_nodes = {value}\n")
+    assert main(["eval", str(path)]) == EXIT_CONFIG
+    assert f"[1, {quad.N_MAX}]" in capsys.readouterr().err
+
+
 def test_overflowing_integrand_is_numerical_error(tmp_path, capsys):
     # e^(2Rv) overflows: the first order is already non-finite and the ladder stops there
     path = tmp_path / "huge.cfg"
@@ -157,7 +149,7 @@ def test_overflowing_integrand_is_numerical_error(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["eval", str(path)]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
-    assert "non-finite integral at n = 16" in err
+    assert f"non-finite integral at n = {quad.N_SEQUENCE_START}" in err
 
 
 def test_non_convergence_is_numerical_error(tmp_path, capsys):
@@ -223,7 +215,7 @@ def test_reproduce_normalizes_preset_q(tmp_path, monkeypatch):
         captured.append(cfg.Q(0.0))
         return KappaReport(c1=2.0, c12=0.0, c2=0.0, c=2.0, kappa=0.4, config=cfg)
 
-    monkeypatch.setattr(cli, "_evaluate", fake_evaluate)
+    monkeypatch.setattr(moments, "evaluate", fake_evaluate)
     out = tmp_path / "rep.json"
     assert main(["reproduce", "--preset", "kappa", "--json", str(out)]) == EXIT_OK
     assert captured == [pytest.approx(1.0, abs=1e-12)]  # the normalized run only
@@ -239,7 +231,6 @@ def test_reproduce_normalizes_preset_q(tmp_path, monkeypatch):
 def test_reproduce_evaluates_once(tmp_path, monkeypatch):
     # the verbatim diagnostics follow from the one normalized evaluation and
     # agree with a direct evaluation of the verbatim preset
-    monkeypatch.delenv("MOLLIFIER_THREADS", raising=False)
     calls = []
     real_evaluate = moments.evaluate
 

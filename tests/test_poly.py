@@ -43,6 +43,54 @@ def test_horner_matches_numpy_polyval():
     assert p(0.75) == pytest.approx(float(np.polynomial.polynomial.polyval(0.75, np.array(p.coeffs))))
 
 
+def horner_from_zero(p, x):
+    """The Horner loop ``Polynomial.__call__`` ran before it started from the
+    leading coefficient: a float64 zeros array (0.0 for a scalar) times x."""
+    acc = np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def horner_inputs():
+    grid = np.linspace(-1.5, 1.5, 7)  # includes 0.0
+    third = np.longdouble(1) / np.longdouble(3)
+    return {
+        "float64 array": grid,
+        "float64 2-d array": np.outer(grid, grid[:3]),
+        "long-double array": grid.astype(np.longdouble) * third,
+        "float32 array": grid.astype(np.float32),
+        "int array": np.arange(-3, 4),
+        "python float": 0.37,
+        "python int": -2,
+        "float64 scalar": np.float64(-0.61),
+        "long-double scalar": third,
+        "float32 scalar": np.float32(0.3),
+        "int64 scalar": np.int64(3),
+        "0-d float64 array": np.array(0.37),
+        "0-d long-double array": np.array(third),
+        "0-d int array": np.array(2),
+    }
+
+
+@pytest.mark.parametrize("degree", range(8))
+def test_horner_from_the_leading_coefficient_changes_nothing(degree):
+    # value, dtype, type and shape all match the zero-started loop, bit for bit
+    rng = np.random.default_rng(100 + degree)
+    polys = [Polynomial(tuple(rng.uniform(-2.0, 2.0, size=degree + 1)))]
+    if degree == 0:
+        polys.append(Polynomial((0.0,)))
+    for p in polys:
+        assert p.degree == degree
+        for name, x in horner_inputs().items():
+            got, want = p(x), horner_from_zero(p, x)
+            assert type(got) is type(want), name
+            assert np.result_type(got) == np.result_type(want), name
+            assert np.shape(got) == np.shape(want), name
+            assert np.array_equal(got, want), name
+            assert np.array_equal(np.signbit(got), np.signbit(want)), name
+
+
 def test_derivative_and_antiderivative():
     p = Polynomial((2.0, 3.0, 4.0))  # 2 + 3x + 4x^2
     assert p.derivative().coeffs == (3.0, 8.0)

@@ -1,4 +1,4 @@
-"""Gauss-Legendre rules, tensor/simplex integration, and order doubling."""
+"""Gauss-Legendre rules, tensor/simplex integration, and the order ladder."""
 
 import math
 
@@ -75,7 +75,9 @@ def test_simplex_area():
     assert integrate_simplex2(lambda a, b: np.ones_like(a), gauss_rule(4)) == pytest.approx(0.5)
 
 
-# -- order doubling ----------------------------------------------------------
+# -- the order ladder --------------------------------------------------------
+
+FIRST, SECOND = list(quad.ladder())[:2]
 
 
 def test_converged_exponential_closed_form():
@@ -93,18 +95,20 @@ def test_converged_respects_n_start():
 
 
 def test_non_convergence_raises_with_trace():
-    # |x - 1/2| has a kink, so doubling from 16 to 32 cannot hit 1e-15
+    # |x - 1/2| has a kink, so no rung up to 32 can hit 1e-15
     with pytest.raises(QuadratureError) as exc_info:
         integrate_converged(lambda x: np.abs(x - 0.5), ("cube", 1), tol=1e-15, n_max=32)
     trace = exc_info.value.trace
-    assert [n for n, _ in trace] == [16, 32]
+    assert [n for n, _ in trace] == list(quad.ladder(n_max=32))
+    assert trace[-1][0] == 32
+    assert trace[0][1] is None and all(delta >= 1e-15 for _, delta in trace[1:])
 
 
 def test_non_finite_order_raises_at_once():
     # a NaN cannot converge; the ladder must stop at the first order, not run to n_max
     with pytest.raises(QuadratureError, match="non-finite") as exc_info:
         integrate_converged(lambda *xs: np.full_like(xs[0], np.nan), ("cube", 4))
-    assert exc_info.value.trace == [(16, None)]
+    assert exc_info.value.trace == [(FIRST, None)]
     # an order that turns non-finite after a finite one stops there too
     calls = []
 
@@ -114,8 +118,39 @@ def test_non_finite_order_raises_at_once():
 
     with pytest.raises(QuadratureError) as exc_info:
         integrate_converged(late_nan, ("cube", 1), tol=1e-12)
-    assert [n for n, _ in exc_info.value.trace] == [16, 32]
-    assert calls == [16, 32]
+    assert [n for n, _ in exc_info.value.trace] == [FIRST, SECOND]
+    assert calls == [FIRST, SECOND]
+
+
+def test_ladder_grows_by_three_halves():
+    assert list(quad.ladder()) == [12, 18, 27, 41, 62, 93, 140, 210, 256]
+    assert list(quad.ladder(8, 64)) == [8, 12, 18, 27, 41, 62, 64]
+
+
+@pytest.mark.parametrize("n_start", [1, 5, quad.N_SEQUENCE_START])
+@pytest.mark.parametrize("n_max", [1, 2, 30, 100, 255, quad.N_MAX])
+def test_ladder_terminates_and_clamps_to_n_max(n_start, n_max):
+    orders = list(quad.ladder(n_start, n_max))
+    if n_start > n_max:
+        assert orders == []
+        return
+    assert orders[0] == n_start and orders[-1] == n_max
+    for n, nxt in zip(orders, orders[1:]):
+        assert n < nxt <= math.ceil(1.5 * n)
+    # the quadrature walks the same rungs
+    with pytest.raises(QuadratureError) as exc_info:
+        integrate_converged(lambda x: np.abs(x - 0.5), ("cube", 1), tol=1e-300, n_start=n_start, n_max=n_max)
+    assert [n for n, _ in exc_info.value.trace] == orders
+
+
+def test_node_budget_stops_a_4d_ladder():
+    # a kink in 4-D cannot reach 1e-15; the ladder stops before 93^4 > 2^24 nodes
+    assert 62**4 <= quad.NODE_BUDGET < 93**4
+    with pytest.raises(QuadratureError, match="node budget") as exc_info:
+        integrate_converged(lambda *xs: np.abs(xs[0] - 0.5), ("cube", 4), tol=1e-15)
+    trace = exc_info.value.trace
+    assert [n for n, _ in trace] == [12, 18, 27, 41, 62]
+    assert all(delta >= 1e-15 for _, delta in trace[1:])
 
 
 def test_invalid_arguments():
@@ -156,18 +191,20 @@ def test_array_integrand_convergence():
 
 
 def test_array_delta_is_the_largest_relative_change():
-    # both entries have a kink, so both still move from n = 16 to n = 32
+    # both entries have a kink, so both still move between the first two rungs
     entries = (lambda x: 1e3 * np.abs(x - 0.5), lambda x: np.abs(x - 0.3))
 
     def rel_change(g):
-        old, new = integrate_cube(g, 1, gauss_rule(16)), integrate_cube(g, 1, gauss_rule(32))
+        old, new = integrate_cube(g, 1, gauss_rule(FIRST)), integrate_cube(g, 1, gauss_rule(SECOND))
         return abs(new - old) / max(abs(new), abs(old), 1.0)
 
     changes = [rel_change(g) for g in entries]
     assert min(changes) > 0
     with pytest.raises(QuadratureError) as exc_info:
-        integrate_converged(lambda x: np.stack([g(x) for g in entries]), ("cube", 1), tol=1e-15, n_max=32)
-    assert exc_info.value.trace == [(16, None), (32, max(changes))]
+        integrate_converged(
+            lambda x: np.stack([g(x) for g in entries]), ("cube", 1), tol=1e-15, n_max=SECOND
+        )
+    assert exc_info.value.trace == [(FIRST, None), (SECOND, max(changes))]
 
 
 def test_array_integrand_chunking_is_exact():
@@ -191,4 +228,4 @@ def test_nan_in_one_entry_raises_at_the_first_order():
 
     with pytest.raises(QuadratureError, match="non-finite") as exc_info:
         integrate_converged(f, ("cube", 1))
-    assert exc_info.value.trace == [(16, None)]
+    assert exc_info.value.trace == [(FIRST, None)]
