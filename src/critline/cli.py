@@ -131,8 +131,9 @@ def parse_config(path: str) -> tuple[MollifierConfig, float, int]:
     max_nodes = scalar("quad_max_nodes", quad.N_MAX)
     if not (math.isfinite(quad_tol) and quad_tol > 0):
         raise ConfigError("quad_tol must be finite and positive")
-    if not (math.isfinite(max_nodes) and 1 <= max_nodes <= quad.N_MAX):
-        raise ConfigError(f"quad_max_nodes must be finite and in [1, {quad.N_MAX}]")
+    if not (math.isfinite(max_nodes) and max_nodes == int(max_nodes)
+            and 1 <= max_nodes <= quad.N_MAX):
+        raise ConfigError(f"quad_max_nodes must be a finite integer in [1, {quad.N_MAX}]")
     n_max = int(max_nodes)
     try:
         cfg = MollifierConfig(
@@ -229,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta2", type=float, default=0.5)
     p.add_argument("--max-iterations", type=int, default=200,
                    help="outer simplex iteration cap per seed")
-    p.add_argument("--seeds", type=int, default=3, help="number of extra perturbed seeds")
+    p.add_argument("--seeds", type=int, default=3, help="number of extra perturbed seeds, 0 to 3")
     p.add_argument("--json", help="write the JSON report to this path")
     p.set_defaults(func=run_optimize)
 

@@ -84,15 +84,6 @@ class Jet:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Jet(self.mx, self.my, -self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -np.asarray(other, dtype=float))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, Jet):
             # scalar or per-node array factor applied to every coefficient

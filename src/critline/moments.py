@@ -65,7 +65,7 @@ class MollifierConfig:
         if not self.theta1 <= THETA1_MAX + _THETA_SLACK:
             raise ConfigError("theta1 must be <= 4/7")
         if not self.theta2 <= THETA2_MAX + _THETA_SLACK:
-            raise ConfigError("theta2 must be < 1/2")
+            raise ConfigError("theta2 must be <= 1/2")
         if self.mode not in (ALL_ZEROS, SIMPLE_ZEROS):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.mode == SIMPLE_ZEROS and self.Q.degree > 1:
@@ -130,7 +130,7 @@ def c1_from_integral(value, theta1: float):
 def c1_raw(Q: Polynomial, P1: Polynomial, R: float, theta1: float, tol=quad.DEFAULT_TOL, n_start=quad.N_SEQUENCE_START, n_max=quad.N_MAX):
     """1 + (1/theta1) * int int e^{2Rv} (Q(v)P1'(u) + th1 Q'(v)P1(u) + th1 R Q(v)P1(u))^2."""
     integrand = c1_integrand(Q, P1, P1, R, theta1)
-    value, trace = quad.integrate_converged(integrand, ("cube", 2), tol=tol, n_start=n_start, n_max=n_max)
+    value, trace = quad.integrate_converged(integrand, 2, tol=tol, n_start=n_start, n_max=n_max)
     return 1.0 + c1_from_integral(value, theta1), trace
 
 
@@ -279,7 +279,7 @@ def c12_raw(
     if P2.is_zero or P1.is_zero:
         return 0.0, []
     integrand = c12_integrand(Q, P1, P2, R, theta1, theta2)
-    value, trace = quad.integrate_converged(integrand, ("cube", 3), tol=tol, n_start=n_start, n_max=n_max)
+    value, trace = quad.integrate_converged(integrand, 3, tol=tol, n_start=n_start, n_max=n_max)
     return c12_from_integral(value, R, theta1, theta2), trace
 
 
@@ -354,23 +354,11 @@ def c2_raw(
     if P2.is_zero or other.is_zero:
         return 0.0, []
     integrand = c2_integrand(Q, P2, other, R, theta2)
-    value, trace = quad.integrate_converged(integrand, ("cube", 4), tol=tol, n_start=n_start, n_max=n_max)
+    value, trace = quad.integrate_converged(integrand, 4, tol=tol, n_start=n_start, n_max=n_max)
     return c2_from_integral(value), trace
 
 
 # -- public per-config operations ------------------------------------------
-
-
-def compute_c1(cfg: MollifierConfig, tol=quad.DEFAULT_TOL, n_max=quad.N_MAX) -> float:
-    return c1_raw(cfg.Q, cfg.P1, cfg.R, cfg.theta1, tol=tol, n_max=n_max)[0]
-
-
-def compute_c12(cfg: MollifierConfig, tol=quad.DEFAULT_TOL, n_max=quad.N_MAX) -> float:
-    return c12_raw(cfg.Q, cfg.P1, cfg.P2, cfg.R, cfg.theta1, cfg.theta2, tol=tol, n_max=n_max)[0]
-
-
-def compute_c2(cfg: MollifierConfig, tol=quad.DEFAULT_TOL, n_max=quad.N_MAX) -> float:
-    return c2_raw(cfg.Q, cfg.P2, R=cfg.R, theta2=cfg.theta2, tol=tol, n_max=n_max)[0]
 
 
 def compute_kappa(c: float, R: float) -> float:

@@ -22,7 +22,9 @@ from . import moments, quad
 from .moments import KappaReport, MollifierConfig, Monomials
 from .poly import Polynomial, QSpec, make_p1, make_p2, make_q
 
+# Gram quadrature tolerance: the final re-solve, and the cheaper search
 GRAM_TOL = 1e-9
+SEARCH_GRAM_TOL = 1e-5
 GRAM_N_START = 8
 GRAM_N_MAX = 64
 DIAMETER_TOL = 1e-6
@@ -78,15 +80,14 @@ def build_gram(
     d1: int,
     d2: int,
     tol: float = GRAM_TOL,
-    n_start: int = GRAM_N_START,
-    n_max: int = GRAM_N_MAX,
 ) -> GramSystem:
     """Assemble M on the monomial basis with one quadrature pass per block.
 
     The c1, c12 and c2 kernels are bilinear in their two smoothing
     polynomials, so each block is one :func:`quad.integrate_converged` call
-    on the kernel with a :class:`~critline.moments.Monomials` family on each
-    side: c1 is d1 x d1, c12 is d1 x (d2 - 2) and c2 is (d2 - 2) x (d2 - 2).
+    (orders ``GRAM_N_START`` to ``GRAM_N_MAX``) on the kernel with a
+    :class:`~critline.moments.Monomials` family on each side: c1 is d1 x d1,
+    c12 is d1 x (d2 - 2) and c2 is (d2 - 2) x (d2 - 2).
     The diagonal blocks are stored as (K + K')/2, the quadratic form they
     define, so M is symmetric by construction.  ``d2 = 0`` disables the
     second mollifier piece entirely (no P2 columns, one pass); otherwise
@@ -101,7 +102,7 @@ def build_gram(
 
     def block(integrand, d: int) -> np.ndarray:
         value, _ = quad.integrate_converged(
-            integrand, ("cube", d), tol=tol, n_start=n_start, n_max=n_max
+            integrand, d, tol=tol, n_start=GRAM_N_START, n_max=GRAM_N_MAX
         )
         return value
 
@@ -123,8 +124,10 @@ def build_gram(
 def solve_constrained(sys: GramSystem) -> tuple[np.ndarray, float]:
     """Minimize 1 + w'Mw subject to e'w = 1 via the KKT linear system.
 
-    If M is indefinite on the constraint surface, the stationary point is not
-    a minimum; fall back to direct search from it.
+    c is the constant of a mean square, so in exact arithmetic M is positive
+    semidefinite on the constraint surface.  A non-positive eigenvalue there
+    is quadrature or conditioning noise, and the stationary point is not a
+    minimum: raise :class:`OptimizeError` instead of returning it.
     """
     size = sys.size
     kkt = np.zeros((size + 1, size + 1))
@@ -145,12 +148,10 @@ def solve_constrained(sys: GramSystem) -> tuple[np.ndarray, float]:
     reduced = null_basis.T @ sys.M @ null_basis
     eigs = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
     if eigs.size and eigs.min() <= 0.0:
-        # stationary but not a minimum: search the constraint surface directly
-        def on_surface(y):
-            return sys.total(w + null_basis @ y)
-
-        y_best, _ = nelder_mead(on_surface, np.zeros(size - 1), initial_step=0.05)
-        w = w + null_basis @ y_best
+        raise OptimizeError(
+            f"Gram matrix is not positive definite on the constraint surface "
+            f"(smallest eigenvalue {eigs.min():.3e})"
+        )
     return w, sys.total(w)
 
 
@@ -219,16 +220,12 @@ def nelder_mead(
 _SEED_SCALES = (0.02, 0.05, 0.1)
 
 
-def _odd_powers(q_degree: int) -> tuple[int, ...]:
-    return tuple(range(1, q_degree + 1, 2))
-
-
 def _published_seed(mode: str, q_degree: int) -> np.ndarray:
     """Starting point (R, odd-basis Q coefficients) near the published runs."""
     if mode == SIMPLE_ZEROS:
         return np.array([1.12, 0.515])
     known = {1: 0.604, 3: -0.08, 5: -0.06, 7: 0.046}
-    return np.array([1.28] + [known.get(k, 0.0) for k in _odd_powers(q_degree)])
+    return np.array([1.28] + [known.get(k, 0.0) for k in range(1, q_degree + 1, 2)])
 
 
 def _config_from_outer(
@@ -257,9 +254,6 @@ def optimize_full(
     q_degree: int,
     mode: str = ALL_ZEROS,
     max_iterations: int = MAX_ITERATIONS,
-    search_gram_tol: float = 1e-5,
-    final_gram_tol: float = GRAM_TOL,
-    gram_n_max: int = GRAM_N_MAX,
     extra_seeds: int = 3,
 ) -> KappaReport:
     """Outer Nelder-Mead over (R, Q odd-basis coefficients) with an exact
@@ -267,13 +261,16 @@ def optimize_full(
 
     Q's constant term is always 1 - sum(odd coefficients), so Q(0) = 1 holds
     exactly throughout the search.  ``d2 = 0`` disables the P2 piece.  The
-    search uses a cheap Gram quadrature (``search_gram_tol``); once the outer
-    point is settled, the inner problem is re-solved at ``final_gram_tol`` and
-    the winning configuration is re-evaluated with fully converged quadrature.
+    search starts from the published point and from ``extra_seeds`` (0 to 3)
+    perturbations of it.  It uses a cheap Gram quadrature
+    (``SEARCH_GRAM_TOL``); once the outer point is settled, the inner problem
+    is re-solved at ``GRAM_TOL`` and the winning configuration is re-evaluated
+    with fully converged quadrature.
     """
+    if not 0 <= extra_seeds <= len(_SEED_SCALES):
+        raise moments.ConfigError(f"the number of extra seeds must be in [0, {len(_SEED_SCALES)}]")
     if mode == SIMPLE_ZEROS:
         q_degree = 1
-    powers = _odd_powers(q_degree)
     evaluations = admissible = 0
     best: dict[str, Any] = {"kappa": -math.inf}
     # outer points scored 1e6 instead of a kappa, by reason
@@ -284,8 +281,8 @@ def optimize_full(
         odd = tuple(float(v) for v in params[1:])
         if not 0.1 <= R <= 5.0:
             return None
-        Q = make_q(QSpec(odd_coeffs=odd, const=1.0 - sum(odd), odd_powers=powers))
-        sys = build_gram(Q, R, theta1, theta2, d1, d2, tol=tol, n_max=gram_n_max)
+        Q = make_q(QSpec(odd_coeffs=odd, const=1.0 - sum(odd)))
+        sys = build_gram(Q, R, theta1, theta2, d1, d2, tol=tol)
         w, c_min = solve_constrained(sys)
         return sys, w, c_min
 
@@ -297,7 +294,7 @@ def optimize_full(
         nonlocal evaluations, admissible
         evaluations += 1
         try:
-            solved = inner(params, search_gram_tol)
+            solved = inner(params, SEARCH_GRAM_TOL)
         except OptimizeError:
             return reject("optimize_error")
         except quad.QuadratureError:
@@ -325,7 +322,7 @@ def optimize_full(
 
     if "params" not in best:
         raise OptimizeError("no admissible outer point found")
-    sys, w, c_min = inner(best["params"], final_gram_tol)
+    sys, w, c_min = inner(best["params"], GRAM_TOL)
     cfg = _config_from_outer(best["params"], w, sys, mode)
     report = moments.evaluate(cfg)
     report.diagnostics.update(

@@ -1,13 +1,15 @@
 """Independent numerical verification of the exactly-checkable identities.
 
 Everything here deliberately avoids the moment evaluation paths it is
-checking: contour integrals use the trapezoid rule on circles, sums use sieved
-arithmetic tables, and derivative operators get 4th-order finite differences
-of long-double tensor-product Gauss integrals.  Work that does not change
-between evaluations is done once: the circles share their roots of unity,
-and each finite-difference integrand is evaluated factor by factor on the
-axes it depends on.  Both are the same rules as the plain per-point forms,
-only with loop-invariant factors hoisted.
+checking, the quadrature included: contour integrals use the trapezoid rule
+on circles in 40-digit mpmath arithmetic, sums use sieved arithmetic tables,
+real integrals use this module's own Gauss-Legendre rule, and derivative
+operators get 4th-order finite differences of long-double tensor-product
+Gauss integrals.  Work that does not change between evaluations is done
+once: the circles share their roots of unity, each circle converts its float
+parameters to mpmath numbers once, and each finite-difference integrand is
+evaluated factor by factor on the axes it depends on.  All are the same rules
+as the plain per-point forms, only with loop-invariant work hoisted.
 Asymptotic statements are tested as bounded-normalized-error properties (their
 O(.) constants are not quantified), never as equalities.
 """
@@ -23,7 +25,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import moments, quad
+from . import moments
 from .jet import Jet
 from .poly import Polynomial
 
@@ -129,76 +131,66 @@ class ArithmeticTables:
 
 # -- contour integration ----------------------------------------------------
 
+# Every circle runs at this many decimal digits with this many trapezoid
+# points: residues extracted from large cancelling circle values need the
+# head-room.
+CONTOUR_DPS = 40
+CONTOUR_POINTS = 512
+
 
 @dataclass(frozen=True)
 class ContourSpec:
     """A circle for (1/2*pi*i) closed contour integration by the trapezoid
     rule, which is spectrally accurate for integrands analytic near the
-    circle.
-
-    When ``dps`` is set, points and accumulation use mpmath at that many
-    decimal digits; residues extracted from large cancelling circle values
-    need the head-room.
+    circle.  Points and accumulation use mpmath at ``CONTOUR_DPS`` digits,
+    ``CONTOUR_POINTS`` points per circle.
     """
 
     center: complex = 0.0
     radius: float = 1.0
-    n_points: int = 512
-    dps: int | None = None
 
     def __post_init__(self):
         if not (cmath.isfinite(self.center) and math.isfinite(self.radius)):
             raise OracleError("center and radius must be finite")
         if self.radius <= 0:
             raise OracleError("radius must be positive")
-        if self.n_points < 64:
-            raise OracleError("n_points must be >= 64")
 
 
-@lru_cache(maxsize=4)
-def _roots_of_unity(n: int, dps: int | None) -> tuple:
-    """The trapezoid nodes exp(2*pi*i*k/n) on the unit circle, k < n: complex
-    numbers, or mpmath numbers computed at ``dps`` digits.
+@lru_cache(maxsize=1)
+def _roots_of_unity() -> tuple:
+    """The trapezoid nodes exp(2*pi*i*k/n) on the unit circle, k < n =
+    ``CONTOUR_POINTS``, as mpmath numbers computed at ``CONTOUR_DPS`` digits.
 
-    They depend only on (n, dps), so every circle shares them and forms its
-    points as center + radius * node.
+    Every circle shares them and forms its points as center + radius * node.
     """
-    if dps is None:
-        return tuple(cmath.exp(2j * cmath.pi * k / n) for k in range(n))
     import mpmath
 
-    with mpmath.workdps(dps):
+    n = CONTOUR_POINTS
+    with mpmath.workdps(CONTOUR_DPS):
         return tuple(mpmath.exp(2j * mpmath.pi * k / n) for k in range(n))
 
 
-def contour_circle(f: Callable[[complex], complex], spec: ContourSpec) -> complex:
-    """(1/2*pi*i) times the integral of f around the circle."""
-    n = spec.n_points
-    nodes = _roots_of_unity(n, spec.dps)
-    if spec.dps is not None:
-        import mpmath
+def contour_circle(f: Callable[[Any], Any], spec: ContourSpec) -> complex:
+    """(1/2*pi*i) times the integral of f around the circle; ``f`` takes and
+    returns mpmath numbers."""
+    import mpmath
 
-        with mpmath.workdps(spec.dps):
-            # converted once (exactly) instead of at every point
-            center, radius = mpmath.mpmathify(spec.center), mpmath.mpmathify(spec.radius)
-            total = mpmath.mpc(0)
-            for node in nodes:
-                z = center + radius * node
-                total += f(z) * (z - center)
-            return complex(total / n)
-    total = 0.0 + 0.0j
-    for node in nodes:
-        z = spec.center + spec.radius * node
-        total += f(z) * (z - spec.center)
-    return total / n
+    with mpmath.workdps(CONTOUR_DPS):
+        # converted once (exactly) instead of at every point
+        center, radius = mpmath.mpmathify(spec.center), mpmath.mpmathify(spec.radius)
+        total = mpmath.mpc(0)
+        for node in _roots_of_unity():
+            z = center + radius * node
+            total += f(z) * (z - center)
+        return complex(total / CONTOUR_POINTS)
 
 
 # -- Euler-Maclaurin style sum/integral comparisons -------------------------
 
 
-def _gauss_integral_01(g: Callable[[np.ndarray], np.ndarray], n: int = 96) -> float:
-    rule = quad.gauss_rule(n)
-    return float(np.sum(g(rule.nodes) * rule.weights))
+def _gauss_integral_01(g: Callable[[np.ndarray], np.ndarray]) -> float:
+    nodes, weights = _gauss_rule(96)
+    return float(np.sum(g(nodes) * weights))
 
 
 def check_euler_maclaurin(kind: str, **params) -> CheckResult:
@@ -268,32 +260,37 @@ def check_logsave(k: int, sigma: float, x: float, tables: ArithmeticTables | Non
     )
 
 
-def _gauss_rule_ld(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1] in extended precision.
+@lru_cache(maxsize=8)
+def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1] (read-only arrays).
 
     Kept separate from the quad module on purpose: the oracles must not share
     code paths with what they check.
     """
-    x64, w64 = np.polynomial.legendre.leggauss(n)
-    return ((x64 + 1.0) / 2.0).astype(np.longdouble), (w64 / 2.0).astype(np.longdouble)
+    x, w = np.polynomial.legendre.leggauss(n)
+    nodes, weights = (x + 1.0) / 2.0, w / 2.0
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _gauss_rule_ld(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_gauss_rule` widened to extended precision."""
+    nodes, weights = _gauss_rule(n)
+    return nodes.astype(np.longdouble), weights.astype(np.longdouble)
 
 
 # -- contour identities -----------------------------------------------------
 
 
-def _exp_any(w):
-    """exp that accepts both complex and mpmath arguments."""
-    if isinstance(w, (complex, float)):
-        return cmath.exp(w)
+def _k1_pair(i: int, alpha: float, beta: float, logq: float):
     import mpmath
 
-    return mpmath.exp(w)
-
-
-def _k1_pair(i: int, alpha: float, beta: float, logq: float):
-    spec = ContourSpec(center=0.0, radius=0.3, dps=40)
+    # float -> mpf is exact: converted once per circle, not at every point
+    a, b, lq = map(mpmath.mpf, (alpha, beta, logq))
     lhs = contour_circle(
-        lambda s: _exp_any(logq * s) * (alpha + s) * (-beta + s) / s ** (i + 1), spec
+        lambda s: mpmath.exp(lq * s) * (a + s) * (-b + s) / s ** (i + 1),
+        ContourSpec(center=0.0, radius=0.3),
     )
     expo = Jet.linear(0.0, alpha, -beta, 1, 1).exp()
     base = Jet.linear(logq, 1.0, 1.0, 1, 1)
@@ -305,10 +302,13 @@ def _k1_pair(i: int, alpha: float, beta: float, logq: float):
 
 
 def _k2_pair(j: int, alpha: float, beta: float, logq: float):
+    import mpmath
+
+    a, b, lq = map(mpmath.mpf, (alpha, beta, logq))
     # the circle must enclose every pole: 0, -alpha and beta
-    spec = ContourSpec(center=0.0, radius=0.25, dps=40)
     lhs = 4.0 * contour_circle(
-        lambda u: _exp_any(logq * u) / ((alpha + u) * (-beta + u) * u ** (j - 1)), spec
+        lambda u: mpmath.exp(lq * u) / ((a + u) * (-b + u) * u ** (j - 1)),
+        ContourSpec(center=0.0, radius=0.25),
     )
     # triangle via b = (1 - a)t; extended precision because the logq^j
     # prefactor amplifies the quadrature sum's rounding
@@ -322,18 +322,21 @@ def _k2_pair(j: int, alpha: float, beta: float, logq: float):
 
 
 def _l1_pair(i: int, alpha: float, beta: float, logq: float):
+    import mpmath
+
+    a, b, lq = map(mpmath.mpf, (alpha, beta, logq))
     # poles at 0 and -alpha; (beta + s)^2 is entire
-    spec = ContourSpec(center=0.0, radius=0.25, dps=40)
     lhs = contour_circle(
-        lambda s: _exp_any(logq * s) * (beta + s) ** 2 / ((alpha + s) * s ** (i - 1)),
-        spec,
+        lambda s: mpmath.exp(lq * s) * (b + s) ** 2 / ((a + s) * s ** (i - 1)),
+        ContourSpec(center=0.0, radius=0.25),
     )
 
     def integrand(u):
         expo = Jet.linear(-logq * alpha * u, beta - alpha * u, 0.0, 2, 0).exp()
         return expo * ((1.0 - u) ** (i - 2))
 
-    inner = Jet(2, 0, quad.integrate_cube(lambda u: integrand(u).coeffs, 1, quad.gauss_rule(96)))
+    nodes, weights = _gauss_rule(96)
+    inner = Jet(2, 0, np.sum(integrand(nodes).coeffs * weights, axis=-1))
     base = Jet.linear(logq, 1.0, 0.0, 2, 0)
     power = Jet.constant(1.0, 2, 0)
     for _ in range(i - 1):
@@ -345,18 +348,21 @@ def _l1_pair(i: int, alpha: float, beta: float, logq: float):
 def _f_residue_pair(j: int, k: int, s: float, logx: float):
     if s == 0.0:
         raise OracleError("s must be nonzero")
+    import mpmath
+
     radius = 0.4 * abs(s)
+    mp_s, mp_logx = mpmath.mpf(s), mpmath.mpf(logx)
 
     def f(u):
-        return _exp_any(logx * u) / ((u + s) ** (j + 1) * u ** (k + 1))
+        return mpmath.exp(mp_logx * u) / ((u + mp_s) ** (j + 1) * u ** (k + 1))
 
-    lhs0 = contour_circle(f, ContourSpec(center=0.0, radius=radius, dps=40))
+    lhs0 = contour_circle(f, ContourSpec(center=0.0, radius=radius))
     rhs0 = sum(
         (-1) ** l * comb(j + l, j) * logx ** (k - l) / (s ** (j + l + 1) * factorial(k - l))
         for l in range(k + 1)
     )
     # residue at u = -s: shift u -> u - s, which swaps j and k and brings x^{-s}
-    lhs1 = contour_circle(f, ContourSpec(center=-s, radius=radius, dps=40))
+    lhs1 = contour_circle(f, ContourSpec(center=-s, radius=radius))
     rhs1 = math.exp(-logx * s) * sum(
         (-1) ** l * comb(k + l, k) * logx ** (j - l)
         / ((-s) ** (k + l + 1) * factorial(j - l))
@@ -447,6 +453,7 @@ def check_mellin_pair(P1: Polynomial, y1: float, n: float) -> CheckResult:
     logq = math.log(y1 / n)
     coeffs = P1.coeffs
 
+    nodes, weights = _gauss_rule(64)
     total = 0.0
     for i, a_i in enumerate(coeffs):
         if i == 0 or a_i == 0.0:
@@ -454,11 +461,10 @@ def check_mellin_pair(P1: Polynomial, y1: float, n: float) -> CheckResult:
         # (1/2*pi) * integral over t of (y1/n)^{c+it} / (c+it)^{i+1}, symmetrized
         part = 0.0
         for lo, hi in zip(_MELLIN_PANELS[:-1], _MELLIN_PANELS[1:]):
-            rule = quad.gauss_rule(64)
-            t = lo + (hi - lo) * rule.nodes
+            t = lo + (hi - lo) * nodes
             svals = c + 1j * t
             vals = np.exp(logq * svals) / svals ** (i + 1)
-            part += (hi - lo) * float(np.sum(vals.real * rule.weights))
+            part += (hi - lo) * float(np.sum(vals.real * weights))
         total += (a_i * factorial(i) / logy**i) * part / math.pi
     expected = P1(logq / logy) if n <= y1 else 0.0
     return CheckResult.from_error(
@@ -593,8 +599,8 @@ def fd_c2(cfg: moments.MollifierConfig, h: float = FD_H, n: int = 24) -> float:
 
 def check_jet_operators(cfg: moments.MollifierConfig, rel_tol: float = 1e-6):
     """The moment kernels' c12 and c2 against the finite-difference oracle."""
-    c12_jet = moments.compute_c12(cfg, tol=1e-10)
-    c2_jet = moments.compute_c2(cfg, tol=1e-10)
+    c12_jet = moments.c12_raw(cfg.Q, cfg.P1, cfg.P2, cfg.R, cfg.theta1, cfg.theta2)[0]
+    c2_jet = moments.c2_raw(cfg.Q, cfg.P2, R=cfg.R, theta2=cfg.theta2)[0]
     c12_fd = fd_c12(cfg)
     c2_fd = fd_c2(cfg)
     err12 = abs(c12_jet - c12_fd) / max(abs(c12_jet), 1e-12)

@@ -70,15 +70,6 @@ class Polynomial:
     def scale(self, factor: float) -> "Polynomial":
         return Polynomial(tuple(factor * c for c in self.coeffs))
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0.0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0.0,) * (n - len(other.coeffs))
-        return Polynomial(tuple(x + y for x, y in zip(a, b)))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + other.scale(-1.0)
-
 
 @dataclass(frozen=True)
 class QSpec:
@@ -89,15 +80,8 @@ class QSpec:
 
     odd_coeffs: tuple[float, ...] = ()
     const: float = 1.0
-    odd_powers: tuple[int, ...] | None = None
 
     def powers(self) -> tuple[int, ...]:
-        if self.odd_powers is not None:
-            if len(self.odd_powers) != len(self.odd_coeffs):
-                raise PolynomialError("odd_powers length must match odd_coeffs")
-            if any(k % 2 == 0 or k < 1 for k in self.odd_powers):
-                raise PolynomialError("odd_powers must be odd positive integers")
-            return tuple(self.odd_powers)
         return tuple(range(1, 2 * len(self.odd_coeffs) + 1, 2))
 
 

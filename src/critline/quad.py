@@ -1,4 +1,4 @@
-"""Gauss-Legendre quadrature on [0,1]^d and the standard triangle.
+"""Gauss-Legendre tensor quadrature on [0,1]^d.
 
 All integrands in this project are entire (polynomials times exponentials), so
 fixed-order tensor rules converge geometrically in the order; there is no
@@ -92,11 +92,6 @@ def integrate_cube(f, d: int, rule: QuadratureRule, chunk: int = _CHUNK):
     return _accumulate(parts)
 
 
-def integrate_simplex2(f, rule: QuadratureRule):
-    """Integrate f(a, b) over {a, b >= 0, a + b <= 1} via b = (1-a)t."""
-    return integrate_cube(lambda a, t: f(a, (1.0 - a) * t) * (1.0 - a), 2, rule)
-
-
 def _rel_diff(new, old) -> float:
     """The largest entry of |new - old| / max(|new|, |old|, 1)."""
     scale = np.maximum(np.maximum(np.abs(new), np.abs(old)), 1.0)
@@ -115,36 +110,23 @@ def ladder(n_start: int = N_SEQUENCE_START, n_max: int = N_MAX):
 
 def integrate_converged(
     f,
-    domain,
+    d: int,
     tol: float = DEFAULT_TOL,
     n_start: int = N_SEQUENCE_START,
     n_max: int = N_MAX,
 ):
-    """Evaluate on the rungs of :func:`ladder`, n = 12, 18, 27, ..., until the
-    relative change between two successive rungs drops below ``tol``.
+    """Integrate ``f`` over [0, 1]^d on the rungs of :func:`ladder`, n = 12,
+    18, 27, ..., until the relative change between two successive rungs drops
+    below ``tol``.
 
-    ``domain`` is ``("cube", d)`` or ``"simplex2"``.  Returns ``(value, trace)``
-    where the trace lists ``(n, delta)`` pairs (delta is None for the first
-    order).  Raises :class:`QuadratureError` with the trace on non-convergence,
-    at the first order whose value is not finite (more nodes cannot repair a
-    NaN or an overflow), and before any rung of more than ``NODE_BUDGET``
-    nodes.
+    Returns ``(value, trace)`` where the trace lists ``(n, delta)`` pairs
+    (delta is None for the first order).  Raises :class:`QuadratureError` with
+    the trace on non-convergence, at the first order whose value is not finite
+    (more nodes cannot repair a NaN or an overflow), and before any rung of
+    more than ``NODE_BUDGET`` nodes.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if domain == "simplex2":
-        d = 2
-    else:
-        kind, d = domain
-        if kind != "cube":
-            raise ValueError(f"unknown domain {domain!r}")
-
-    def run(n):
-        rule = gauss_rule(n)
-        if domain == "simplex2":
-            return integrate_simplex2(f, rule)
-        return integrate_cube(f, d, rule)
-
     trace = []
     prev = None
     for n in ladder(n_start, n_max):
@@ -154,7 +136,7 @@ def integrate_converged(
                 f"before converging to {tol:g}: trace {trace}",
                 trace,
             )
-        value = run(n)
+        value = integrate_cube(f, d, gauss_rule(n))
         delta = None if prev is None else _rel_diff(value, prev)
         trace.append((n, delta))
         if not np.all(np.isfinite(value)):

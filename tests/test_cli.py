@@ -133,9 +133,10 @@ def test_non_finite_config_is_config_error(tmp_path, capsys, line):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "257", "300"])
+@pytest.mark.parametrize("value", ["0", "257", "300", "12.5"])
 def test_quad_max_nodes_outside_the_rules_is_config_error(tmp_path, capsys, value):
-    # the ladder's last rung is n_max itself, so it must have a Gauss rule
+    # the ladder's last rung is n_max itself, so it must have a Gauss rule;
+    # a fractional order is rejected, not truncated
     path = tmp_path / "order.cfg"
     path.write_text(f"R = 1.1\np1_coeffs = 0.6, 0.4\nquad_max_nodes = {value}\n")
     assert main(["eval", str(path)]) == EXIT_CONFIG
@@ -159,6 +160,13 @@ def test_non_convergence_is_numerical_error(tmp_path, capsys):
     )
     assert main(["eval", str(path)]) == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds", ["-1", "4"])
+def test_seeds_outside_the_seed_scales_is_config_error(capsys, seeds):
+    # three perturbation scales exist, so --seeds runs 0 to 3 extra seeds
+    assert main(["optimize", "--no-psi2", "--seeds", seeds]) == EXIT_CONFIG
+    assert "extra seeds must be in [0, 3]" in capsys.readouterr().err
 
 
 def test_verify_pass_and_fail_exit_codes(monkeypatch, capsys):

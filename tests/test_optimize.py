@@ -100,6 +100,13 @@ def test_solve_constrained_is_a_minimum():
         assert sys.total(w + 0.1 * y) >= total - 1e-10
 
 
+def test_solve_constrained_rejects_an_indefinite_gram():
+    # on w = (1 - t, t), w'Mw = (1 - t)^2 - 2 t^2 is unbounded below: the KKT
+    # point is a maximum, and there is no minimum to return
+    with pytest.raises(OptimizeError, match="not positive definite"):
+        solve_constrained(toy_system(np.diag([1.0, -2.0])))
+
+
 # -- Gram assembly -----------------------------------------------------------
 
 
@@ -117,7 +124,7 @@ def test_build_gram_p1_only_closed_form():
     import math
 
     R = 0.7
-    g = build_gram(Polynomial((1.0,)), R, THETA1, THETA2, d1=1, d2=0, tol=1e-12, n_max=256)
+    g = build_gram(Polynomial((1.0,)), R, THETA1, THETA2, d1=1, d2=0, tol=1e-12)
     expected = math.expm1(2 * R) * ((1 + THETA1 * R) ** 3 - 1) / (6 * THETA1**2 * R**2)
     assert g.M.shape == (1, 1)
     assert g.M[0, 0] == pytest.approx(expected, rel=1e-11)
@@ -126,7 +133,7 @@ def test_build_gram_p1_only_closed_form():
 @pytest.fixture(scope="module")
 def small_gram():
     q = make_q(QSpec(odd_coeffs=(0.4,), const=0.6))
-    return build_gram(q, 1.1, THETA1, THETA2, d1=2, d2=4, tol=1e-6, n_max=128)
+    return build_gram(q, 1.1, THETA1, THETA2, d1=2, d2=4, tol=1e-6)
 
 
 def test_gram_matrix_is_symmetric_psd(small_gram):
@@ -222,10 +229,10 @@ def test_presets_sit_at_the_p2_scale_optimum(preset_gram):
 # -- rejected outer points ---------------------------------------------------
 
 
-def small_search(**kwargs):
+def small_search():
     return optimize.optimize_full(
         theta1=THETA1, theta2=THETA2, d1=2, d2=0, q_degree=1,
-        mode=moments.SIMPLE_ZEROS, max_iterations=6, extra_seeds=1, **kwargs,
+        mode=moments.SIMPLE_ZEROS, max_iterations=6, extra_seeds=1,
     )
 
 
@@ -238,7 +245,7 @@ def test_outer_points_are_all_counted():
 
 
 def test_rejected_outer_points_are_counted_by_reason(monkeypatch):
-    search_tol = 1e-5
+    search_tol = optimize.SEARCH_GRAM_TOL
     failures = [quad.QuadratureError("injected"), OptimizeError("injected"), ValueError("injected")]
     real_build = optimize.build_gram
     builds = []
@@ -250,7 +257,7 @@ def test_rejected_outer_points_are_counted_by_reason(monkeypatch):
         return real_build(*args, tol=tol, **kwargs)
 
     monkeypatch.setattr(optimize, "build_gram", flaky_build)
-    diag = small_search(search_gram_tol=search_tol).diagnostics
+    diag = small_search().diagnostics
     assert builds[-1] == optimize.GRAM_TOL  # the final re-solve
     phase = np.arange(1, len(builds)) % 4  # one per search build
     rejected = diag["rejected_evaluations"]

@@ -1,8 +1,10 @@
 """Unit checks of the verification oracles themselves."""
 
-import cmath
+import ast
+import inspect
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -69,7 +71,7 @@ def test_contour_residue_of_simple_pole():
 
 def test_contour_residue_of_double_pole():
     # e^z / z^2 has residue 1 at the origin
-    value = contour_circle(lambda z: cmath.exp(z) / z**2, ContourSpec(radius=0.5))
+    value = contour_circle(lambda z: mpmath.exp(z) / z**2, ContourSpec(radius=0.5))
     assert abs(value - 1.0) < 1e-13
 
 
@@ -82,7 +84,7 @@ def test_contour_spec_validation():
     with pytest.raises(OracleError):
         ContourSpec(radius=0.0)
     with pytest.raises(OracleError):
-        ContourSpec(n_points=8)
+        ContourSpec(radius=-1.0)
 
 
 @pytest.mark.parametrize(
@@ -98,49 +100,67 @@ def test_contour_spec_rejects_non_finite(center, radius):
 def _contour_circle_per_point(f, spec):
     """contour_circle with every node computed by its own exp: the form the
     shared roots of unity replaced."""
-    n = spec.n_points
-    if spec.dps is not None:
-        import mpmath
-
-        with mpmath.workdps(spec.dps):
-            total = mpmath.mpc(0)
-            for k in range(n):
-                z = spec.center + spec.radius * mpmath.exp(2j * mpmath.pi * k / n)
-                total += f(z) * (z - spec.center)
-            return complex(total / n)
-    total = 0.0 + 0.0j
-    for k in range(n):
-        z = spec.center + spec.radius * cmath.exp(2j * cmath.pi * k / n)
-        total += f(z) * (z - spec.center)
-    return total / n
+    n = oracle.CONTOUR_POINTS
+    with mpmath.workdps(oracle.CONTOUR_DPS):
+        total = mpmath.mpc(0)
+        for k in range(n):
+            z = spec.center + spec.radius * mpmath.exp(2j * mpmath.pi * k / n)
+            total += f(z) * (z - spec.center)
+        return complex(total / n)
 
 
-@pytest.mark.parametrize("dps", [None, 40])
-def test_shared_contour_nodes_change_no_value(dps):
+def test_shared_contour_nodes_change_no_value():
     def f(z):
-        return oracle._exp_any(3.0 * z) / ((z + 0.2) * z**3)
+        return mpmath.exp(3.0 * z) / ((z + 0.2) * z**3)
 
     for spec in (
-        ContourSpec(center=0.0, radius=0.3, dps=dps),
-        ContourSpec(center=-0.2, radius=0.1, n_points=96, dps=dps),
-        ContourSpec(center=complex(0.1, -0.05), radius=0.45, dps=dps),
+        ContourSpec(center=0.0, radius=0.3),
+        ContourSpec(center=-0.2, radius=0.1),
+        ContourSpec(center=complex(0.1, -0.05), radius=0.45),
     ):
         expected = _contour_circle_per_point(f, spec)
         assert contour_circle(f, spec) == expected
         assert contour_circle(f, spec) == expected
 
 
+def test_parameters_converted_once_change_no_value():
+    # float -> mpf is exact, so converting per circle instead of per point
+    # gives the same bits
+    alpha, beta, logq = 0.037, -0.081, 13.7
+    a, b, lq = map(mpmath.mpf, (alpha, beta, logq))
+    spec = ContourSpec(center=0.0, radius=0.3)
+    per_point = contour_circle(
+        lambda s: mpmath.exp(logq * s) * (alpha + s) * (-beta + s) / s**4, spec
+    )
+    per_circle = contour_circle(lambda s: mpmath.exp(lq * s) * (a + s) * (-b + s) / s**4, spec)
+    assert per_circle == per_point
+
+
 def test_contour_node_cache_is_bounded():
-    for n_points in range(64, 80):
-        contour_circle(lambda z: 1.0 / z, ContourSpec(n_points=n_points))
+    for radius in (0.5, 1.0, 2.0):
+        contour_circle(lambda z: 1.0 / z, ContourSpec(radius=radius))
     info = oracle._roots_of_unity.cache_info()
-    assert info.currsize <= info.maxsize < 16
+    assert info.currsize == info.maxsize == 1
+    assert len(oracle._roots_of_unity()) == oracle.CONTOUR_POINTS
 
 
 def test_contour_extended_precision_path():
-    spec = ContourSpec(radius=1.0, dps=40)
-    value = contour_circle(lambda z: 1.0 / z, spec)
+    value = contour_circle(lambda z: 1.0 / z, ContourSpec(radius=1.0))
     assert abs(value - 1.0) < 1e-14
+
+
+def test_oracle_does_not_import_quad():
+    # the oracles must not share code paths with the quadrature they check
+    tree = ast.parse(inspect.getsource(oracle))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not any(name.split(".")[-1] == "quad" for name in imported), imported
+    assert "quad" not in vars(oracle)
 
 
 # -- identity checks ---------------------------------------------------------

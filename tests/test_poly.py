@@ -97,14 +97,6 @@ def test_derivative_and_antiderivative():
     assert Polynomial((5.0,)).derivative().is_zero
 
 
-@given(coeff_lists, coeff_lists)
-def test_addition_is_pointwise(a, b):
-    p, q = Polynomial(tuple(a)), Polynomial(tuple(b))
-    xs = np.linspace(0.0, 1.0, 5)
-    assert np.allclose((p + q)(xs), p(xs) + q(xs), rtol=1e-12, atol=1e-12)
-    assert np.allclose((p - q)(xs), p(xs) - q(xs), rtol=1e-12, atol=1e-12)
-
-
 @given(coeff_lists, st.floats(min_value=-5, max_value=5, allow_nan=False))
 def test_scale_is_pointwise(a, factor):
     p = Polynomial(tuple(a))
@@ -118,14 +110,6 @@ def test_scale_is_pointwise(a, factor):
 def test_qspec_default_powers():
     assert QSpec(odd_coeffs=(0.1, 0.2, 0.3)).powers() == (1, 3, 5)
     assert QSpec().powers() == ()
-
-
-def test_qspec_explicit_powers_validated():
-    assert QSpec(odd_coeffs=(0.1, 0.2), odd_powers=(1, 7)).powers() == (1, 7)
-    with pytest.raises(PolynomialError):
-        QSpec(odd_coeffs=(0.1,), odd_powers=(2,)).powers()
-    with pytest.raises(PolynomialError):
-        QSpec(odd_coeffs=(0.1, 0.2), odd_powers=(1,)).powers()
 
 
 @given(
