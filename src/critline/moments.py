@@ -12,7 +12,8 @@ coefficient.
 Each kernel is bilinear in its two smoothing polynomials (P1 and P1 for c1,
 P1 and P2 for c12, P2 and P2 for c2).  Given :class:`Monomials` families in
 their place, the same kernel returns a whole block of the bilinear form per
-node, which is how :mod:`critline.optimize` assembles its Gram matrix.
+node.  :func:`blocks` is the one path from kernel to constant, for
+:func:`evaluate` and for the Gram matrix of :mod:`critline.optimize`.
 """
 
 from __future__ import annotations
@@ -120,18 +121,6 @@ def c1_integrand(Q: Polynomial, P1: Polynomial, P1_other: Polynomial, R: float, 
         return np.exp(2.0 * R * v) * left(u, v) * right(u, v)
 
     return integrand
-
-
-def c1_from_integral(value, theta1: float):
-    """c1 - 1 from the integral of :func:`c1_integrand`."""
-    return value / theta1
-
-
-def c1_raw(Q: Polynomial, P1: Polynomial, R: float, theta1: float, tol=quad.DEFAULT_TOL, n_start=quad.N_SEQUENCE_START, n_max=quad.N_MAX):
-    """1 + (1/theta1) * int int e^{2Rv} (Q(v)P1'(u) + th1 Q'(v)P1(u) + th1 R Q(v)P1(u))^2."""
-    integrand = c1_integrand(Q, P1, P1, R, theta1)
-    value, trace = quad.integrate_converged(integrand, 2, tol=tol, n_start=n_start, n_max=n_max)
-    return 1.0 + c1_from_integral(value, theta1), trace
 
 
 # -- closed-form Taylor coefficients -----------------------------------------
@@ -260,29 +249,6 @@ def c12_integrand(
     return integrand
 
 
-def c12_from_integral(value, R: float, theta1: float, theta2: float):
-    """c12 from the integral of :func:`c12_integrand` (d^2/dxdy = 1! 1! [xy])."""
-    return 4.0 * (theta2**2 / theta1**2) * math.exp(R) * value
-
-
-def c12_raw(
-    Q: Polynomial,
-    P1: Polynomial,
-    P2: Polynomial,
-    R: float,
-    theta1: float,
-    theta2: float,
-    tol=quad.DEFAULT_TOL,
-    n_start=quad.N_SEQUENCE_START,
-    n_max=quad.N_MAX,
-):
-    if P2.is_zero or P1.is_zero:
-        return 0.0, []
-    integrand = c12_integrand(Q, P1, P2, R, theta1, theta2)
-    value, trace = quad.integrate_converged(integrand, 3, tol=tol, n_start=n_start, n_max=n_max)
-    return c12_from_integral(value, R, theta1, theta2), trace
-
-
 # -- c2: [x^2 y^2] over [0,1]^4 ----------------------------------------------
 
 
@@ -331,31 +297,36 @@ def c2_integrand(Q: Polynomial, P2: Polynomial, P2_other: Polynomial, R: float, 
     return integrand
 
 
-def c2_from_integral(value):
-    """c2 from the integral of :func:`c2_integrand` (d^4/dx^2dy^2 = 2! 2! [x^2 y^2])."""
-    return (2.0 / 3.0) * (4.0 * value)
+# -- the bilinear form: every kernel integral goes through here ---------------
 
 
-def c2_raw(
-    Q: Polynomial,
-    P2: Polynomial,
-    P2_other: Polynomial | None = None,
-    *,
-    R: float,
-    theta2: float,
-    tol=quad.DEFAULT_TOL,
-    n_start=quad.N_SEQUENCE_START,
-    n_max=quad.N_MAX,
-):
-    """The diagonal-piece constant; ``P2_other`` (defaulting to ``P2``) is the
-    second smoothing factor, which exposes the bilinear structure to the
-    optimizer without re-deriving the integrand."""
-    other = P2 if P2_other is None else P2_other
-    if P2.is_zero or other.is_zero:
-        return 0.0, []
-    integrand = c2_integrand(Q, P2, other, R, theta2)
-    value, trace = quad.integrate_converged(integrand, 4, tol=tol, n_start=n_start, n_max=n_max)
-    return c2_from_integral(value), trace
+def blocks(Q, left, right, R: float, theta1: float, theta2: float, tol: float, n_start: int, n_max: int):
+    """The c1 - 1, c12 and c2 blocks of the bilinear form between two sides,
+    each as ``(block, trace)``, integrated on the ladder ``n_start`` ..
+    ``n_max`` to ``tol`` and normalized.
+
+    A side is a ``(P1, P2)`` pair of :class:`Polynomial` objects or of
+    :class:`Monomials` families (rows left, columns right); a ``None`` P2
+    means no second piece, and c12 and c2 are then ``(0.0, [])``.  c12 pairs
+    the left P1 with the right P2.  The diagonal blocks c1 and c2 are stored
+    as (K + K')/2, the quadratic form they define; for scalars that is K.
+    """
+    (P1, P2), (P1_other, P2_other) = left, right
+
+    def integral(integrand, d: int):
+        return quad.integrate_converged(integrand, d, tol=tol, n_start=n_start, n_max=n_max)
+
+    K1, t1 = integral(c1_integrand(Q, P1, P1_other, R, theta1), 2)
+    c1 = 0.5 * (K1 + np.transpose(K1)) / theta1
+    if P2 is None or P2_other is None:
+        return (c1, t1), (0.0, []), (0.0, [])
+    K12, t12 = integral(c12_integrand(Q, P1, P2_other, R, theta1, theta2), 3)
+    # d^2/dxdy = 1! 1! [xy]
+    c12 = 4.0 * (theta2**2 / theta1**2) * math.exp(R) * K12
+    K2, t2 = integral(c2_integrand(Q, P2, P2_other, R, theta2), 4)
+    # d^4/dx^2dy^2 = 2! 2! [x^2 y^2]
+    c2 = (2.0 / 3.0) * (4.0 * (0.5 * (K2 + np.transpose(K2))))
+    return (c1, t1), (c12, t12), (c2, t2)
 
 
 # -- public per-config operations ------------------------------------------
@@ -370,9 +341,10 @@ def compute_kappa(c: float, R: float) -> float:
 
 
 def evaluate(cfg: MollifierConfig, tol=quad.DEFAULT_TOL, n_max=quad.N_MAX) -> KappaReport:
-    c1, t1 = c1_raw(cfg.Q, cfg.P1, cfg.R, cfg.theta1, tol=tol, n_max=n_max)
-    c12, t12 = c12_raw(cfg.Q, cfg.P1, cfg.P2, cfg.R, cfg.theta1, cfg.theta2, tol=tol, n_max=n_max)
-    c2, t2 = c2_raw(cfg.Q, cfg.P2, R=cfg.R, theta2=cfg.theta2, tol=tol, n_max=n_max)
+    side = (cfg.P1, None if cfg.P2.is_zero else cfg.P2)
+    (c1, t1), (c12, t12), (c2, t2) = blocks(cfg.Q, side, side, cfg.R, cfg.theta1, cfg.theta2,
+                                            tol, quad.N_SEQUENCE_START, n_max)
+    c1, c12, c2 = 1.0 + float(c1), float(c12), float(c2)
     c = c1 + 2.0 * c12 + c2
     return KappaReport(
         c1=c1,

@@ -6,8 +6,8 @@ coeffs): c(w) = 1 + w'Mw.  The inner problem (best P1, P2 subject to
 P1(1) = 1) is therefore a constrained linear solve (Conrey's quadratic-form
 optimization), and only the few outer parameters (R and Q's odd-basis
 coefficients) need derivative-free search.  M is assembled from the bilinear
-c1, c12 and c2 kernels of :mod:`critline.moments`, one quadrature pass per
-block, with the monomial basis on both sides.
+c1, c12 and c2 blocks of :func:`critline.moments.blocks`, one quadrature
+pass per block, with the monomial basis on both sides.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ GRAM_TOL = 1e-9
 SEARCH_GRAM_TOL = 1e-5
 GRAM_N_START = 8
 GRAM_N_MAX = 64
+INITIAL_STEP = 0.05
 DIAMETER_TOL = 1e-6
 MAX_ITERATIONS = 2000
 # why optimize_full scored an outer point 1e6; counted in its diagnostics
@@ -83,40 +84,27 @@ def build_gram(
 ) -> GramSystem:
     """Assemble M on the monomial basis with one quadrature pass per block.
 
-    The c1, c12 and c2 kernels are bilinear in their two smoothing
-    polynomials, so each block is one :func:`quad.integrate_converged` call
-    (orders ``GRAM_N_START`` to ``GRAM_N_MAX``) on the kernel with a
-    :class:`~critline.moments.Monomials` family on each side: c1 is d1 x d1,
-    c12 is d1 x (d2 - 2) and c2 is (d2 - 2) x (d2 - 2).
-    The diagonal blocks are stored as (K + K')/2, the quadratic form they
-    define, so M is symmetric by construction.  ``d2 = 0`` disables the
-    second mollifier piece entirely (no P2 columns, one pass); otherwise
-    ``d2 >= 3`` since P2 vanishes to third order.
+    :func:`moments.blocks` with a :class:`~critline.moments.Monomials` family
+    on each side (orders ``GRAM_N_START`` to ``GRAM_N_MAX``) returns the c1
+    (d1 x d1), c12 (d1 x (d2 - 2)) and c2 ((d2 - 2) x (d2 - 2)) blocks, the
+    diagonal ones symmetric; this function only places them into M.
+    ``d2 = 0`` disables the second mollifier piece entirely (no P2 columns,
+    one pass); otherwise ``d2 >= 3`` since P2 vanishes to third order.
     """
     if d1 < 1:
         raise OptimizeError("d1 must be >= 1")
     if d2 != 0 and d2 < 3:
         raise OptimizeError("d2 must be 0 (disabled) or >= 3")
     n_p2 = 0 if d2 == 0 else d2 - 2
-    size = d1 + n_p2
 
-    def block(integrand, d: int) -> np.ndarray:
-        value, _ = quad.integrate_converged(
-            integrand, d, tol=tol, n_start=GRAM_N_START, n_max=GRAM_N_MAX
-        )
-        return value
+    def side(family):
+        return family(range(1, d1 + 1)), family(range(3, d2 + 1)) if n_p2 else None
 
-    p1_rows, p1_cols = Monomials.rows(range(1, d1 + 1)), Monomials.columns(range(1, d1 + 1))
-    M = np.zeros((size, size))
-    K1 = block(moments.c1_integrand(Q, p1_rows, p1_cols, R, theta1), 2)
-    M[:d1, :d1] = moments.c1_from_integral(0.5 * (K1 + K1.T), theta1)
-    if n_p2:
-        p2_rows, p2_cols = Monomials.rows(range(3, d2 + 1)), Monomials.columns(range(3, d2 + 1))
-        K12 = block(moments.c12_integrand(Q, p1_rows, p2_cols, R, theta1, theta2), 3)
-        M[:d1, d1:] = moments.c12_from_integral(K12, R, theta1, theta2)
-        M[d1:, :d1] = M[:d1, d1:].T
-        K2 = block(moments.c2_integrand(Q, p2_rows, p2_cols, R, theta2), 4)
-        M[d1:, d1:] = moments.c2_from_integral(0.5 * (K2 + K2.T))
+    (c1, _), (c12, _), (c2, _) = moments.blocks(
+        Q, side(Monomials.rows), side(Monomials.columns), R, theta1, theta2,
+        tol, GRAM_N_START, GRAM_N_MAX,
+    )
+    M = np.block([[c1, c12], [c12.T, c2]]) if n_p2 else c1
     e = np.concatenate([np.ones(d1), np.zeros(n_p2)])
     return GramSystem(M=M, e=e, d1=d1, d2=d2, Q=Q, R=R, theta1=theta1, theta2=theta2)
 
@@ -161,13 +149,12 @@ def solve_constrained(sys: GramSystem) -> tuple[np.ndarray, float]:
 def nelder_mead(
     f: Callable[[np.ndarray], float],
     x0: Sequence[float],
-    initial_step: float = 0.1,
     diameter_tol: float = DIAMETER_TOL,
     max_iterations: int = MAX_ITERATIONS,
 ) -> tuple[np.ndarray, float]:
     """Downhill simplex with reflection 1, expansion 2, contraction 1/2,
-    shrink 1/2; stops when the simplex diameter drops below ``diameter_tol``
-    or after ``max_iterations`` steps."""
+    shrink 1/2 and first steps of ``INITIAL_STEP``; stops when the simplex
+    diameter drops below ``diameter_tol`` or after ``max_iterations`` steps."""
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.size == 0:
         raise OptimizeError("x0 must be a nonempty vector")
@@ -179,7 +166,7 @@ def nelder_mead(
     simplex = [x0]
     for k in range(n):
         step = np.zeros(n)
-        step[k] = initial_step if x0[k] == 0.0 else initial_step * max(abs(x0[k]), 1.0)
+        step[k] = INITIAL_STEP if x0[k] == 0.0 else INITIAL_STEP * max(abs(x0[k]), 1.0)
         simplex.append(x0 + step)
     values = [f0] + [f(x) for x in simplex[1:]]
 
@@ -265,8 +252,17 @@ def optimize_full(
     perturbations of it.  It uses a cheap Gram quadrature
     (``SEARCH_GRAM_TOL``); once the outer point is settled, the inner problem
     is re-solved at ``GRAM_TOL`` and the winning configuration is re-evaluated
-    with fully converged quadrature.
+    with fully converged quadrature.  Inputs it cannot use raise ConfigError
+    before any outer step.
     """
+    if d1 < 1:
+        raise moments.ConfigError(f"d1 must be >= 1 (P1 has powers 1..d1), got {d1}")
+    if d2 != 0 and d2 < 3:
+        raise moments.ConfigError(f"d2 must be 0 or >= 3 (P2 starts at x^3), got {d2}")
+    if q_degree < 1 or q_degree % 2 != 1:
+        raise moments.ConfigError(f"q_degree must be a positive odd integer, got {q_degree}")
+    if max_iterations < 0:
+        raise moments.ConfigError(f"max_iterations must be >= 0, got {max_iterations}")
     if not 0 <= extra_seeds <= len(_SEED_SCALES):
         raise moments.ConfigError(f"the number of extra seeds must be in [0, {len(_SEED_SCALES)}]")
     if mode == SIMPLE_ZEROS:
@@ -318,7 +314,7 @@ def optimize_full(
         seed0 + scale * rng.standard_normal(seed0.size) for scale in _SEED_SCALES[:extra_seeds]
     ]
     for seed in seeds:
-        nelder_mead(objective, seed, initial_step=0.05, max_iterations=max_iterations)
+        nelder_mead(objective, seed, max_iterations=max_iterations)
 
     if "params" not in best:
         raise OptimizeError("no admissible outer point found")

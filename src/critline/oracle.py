@@ -502,6 +502,10 @@ def check_q_operator(Q: Polynomial, X: float, T: float, alpha: float = 0.0):
 # -- finite-difference oracle for the jet operators -------------------------
 
 FD_H = 1e-3
+# Gauss orders of the extended-precision c12 (3-D) and c2 (4-D) integrals
+FD_C12_ORDER = 32
+FD_C2_ORDER = 24
+JET_OPERATOR_TOL = 1e-6
 _D1_OFFSETS = (-2.0, -1.0, 1.0, 2.0)
 _D1_WEIGHTS = (1.0, -8.0, 8.0, -1.0)
 _D2_OFFSETS = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -576,16 +580,16 @@ def _c2_scalar(cfg: moments.MollifierConfig, x, y, n: int = 32):
     return (2.0 / 3.0) * np.sum(inner * outer)
 
 
-def fd_c12(cfg: moments.MollifierConfig, h: float = FD_H, n: int = 32) -> float:
+def fd_c12(cfg: moments.MollifierConfig) -> float:
     """4th-order central-difference d^2/dx dy at the origin of the c12 kernel."""
     total = np.longdouble(0.0)
     for ox, wx in zip(_D1_OFFSETS, _D1_WEIGHTS):
         for oy, wy in zip(_D1_OFFSETS, _D1_WEIGHTS):
-            total += wx * wy * _c12_scalar(cfg, ox * h, oy * h, n=n)
-    return float(total / np.longdouble(12.0 * h) ** 2)
+            total += wx * wy * _c12_scalar(cfg, ox * FD_H, oy * FD_H, n=FD_C12_ORDER)
+    return float(total / np.longdouble(12.0 * FD_H) ** 2)
 
 
-def fd_c2(cfg: moments.MollifierConfig, h: float = FD_H, n: int = 24) -> float:
+def fd_c2(cfg: moments.MollifierConfig) -> float:
     """4th-order central-difference d^4/dx^2 dy^2 at the origin of the c2
     kernel."""
     total = np.longdouble(0.0)
@@ -593,14 +597,14 @@ def fd_c2(cfg: moments.MollifierConfig, h: float = FD_H, n: int = 24) -> float:
         for oy, wy in zip(_D2_OFFSETS, _D2_WEIGHTS):
             if wx == 0.0 or wy == 0.0:
                 continue
-            total += wx * wy * _c2_scalar(cfg, ox * h, oy * h, n=n)
-    return float(total / np.longdouble(12.0 * h * h) ** 2)
+            total += wx * wy * _c2_scalar(cfg, ox * FD_H, oy * FD_H, n=FD_C2_ORDER)
+    return float(total / np.longdouble(12.0 * FD_H * FD_H) ** 2)
 
 
-def check_jet_operators(cfg: moments.MollifierConfig, rel_tol: float = 1e-6):
-    """The moment kernels' c12 and c2 against the finite-difference oracle."""
-    c12_jet = moments.c12_raw(cfg.Q, cfg.P1, cfg.P2, cfg.R, cfg.theta1, cfg.theta2)[0]
-    c2_jet = moments.c2_raw(cfg.Q, cfg.P2, R=cfg.R, theta2=cfg.theta2)[0]
+def check_jet_operators(cfg: moments.MollifierConfig):
+    """c12 and c2 of :func:`moments.evaluate` against the finite-difference oracle."""
+    report = moments.evaluate(cfg)
+    c12_jet, c2_jet = report.c12, report.c2
     c12_fd = fd_c12(cfg)
     c2_fd = fd_c2(cfg)
     err12 = abs(c12_jet - c12_fd) / max(abs(c12_jet), 1e-12)
@@ -608,7 +612,7 @@ def check_jet_operators(cfg: moments.MollifierConfig, rel_tol: float = 1e-6):
     return CheckResult.from_error(
         "jet_operators",
         {"c12_jet": c12_jet, "c12_fd": c12_fd, "c2_jet": c2_jet, "c2_fd": c2_fd},
-        max(err12, err2), rel_tol,
+        max(err12, err2), JET_OPERATOR_TOL,
     )
 
 

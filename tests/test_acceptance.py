@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from critline import moments, optimize, oracle
+from critline import moments, optimize, oracle, quad
 from critline.cli import EXIT_OK, main
 from critline.poly import P2Spec, Polynomial, QSpec, make_p1, make_p2, make_q
 from critline.presets import KAPPA_P1, kappa_preset, kappa_star_preset
@@ -41,7 +41,8 @@ def test_criterion_1_kappa_preset(tmp_path):
     payload = run_reproduce("kappa", tmp_path)
     assert payload["kappa"] >= 0.41049
     assert_traces_stable(payload)
-    fd = oracle.check_jet_operators(moments.renormalized_q(kappa_preset()), rel_tol=1e-6)
+    fd = oracle.check_jet_operators(moments.renormalized_q(kappa_preset()))
+    assert fd.threshold == 1e-6
     assert fd.passed, fd.params
 
 
@@ -103,14 +104,19 @@ def test_criterion_5_jets_vs_finite_differences():
     rng = np.random.default_rng(12345)
     for k in range(10):
         cfg = random_config(rng)
-        result = oracle.check_jet_operators(cfg, rel_tol=1e-6)
+        result = oracle.check_jet_operators(cfg)
+        assert result.threshold == 1e-6
         assert result.passed, (k, result.error, result.params)
 
 
 def test_criterion_6_c1_closed_form():
     """c1 at Q = 1, P1 = x matches the elementary closed form to 1e-12."""
     R = 1.28
-    c1 = moments.c1_raw(Polynomial((1.0,)), make_p1((1.0,)), R, THETA1, tol=1e-13)[0]
+    side = (make_p1((1.0,)), None)
+    (c1_part, _), _, _ = moments.blocks(
+        Polynomial((1.0,)), side, side, R, THETA1, THETA2, 1e-13, quad.N_SEQUENCE_START, quad.N_MAX
+    )
+    c1 = 1.0 + c1_part
     expected = 1.0 + math.expm1(2 * R) * ((1 + THETA1 * R) ** 3 - 1) / (6 * THETA1**2 * R**2)
     assert abs(c1 - expected) <= 1e-12
 

@@ -169,6 +169,23 @@ def test_seeds_outside_the_seed_scales_is_config_error(capsys, seeds):
     assert "extra seeds must be in [0, 3]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, reason",
+    [
+        (["--d1", "0"], "d1 must be >= 1"),
+        (["--d2", "2"], "d2 must be 0 or >= 3"),
+        (["--q-degree", "8"], "q_degree must be a positive odd integer"),
+        (["--max-iterations", "-1"], "max_iterations must be >= 0"),
+    ],
+    ids=["d1=0", "d2=2", "q-degree=8", "max-iterations=-1"],
+)
+def test_unusable_search_inputs_are_config_errors(capsys, args, reason):
+    # rejected before any outer step, with the reason, instead of a search
+    # whose every Gram build fails or that silently runs something else
+    assert main(["optimize", *args]) == EXIT_CONFIG
+    assert reason in capsys.readouterr().err
+
+
 def test_verify_pass_and_fail_exit_codes(monkeypatch, capsys):
     passing = [oracle.CheckResult.from_error("stub", {}, 0.0, 1.0)]
     failing = passing + [oracle.CheckResult.from_error("stub2", {}, 2.0, 1.0)]

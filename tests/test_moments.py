@@ -11,7 +11,7 @@ from critline.moments import (
     SIMPLE_ZEROS,
     ConfigError,
     MollifierConfig,
-    c2_raw,
+    blocks,
     compute_kappa,
     evaluate,
     renormalized_q,
@@ -84,13 +84,22 @@ def test_theta_boundaries_are_inclusive():
     small_config(theta1=4.0 / 7.0, theta2=0.5)  # the published point
 
 
+def form(cfg, left, right, tol, n_start=quad.N_SEQUENCE_START):
+    """The (c1 - 1, c12, c2) values of :func:`moments.blocks` between two
+    (P1, P2) sides at cfg's (Q, R, theta1, theta2)."""
+    return [value for value, _ in blocks(
+        cfg.Q, left, right, cfg.R, cfg.theta1, cfg.theta2, tol, n_start, quad.N_MAX
+    )]
+
+
 # -- c1 ----------------------------------------------------------------------
 
 
 def test_c1_closed_form():
     # Q = 1, P1 = x: the double integral separates into elementary pieces
     R, t1 = 1.28, THETA1
-    c1 = moments.c1_raw(ONE, IDENT, R, t1, tol=1e-13)[0]
+    cfg = small_config(Q=ONE, R=R)
+    c1 = 1.0 + form(cfg, (IDENT, None), (IDENT, None), tol=1e-13)[0]
     expected = 1.0 + (math.expm1(2 * R)) * ((1 + t1 * R) ** 3 - 1) / (6 * t1**2 * R**2)
     assert abs(c1 - expected) <= 1e-12
 
@@ -99,7 +108,7 @@ def test_c1_at_least_one():
     # c1 - 1 is a weighted square integral, so it can never be negative
     for R in (0.5, 1.28, 2.0):
         cfg = small_config(R=R)
-        assert moments.c1_raw(cfg.Q, cfg.P1, cfg.R, cfg.theta1, tol=1e-9)[0] >= 1.0
+        assert 1.0 + form(cfg, (cfg.P1, None), (cfg.P1, None), tol=1e-9)[0] >= 1.0
 
 
 # -- scaling structure -------------------------------------------------------
@@ -108,32 +117,36 @@ def test_c1_at_least_one():
 def test_c12_is_bilinear_in_p1_p2():
     cfg = small_config()
     lam, mu = 1.7, -0.6
-    base = moments.c12_raw(cfg.Q, cfg.P1, cfg.P2, cfg.R, cfg.theta1, cfg.theta2, tol=1e-6, n_start=8)[0]
-    scaled = moments.c12_raw(
-        cfg.Q, cfg.P1.scale(lam), cfg.P2.scale(mu), cfg.R, cfg.theta1, cfg.theta2, tol=1e-6, n_start=8
-    )[0]
+    base = form(cfg, (cfg.P1, cfg.P2), (cfg.P1, cfg.P2), tol=1e-6, n_start=8)[1]
+    p1, p2 = cfg.P1.scale(lam), cfg.P2.scale(mu)
+    scaled = form(cfg, (p1, p2), (p1, p2), tol=1e-6, n_start=8)[1]
     assert scaled == pytest.approx(lam * mu * base, rel=1e-9)
 
 
 def test_c2_is_quadratic_in_p2():
     cfg = small_config()
     mu = 2.3
-    base = c2_raw(cfg.Q, cfg.P2, R=cfg.R, theta2=cfg.theta2, tol=1e-6, n_start=8)[0]
-    scaled = c2_raw(cfg.Q, cfg.P2.scale(mu), R=cfg.R, theta2=cfg.theta2, tol=1e-6, n_start=8)[0]
+    base = form(cfg, (cfg.P1, cfg.P2), (cfg.P1, cfg.P2), tol=1e-6, n_start=8)[2]
+    p2 = cfg.P2.scale(mu)
+    scaled = form(cfg, (cfg.P1, p2), (cfg.P1, p2), tol=1e-6, n_start=8)[2]
     assert scaled == pytest.approx(mu * mu * base, rel=1e-9)
 
 
 def test_c2_bilinear_hook_polarizes():
     cfg = small_config()
     other = make_p2(P2Spec((0.02, 0.01)))
-    cross = c2_raw(cfg.Q, cfg.P2, other, R=cfg.R, theta2=cfg.theta2, tol=1e-6, n_start=8)[0]
-    swapped = c2_raw(cfg.Q, other, cfg.P2, R=cfg.R, theta2=cfg.theta2, tol=1e-6, n_start=8)[0]
+
+    def c2(a, b):
+        return form(cfg, (cfg.P1, a), (cfg.P1, b), tol=1e-6, n_start=8)[2]
+
+    cross = c2(cfg.P2, other)
+    swapped = c2(other, cfg.P2)
     assert cross == pytest.approx(swapped, rel=1e-9)
     # polarization identity: B(a+b, a+b) = B(a,a) + 2 B(a,b) + B(b,b)
     total = Polynomial(tuple(np.polynomial.polynomial.polyadd(cfg.P2.coeffs, other.coeffs)))
-    both = c2_raw(cfg.Q, total, R=cfg.R, theta2=cfg.theta2, tol=1e-6, n_start=8)[0]
-    aa = c2_raw(cfg.Q, cfg.P2, R=cfg.R, theta2=cfg.theta2, tol=1e-6, n_start=8)[0]
-    bb = c2_raw(cfg.Q, other, R=cfg.R, theta2=cfg.theta2, tol=1e-6, n_start=8)[0]
+    both = c2(total, total)
+    aa = c2(cfg.P2, cfg.P2)
+    bb = c2(other, other)
     assert both == pytest.approx(aa + 2 * cross + bb, rel=1e-8)
 
 

@@ -151,12 +151,10 @@ def test_gram_reconstructs_direct_evaluation(small_gram):
         w = rng.uniform(-0.5, 0.8, size=g.size)
         p1 = Polynomial((0.0,) + tuple(w[: g.d1]))
         p2 = make_p2(P2Spec(tuple(w[g.d1 :])))
-        direct = 1.0
-        direct += moments.c1_raw(g.Q, p1, g.R, g.theta1, tol=1e-8)[0] - 1.0
-        direct += 2.0 * moments.c12_raw(
-            g.Q, p1, p2, g.R, g.theta1, g.theta2, tol=1e-8
-        )[0]
-        direct += moments.c2_raw(g.Q, p2, R=g.R, theta2=g.theta2, tol=1e-8)[0]
+        cfg = moments.MollifierConfig(
+            theta1=g.theta1, theta2=g.theta2, R=g.R, Q=g.Q, P1=p1, P2=p2
+        )
+        direct = moments.evaluate(cfg, tol=1e-8).c
         assert g.total(w) == pytest.approx(direct, rel=5e-5)
 
 
@@ -175,15 +173,9 @@ def polarized_gram(Q, R, theta1, theta2, d1, d2, tol):
     size = d1 + d2 - 2
 
     def q(w):
-        p1 = Polynomial((0.0,) + tuple(w[:d1]))
-        p2 = make_p2(P2Spec(tuple(w[d1:])))
-        out = 0.0
-        if not p1.is_zero:
-            out += moments.c1_raw(Q, p1, R, theta1, tol=tol, n_start=8, n_max=64)[0] - 1.0
-            out += 2.0 * moments.c12_raw(Q, p1, p2, R, theta1, theta2, tol=tol, n_start=8, n_max=64)[0]
-        if not p2.is_zero:
-            out += moments.c2_raw(Q, p2, R=R, theta2=theta2, tol=tol, n_start=8, n_max=64)[0]
-        return out
+        side = (Polynomial((0.0,) + tuple(w[:d1])), make_p2(P2Spec(tuple(w[d1:]))))
+        (c1, _), (c12, _), (c2, _) = moments.blocks(Q, side, side, R, theta1, theta2, tol, 8, 64)
+        return c1 + 2.0 * c12 + c2
 
     M = np.zeros((size, size))
     eye = np.eye(size)
@@ -224,6 +216,17 @@ def test_presets_sit_at_the_p2_scale_optimum(preset_gram):
     assert abs(report.c12 + report.c2) < 1e-8
     d1 = gram.d1
     assert abs(a @ gram.M[:d1, d1:] @ b + b @ gram.M[d1:, d1:] @ b) < 1e-8
+
+
+def test_optimum_is_stationary_in_the_p2_scale():
+    # at any constrained optimum c(s) = c1 + 2s c12 + s^2 c2 is stationary at
+    # s = 1 (P2 -> sP2 keeps P1(1) = 1), so c12 + c2 = 0: the KKT solve of
+    # build_gram's blocks, read back through moments.evaluate
+    report = optimize.optimize_full(
+        theta1=THETA1, theta2=THETA2, d1=3, d2=3, q_degree=1,
+        mode=moments.SIMPLE_ZEROS, max_iterations=2, extra_seeds=0,
+    )
+    assert abs(report.c12 + report.c2) <= 1e-12
 
 
 # -- rejected outer points ---------------------------------------------------
