@@ -169,9 +169,13 @@ def run_eval(args) -> int:
 def run_optimize(args) -> int:
     mode = moments.SIMPLE_ZEROS if args.mode == "simple" else moments.ALL_ZEROS
     d2 = 0 if args.no_psi2 else args.d2
+    if args.q_degree is not None:
+        q_degree = args.q_degree
+    else:
+        q_degree = 1 if mode == moments.SIMPLE_ZEROS else 7
     report = optimize.optimize_full(
         theta1=args.theta1, theta2=args.theta2, d1=args.d1, d2=d2,
-        q_degree=args.q_degree, mode=mode, max_iterations=args.max_iterations,
+        q_degree=q_degree, mode=mode, max_iterations=args.max_iterations,
         extra_seeds=args.seeds,
     )
     print(f"outer evaluations: {report.diagnostics.get('outer_evaluations')}")
@@ -224,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["all-zeros", "simple"], default="all-zeros")
     p.add_argument("--d1", type=int, default=5, help="P1 degree")
     p.add_argument("--d2", type=int, default=5, help="P2 degree (>= 3)")
-    p.add_argument("--q-degree", type=int, default=7, help="highest odd power in Q")
+    p.add_argument("--q-degree", type=int, default=None,
+                   help="highest odd power in Q (default 7; simple mode takes only 1)")
     p.add_argument("--no-psi2", action="store_true", help="disable the second mollifier piece")
     p.add_argument("--theta1", type=float, default=4.0 / 7.0)
     p.add_argument("--theta2", type=float, default=0.5)

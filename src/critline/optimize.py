@@ -247,13 +247,13 @@ def optimize_full(
     constrained quadratic solve for (P1, P2) at every outer point.
 
     Q's constant term is always 1 - sum(odd coefficients), so Q(0) = 1 holds
-    exactly throughout the search.  ``d2 = 0`` disables the P2 piece.  The
-    search starts from the published point and from ``extra_seeds`` (0 to 3)
-    perturbations of it.  It uses a cheap Gram quadrature
-    (``SEARCH_GRAM_TOL``); once the outer point is settled, the inner problem
-    is re-solved at ``GRAM_TOL`` and the winning configuration is re-evaluated
-    with fully converged quadrature.  Inputs it cannot use raise ConfigError
-    before any outer step.
+    exactly throughout the search; simple mode takes only ``q_degree = 1``.
+    ``d2 = 0`` disables the P2 piece.  The search starts from the published
+    point and from ``extra_seeds`` (0 to 3) perturbations of it.  It uses a
+    cheap Gram quadrature (``SEARCH_GRAM_TOL``); once the outer point is
+    settled, the inner problem is re-solved at ``GRAM_TOL`` and the winning
+    configuration is re-evaluated with fully converged quadrature.  Inputs
+    it cannot use raise ConfigError before any outer step.
     """
     if d1 < 1:
         raise moments.ConfigError(f"d1 must be >= 1 (P1 has powers 1..d1), got {d1}")
@@ -261,12 +261,14 @@ def optimize_full(
         raise moments.ConfigError(f"d2 must be 0 or >= 3 (P2 starts at x^3), got {d2}")
     if q_degree < 1 or q_degree % 2 != 1:
         raise moments.ConfigError(f"q_degree must be a positive odd integer, got {q_degree}")
+    if mode == SIMPLE_ZEROS and q_degree != 1:
+        raise moments.ConfigError(
+            f"simple mode searches a linear Q: q_degree must be 1, got {q_degree}"
+        )
     if max_iterations < 0:
         raise moments.ConfigError(f"max_iterations must be >= 0, got {max_iterations}")
     if not 0 <= extra_seeds <= len(_SEED_SCALES):
         raise moments.ConfigError(f"the number of extra seeds must be in [0, {len(_SEED_SCALES)}]")
-    if mode == SIMPLE_ZEROS:
-        q_degree = 1
     evaluations = admissible = 0
     best: dict[str, Any] = {"kappa": -math.inf}
     # outer points scored 1e6 instead of a kappa, by reason

@@ -2,14 +2,17 @@
 
 Everything here deliberately avoids the moment evaluation paths it is
 checking, the quadrature included: contour integrals use the trapezoid rule
-on circles in 40-digit mpmath arithmetic, sums use sieved arithmetic tables,
-real integrals use this module's own Gauss-Legendre rule, and derivative
-operators get 4th-order finite differences of long-double tensor-product
-Gauss integrals.  Work that does not change between evaluations is done
-once: the circles share their roots of unity, each circle converts its float
-parameters to mpmath numbers once, and each finite-difference integrand is
-evaluated factor by factor on the axes it depends on.  All are the same rules
-as the plain per-point forms, only with loop-invariant work hoisted.
+on circles in 40-digit mpmath arithmetic, climbing n = 64, 128, 256, 512
+points until the difference from the n/2-point sum (its every other node)
+certifies the value, sums use sieved arithmetic tables, real integrals use
+this module's own Gauss-Legendre rule, and derivative operators get 4th-order
+finite differences of long-double tensor-product Gauss integrals.  Work that
+does not change between evaluations is done once: the circles share their
+roots of unity, each circle converts its float parameters to mpmath numbers
+once, each finite-difference integrand is evaluated factor by factor on the
+axes it depends on, and the c2 stencil evaluates each of its symmetric
+offset pairs once.  All are the same rules as the plain per-point forms, only
+with loop-invariant work hoisted.
 Asymptotic statements are tested as bounded-normalized-error properties (their
 O(.) constants are not quantified), never as equalities.
 """
@@ -21,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, factorial
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -131,19 +134,24 @@ class ArithmeticTables:
 
 # -- contour integration ----------------------------------------------------
 
-# Every circle runs at this many decimal digits with this many trapezoid
-# points: residues extracted from large cancelling circle values need the
-# head-room.
+# Every circle runs at this many decimal digits: residues extracted from
+# large cancelling circle values need the head-room.  Its trapezoid ladder
+# starts at CONTOUR_START_POINTS, doubles up to CONTOUR_POINTS, and stops at
+# the first rung whose certificate |T_n - T_{n/2}| is at most CONTOUR_FLOOR
+# times the largest point value |f(z) (z - c)|.
 CONTOUR_DPS = 40
 CONTOUR_POINTS = 512
+CONTOUR_START_POINTS = 64
+CONTOUR_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
 class ContourSpec:
     """A circle for (1/2*pi*i) closed contour integration by the trapezoid
-    rule, which is spectrally accurate for integrands analytic near the
-    circle.  Points and accumulation use mpmath at ``CONTOUR_DPS`` digits,
-    ``CONTOUR_POINTS`` points per circle.
+    rule, which converges geometrically for integrands analytic near the
+    circle.  Points and accumulation use mpmath at ``CONTOUR_DPS`` digits, on
+    a ladder of ``CONTOUR_START_POINTS`` to ``CONTOUR_POINTS`` points that
+    stops once |T_n - T_{n/2}| certifies the value (see ``CONTOUR_FLOOR``).
     """
 
     center: complex = 0.0
@@ -156,12 +164,24 @@ class ContourSpec:
             raise OracleError("radius must be positive")
 
 
+class ContourValue(NamedTuple):
+    """One circle's integral: the trapezoid value at the rung where the
+    ladder stopped, its certificate |T_n - T_{n/2}| (``inf`` when no rung up
+    to ``CONTOUR_POINTS`` met the floor) and the number of points n."""
+
+    value: complex
+    certificate: float
+    points: int
+
+
 @lru_cache(maxsize=1)
 def _roots_of_unity() -> tuple:
     """The trapezoid nodes exp(2*pi*i*k/n) on the unit circle, k < n =
     ``CONTOUR_POINTS``, as mpmath numbers computed at ``CONTOUR_DPS`` digits.
 
     Every circle shares them and forms its points as center + radius * node.
+    Rung m uses every (n/m)-th node; n/m is a power of two, so these are
+    bit-identical to the m-th roots of unity.
     """
     import mpmath
 
@@ -170,19 +190,51 @@ def _roots_of_unity() -> tuple:
         return tuple(mpmath.exp(2j * mpmath.pi * k / n) for k in range(n))
 
 
-def contour_circle(f: Callable[[Any], Any], spec: ContourSpec) -> complex:
+def contour_circle(f: Callable[[Any], Any], spec: ContourSpec) -> ContourValue:
     """(1/2*pi*i) times the integral of f around the circle; ``f`` takes and
-    returns mpmath numbers."""
+    returns mpmath numbers.
+
+    Each rung evaluates only its new (odd-indexed) points and sums all its
+    point values in node order, so the value at rung n is the plain n-point
+    trapezoid rule, bit for bit.
+    """
     import mpmath
 
+    nodes = _roots_of_unity()
     with mpmath.workdps(CONTOUR_DPS):
         # converted once (exactly) instead of at every point
         center, radius = mpmath.mpmathify(spec.center), mpmath.mpmathify(spec.radius)
-        total = mpmath.mpc(0)
-        for node in _roots_of_unity():
-            z = center + radius * node
-            total += f(z) * (z - center)
-        return complex(total / CONTOUR_POINTS)
+
+        def values(indices):
+            out = []
+            for k in indices:
+                z = center + radius * nodes[k]
+                out.append(f(z) * (z - center))
+            return out
+
+        def trapezoid(terms):
+            total = mpmath.mpc(0)
+            for term in terms:
+                total += term
+            return total / len(terms)
+
+        n = CONTOUR_START_POINTS
+        stride = CONTOUR_POINTS // n
+        terms = values(range(0, CONTOUR_POINTS, stride))
+        scale = max(abs(term) for term in terms)
+        previous = trapezoid(terms[::2])
+        while True:
+            total = trapezoid(terms)
+            certificate = abs(total - previous)
+            if certificate <= CONTOUR_FLOOR * scale:
+                return ContourValue(complex(total), float(certificate), n)
+            if n == CONTOUR_POINTS:
+                return ContourValue(complex(total), math.inf, n)
+            stride //= 2
+            fresh = values(range(stride, CONTOUR_POINTS, 2 * stride))
+            scale = max(scale, max(abs(term) for term in fresh))
+            terms = [term for pair in zip(terms, fresh) for term in pair]
+            previous, n = total, 2 * n
 
 
 # -- Euler-Maclaurin style sum/integral comparisons -------------------------
@@ -288,7 +340,7 @@ def _k1_pair(i: int, alpha: float, beta: float, logq: float):
 
     # float -> mpf is exact: converted once per circle, not at every point
     a, b, lq = map(mpmath.mpf, (alpha, beta, logq))
-    lhs = contour_circle(
+    circle = contour_circle(
         lambda s: mpmath.exp(lq * s) * (a + s) * (-b + s) / s ** (i + 1),
         ContourSpec(center=0.0, radius=0.3),
     )
@@ -298,7 +350,7 @@ def _k1_pair(i: int, alpha: float, beta: float, logq: float):
     for _ in range(i):
         power = power * base
     rhs = (expo * power).mixed_partial(1, 1) / factorial(i)
-    return lhs, rhs
+    return circle.value, rhs, circle
 
 
 def _k2_pair(j: int, alpha: float, beta: float, logq: float):
@@ -306,7 +358,7 @@ def _k2_pair(j: int, alpha: float, beta: float, logq: float):
 
     a, b, lq = map(mpmath.mpf, (alpha, beta, logq))
     # the circle must enclose every pole: 0, -alpha and beta
-    lhs = 4.0 * contour_circle(
+    circle = contour_circle(
         lambda u: mpmath.exp(lq * u) / ((a + u) * (-b + u) * u ** (j - 1)),
         ContourSpec(center=0.0, radius=0.25),
     )
@@ -318,7 +370,7 @@ def _k2_pair(j: int, alpha: float, beta: float, logq: float):
     vals = (1.0 - a - b) ** (j - 2) * np.exp(logq * (-a * alpha + b * beta)) * (1.0 - a)
     inner = np.sum(vals * ws[:, None] * ws[None, :])
     rhs = float(4.0 * np.longdouble(logq) ** j / factorial(j - 2) * inner)
-    return lhs, rhs
+    return 4.0 * circle.value, rhs, circle
 
 
 def _l1_pair(i: int, alpha: float, beta: float, logq: float):
@@ -326,7 +378,7 @@ def _l1_pair(i: int, alpha: float, beta: float, logq: float):
 
     a, b, lq = map(mpmath.mpf, (alpha, beta, logq))
     # poles at 0 and -alpha; (beta + s)^2 is entire
-    lhs = contour_circle(
+    circle = contour_circle(
         lambda s: mpmath.exp(lq * s) * (b + s) ** 2 / ((a + s) * s ** (i - 1)),
         ContourSpec(center=0.0, radius=0.25),
     )
@@ -342,7 +394,7 @@ def _l1_pair(i: int, alpha: float, beta: float, logq: float):
     for _ in range(i - 1):
         power = power * base
     rhs = (power * inner).mixed_partial(2, 0) / factorial(i - 2)
-    return lhs, rhs
+    return circle.value, rhs, circle
 
 
 def _f_residue_pair(j: int, k: int, s: float, logx: float):
@@ -356,23 +408,28 @@ def _f_residue_pair(j: int, k: int, s: float, logx: float):
     def f(u):
         return mpmath.exp(mp_logx * u) / ((u + mp_s) ** (j + 1) * u ** (k + 1))
 
-    lhs0 = contour_circle(f, ContourSpec(center=0.0, radius=radius))
+    circle0 = contour_circle(f, ContourSpec(center=0.0, radius=radius))
     rhs0 = sum(
         (-1) ** l * comb(j + l, j) * logx ** (k - l) / (s ** (j + l + 1) * factorial(k - l))
         for l in range(k + 1)
     )
     # residue at u = -s: shift u -> u - s, which swaps j and k and brings x^{-s}
-    lhs1 = contour_circle(f, ContourSpec(center=-s, radius=radius))
+    circle1 = contour_circle(f, ContourSpec(center=-s, radius=radius))
     rhs1 = math.exp(-logx * s) * sum(
         (-1) ** l * comb(k + l, k) * logx ** (j - l)
         / ((-s) ** (k + l + 1) * factorial(j - l))
         for l in range(j + 1)
     )
-    return (lhs0, rhs0), (lhs1, rhs1)
+    return (circle0.value, rhs0, circle0), (circle1.value, rhs1, circle1)
 
 
 def check_contour_identity(kind: str, **params) -> CheckResult:
-    """Contour integral vs closed form for the K1/K2/L1/F-residue identities."""
+    """Contour integral vs closed form for the K1/K2/L1/F-residue identities.
+
+    ``params`` gains the circles' ``trapezoid_points`` (summed) and
+    ``trapezoid_certificate`` (the largest); a circle the ladder could not
+    certify fails the check with an infinite error.
+    """
     alpha = float(params.get("alpha", 0.0))
     beta = float(params.get("beta", 0.0))
     if max(abs(alpha), abs(beta)) > 0.1:
@@ -381,31 +438,41 @@ def check_contour_identity(kind: str, **params) -> CheckResult:
         i = int(params["i"])
         if i < 1:
             raise OracleError("K1 needs i >= 1")
-        lhs, rhs = _k1_pair(i, alpha, beta, float(params["logq"]))
+        lhs, rhs, circle = _k1_pair(i, alpha, beta, float(params["logq"]))
+        circles = (circle,)
         error = abs(lhs - rhs)
     elif kind == "K2":
         j = int(params["j"])
         if j < 3:
             raise OracleError("K2 needs j >= 3")
-        lhs, rhs = _k2_pair(j, alpha, beta, float(params["logq"]))
+        lhs, rhs, circle = _k2_pair(j, alpha, beta, float(params["logq"]))
+        circles = (circle,)
         # values scale like logq^j, so normalize by the magnitude
         error = abs(lhs - rhs) / max(1.0, abs(rhs))
     elif kind == "L1":
         i = int(params["i"])
         if i < 3:
             raise OracleError("L1 needs i >= 3")
-        lhs, rhs = _l1_pair(i, alpha, beta, float(params["logq"]))
+        lhs, rhs, circle = _l1_pair(i, alpha, beta, float(params["logq"]))
+        circles = (circle,)
         error = abs(lhs - rhs)
     elif kind == "F_residues":
         pair0, pair1 = _f_residue_pair(
             int(params["j"]), int(params["k"]), float(params["s"]), float(params["logx"])
         )
+        circles = (pair0[2], pair1[2])
         error = max(abs(pair0[0] - pair0[1]), abs(pair1[0] - pair1[1]))
-        lhs, rhs = pair0
+        lhs, rhs, _ = pair0
     else:
         raise OracleError(f"unknown kind {kind!r}")
+    certificate = max(circle.certificate for circle in circles)
+    if certificate == math.inf:
+        error = math.inf
     return CheckResult.from_error(
-        f"contour[{kind}]", dict(params, lhs=complex(lhs), rhs=complex(rhs)),
+        f"contour[{kind}]",
+        dict(params, lhs=complex(lhs), rhs=complex(rhs),
+             trapezoid_points=sum(circle.points for circle in circles),
+             trapezoid_certificate=certificate),
         error, EXACT_TOL,
     )
 
@@ -424,8 +491,11 @@ def check_mobius_identities(N: int = DEFAULT_N, tables: ArithmeticTables | None 
     unit = np.zeros(N + 1, dtype=np.int64)
     mob = np.zeros(N + 1, dtype=np.int64)
     for d in range(1, N + 1):
-        unit[d::d] += mu[d]
-        mob[d::d] += mu2[d]
+        # a zero coefficient adds nothing to its multiples
+        if mu[d]:
+            unit[d::d] += mu[d]
+        if mu2[d]:
+            mob[d::d] += mu2[d]
     expected_unit = np.zeros(N + 1, dtype=np.int64)
     expected_unit[1] = 1
     failures = int(np.count_nonzero(unit[1:] - expected_unit[1:])) + int(
@@ -556,6 +626,10 @@ def _c2_scalar(cfg: moments.MollifierConfig, x, y, n: int = 32):
     factors are contracted with the t weights one node at a time, then the
     (r, u, v) sum is taken; this is the same rule as summing the full
     integrand over all n^4 nodes.
+
+    Swapping (x, u) with (y, v) leaves E, G, the outer factors and the
+    product Q(A + tG) Q(B + tG) unchanged (A and B trade places), and u and
+    v share one rule, so the scalar is symmetric in (x, y) up to rounding.
     """
     ld = np.longdouble
     th2, R = ld(cfg.theta2), ld(cfg.R)
@@ -591,13 +665,17 @@ def fd_c12(cfg: moments.MollifierConfig) -> float:
 
 def fd_c2(cfg: moments.MollifierConfig) -> float:
     """4th-order central-difference d^4/dx^2 dy^2 at the origin of the c2
-    kernel."""
+    kernel.
+
+    The c2 scalar is symmetric in its offsets (see :func:`_c2_scalar`) and
+    the stencil is the same on both axes, so each unordered offset pair is
+    evaluated once and an off-diagonal one counts twice: 15 scalars, not 25.
+    """
     total = np.longdouble(0.0)
-    for ox, wx in zip(_D2_OFFSETS, _D2_WEIGHTS):
-        for oy, wy in zip(_D2_OFFSETS, _D2_WEIGHTS):
-            if wx == 0.0 or wy == 0.0:
-                continue
-            total += wx * wy * _c2_scalar(cfg, ox * FD_H, oy * FD_H, n=FD_C2_ORDER)
+    for i, (ox, wx) in enumerate(zip(_D2_OFFSETS, _D2_WEIGHTS)):
+        for oy, wy in zip(_D2_OFFSETS[i:], _D2_WEIGHTS[i:]):
+            pairs = 1.0 if oy == ox else 2.0
+            total += pairs * wx * wy * _c2_scalar(cfg, ox * FD_H, oy * FD_H, n=FD_C2_ORDER)
     return float(total / np.longdouble(12.0 * FD_H * FD_H) ** 2)
 
 

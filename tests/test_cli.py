@@ -176,8 +176,9 @@ def test_seeds_outside_the_seed_scales_is_config_error(capsys, seeds):
         (["--d2", "2"], "d2 must be 0 or >= 3"),
         (["--q-degree", "8"], "q_degree must be a positive odd integer"),
         (["--max-iterations", "-1"], "max_iterations must be >= 0"),
+        (["--mode", "simple", "--q-degree", "5"], "simple mode searches a linear Q"),
     ],
-    ids=["d1=0", "d2=2", "q-degree=8", "max-iterations=-1"],
+    ids=["d1=0", "d2=2", "q-degree=8", "max-iterations=-1", "simple-q-degree=5"],
 )
 def test_unusable_search_inputs_are_config_errors(capsys, args, reason):
     # rejected before any outer step, with the reason, instead of a search

@@ -65,18 +65,18 @@ def test_tables_bounds():
 
 
 def test_contour_residue_of_simple_pole():
-    value = contour_circle(lambda z: 1.0 / z, ContourSpec(radius=1.0))
+    value = contour_circle(lambda z: 1.0 / z, ContourSpec(radius=1.0)).value
     assert abs(value - 1.0) < 1e-13
 
 
 def test_contour_residue_of_double_pole():
     # e^z / z^2 has residue 1 at the origin
-    value = contour_circle(lambda z: mpmath.exp(z) / z**2, ContourSpec(radius=0.5))
+    value = contour_circle(lambda z: mpmath.exp(z) / z**2, ContourSpec(radius=0.5)).value
     assert abs(value - 1.0) < 1e-13
 
 
 def test_contour_no_enclosed_pole():
-    value = contour_circle(lambda z: 1.0 / (z - 2.0), ContourSpec(radius=1.0))
+    value = contour_circle(lambda z: 1.0 / (z - 2.0), ContourSpec(radius=1.0)).value
     assert abs(value) < 1e-13
 
 
@@ -97,10 +97,9 @@ def test_contour_spec_rejects_non_finite(center, radius):
         ContourSpec(center=center, radius=radius)
 
 
-def _contour_circle_per_point(f, spec):
-    """contour_circle with every node computed by its own exp: the form the
-    shared roots of unity replaced."""
-    n = oracle.CONTOUR_POINTS
+def _contour_circle_per_point(f, spec, n):
+    """The plain n-point trapezoid rule with every node computed by its own
+    exp: the form the shared roots of unity and the ladder replaced."""
     with mpmath.workdps(oracle.CONTOUR_DPS):
         total = mpmath.mpc(0)
         for k in range(n):
@@ -113,14 +112,20 @@ def test_shared_contour_nodes_change_no_value():
     def f(z):
         return mpmath.exp(3.0 * z) / ((z + 0.2) * z**3)
 
+    rungs = set()
     for spec in (
         ContourSpec(center=0.0, radius=0.3),
         ContourSpec(center=-0.2, radius=0.1),
         ContourSpec(center=complex(0.1, -0.05), radius=0.45),
+        ContourSpec(center=0.0, radius=1.5),
     ):
-        expected = _contour_circle_per_point(f, spec)
-        assert contour_circle(f, spec) == expected
-        assert contour_circle(f, spec) == expected
+        circle = contour_circle(f, spec)
+        expected = _contour_circle_per_point(f, spec, circle.points)
+        assert circle.value == expected
+        assert contour_circle(f, spec).value == expected
+        rungs.add(circle.points)
+    # the value is the plain rule at a rung above the first one too
+    assert len(rungs) > 1, rungs
 
 
 def test_parameters_converted_once_change_no_value():
@@ -131,8 +136,10 @@ def test_parameters_converted_once_change_no_value():
     spec = ContourSpec(center=0.0, radius=0.3)
     per_point = contour_circle(
         lambda s: mpmath.exp(logq * s) * (alpha + s) * (-beta + s) / s**4, spec
-    )
-    per_circle = contour_circle(lambda s: mpmath.exp(lq * s) * (a + s) * (-b + s) / s**4, spec)
+    ).value
+    per_circle = contour_circle(
+        lambda s: mpmath.exp(lq * s) * (a + s) * (-b + s) / s**4, spec
+    ).value
     assert per_circle == per_point
 
 
@@ -145,8 +152,71 @@ def test_contour_node_cache_is_bounded():
 
 
 def test_contour_extended_precision_path():
-    value = contour_circle(lambda z: 1.0 / z, ContourSpec(radius=1.0))
+    value = contour_circle(lambda z: 1.0 / z, ContourSpec(radius=1.0)).value
     assert abs(value - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("radius", [0.5, 4.0, 12.0, 20.0])
+@pytest.mark.parametrize(
+    "f", [lambda z: mpmath.exp(z) / z**2, lambda z: 1.0 / z], ids=["exp(z)/z^2", "1/z"]
+)
+def test_contour_certificate_bounds_the_true_error(f, radius):
+    # both residues are 1; the returned double adds at most one rounding of
+    # the 40-digit value, which the certificate does not cover
+    circle = contour_circle(f, ContourSpec(radius=radius))
+    assert math.isfinite(circle.certificate)
+    assert abs(circle.value - 1.0) <= circle.certificate + 2.0**-52
+
+
+def test_contour_ladder_climbs_until_certified():
+    # e^z / z^2 on |z| = 20, whose point values e^z / z peak at e^20 / 20:
+    # T_32 aliases e's Taylor tail far above the floor and T_64 at ~2e-8, so
+    # the ladder stops at 128, where |T_128 - T_64| is T_64's aliasing error
+    def f(z):
+        return mpmath.exp(z) / z**2
+
+    circle = contour_circle(f, ContourSpec(radius=20.0))
+    assert circle.points == 128
+    assert 1e-9 < circle.certificate <= oracle.CONTOUR_FLOOR * math.exp(20.0) / 20.0
+    short = contour_circle(f, ContourSpec(radius=0.5))
+    assert short.points == oracle.CONTOUR_START_POINTS
+
+
+def test_contour_pole_near_the_circle_is_uncertified():
+    # a pole at 0.99 of the radius: the trapezoid error falls only like
+    # 0.99^n, so no rung up to 512 meets the floor
+    circle = contour_circle(lambda z: 1.0 / (z - 0.99), ContourSpec(radius=1.0))
+    assert circle.points == oracle.CONTOUR_POINTS
+    assert circle.certificate == math.inf
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [("K1", dict(i=2, alpha=0.0, beta=0.0, logq=10.0)),
+     ("F_residues", dict(j=1, k=2, s=0.5, logx=5.0))],
+)
+def test_uncertified_circle_fails_its_check(monkeypatch, kind, params):
+    ladder = oracle.contour_circle
+
+    def with_near_pole(f, spec):
+        pole = spec.center + 0.99 * spec.radius
+        return ladder(lambda z: f(z) + 1.0 / (z - pole), spec)
+
+    monkeypatch.setattr(oracle, "contour_circle", with_near_pole)
+    result = check_contour_identity(kind, **params)
+    assert result.error == math.inf
+    assert not result.passed
+    assert result.params["trapezoid_certificate"] == math.inf
+
+
+def test_contour_suite_point_budget():
+    # the work the suite does, counted from the checks' own params: the
+    # ladder stops at 64 or 128 points on these circles (5312 in total)
+    results = oracle._contour_suite()
+    assert len(results) == 44 and all(r.passed for r in results)
+    total = sum(r.params["trapezoid_points"] for r in results)
+    assert total <= 8192, total
+    assert all(math.isfinite(r.params["trapezoid_certificate"]) for r in results)
 
 
 def test_oracle_does_not_import_quad():
@@ -318,3 +388,36 @@ def test_factored_fd_scalars_match_the_meshgrid_form(preset):
 def test_jet_operators_pass_at_the_kappa_preset():
     result = oracle.check_jet_operators(kappa_preset())
     assert result.passed, result
+
+
+@pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])
+def test_c2_scalar_is_symmetric_in_its_offsets(preset):
+    # swapping (x, u) with (y, v) maps the integrand to itself, so only the
+    # summation order differs
+    cfg = preset()
+    h = oracle.FD_H
+    offsets = [(h, -2 * h), (-2 * h, 2 * h), (2 * h, h), (-h, 0.0), (0.3, -0.2)]
+    for x, y in offsets:
+        xy = oracle._c2_scalar(cfg, x, y, n=oracle.FD_C2_ORDER)
+        yx = oracle._c2_scalar(cfg, y, x, n=oracle.FD_C2_ORDER)
+        assert abs(xy - yx) <= 1e-17 * abs(xy), (x, y)
+
+
+def _fd_c2_full_stencil(cfg):
+    """fd_c2 summing all 25 offset pairs: the form the folded stencil
+    replaced."""
+    total = np.longdouble(0.0)
+    for ox, wx in zip(oracle._D2_OFFSETS, oracle._D2_WEIGHTS):
+        for oy, wy in zip(oracle._D2_OFFSETS, oracle._D2_WEIGHTS):
+            total += wx * wy * oracle._c2_scalar(
+                cfg, ox * oracle.FD_H, oy * oracle.FD_H, n=oracle.FD_C2_ORDER
+            )
+    return float(total / np.longdouble(12.0 * oracle.FD_H * oracle.FD_H) ** 2)
+
+
+def test_folded_c2_stencil_matches_the_full_stencil():
+    # the reduction order differs, and the stencil divides by 144 h^4
+    cfg = kappa_preset()
+    folded = oracle.fd_c2(cfg)
+    full = _fd_c2_full_stencil(cfg)
+    assert abs(folded - full) <= 1e-8 * abs(full), (folded, full)
