@@ -15,7 +15,7 @@ import sys
 
 from . import moments, oracle, optimize, quad
 from .moments import ConfigError, KappaReport, MollifierConfig
-from .poly import P2Spec, PolynomialError, QSpec, make_p1, make_p2, make_q
+from .poly import PolynomialError, QSpec, make_p1, make_p2, make_q
 from .presets import PRESETS
 
 EXIT_OK = 0
@@ -139,7 +139,7 @@ def parse_config(path: str) -> tuple[MollifierConfig, float, int]:
         cfg = MollifierConfig(
             theta1=theta1, theta2=theta2, R=R,
             Q=make_q(QSpec(odd_coeffs=q_odd, const=q_const)),
-            P1=make_p1(p1), P2=make_p2(P2Spec(p2)), mode=mode,
+            P1=make_p1(p1), P2=make_p2(p2), mode=mode,
         )
     except PolynomialError as exc:
         raise ConfigError(str(exc)) from exc
@@ -240,8 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=run_optimize)
 
     p = sub.add_parser("verify", help="run the independent identity/property checks")
-    p.add_argument("--suite", default="all",
-                   choices=["all", "euler", "contour", "mobius", "mellin", "qop", "jets"])
+    p.add_argument("--suite", default="all", choices=["all", *oracle.SUITES])
     p.add_argument("--json", help="write the per-check results as JSON to this path")
     p.set_defaults(func=run_verify)
     return parser

@@ -39,6 +39,21 @@ class ConfigError(ValueError):
     pass
 
 
+def check_thetas(theta1: float, theta2: float) -> None:
+    """Raise ConfigError unless the mollifier exponents satisfy
+    0 < theta2 < theta1 <= 4/7 and theta2 <= 1/2 (to ``_THETA_SLACK``)."""
+    if not (math.isfinite(theta1) and math.isfinite(theta2)):
+        raise ConfigError("theta1 and theta2 must be finite")
+    if not 0 < theta2:
+        raise ConfigError("theta2 must be positive")
+    if not theta2 < theta1 + _THETA_SLACK:
+        raise ConfigError("theta2 must be < theta1")
+    if not theta1 <= THETA1_MAX + _THETA_SLACK:
+        raise ConfigError("theta1 must be <= 4/7")
+    if not theta2 <= THETA2_MAX + _THETA_SLACK:
+        raise ConfigError("theta2 must be <= 1/2")
+
+
 @dataclass(frozen=True)
 class MollifierConfig:
     """One full parameter point: exponents, offset scale, and polynomials."""
@@ -52,21 +67,14 @@ class MollifierConfig:
     mode: str = ALL_ZEROS
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.theta1, self.theta2, self.R)):
-            raise ConfigError("theta1, theta2 and R must be finite")
+        check_thetas(self.theta1, self.theta2)
+        if not math.isfinite(self.R):
+            raise ConfigError("R must be finite")
         for name in ("Q", "P1", "P2"):
             if not all(math.isfinite(c) for c in getattr(self, name).coeffs):
                 raise ConfigError(f"{name} has a non-finite coefficient")
         if not self.R > 0:
             raise ConfigError("R must be positive")
-        if not 0 < self.theta2:
-            raise ConfigError("theta2 must be positive")
-        if not self.theta2 < self.theta1 + _THETA_SLACK:
-            raise ConfigError("theta2 must be < theta1")
-        if not self.theta1 <= THETA1_MAX + _THETA_SLACK:
-            raise ConfigError("theta1 must be <= 4/7")
-        if not self.theta2 <= THETA2_MAX + _THETA_SLACK:
-            raise ConfigError("theta2 must be <= 1/2")
         if self.mode not in (ALL_ZEROS, SIMPLE_ZEROS):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.mode == SIMPLE_ZEROS and self.Q.degree > 1:

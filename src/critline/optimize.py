@@ -18,8 +18,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import moments, quad
-from .moments import KappaReport, MollifierConfig, Monomials
+from . import moments, presets, quad
+from .moments import ALL_ZEROS, SIMPLE_ZEROS, KappaReport, MollifierConfig, Monomials
 from .poly import Polynomial, QSpec, make_p1, make_p2, make_q
 
 # Gram quadrature tolerance: the final re-solve, and the cheaper search
@@ -35,9 +35,6 @@ REJECTION_REASONS = (
     "R_out_of_range", "c_min_nonpositive", "optimize_error", "quadrature_error", "value_error",
 )
 
-ALL_ZEROS = moments.ALL_ZEROS
-SIMPLE_ZEROS = moments.SIMPLE_ZEROS
-
 
 class OptimizeError(RuntimeError):
     pass
@@ -52,17 +49,11 @@ class GramSystem:
     x^3..x^d2 for P2; ``e`` encodes the constraint P1(1) = 1."""
 
     M: np.ndarray
-    e: np.ndarray
     d1: int
-    d2: int
-    Q: Polynomial
-    R: float
-    theta1: float
-    theta2: float
 
     @property
-    def size(self) -> int:
-        return self.M.shape[0]
+    def e(self) -> np.ndarray:
+        return np.concatenate([np.ones(self.d1), np.zeros(len(self.M) - self.d1)])
 
     def split(self, w: np.ndarray) -> tuple[Polynomial, Polynomial]:
         """Translate a coefficient vector back into (P1, P2)."""
@@ -105,8 +96,7 @@ def build_gram(
         tol, GRAM_N_START, GRAM_N_MAX,
     )
     M = np.block([[c1, c12], [c12.T, c2]]) if n_p2 else c1
-    e = np.concatenate([np.ones(d1), np.zeros(n_p2)])
-    return GramSystem(M=M, e=e, d1=d1, d2=d2, Q=Q, R=R, theta1=theta1, theta2=theta2)
+    return GramSystem(M=M, d1=d1)
 
 
 def solve_constrained(sys: GramSystem) -> tuple[np.ndarray, float]:
@@ -117,11 +107,11 @@ def solve_constrained(sys: GramSystem) -> tuple[np.ndarray, float]:
     is quadrature or conditioning noise, and the stationary point is not a
     minimum: raise :class:`OptimizeError` instead of returning it.
     """
-    size = sys.size
+    size, e = len(sys.M), sys.e
     kkt = np.zeros((size + 1, size + 1))
     kkt[:size, :size] = 2.0 * sys.M
-    kkt[:size, size] = sys.e
-    kkt[size, :size] = sys.e
+    kkt[:size, size] = e
+    kkt[size, :size] = e
     rhs = np.zeros(size + 1)
     rhs[size] = 1.0
     try:
@@ -131,7 +121,7 @@ def solve_constrained(sys: GramSystem) -> tuple[np.ndarray, float]:
     w = sol[:size]
 
     # definiteness on the constraint surface: M restricted to null(e')
-    q_mat, _ = np.linalg.qr(sys.e.reshape(-1, 1), mode="complete")
+    q_mat, _ = np.linalg.qr(e.reshape(-1, 1), mode="complete")
     null_basis = q_mat[:, 1:]
     reduced = null_basis.T @ sys.M @ null_basis
     eigs = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
@@ -208,29 +198,13 @@ _SEED_SCALES = (0.02, 0.05, 0.1)
 
 
 def _published_seed(mode: str, q_degree: int) -> np.ndarray:
-    """Starting point (R, odd-basis Q coefficients) near the published runs."""
+    """R and odd-basis Q coefficients of the ``mode`` preset, Q cut or padded to ``q_degree``."""
     if mode == SIMPLE_ZEROS:
-        return np.array([1.12, 0.515])
-    known = {1: 0.604, 3: -0.08, 5: -0.06, 7: 0.046}
-    return np.array([1.28] + [known.get(k, 0.0) for k in range(1, q_degree + 1, 2)])
-
-
-def _config_from_outer(
-    params: np.ndarray,
-    w: np.ndarray,
-    sys: GramSystem,
-    mode: str,
-) -> MollifierConfig:
-    P1, P2 = sys.split(w)
-    return MollifierConfig(
-        theta1=sys.theta1,
-        theta2=sys.theta2,
-        R=float(params[0]),
-        Q=sys.Q,
-        P1=P1,
-        P2=P2,
-        mode=mode,
-    )
+        R, spec = presets.KAPPA_STAR_R, presets.KAPPA_STAR_QSPEC
+    else:
+        R, spec = presets.KAPPA_R, presets.KAPPA_QSPEC
+    n_odd = (q_degree + 1) // 2
+    return np.array([R, *(spec.odd_coeffs + (0.0,) * n_odd)[:n_odd]])
 
 
 def optimize_full(
@@ -253,8 +227,9 @@ def optimize_full(
     cheap Gram quadrature (``SEARCH_GRAM_TOL``); once the outer point is
     settled, the inner problem is re-solved at ``GRAM_TOL`` and the winning
     configuration is re-evaluated with fully converged quadrature.  Inputs
-    it cannot use raise ConfigError before any outer step.
+    it cannot use, thetas included, raise ConfigError before any outer step.
     """
+    moments.check_thetas(theta1, theta2)
     if d1 < 1:
         raise moments.ConfigError(f"d1 must be >= 1 (P1 has powers 1..d1), got {d1}")
     if d2 != 0 and d2 < 3:
@@ -274,16 +249,6 @@ def optimize_full(
     # outer points scored 1e6 instead of a kappa, by reason
     rejected = dict.fromkeys(REJECTION_REASONS, 0)
 
-    def inner(params: np.ndarray, tol: float):
-        R = float(params[0])
-        odd = tuple(float(v) for v in params[1:])
-        if not 0.1 <= R <= 5.0:
-            return None
-        Q = make_q(QSpec(odd_coeffs=odd, const=1.0 - sum(odd)))
-        sys = build_gram(Q, R, theta1, theta2, d1, d2, tol=tol)
-        w, c_min = solve_constrained(sys)
-        return sys, w, c_min
-
     def reject(reason: str) -> float:
         rejected[reason] += 1
         return 1e6
@@ -291,23 +256,26 @@ def optimize_full(
     def objective(params: np.ndarray) -> float:
         nonlocal evaluations, admissible
         evaluations += 1
+        R = float(params[0])
+        if not 0.1 <= R <= 5.0:
+            return reject("R_out_of_range")
+        odd = tuple(float(v) for v in params[1:])
         try:
-            solved = inner(params, SEARCH_GRAM_TOL)
+            Q = make_q(QSpec(odd_coeffs=odd, const=1.0 - sum(odd)))
+            sys = build_gram(Q, R, theta1, theta2, d1, d2, tol=SEARCH_GRAM_TOL)
+            _, c_min = solve_constrained(sys)
         except OptimizeError:
             return reject("optimize_error")
         except quad.QuadratureError:
             return reject("quadrature_error")
         except ValueError:
             return reject("value_error")
-        if solved is None:
-            return reject("R_out_of_range")
-        _, _, c_min = solved
         if c_min <= 0:
             return reject("c_min_nonpositive")
         admissible += 1
-        kappa = moments.compute_kappa(c_min, float(params[0]))
+        kappa = moments.compute_kappa(c_min, R)
         if kappa > best["kappa"]:
-            best.update(kappa=kappa, params=params.copy())
+            best.update(kappa=kappa, R=R, Q=Q)
         return -kappa
 
     seed0 = _published_seed(mode, q_degree)
@@ -318,11 +286,13 @@ def optimize_full(
     for seed in seeds:
         nelder_mead(objective, seed, max_iterations=max_iterations)
 
-    if "params" not in best:
+    if "R" not in best:
         raise OptimizeError("no admissible outer point found")
-    sys, w, c_min = inner(best["params"], GRAM_TOL)
-    cfg = _config_from_outer(best["params"], w, sys, mode)
-    report = moments.evaluate(cfg)
+    R, Q = best["R"], best["Q"]
+    sys = build_gram(Q, R, theta1, theta2, d1, d2, tol=GRAM_TOL)
+    w, c_min = solve_constrained(sys)
+    P1, P2 = sys.split(w)
+    report = moments.evaluate(MollifierConfig(theta1, theta2, R, Q, P1, P2, mode))
     report.diagnostics.update(
         outer_evaluations=evaluations,
         admissible_evaluations=admissible,

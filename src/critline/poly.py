@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-Q0_VERBATIM_TOL = 5e-3
 P1_VERBATIM_TOL = 1e-5
 Q_SYMMETRY_TOL = 1e-12
 
@@ -85,18 +84,13 @@ class QSpec:
         return tuple(range(1, 2 * len(self.odd_coeffs) + 1, 2))
 
 
-@dataclass(frozen=True)
-class P2Spec:
-    """P2 coefficients for powers >= 3 only; lower powers are structurally zero."""
-
-    coeffs: tuple[float, ...] = ()
-
-
 def make_q(spec: QSpec) -> Polynomial:
     """Expand a QSpec into monomial coefficients.
 
     The result automatically satisfies the symmetry constraint; the defect is
-    re-checked to guard against future basis changes.
+    re-checked to guard against future basis changes.  Expanding and
+    evaluating round in proportion to the monomial coefficients, so the
+    tolerance is ``Q_SYMMETRY_TOL`` times ``max(1, sum |q_k|)``.
     """
     out = np.zeros(max(spec.powers(), default=0) + 1)
     out[0] = spec.const
@@ -108,7 +102,7 @@ def make_q(spec: QSpec) -> Polynomial:
         raise PolynomialError("Q has a non-finite coefficient")
     q = Polynomial(tuple(out))
     defect = q_symmetry_defect(q)
-    if defect > Q_SYMMETRY_TOL:
+    if defect > Q_SYMMETRY_TOL * max(1.0, float(np.sum(np.abs(out)))):
         raise PolynomialError(f"Q(x) + Q(1-x) deviates from constant by {defect:.3e}")
     return q
 
@@ -139,9 +133,6 @@ def make_p1(coeffs: Sequence[float], normalize: bool = False) -> Polynomial:
     return p
 
 
-def make_p2(spec: P2Spec | Iterable[float]) -> Polynomial:
-    """Build P2 with structurally zero coefficients below x**3."""
-    coeffs = tuple(spec.coeffs) if isinstance(spec, P2Spec) else tuple(spec)
-    if not coeffs:
-        return Polynomial((0.0,))
+def make_p2(coeffs: Iterable[float]) -> Polynomial:
+    """Build P2 from the coefficients of x**3, x**4, ...; lower powers are zero."""
     return Polynomial((0.0, 0.0, 0.0) + tuple(coeffs))

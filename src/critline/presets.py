@@ -8,20 +8,20 @@ headline bound kappa >= .4105.  ``kappa_star``: R = 1.12 with linear Q
 from __future__ import annotations
 
 from .moments import ALL_ZEROS, SIMPLE_ZEROS, MollifierConfig
-from .poly import P2Spec, QSpec, make_p1, make_p2, make_q
+from .poly import QSpec, make_p1, make_p2, make_q
 
 THETA1 = 4.0 / 7.0
 THETA2 = 0.5
 
 KAPPA_QSPEC = QSpec(odd_coeffs=(0.604, -0.08, -0.06, 0.046), const=0.492)
 KAPPA_P1 = (0.842706, 0.00845721, 0.093117, 0.118788, -0.0630687)
-KAPPA_P2 = P2Spec((0.0245412, -0.00635566, 0.00603128))
+KAPPA_P2 = (0.0245412, -0.00635566, 0.00603128)
 KAPPA_R = 1.28
 
 # Q(x) = 1 - 1.03x rewritten on the (1 - 2x) basis
 KAPPA_STAR_QSPEC = QSpec(odd_coeffs=(0.515,), const=0.485)
 KAPPA_STAR_P1 = (0.829473, 0.0104358, 0.082009, 0.177482, -0.0993997)
-KAPPA_STAR_P2 = P2Spec((0.0323061, -0.00553783, 0.00769594))
+KAPPA_STAR_P2 = (0.0323061, -0.00553783, 0.00769594)
 KAPPA_STAR_R = 1.12
 
 

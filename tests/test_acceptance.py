@@ -13,7 +13,7 @@ import pytest
 
 from critline import moments, optimize, oracle, quad
 from critline.cli import EXIT_OK, main
-from critline.poly import P2Spec, Polynomial, QSpec, make_p1, make_p2, make_q
+from critline.poly import Polynomial, QSpec, make_p1, make_p2, make_q
 from critline.presets import KAPPA_P1, kappa_preset, kappa_star_preset
 
 pytestmark = pytest.mark.slow
@@ -94,7 +94,7 @@ def random_config(rng):
     theta2 = float(rng.uniform(0.3, 0.5))
     return moments.MollifierConfig(
         theta1=THETA1, theta2=theta2, R=float(rng.uniform(0.8, 1.6)),
-        Q=q, P1=make_p1(tuple(p1), normalize=True), P2=make_p2(P2Spec(p2)),
+        Q=q, P1=make_p1(tuple(p1), normalize=True), P2=make_p2(p2),
     )
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from critline import cli, moments, oracle, quad
+from critline import cli, moments, optimize, oracle, quad
 from critline.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFY, main, parse_config
 from critline.moments import ConfigError
 from critline.presets import PRESETS
@@ -177,14 +177,27 @@ def test_seeds_outside_the_seed_scales_is_config_error(capsys, seeds):
         (["--q-degree", "8"], "q_degree must be a positive odd integer"),
         (["--max-iterations", "-1"], "max_iterations must be >= 0"),
         (["--mode", "simple", "--q-degree", "5"], "simple mode searches a linear Q"),
+        (["--no-psi2", "--theta1", "0.9"], "theta1 must be <= 4/7"),
+        (["--no-psi2", "--theta2", "0.6"], "theta2 must be < theta1"),
+        (["--no-psi2", "--theta1", "nan"], "theta1 and theta2 must be finite"),
     ],
-    ids=["d1=0", "d2=2", "q-degree=8", "max-iterations=-1", "simple-q-degree=5"],
+    ids=["d1=0", "d2=2", "q-degree=8", "max-iterations=-1", "simple-q-degree=5",
+         "theta1=0.9", "theta2=0.6", "theta1=nan"],
 )
-def test_unusable_search_inputs_are_config_errors(capsys, args, reason):
+def test_unusable_search_inputs_are_config_errors(monkeypatch, capsys, args, reason):
     # rejected before any outer step, with the reason, instead of a search
     # whose every Gram build fails or that silently runs something else
+    builds = []
+    real_build = optimize.build_gram
+
+    def counted_build(*build_args, **kwargs):
+        builds.append(build_args)
+        return real_build(*build_args, **kwargs)
+
+    monkeypatch.setattr(optimize, "build_gram", counted_build)
     assert main(["optimize", *args]) == EXIT_CONFIG
     assert reason in capsys.readouterr().err
+    assert not builds
 
 
 def test_verify_pass_and_fail_exit_codes(monkeypatch, capsys):

@@ -16,7 +16,7 @@ from critline.moments import (
     evaluate,
     renormalized_q,
 )
-from critline.poly import P2Spec, Polynomial, QSpec, make_p1, make_p2, make_q
+from critline.poly import Polynomial, QSpec, make_p1, make_p2, make_q
 from critline.presets import kappa_preset, kappa_star_preset
 
 THETA1 = 4.0 / 7.0
@@ -33,7 +33,7 @@ def small_config(**overrides):
         R=1.1,
         Q=make_q(QSpec(odd_coeffs=(0.3,), const=0.7)),
         P1=make_p1((0.6, 0.4)),
-        P2=make_p2(P2Spec((0.05, -0.01))),
+        P2=make_p2((0.05, -0.01)),
     )
     base.update(overrides)
     return MollifierConfig(**base)
@@ -64,7 +64,7 @@ def test_config_rejects_non_finite_inputs(bad):
     with pytest.raises(ConfigError):
         small_config(theta2=bad)
     with pytest.raises(ConfigError, match="P2"):
-        small_config(P2=make_p2(P2Spec((bad,))))
+        small_config(P2=make_p2((bad,)))
     with pytest.raises(ConfigError, match="Q"):
         small_config(Q=Polynomial((0.7, bad)))
     with pytest.raises(ConfigError, match="P1"):
@@ -134,7 +134,7 @@ def test_c2_is_quadratic_in_p2():
 
 def test_c2_bilinear_hook_polarizes():
     cfg = small_config()
-    other = make_p2(P2Spec((0.02, 0.01)))
+    other = make_p2((0.02, 0.01))
 
     def c2(a, b):
         return form(cfg, (cfg.P1, a), (cfg.P1, b), tol=1e-6, n_start=8)[2]
@@ -151,7 +151,7 @@ def test_c2_bilinear_hook_polarizes():
 
 
 def test_zero_p2_kills_cross_and_diagonal_terms():
-    cfg = small_config(P2=make_p2(P2Spec()))
+    cfg = small_config(P2=make_p2(()))
     report = evaluate(cfg, tol=1e-9)
     assert report.c12 == 0.0
     assert report.c2 == 0.0
@@ -271,8 +271,8 @@ def kernel_panel():
         panel.append(dict(
             Q=make_q(QSpec(odd_coeffs=odd, const=1.0 - sum(odd))),
             P1=make_p1(tuple(p1 / p1.sum()), normalize=True),
-            P2=make_p2(P2Spec(tuple(rng.uniform(-0.5, 0.5, size=3)))),
-            P2_other=make_p2(P2Spec(tuple(rng.uniform(-0.5, 0.5, size=2)))),
+            P2=make_p2(tuple(rng.uniform(-0.5, 0.5, size=3))),
+            P2_other=make_p2(tuple(rng.uniform(-0.5, 0.5, size=2))),
             R=float(rng.uniform(0.8, 1.6)),
             theta2=float(rng.uniform(0.3, 0.5)),
         ))

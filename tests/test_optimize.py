@@ -11,7 +11,7 @@ from critline.optimize import (
     nelder_mead,
     solve_constrained,
 )
-from critline.poly import P2Spec, Polynomial, QSpec, make_p2, make_q
+from critline.poly import Polynomial, QSpec, make_p2, make_q
 from critline.presets import kappa_preset, kappa_star_preset
 
 THETA1 = 4.0 / 7.0
@@ -67,11 +67,7 @@ def test_nelder_mead_input_validation():
 
 def toy_system(M):
     M = np.asarray(M, dtype=float)
-    size = M.shape[0]
-    return GramSystem(
-        M=M, e=np.ones(size), d1=size, d2=0,
-        Q=Polynomial((1.0,)), R=1.0, theta1=THETA1, theta2=THETA2,
-    )
+    return GramSystem(M=M, d1=len(M))
 
 
 def test_solve_constrained_identity_gram():
@@ -130,16 +126,19 @@ def test_build_gram_p1_only_closed_form():
     assert g.M[0, 0] == pytest.approx(expected, rel=1e-11)
 
 
+SMALL_Q = make_q(QSpec(odd_coeffs=(0.4,), const=0.6))
+SMALL_R = 1.1
+
+
 @pytest.fixture(scope="module")
 def small_gram():
-    q = make_q(QSpec(odd_coeffs=(0.4,), const=0.6))
-    return build_gram(q, 1.1, THETA1, THETA2, d1=2, d2=4, tol=1e-6)
+    return build_gram(SMALL_Q, SMALL_R, THETA1, THETA2, d1=2, d2=4, tol=1e-6)
 
 
 def test_gram_matrix_is_symmetric_psd(small_gram):
     M = small_gram.M
     assert np.allclose(M, M.T, atol=1e-12)
-    assert small_gram.size == 2 + 2  # P1 powers 1..2, P2 powers 3..4
+    assert len(M) == 2 + 2  # P1 powers 1..2, P2 powers 3..4
     eigs = np.linalg.eigvalsh(M)
     assert eigs.min() > -1e-5  # the total constant is a second moment
 
@@ -148,11 +147,11 @@ def test_gram_reconstructs_direct_evaluation(small_gram):
     g = small_gram
     rng = np.random.default_rng(99)
     for _ in range(3):
-        w = rng.uniform(-0.5, 0.8, size=g.size)
+        w = rng.uniform(-0.5, 0.8, size=len(g.M))
         p1 = Polynomial((0.0,) + tuple(w[: g.d1]))
-        p2 = make_p2(P2Spec(tuple(w[g.d1 :])))
+        p2 = make_p2(tuple(w[g.d1 :]))
         cfg = moments.MollifierConfig(
-            theta1=g.theta1, theta2=g.theta2, R=g.R, Q=g.Q, P1=p1, P2=p2
+            theta1=THETA1, theta2=THETA2, R=SMALL_R, Q=SMALL_Q, P1=p1, P2=p2
         )
         direct = moments.evaluate(cfg, tol=1e-8).c
         assert g.total(w) == pytest.approx(direct, rel=5e-5)
@@ -173,7 +172,7 @@ def polarized_gram(Q, R, theta1, theta2, d1, d2, tol):
     size = d1 + d2 - 2
 
     def q(w):
-        side = (Polynomial((0.0,) + tuple(w[:d1])), make_p2(P2Spec(tuple(w[d1:]))))
+        side = (Polynomial((0.0,) + tuple(w[:d1])), make_p2(tuple(w[d1:])))
         (c1, _), (c12, _), (c2, _) = moments.blocks(Q, side, side, R, theta1, theta2, tol, 8, 64)
         return c1 + 2.0 * c12 + c2
 

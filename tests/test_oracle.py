@@ -169,15 +169,17 @@ def test_contour_certificate_bounds_the_true_error(f, radius):
 
 
 def test_contour_ladder_climbs_until_certified():
-    # e^z / z^2 on |z| = 20, whose point values e^z / z peak at e^20 / 20:
-    # T_32 aliases e's Taylor tail far above the floor and T_64 at ~2e-8, so
-    # the ladder stops at 128, where |T_128 - T_64| is T_64's aliasing error
+    # e^z / z^2 on |z| = 20, whose point values e^z / z peak at e^20 / 20, so
+    # the floor is the absolute CONTOUR_FLOOR: T_64 aliases e's Taylor tail
+    # at 2.2e-8, far above it, and T_128 is exact to the 40-digit rounding
+    # (7.8e-35), so the ladder stops at 256, where |T_256 - T_128| is T_128's
+    # error
     def f(z):
         return mpmath.exp(z) / z**2
 
     circle = contour_circle(f, ContourSpec(radius=20.0))
-    assert circle.points == 128
-    assert 1e-9 < circle.certificate <= oracle.CONTOUR_FLOOR * math.exp(20.0) / 20.0
+    assert circle.points == 256
+    assert circle.certificate <= 1e-30
     short = contour_circle(f, ContourSpec(radius=0.5))
     assert short.points == oracle.CONTOUR_START_POINTS
 
@@ -211,12 +213,13 @@ def test_uncertified_circle_fails_its_check(monkeypatch, kind, params):
 
 def test_contour_suite_point_budget():
     # the work the suite does, counted from the checks' own params: the
-    # ladder stops at 64 or 128 points on these circles (5312 in total)
+    # ladder stops at 64, 128 or 256 points on these circles (6144 in total),
+    # and every certificate alone proves its check's threshold
     results = oracle._contour_suite()
     assert len(results) == 44 and all(r.passed for r in results)
     total = sum(r.params["trapezoid_points"] for r in results)
     assert total <= 8192, total
-    assert all(math.isfinite(r.params["trapezoid_certificate"]) for r in results)
+    assert all(r.params["trapezoid_certificate"] <= r.threshold for r in results)
 
 
 def test_oracle_does_not_import_quad():

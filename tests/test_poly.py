@@ -4,10 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from critline.poly import (
-    P2Spec,
     Polynomial,
     PolynomialError,
     QSpec,
@@ -113,14 +112,23 @@ def test_qspec_default_powers():
 
 
 @given(
-    st.lists(st.floats(min_value=-1, max_value=1, allow_nan=False), max_size=4),
+    st.lists(st.floats(min_value=-1, max_value=1, allow_nan=False), max_size=6),
     st.floats(min_value=-2, max_value=2, allow_nan=False),
 )
+@example(odd=[0.6, 0.2, -0.3, 0.4, -0.5, 0.6], const=-0.3)  # defect 2.4e-12 from rounding
 def test_make_q_symmetry(odd, const):
     q = make_q(QSpec(odd_coeffs=tuple(odd), const=const))
     assert q_symmetry_defect(q) <= 1e-10
     # Q(x) + Q(1-x) collapses to twice the basis constant
     assert q(0.3) + q(0.7) == pytest.approx(2.0 * const, abs=1e-10)
+
+
+def test_make_q_rejects_a_wrong_basis(monkeypatch):
+    # an even power, (1 - 2x)^10, makes Q(x) + Q(1 - x) vary by twice its
+    # coefficient: far above the tolerance, which scales with sum |q_k|
+    monkeypatch.setattr(QSpec, "powers", lambda self: (1, 3, 5, 7, 9, 10))
+    with pytest.raises(PolynomialError, match="deviates from constant"):
+        make_q(QSpec(odd_coeffs=(0.6, 0.2, -0.3, 0.4, -0.5, 1e-3), const=0.5))
 
 
 def test_make_q_value_at_zero():
@@ -160,11 +168,10 @@ def test_make_p1_normalize():
 
 
 def test_make_p2_vanishes_to_third_order():
-    p = make_p2(P2Spec((2.0, -1.0)))
+    p = make_p2((2.0, -1.0))
     assert p.coeffs[:3] == (0.0, 0.0, 0.0)
     assert p.coeffs[3:] == (2.0, -1.0)
 
 
 def test_make_p2_empty_is_zero():
-    assert make_p2(P2Spec()).is_zero
     assert make_p2(()).is_zero
