@@ -132,8 +132,9 @@ def parse_config(path: str) -> tuple[MollifierConfig, float, int]:
     if not (math.isfinite(quad_tol) and quad_tol > 0):
         raise ConfigError("quad_tol must be finite and positive")
     if not (math.isfinite(max_nodes) and max_nodes == int(max_nodes)
-            and 1 <= max_nodes <= quad.N_MAX):
-        raise ConfigError(f"quad_max_nodes must be a finite integer in [1, {quad.N_MAX}]")
+            and quad.N_SEQUENCE_START <= max_nodes <= quad.N_MAX):
+        raise ConfigError(f"quad_max_nodes must be a finite integer in "
+                          f"[{quad.N_SEQUENCE_START}, {quad.N_MAX}]")
     n_max = int(max_nodes)
     try:
         cfg = MollifierConfig(
@@ -150,10 +151,9 @@ def parse_config(path: str) -> tuple[MollifierConfig, float, int]:
 
 
 def run_reproduce(args) -> int:
-    name = args.preset.replace("_", "-")
-    if name not in PRESETS:
+    if args.preset not in PRESETS:
         raise ConfigError(f"unknown preset {args.preset!r}; choose kappa or kappa-star")
-    cfg = PRESETS[name]()
+    cfg = PRESETS[args.preset]()
     report = _report_with_normalized_q(cfg, quad.DEFAULT_TOL, quad.N_MAX)
     _emit(report, args.json)
     return EXIT_OK

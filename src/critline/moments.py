@@ -54,6 +54,15 @@ def check_thetas(theta1: float, theta2: float) -> None:
         raise ConfigError("theta2 must be <= 1/2")
 
 
+def check_mode(mode: str, q_degree: int) -> None:
+    """Raise ConfigError unless ``mode`` is known and, in simple mode, Q has
+    degree at most 1."""
+    if mode not in (ALL_ZEROS, SIMPLE_ZEROS):
+        raise ConfigError(f"unknown mode {mode!r}")
+    if mode == SIMPLE_ZEROS and q_degree > 1:
+        raise ConfigError(f"simple mode searches a linear Q: its degree must be <= 1, got {q_degree}")
+
+
 @dataclass(frozen=True)
 class MollifierConfig:
     """One full parameter point: exponents, offset scale, and polynomials."""
@@ -75,10 +84,7 @@ class MollifierConfig:
                 raise ConfigError(f"{name} has a non-finite coefficient")
         if not self.R > 0:
             raise ConfigError("R must be positive")
-        if self.mode not in (ALL_ZEROS, SIMPLE_ZEROS):
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.mode == SIMPLE_ZEROS and self.Q.degree > 1:
-            raise ConfigError("simple_zeros mode requires a linear Q")
+        check_mode(self.mode, self.Q.degree)
 
 
 @dataclass(frozen=True)
@@ -116,17 +122,14 @@ class KappaReport:
 
 def c1_integrand(Q: Polynomial, P1: Polynomial, P1_other: Polynomial, R: float, theta1: float):
     """e^{2Rv} L(P1) L(P1_other) on the square (u, v), bilinear in
-    (P1, P1_other), with L(P) = Q(v)P'(u) + th1 Q'(v)P(u) + th1 R Q(v)P(u)."""
-    Qd = Q.derivative()
-
-    def linear_form(P):
-        Pd = P.derivative()
-        return lambda u, v: Q(v) * Pd(u) + theta1 * Qd(v) * P(u) + theta1 * R * Q(v) * P(u)
-
-    left, right = linear_form(P1), linear_form(P1_other)
+    (P1, P1_other), with L(P) = Q(v)P'(u) + th1 (Q'(v) + R Q(v)) P(u)."""
+    Qd, P1d, P1d_other = Q.derivative(), P1.derivative(), P1_other.derivative()
 
     def integrand(u, v):
-        return np.exp(2.0 * R * v) * left(u, v) * right(u, v)
+        q = Q(v)
+        qp = theta1 * (Qd(v) + R * q)
+        left, right = q * P1d(u) + qp * P1(u), q * P1d_other(u) + qp * P1_other(u)
+        return np.exp(2.0 * R * v) * left * right
 
     return integrand
 

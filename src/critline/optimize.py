@@ -3,7 +3,8 @@
 For fixed (Q, R, theta1, theta2) the total constant c is an inhomogeneous
 quadratic form in the concatenated coefficient vector w = (P1 coeffs, P2
 coeffs): c(w) = 1 + w'Mw.  The inner problem (best P1, P2 subject to
-P1(1) = 1) is therefore a constrained linear solve (Conrey's quadratic-form
+P1(1) = 1) is therefore a linear solve on the constraint surface, one
+Cholesky factorization of M restricted to it (Conrey's quadratic-form
 optimization), and only the few outer parameters (R and Q's odd-basis
 coefficients) need derivative-free search.  M is assembled from the bilinear
 c1, c12 and c2 blocks of :func:`critline.moments.blocks`, one quadrature
@@ -41,6 +42,15 @@ class OptimizeError(RuntimeError):
 
 
 # -- Gram system ------------------------------------------------------------
+
+
+def check_degrees(d1: int, d2: int) -> None:
+    """Raise ConfigError unless P1 has powers 1..d1 with d1 >= 1 and P2 powers
+    3..d2 with d2 >= 3, or d2 = 0 to disable the second piece."""
+    if d1 < 1:
+        raise moments.ConfigError(f"d1 must be >= 1 (P1 has powers 1..d1), got {d1}")
+    if d2 != 0 and d2 < 3:
+        raise moments.ConfigError(f"d2 must be 0 or >= 3 (P2 starts at x^3), got {d2}")
 
 
 @dataclass(frozen=True)
@@ -82,10 +92,7 @@ def build_gram(
     ``d2 = 0`` disables the second mollifier piece entirely (no P2 columns,
     one pass); otherwise ``d2 >= 3`` since P2 vanishes to third order.
     """
-    if d1 < 1:
-        raise OptimizeError("d1 must be >= 1")
-    if d2 != 0 and d2 < 3:
-        raise OptimizeError("d2 must be 0 (disabled) or >= 3")
+    check_degrees(d1, d2)
     n_p2 = 0 if d2 == 0 else d2 - 2
 
     def side(family):
@@ -100,36 +107,24 @@ def build_gram(
 
 
 def solve_constrained(sys: GramSystem) -> tuple[np.ndarray, float]:
-    """Minimize 1 + w'Mw subject to e'w = 1 via the KKT linear system.
+    """Minimize 1 + w'Mw on the constraint surface e'w = 1.
 
-    c is the constant of a mean square, so in exact arithmetic M is positive
-    semidefinite on the constraint surface.  A non-positive eigenvalue there
-    is quadrature or conditioning noise, and the stationary point is not a
-    minimum: raise :class:`OptimizeError` instead of returning it.
+    There w = e/d1 + Nz, the columns of N an orthonormal basis of null(e'),
+    and the minimum solves (N'MN) z = -N'M e/d1.  c is a mean square, so N'MN
+    is positive semidefinite in exact arithmetic, and one Cholesky
+    factorization both tests that the minimum exists and solves for it.  If
+    it fails (quadrature or conditioning noise), raise :class:`OptimizeError`
+    rather than return a stationary point that is not a minimum.
     """
-    size, e = len(sys.M), sys.e
-    kkt = np.zeros((size + 1, size + 1))
-    kkt[:size, :size] = 2.0 * sys.M
-    kkt[:size, size] = e
-    kkt[size, :size] = e
-    rhs = np.zeros(size + 1)
-    rhs[size] = 1.0
+    e = sys.e
+    null_basis = np.linalg.qr(e.reshape(-1, 1), mode="complete")[0][:, 1:]
+    w0 = e / sys.d1
     try:
-        sol = np.linalg.solve(kkt, rhs)
+        chol = np.linalg.cholesky(null_basis.T @ sys.M @ null_basis)
     except np.linalg.LinAlgError as exc:
-        raise OptimizeError(f"singular KKT system: {exc}") from exc
-    w = sol[:size]
-
-    # definiteness on the constraint surface: M restricted to null(e')
-    q_mat, _ = np.linalg.qr(e.reshape(-1, 1), mode="complete")
-    null_basis = q_mat[:, 1:]
-    reduced = null_basis.T @ sys.M @ null_basis
-    eigs = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
-    if eigs.size and eigs.min() <= 0.0:
-        raise OptimizeError(
-            f"Gram matrix is not positive definite on the constraint surface "
-            f"(smallest eigenvalue {eigs.min():.3e})"
-        )
+        raise OptimizeError("Gram matrix is not positive definite on the constraint surface") from exc
+    z = np.linalg.solve(chol.T, np.linalg.solve(chol, -null_basis.T @ sys.M @ w0))
+    w = w0 + null_basis @ z
     return w, sys.total(w)
 
 
@@ -227,19 +222,14 @@ def optimize_full(
     cheap Gram quadrature (``SEARCH_GRAM_TOL``); once the outer point is
     settled, the inner problem is re-solved at ``GRAM_TOL`` and the winning
     configuration is re-evaluated with fully converged quadrature.  Inputs
-    it cannot use, thetas included, raise ConfigError before any outer step.
+    it cannot use, thetas and mode included, raise ConfigError before any
+    outer step.
     """
     moments.check_thetas(theta1, theta2)
-    if d1 < 1:
-        raise moments.ConfigError(f"d1 must be >= 1 (P1 has powers 1..d1), got {d1}")
-    if d2 != 0 and d2 < 3:
-        raise moments.ConfigError(f"d2 must be 0 or >= 3 (P2 starts at x^3), got {d2}")
+    check_degrees(d1, d2)
     if q_degree < 1 or q_degree % 2 != 1:
         raise moments.ConfigError(f"q_degree must be a positive odd integer, got {q_degree}")
-    if mode == SIMPLE_ZEROS and q_degree != 1:
-        raise moments.ConfigError(
-            f"simple mode searches a linear Q: q_degree must be 1, got {q_degree}"
-        )
+    moments.check_mode(mode, q_degree)
     if max_iterations < 0:
         raise moments.ConfigError(f"max_iterations must be >= 0, got {max_iterations}")
     if not 0 <= extra_seeds <= len(_SEED_SCALES):

@@ -765,7 +765,7 @@ def _mellin_suite() -> list[CheckResult]:
 
 
 def _qop_suite() -> list[CheckResult]:
-    from .presets import KAPPA_QSPEC, KAPPA_STAR_QSPEC
+    from .presets import KAPPA_QSPEC, KAPPA_R, KAPPA_STAR_QSPEC
     from .poly import make_q
 
     T = 1e8
@@ -774,7 +774,7 @@ def _qop_suite() -> list[CheckResult]:
         Q = make_q(spec)
         X = T**theta
         out.append(check_q_operator(Q, X, T, alpha=0.0))
-        out.append(check_q_operator(Q, X, T, alpha=-1.28 / math.log(T)))
+        out.append(check_q_operator(Q, X, T, alpha=-KAPPA_R / math.log(T)))
     out.append(check_q_operator(Polynomial((1.0,)), 100.0, 1e6))
     return out
 

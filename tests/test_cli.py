@@ -133,14 +133,15 @@ def test_non_finite_config_is_config_error(tmp_path, capsys, line):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "257", "300", "12.5"])
+@pytest.mark.parametrize("value", ["0", "8", "257", "300", "12.5"])
 def test_quad_max_nodes_outside_the_rules_is_config_error(tmp_path, capsys, value):
-    # the ladder's last rung is n_max itself, so it must have a Gauss rule;
-    # a fractional order is rejected, not truncated
+    # the ladder's last rung is n_max itself, so it must have a Gauss rule,
+    # and below the first rung no rung would run; a fractional order is
+    # rejected, not truncated
     path = tmp_path / "order.cfg"
     path.write_text(f"R = 1.1\np1_coeffs = 0.6, 0.4\nquad_max_nodes = {value}\n")
     assert main(["eval", str(path)]) == EXIT_CONFIG
-    assert f"[1, {quad.N_MAX}]" in capsys.readouterr().err
+    assert f"[{quad.N_SEQUENCE_START}, {quad.N_MAX}]" in capsys.readouterr().err
 
 
 def test_overflowing_integrand_is_numerical_error(tmp_path, capsys):

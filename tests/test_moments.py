@@ -74,7 +74,7 @@ def test_config_rejects_non_finite_inputs(bad):
 def test_simple_zeros_requires_linear_q():
     cfg = small_config(Q=make_q(QSpec(odd_coeffs=(0.5,), const=0.5)), mode=SIMPLE_ZEROS)
     assert cfg.mode == SIMPLE_ZEROS
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="simple mode searches a linear Q"):
         small_config(
             Q=make_q(QSpec(odd_coeffs=(0.3, 0.1), const=0.6)), mode=SIMPLE_ZEROS
         )
@@ -102,6 +102,41 @@ def test_c1_closed_form():
     c1 = 1.0 + form(cfg, (IDENT, None), (IDENT, None), tol=1e-13)[0]
     expected = 1.0 + (math.expm1(2 * R)) * ((1 + t1 * R) ** 3 - 1) / (6 * t1**2 * R**2)
     assert abs(c1 - expected) <= 1e-12
+
+
+class Counted:
+    """A polynomial that counts its evaluations, and its derivative's."""
+
+    def __init__(self, p, calls, name):
+        self.p, self.calls, self.name = p, calls, name
+
+    def __call__(self, x):
+        self.calls[self.name] += 1
+        return self.p(x)
+
+    def derivative(self):
+        return Counted(self.p.derivative(), self.calls, self.name + "'")
+
+
+def test_c1_kernel_evaluates_each_factor_once():
+    # L(P) = Q(v)P'(u) + th1 (Q'(v) + R Q(v)) P(u) on both sides takes one
+    # Q(v) and one Q'(v), and each side's P(u) and P'(u) once
+    cfg, other = small_config(), make_p1((0.3, 0.7))
+    calls = {name: 0 for name in ("Q", "Q'", "P", "P'", "O", "O'")}
+    integrand = moments.c1_integrand(
+        Counted(cfg.Q, calls, "Q"), Counted(cfg.P1, calls, "P"), Counted(other, calls, "O"),
+        cfg.R, cfg.theta1,
+    )
+    u, v = np.linspace(0.0, 1.0, 7), np.linspace(1.0, 0.0, 7)
+    value = integrand(u, v)
+    assert set(calls.values()) == {1}
+
+    def L(P):
+        Q, Qd, Pd = cfg.Q, cfg.Q.derivative(), P.derivative()
+        return Q(v) * Pd(u) + cfg.theta1 * Qd(v) * P(u) + cfg.theta1 * cfg.R * Q(v) * P(u)
+
+    expected = np.exp(2.0 * cfg.R * v) * L(cfg.P1) * L(other)
+    assert np.allclose(value, expected, rtol=1e-14, atol=0.0)
 
 
 def test_c1_at_least_one():

@@ -11,7 +11,7 @@ from critline.optimize import (
     nelder_mead,
     solve_constrained,
 )
-from critline.poly import Polynomial, QSpec, make_p2, make_q
+from critline.poly import Polynomial, QSpec, make_p1, make_p2, make_q
 from critline.presets import kappa_preset, kappa_star_preset
 
 THETA1 = 4.0 / 7.0
@@ -96,9 +96,42 @@ def test_solve_constrained_is_a_minimum():
         assert sys.total(w + 0.1 * y) >= total - 1e-10
 
 
+def kkt_solve(sys):
+    """The saddle-point solve of [[2M, e], [e', 0]] (w, lambda) = (0, 1): the
+    Lagrange stationary point, as a reference for the solve on the surface."""
+    size, e = len(sys.M), sys.e
+    kkt = np.zeros((size + 1, size + 1))
+    kkt[:size, :size] = 2.0 * sys.M
+    kkt[:size, size] = kkt[size, :size] = e
+    rhs = np.zeros(size + 1)
+    rhs[size] = 1.0
+    w = np.linalg.solve(kkt, rhs)[:size]
+    return w, sys.total(w)
+
+
+@pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset], ids=["kappa", "kappa-star"])
+@pytest.mark.parametrize("d2", [5, 0])
+def test_solve_on_the_surface_matches_the_kkt_solve(preset, d2):
+    cfg = moments.renormalized_q(preset())
+    sys = build_gram(cfg.Q, cfg.R, cfg.theta1, cfg.theta2, 5, d2, tol=1e-9)
+    w, total = solve_constrained(sys)
+    w_kkt, total_kkt = kkt_solve(sys)
+    assert np.max(np.abs(w - w_kkt)) <= 1e-10
+    assert abs(total - total_kkt) <= 1e-13
+    assert sys.e @ w == pytest.approx(1.0, abs=1e-14)
+
+
+def test_solve_with_an_empty_null_space():
+    # d1 = 1 and no P2: the constraint surface is the one point w = [1]
+    sys = build_gram(Polynomial((1.0,)), 0.7, THETA1, THETA2, d1=1, d2=0, tol=1e-9)
+    w, total = solve_constrained(sys)
+    assert w.tolist() == [1.0]
+    assert total == 1.0 + sys.M[0, 0]
+
+
 def test_solve_constrained_rejects_an_indefinite_gram():
-    # on w = (1 - t, t), w'Mw = (1 - t)^2 - 2 t^2 is unbounded below: the KKT
-    # point is a maximum, and there is no minimum to return
+    # on w = (1 - t, t), w'Mw = (1 - t)^2 - 2 t^2 is unbounded below: the
+    # stationary point is a maximum, and there is no minimum to return
     with pytest.raises(OptimizeError, match="not positive definite"):
         solve_constrained(toy_system(np.diag([1.0, -2.0])))
 
@@ -107,10 +140,11 @@ def test_solve_constrained_rejects_an_indefinite_gram():
 
 
 def test_build_gram_rejects_bad_degrees():
+    # the rule optimize_full applies, with its messages: a configuration error
     q = Polynomial((1.0,))
-    with pytest.raises(OptimizeError):
+    with pytest.raises(moments.ConfigError, match="d1 must be >= 1"):
         build_gram(q, 1.0, THETA1, THETA2, d1=0, d2=0)
-    with pytest.raises(OptimizeError):
+    with pytest.raises(moments.ConfigError, match="d2 must be 0 or >= 3"):
         build_gram(q, 1.0, THETA1, THETA2, d1=2, d2=2)
 
 
@@ -217,10 +251,23 @@ def test_presets_sit_at_the_p2_scale_optimum(preset_gram):
     assert abs(a @ gram.M[:d1, d1:] @ b + b @ gram.M[d1:, d1:] @ b) < 1e-8
 
 
+def test_rescaled_presets_are_the_constrained_optimum(preset_gram):
+    # the published P, rescaled so P1(1) = 1, is the Gram optimum to its
+    # six-figure rounding: its gradient along the constraint surface is small,
+    # and the solve's minimum lies below it by no more than 1e-9
+    cfg, gram, a, b = preset_gram
+    w = np.concatenate([make_p1(tuple(a), normalize=True).coeffs[1:], b])
+    assert gram.e @ w == pytest.approx(1.0, abs=1e-14)
+    null_basis = np.linalg.qr(gram.e.reshape(-1, 1), mode="complete")[0][:, 1:]
+    assert np.max(np.abs(null_basis.T @ gram.M @ w)) <= 1e-5
+    _, c_star = solve_constrained(gram)
+    assert -1e-14 <= gram.total(w) - c_star <= 1e-9
+
+
 def test_optimum_is_stationary_in_the_p2_scale():
     # at any constrained optimum c(s) = c1 + 2s c12 + s^2 c2 is stationary at
-    # s = 1 (P2 -> sP2 keeps P1(1) = 1), so c12 + c2 = 0: the KKT solve of
-    # build_gram's blocks, read back through moments.evaluate
+    # s = 1 (P2 -> sP2 keeps P1(1) = 1), so c12 + c2 = 0: the constrained
+    # solve of build_gram's blocks, read back through moments.evaluate
     report = optimize.optimize_full(
         theta1=THETA1, theta2=THETA2, d1=3, d2=3, q_degree=1,
         mode=moments.SIMPLE_ZEROS, max_iterations=2, extra_seeds=0,
@@ -244,6 +291,23 @@ def test_outer_points_are_all_counted():
     assert set(rejected) == set(optimize.REJECTION_REASONS)
     assert diag["admissible_evaluations"] + sum(rejected.values()) == diag["outer_evaluations"]
     assert diag["admissible_evaluations"] > 0
+
+
+def test_unknown_mode_is_rejected_before_any_gram_build(monkeypatch):
+    builds = []
+    real_build = optimize.build_gram
+
+    def counted_build(*args, **kwargs):
+        builds.append(args)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "build_gram", counted_build)
+    with pytest.raises(moments.ConfigError, match="unknown mode 'bogus'"):
+        optimize.optimize_full(
+            theta1=THETA1, theta2=THETA2, d1=2, d2=0, q_degree=1,
+            mode="bogus", max_iterations=20, extra_seeds=0,
+        )
+    assert builds == []
 
 
 def test_rejected_outer_points_are_counted_by_reason(monkeypatch):
