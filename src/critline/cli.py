@@ -9,6 +9,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -131,10 +132,12 @@ def parse_config(path: str) -> tuple[MollifierConfig, float, int]:
     max_nodes = scalar("quad_max_nodes", quad.N_MAX)
     if not (math.isfinite(quad_tol) and quad_tol > 0):
         raise ConfigError("quad_tol must be finite and positive")
+    # the ladder converges by comparing two rungs, so it must reach its second
+    _, min_nodes = itertools.islice(quad.ladder(), 2)
     if not (math.isfinite(max_nodes) and max_nodes == int(max_nodes)
-            and quad.N_SEQUENCE_START <= max_nodes <= quad.N_MAX):
+            and min_nodes <= max_nodes <= quad.N_MAX):
         raise ConfigError(f"quad_max_nodes must be a finite integer in "
-                          f"[{quad.N_SEQUENCE_START}, {quad.N_MAX}]")
+                          f"[{min_nodes}, {quad.N_MAX}]")
     n_max = int(max_nodes)
     try:
         cfg = MollifierConfig(

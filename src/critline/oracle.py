@@ -12,9 +12,12 @@ finite differences of long-double tensor-product Gauss integrals.  Work that
 does not change between evaluations is done once: the circles share their
 roots of unity, each circle converts its float parameters to mpmath numbers
 once, each finite-difference integrand is evaluated factor by factor on the
-axes it depends on, and the c2 stencil evaluates each of its symmetric
-offset pairs once.  All are the same rules as the plain per-point forms, only
-with loop-invariant work hoisted.
+axes it depends on, the c2 integrand's exponential is split into factors on
+fewer axes so its innermost loop runs no exp, the c2 stencil evaluates each
+of its symmetric offset pairs once, and every divisor sum is one Dirichlet
+convolution split at isqrt(N), about 2 isqrt(N) strided slices instead of N.
+All are the same rules as the plain per-point forms, only with loop-invariant
+work hoisted.
 Asymptotic statements are tested as bounded-normalized-error properties (their
 O(.) constants are not quantified), never as equalities.
 """
@@ -109,12 +112,23 @@ class ArithmeticTables:
 
     @staticmethod
     def _dirichlet(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The Dirichlet convolution out[m] = sum of a[d] b[e] over de = m,
+        for 1 <= m <= N = a.size - 1 (index 0 of either input is unused).
+
+        Hyperbola split at D = isqrt(N): every pair with de <= N has d <= D,
+        summed one d at a time over all its e, or d > D and then
+        e <= N // (D + 1), summed one e at a time over all its d > D.  Each
+        term is one strided slice, so the loop runs at most 2 D times.
+        Integer arithmetic: the sum order does not change a bit.
+        """
         N = a.size - 1
+        D = math.isqrt(N)
         out = np.zeros(N + 1, dtype=np.int64)
-        for d in range(1, N + 1):
-            if a[d]:
-                m = N // d
-                out[d::d] += a[d] * b[1 : m + 1]
+        for d in range(1, D + 1):
+            out[d::d] += a[d] * b[1 : N // d + 1]
+        for e in range(1, N // (D + 1) + 1):
+            top = N // e
+            out[(D + 1) * e : top * e + 1 : e] += a[D + 1 : top + 1] * b[e]
         return out
 
     def dk(self, k: int) -> np.ndarray:
@@ -126,10 +140,7 @@ class ArithmeticTables:
                 table = np.ones(self.N + 1, dtype=np.int64)
                 table[0] = 0
             else:
-                prev = self.dk(k - 1)
-                table = np.zeros(self.N + 1, dtype=np.int64)
-                for d in range(1, self.N + 1):
-                    table[d::d] += prev[d]
+                table = self._dirichlet(self.dk(k - 1), self.dk(1))
             self._dk[k] = table
         return self._dk[k]
 
@@ -245,6 +256,15 @@ def contour_circle(f: Callable[[Any], Any], spec: ContourSpec) -> ContourValue:
 # -- Euler-Maclaurin style sum/integral comparisons -------------------------
 
 
+def _tables_up_to(n: int, tables: ArithmeticTables | None) -> ArithmeticTables:
+    """``tables`` if it reaches n, fresh tables up to n if it is None."""
+    if tables is None:
+        return ArithmeticTables(n)
+    if tables.N < n:
+        raise OracleError(f"need tables.N >= {n}, got tables.N = {tables.N}")
+    return tables
+
+
 def _gauss_integral_01(g: Callable[[np.ndarray], np.ndarray]) -> float:
     nodes, weights = _gauss_rule(96)
     return float(np.sum(g(nodes) * weights))
@@ -278,7 +298,7 @@ def check_euler_maclaurin(kind: str, **params) -> CheckResult:
             raise OracleError("need z <= x")
         if abs(s) > 1.0 / math.log(x):
             raise OracleError("need |s| <= 1/log x")
-        tables = params.get("tables") or ArithmeticTables(int(z))
+        tables = _tables_up_to(int(z), params.get("tables"))
         dk = tables.dk(k)[1 : int(z) + 1].astype(float)
         n = np.arange(1, int(z) + 1, dtype=float)
         lhs = float(
@@ -304,7 +324,7 @@ def check_logsave(k: int, sigma: float, x: float, tables: ArithmeticTables | Non
     """Bounded-ratio check of the log-saving divisor-sum estimate."""
     if not -1.0 <= sigma <= 0.0:
         raise OracleError("need -1 <= sigma <= 0")
-    tables = tables or ArithmeticTables(int(x))
+    tables = _tables_up_to(int(x), tables)
     dk = tables.dk(k)[1 : int(x) + 1].astype(float)
     n = np.arange(1, int(x) + 1, dtype=float)
     lhs = float(np.sum(dk / n * (x / n) ** sigma))
@@ -490,17 +510,16 @@ def check_mobius_identities(N: int = DEFAULT_N):
 
     For every m <= N: sum of mu(n) over n | m is [m = 1], and sum of mu2(h)
     over h | m is mu(m).  Verified in exact integer arithmetic.
+
+    Both divisor sums, ``mu2`` and the ``dk`` tables come from one helper,
+    :meth:`ArithmeticTables._dirichlet`.  The unit identity is what pins that
+    shared helper: its input is the independently sieved mu, and its expected
+    value [m = 1] comes from no convolution at all.
     """
     tables = ArithmeticTables(N)
-    mu, mu2 = tables.mu, tables.mu2
-    unit = np.zeros(N + 1, dtype=np.int64)
-    mob = np.zeros(N + 1, dtype=np.int64)
-    for d in range(1, N + 1):
-        # a zero coefficient adds nothing to its multiples
-        if mu[d]:
-            unit[d::d] += mu[d]
-        if mu2[d]:
-            mob[d::d] += mu2[d]
+    mu, mu2, one = tables.mu, tables.mu2, tables.dk(1)
+    unit = tables._dirichlet(mu, one)
+    mob = tables._dirichlet(mu2, one)
     expected_unit = np.zeros(N + 1, dtype=np.int64)
     expected_unit[1] = 1
     failures = int(np.count_nonzero(unit[1:] - expected_unit[1:])) + int(
@@ -627,14 +646,19 @@ def _c2_scalar(cfg: moments.MollifierConfig, x, y, n: int):
     extended precision (the stencil divides by 144 h^4), with the integrand
     split by axis: only Q(A + tG), exp(2RtG) and Q(B + tG) depend on t, with
     A = theta2 (-y + u (x + r)) and B = theta2 (-x + v (y + r)), so every
-    other factor is built once on the (r, u, v) grid.  The t-dependent
+    other factor is built once on the (r, u, v) grid.  The exponential is
+    split by axis too, exp(2RtG) = exp(2Rt(1 + theta2 (x + y)))
+    exp(-2Rt theta2 u (x + r)) exp(-2Rt theta2 v (y + r)), so the t loop runs
+    no exp: the first factor is folded into the t weights and the other two
+    are built once on the (t, r, u) and (t, r, v) axes.  The t-dependent
     factors are contracted with the t weights one node at a time, then the
     (r, u, v) sum is taken; this is the same rule as summing the full
     integrand over all n^4 nodes.
 
     Swapping (x, u) with (y, v) leaves E, G, the outer factors and the
-    product Q(A + tG) Q(B + tG) unchanged (A and B trade places), and u and
-    v share one rule, so the scalar is symmetric in (x, y) up to rounding.
+    product Q(A + tG) Q(B + tG) unchanged (A and B trade places), swaps the
+    two split exponential factors, and u and v share one rule, so the scalar
+    is symmetric in (x, y) up to rounding.
     """
     ld = np.longdouble
     th2, R = ld(cfg.theta2), ld(cfg.R)
@@ -652,10 +676,14 @@ def _c2_scalar(cfg: moments.MollifierConfig, x, y, n: int):
         * (x + r) * (y + r) * P2dd((1.0 - u) * (x + r)) * P2dd((1.0 - v) * (y + r))
         * (weights[:, None, None] * weights[None, :, None] * weights[None, None, :])
     )
+    t_axis = nodes[:, None, None, None]
+    exp_u = np.exp(-2.0 * R * th2 * t_axis * (u * (x + r)))
+    exp_v = np.exp(-2.0 * R * th2 * t_axis * (v * (y + r)))
+    t_weights = weights * np.exp(2.0 * R * nodes * (1.0 + th2 * (x + y)))
     inner = np.zeros_like(G)
-    for t, w in zip(nodes, weights):
+    for t, w, eu, ev in zip(nodes, t_weights, exp_u, exp_v):
         tG = t * G
-        inner += w * (Q(A + tG) * np.exp(2.0 * R * tG) * Q(B + tG))
+        inner += w * (Q(A + tG) * (eu * ev) * Q(B + tG))
     return (2.0 / 3.0) * np.sum(inner * outer)
 
 

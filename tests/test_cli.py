@@ -1,5 +1,6 @@
 """CLI behavior: config parsing, reports, exit codes, determinism."""
 
+import itertools
 import json
 import math
 
@@ -133,15 +134,16 @@ def test_non_finite_config_is_config_error(tmp_path, capsys, line):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "8", "257", "300", "12.5"])
+@pytest.mark.parametrize("value", ["0", "8", "12", "257", "300", "12.5"])
 def test_quad_max_nodes_outside_the_rules_is_config_error(tmp_path, capsys, value):
     # the ladder's last rung is n_max itself, so it must have a Gauss rule,
-    # and below the first rung no rung would run; a fractional order is
-    # rejected, not truncated
+    # and below the second rung the ladder has no two rungs to compare, so
+    # it could never converge; a fractional order is rejected, not truncated
     path = tmp_path / "order.cfg"
     path.write_text(f"R = 1.1\np1_coeffs = 0.6, 0.4\nquad_max_nodes = {value}\n")
     assert main(["eval", str(path)]) == EXIT_CONFIG
-    assert f"[{quad.N_SEQUENCE_START}, {quad.N_MAX}]" in capsys.readouterr().err
+    _, second_rung = itertools.islice(quad.ladder(), 2)
+    assert f"[{second_rung}, {quad.N_MAX}]" in capsys.readouterr().err
 
 
 def test_overflowing_integrand_is_numerical_error(tmp_path, capsys):

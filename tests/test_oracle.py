@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from critline import oracle
+from critline import moments, oracle
 from critline.oracle import (
     ArithmeticTables,
     ContourSpec,
@@ -52,6 +52,79 @@ def test_divisor_functions():
     assert t.dk(3)[7] == 3
     with pytest.raises(OracleError):
         t.dk(6)
+
+
+def _dirichlet_double_loop(a, b):
+    """out[m] = sum of a[d] b[e] over de = m, one pair at a time."""
+    N = len(a) - 1
+    out = [0] * (N + 1)
+    for d in range(1, N + 1):
+        for e in range(1, N // d + 1):
+            out[d * e] += int(a[d]) * int(b[e])
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 15, 16, 17, 99, 100, 101, 1000])
+def test_dirichlet_matches_the_double_loop(N):
+    # squares and their neighbours, where the isqrt(N) split moves; index 0
+    # is filled too, and must not reach the result
+    rng = np.random.default_rng(N)
+    a = rng.integers(-1000, 1001, size=N + 1)
+    b = rng.integers(-1000, 1001, size=N + 1)
+    got = ArithmeticTables._dirichlet(a, b)
+    assert got.dtype == np.int64
+    assert got.tolist() == _dirichlet_double_loop(a, b)
+
+
+class _CountingArray(np.ndarray):
+    """An array that counts how often it is indexed."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        _CountingArray.reads += 1
+        return super().__getitem__(key)
+
+
+def test_dirichlet_runs_about_two_square_roots_of_steps():
+    # each loop step reads the left factor once, so its reads count the steps
+    N = 10**5
+    a = np.ones(N + 1, dtype=np.int64).view(_CountingArray)
+    _CountingArray.reads = 0
+    ArithmeticTables._dirichlet(a, np.ones(N + 1, dtype=np.int64))
+    assert 0 < _CountingArray.reads <= 2 * math.isqrt(N) + 2, _CountingArray.reads
+
+
+def _factorize(n):
+    """The prime exponents of n by trial division."""
+    exponents = []
+    p = 2
+    while p * p <= n:
+        a = 0
+        while n % p == 0:
+            n //= p
+            a += 1
+        if a:
+            exponents.append(a)
+        p += 1
+    if n > 1:
+        exponents.append(1)
+    return exponents
+
+
+def test_tables_match_direct_counting():
+    # both are multiplicative: mu * mu is 1, -2, 1, 0, 0, ... at p^0, p^1,
+    # p^2, ... (the coefficients of (1 - x)^2), and d_k(p^a) counts the
+    # ordered ways to split a among k factors, C(a + k - 1, k - 1)
+    N = 2000
+    t = ArithmeticTables(N)
+    mu2_at_prime_power = (1, -2, 1)
+    for n in range(1, N + 1):
+        exponents = _factorize(n)
+        mu2 = math.prod(mu2_at_prime_power[a] if a < 3 else 0 for a in exponents)
+        assert t.mu2[n] == mu2, n
+        for k in range(1, 6):
+            assert t.dk(k)[n] == math.prod(math.comb(a + k - 1, k - 1) for a in exponents), (n, k)
 
 
 def test_tables_bounds():
@@ -290,6 +363,19 @@ def test_q_operator_preset_style_q():
     assert result.passed
 
 
+def test_logsave_rejects_undersized_tables():
+    with pytest.raises(OracleError, match=r"need tables.N >= 10000, got tables.N = 1000$"):
+        oracle.check_logsave(2, 0.0, 1e4, tables=ArithmeticTables(1000))
+
+
+@pytest.mark.parametrize("kind", ["diag", "cross"])
+def test_euler_maclaurin_rejects_undersized_tables(kind):
+    one = Polynomial((1.0,))
+    with pytest.raises(OracleError, match=r"need tables.N >= 5000, got tables.N = 1000$"):
+        check_euler_maclaurin(kind, k=2, F=one, H=one, x=5e3, z=5e3, s=0.0,
+                              tables=ArithmeticTables(1000))
+
+
 def test_euler_maclaurin_validation():
     with pytest.raises(OracleError):
         check_euler_maclaurin("basic", l=0, s=0.5, x=1e4)  # |s| too large
@@ -391,6 +477,16 @@ def test_factored_fd_scalars_match_the_meshgrid_form(preset):
 def test_jet_operators_pass_at_the_kappa_preset():
     result = oracle.check_jet_operators(kappa_preset())
     assert result.passed, result
+
+
+@pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])
+def test_fd_oracle_agrees_with_evaluate_to_its_floor(preset):
+    # a hundredth of JET_OPERATOR_TOL: the stencil's 1/(144 h^4) amplifies
+    # long-double rounding of each scalar to about 1e-9 relative in c2
+    cfg = preset()
+    report = moments.evaluate(cfg)
+    assert abs(oracle.fd_c12(cfg) - report.c12) <= 1e-8 * abs(report.c12)
+    assert abs(oracle.fd_c2(cfg) - report.c2) <= 1e-8 * abs(report.c2)
 
 
 @pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])
