@@ -1,13 +1,14 @@
 """The mollified second-moment constants c1, c12, c2 and the kappa bound.
 
 The total constant is c = c1 + 2*c12 + c2 and the zero-proportion bound is
-kappa >= 1 - log(c)/R.  c1 is a plain double integral; c12 and c2 carry the
-formal derivative operators d^2/dxdy and d^4/dx^2dy^2 at x = y = 0.  Every
-argument in their kernels is linear in (x, y), so each integrand returns, per
-quadrature node, the closed-form Taylor coefficient the operator reads ([xy]
-for c12, [x^2 y^2] for c2); the operators are exact and quadrature is the only
-error source.  The quadrature ladder's delta is measured on that
-coefficient.
+kappa >= 1 - log(c)/R.  c1 is a double integral over (u, v) whose u-part is a
+polynomial: its kernel integrates that part exactly, once, so c1's quadrature
+runs over v alone.  c12 and c2 carry the formal derivative operators d^2/dxdy and
+d^4/dx^2dy^2 at x = y = 0.  Every argument in their kernels is linear in
+(x, y), so each integrand returns, per quadrature node, the closed-form
+Taylor coefficient the operator reads ([xy] for c12, [x^2 y^2] for c2); the
+operators are exact and quadrature is the only error source.  The quadrature
+ladder's delta is measured on that coefficient.
 
 Each kernel is bilinear in its two smoothing polynomials (P1 and P1 for c1,
 P1 and P2 for c12, P2 and P2 for c2).  Given :class:`Monomials` families in
@@ -117,19 +118,36 @@ class KappaReport:
         }
 
 
-# -- c1: real double integral ---------------------------------------------
+# -- c1: a 1-D integral in v over exact u-moments ---------------------------
 
 
 def c1_integrand(Q: Polynomial, P1: Polynomial, P1_other: Polynomial, R: float, theta1: float):
-    """e^{2Rv} L(P1) L(P1_other) on the square (u, v), bilinear in
-    (P1, P1_other), with L(P) = Q(v)P'(u) + th1 (Q'(v) + R Q(v)) P(u)."""
-    Qd, P1d, P1d_other = Q.derivative(), P1.derivative(), P1_other.derivative()
+    """e^{2Rv} times the u-integral of L(P1) L(P1_other), a function of v alone,
+    bilinear in (P1, P1_other), with L(P) = Q(v)P'(u) + th1 (Q'(v) + R Q(v)) P(u).
 
-    def integrand(u, v):
+    With q = Q(v) and qp = th1 (Q'(v) + R Q(v)) the product is
+    q^2 P1'P1o' + q qp (P1'P1o + P1 P1o') + qp^2 P1 P1o (P1o = P1_other), and
+    its u-part has degree at most deg P1 + deg P1_other.  A Gauss rule of
+    (deg P1 + deg P1_other) // 2 + 1 nodes integrates it exactly, so the three
+    u-moments U0, U1, U2 are computed once here and the quadrature ladder runs
+    over v alone: the integrand is e^{2Rv} (U0 q^2 + U1 q qp + U2 qp^2).
+    """
+    rule = quad.gauss_rule((P1.degree + P1_other.degree) // 2 + 1)
+    u = rule.nodes
+    a, ad = P1(u), P1.derivative()(u)
+    b, bd = P1_other(u), P1_other.derivative()(u)
+
+    def moment(f):
+        # the u-axis is summed away and kept as length 1, where v's nodes go
+        return np.sum(f * rule.weights, axis=-1, keepdims=True)
+
+    U0, U1, U2 = moment(ad * bd), moment(ad * b + a * bd), moment(a * b)
+    Qd = Q.derivative()
+
+    def integrand(v):
         q = Q(v)
         qp = theta1 * (Qd(v) + R * q)
-        left, right = q * P1d(u) + qp * P1(u), q * P1d_other(u) + qp * P1_other(u)
-        return np.exp(2.0 * R * v) * left * right
+        return np.exp(2.0 * R * v) * (U0 * (q * q) + U1 * (q * qp) + U2 * (qp * qp))
 
     return integrand
 
@@ -200,8 +218,9 @@ class Monomials:
     call on node values of shape (m,) puts the node axis last: (na, 1, m) for
     :meth:`rows`, (1, nb, m) for :meth:`columns`.  Passed to the c1, c12 and
     c2 kernels in place of a :class:`Polynomial` (they use only evaluation,
-    ``derivative`` and ``scale``), two families make the unchanged kernel
-    arithmetic broadcast to a whole (na, nb, m) block of the bilinear form.
+    ``degree``, ``derivative`` and ``scale``), two families make the unchanged
+    kernel arithmetic broadcast to a whole (na, nb, m) block of the bilinear
+    form.
     """
 
     def __init__(self, coeffs: np.ndarray, powers: np.ndarray):
@@ -217,6 +236,10 @@ class Monomials:
     def columns(cls, powers) -> "Monomials":
         p = np.asarray(powers).reshape(1, -1, 1)
         return cls(np.ones(p.shape), p)
+
+    @property
+    def degree(self) -> int:
+        return int(self.powers.max())
 
     def __call__(self, x):
         return self.coeffs * x**self.powers
@@ -314,7 +337,8 @@ def c2_integrand(Q: Polynomial, P2: Polynomial, P2_other: Polynomial, R: float, 
 def blocks(Q, left, right, R: float, theta1: float, theta2: float, tol: float, n_start: int, n_max: int):
     """The c1 - 1, c12 and c2 blocks of the bilinear form between two sides,
     each as ``(block, trace)``, integrated on the ladder ``n_start`` ..
-    ``n_max`` to ``tol`` and normalized.
+    ``n_max`` to ``tol`` and normalized: c1 in 1-D (v; its u-part is exact in
+    the kernel), c12 in 3-D and c2 in 4-D.
 
     A side is a ``(P1, P2)`` pair of :class:`Polynomial` objects or of
     :class:`Monomials` families (rows left, columns right); a ``None`` P2
@@ -327,7 +351,7 @@ def blocks(Q, left, right, R: float, theta1: float, theta2: float, tol: float, n
     def integral(integrand, d: int):
         return quad.integrate_converged(integrand, d, tol=tol, n_start=n_start, n_max=n_max)
 
-    K1, t1 = integral(c1_integrand(Q, P1, P1_other, R, theta1), 2)
+    K1, t1 = integral(c1_integrand(Q, P1, P1_other, R, theta1), 1)
     c1 = 0.5 * (K1 + np.transpose(K1)) / theta1
     if P2 is None or P2_other is None:
         return (c1, t1), (0.0, []), (0.0, [])

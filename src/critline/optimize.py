@@ -8,13 +8,17 @@ Cholesky factorization of M restricted to it (Conrey's quadratic-form
 optimization), and only the few outer parameters (R and Q's odd-basis
 coefficients) need derivative-free search.  M is assembled from the bilinear
 c1, c12 and c2 blocks of :func:`critline.moments.blocks`, one quadrature
-pass per block, with the monomial basis on both sides.
+pass per block (1-D in v for c1, whose u-integral is exact in its kernel;
+3-D for c12 and 4-D for c2), with the monomial basis on both sides.  What
+depends only on sizes (Q's odd basis, the constraint's null basis) is built
+once per size and shared by every outer step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -106,6 +110,16 @@ def build_gram(
     return GramSystem(M=M, d1=d1)
 
 
+@lru_cache(maxsize=16)
+def _null_basis(n: int, d1: int) -> np.ndarray:
+    """An orthonormal basis of null(e') for e = (1 x d1, 0 x (n - d1)), as
+    columns; read-only, since every Gram of this size shares it."""
+    e = np.concatenate([np.ones(d1), np.zeros(n - d1)])
+    basis = np.linalg.qr(e.reshape(-1, 1), mode="complete")[0][:, 1:]
+    basis.setflags(write=False)
+    return basis
+
+
 def solve_constrained(sys: GramSystem) -> tuple[np.ndarray, float]:
     """Minimize 1 + w'Mw on the constraint surface e'w = 1.
 
@@ -116,9 +130,8 @@ def solve_constrained(sys: GramSystem) -> tuple[np.ndarray, float]:
     it fails (quadrature or conditioning noise), raise :class:`OptimizeError`
     rather than return a stationary point that is not a minimum.
     """
-    e = sys.e
-    null_basis = np.linalg.qr(e.reshape(-1, 1), mode="complete")[0][:, 1:]
-    w0 = e / sys.d1
+    null_basis = _null_basis(len(sys.M), sys.d1)
+    w0 = sys.e / sys.d1
     try:
         chol = np.linalg.cholesky(null_basis.T @ sys.M @ null_basis)
     except np.linalg.LinAlgError as exc:

@@ -97,17 +97,28 @@ class ArithmeticTables:
 
     @staticmethod
     def _sieve_mu(N: int) -> np.ndarray:
+        """mu(n) for n <= N, sieving with the primes p <= D = isqrt(N) alone.
+
+        Each such p strikes its composite multiples, flips the sign of every
+        multiple and zeroes the multiples of p^2.  A number n <= N has at
+        most one prime factor p > D, and then n = k p with k <= N // (D + 1):
+        one step per k flips the signs of all those k p at once.  Integer
+        arithmetic, so the order of the flips does not change a bit.
+        """
+        D = math.isqrt(N)
         mu = np.ones(N + 1, dtype=np.int64)
         mu[0] = 0
         is_prime = np.ones(N + 1, dtype=bool)
         is_prime[:2] = False
-        for p in range(2, N + 1):
+        for p in range(2, D + 1):
             if not is_prime[p]:
                 continue
-            is_prime[2 * p :: p] = False
+            is_prime[p * p :: p] = False
             mu[p::p] *= -1
-            if p * p <= N:
-                mu[p * p :: p * p] = 0
+            mu[p * p :: p * p] = 0
+        large = np.flatnonzero(is_prime[D + 1 :]) + (D + 1)
+        for k in range(1, N // (D + 1) + 1):
+            mu[k * large[: np.searchsorted(large, N // k, side="right")]] *= -1
         return mu
 
     @staticmethod

@@ -12,12 +12,18 @@ The three families are:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 P1_VERBATIM_TOL = 1e-5
 Q_SYMMETRY_TOL = 1e-12
+# where q_symmetry_defect compares Q(x) + Q(1-x), x on 21 points of [0, 1]
+_SYMMETRY_GRID = np.linspace(0.0, 1.0, 21)
+_SYMMETRY_MIRROR = 1.0 - _SYMMETRY_GRID
+_SYMMETRY_GRID.setflags(write=False)
+_SYMMETRY_MIRROR.setflags(write=False)
 
 
 class PolynomialError(ValueError):
@@ -54,9 +60,14 @@ class Polynomial:
         for a Python number, a numpy scalar otherwise)."""
         *lower, lead = self.coeffs
         if np.ndim(x):
+            # one accumulator, updated in place: the same operations in the
+            # same order as acc * x + c, without two temporaries per step
             acc = np.full(np.shape(x), lead, dtype=np.result_type(x, float))
-        else:
-            acc = 0.0 * x + lead
+            for c in reversed(lower):
+                np.multiply(acc, x, out=acc)
+                np.add(acc, c, out=acc)
+            return acc
+        acc = 0.0 * x + lead
         for c in reversed(lower):
             acc = acc * x + c
         return acc
@@ -84,20 +95,32 @@ class QSpec:
         return tuple(range(1, 2 * len(self.odd_coeffs) + 1, 2))
 
 
+@lru_cache(maxsize=32)
+def _q_basis(powers: tuple[int, ...]) -> np.ndarray:
+    """Monomial coefficients of 1 and of (1 - 2x)^k for k in ``powers``, one
+    row each; read-only, since every caller with these powers shares it."""
+    basis = np.zeros((len(powers) + 1, max(powers, default=0) + 1))
+    basis[0, 0] = 1.0
+    for row, k in enumerate(powers, start=1):
+        term = np.polynomial.polynomial.polypow(np.array([1.0, -2.0]), k)
+        basis[row, : len(term)] = term
+    basis.setflags(write=False)
+    return basis
+
+
 def make_q(spec: QSpec) -> Polynomial:
     """Expand a QSpec into monomial coefficients.
 
-    The result automatically satisfies the symmetry constraint; the defect is
-    re-checked to guard against future basis changes.  Expanding and
-    evaluating round in proportion to the monomial coefficients, so the
-    tolerance is ``Q_SYMMETRY_TOL`` times ``max(1, sum |q_k|)``.
+    The expansion weights the rows of the cached ``(1 - 2x)^k`` basis and sums
+    them in row order: the constant first, then the powers in turn, so every
+    coefficient rounds as in a term-by-term expansion.  The result
+    automatically satisfies the symmetry constraint; the defect is re-checked
+    to guard against future basis changes.  Expanding and evaluating round in
+    proportion to the monomial coefficients, so the tolerance is
+    ``Q_SYMMETRY_TOL`` times ``max(1, sum |q_k|)``.
     """
-    out = np.zeros(max(spec.powers(), default=0) + 1)
-    out[0] = spec.const
-    base = np.array([1.0, -2.0])  # 1 - 2x
-    for c, k in zip(spec.odd_coeffs, spec.powers()):
-        term = np.polynomial.polynomial.polypow(base, k)
-        out[: len(term)] += c * term
+    weights = np.array((spec.const, *spec.odd_coeffs), dtype=float)
+    out = np.sum(weights[:, None] * _q_basis(spec.powers()), axis=0)
     if not np.all(np.isfinite(out)):
         raise PolynomialError("Q has a non-finite coefficient")
     q = Polynomial(tuple(out))
@@ -109,8 +132,7 @@ def make_q(spec: QSpec) -> Polynomial:
 
 def q_symmetry_defect(q: Polynomial) -> float:
     """Max deviation of Q(x) + Q(1-x) from Q(0) + Q(1) on a grid in [0, 1]."""
-    xs = np.linspace(0.0, 1.0, 21)
-    vals = q(xs) + q(1.0 - xs)
+    vals = q(_SYMMETRY_GRID) + q(_SYMMETRY_MIRROR)
     return float(np.max(np.abs(vals - (q(0.0) + q(1.0)))))
 
 

@@ -67,10 +67,15 @@ def gauss_rule(n: int) -> QuadratureRule:
 
 def _accumulate(parts: list[np.ndarray]):
     """Sum the per-chunk partials entry by entry with ``fsum``; a float for a
-    scalar integrand, an array of the leading shape otherwise."""
-    stacked = np.stack(parts)
-    columns = stacked.reshape(len(parts), -1).T
-    total = np.array([fsum(col) for col in columns]).reshape(stacked.shape[1:])
+    scalar integrand, an array of the leading shape otherwise.  One chunk's
+    partial skips ``fsum``: the ``fsum`` of one term is that term plus 0.0,
+    which changes only a -0.0 (to 0.0)."""
+    if len(parts) == 1:
+        total = parts[0] + 0.0
+    else:
+        stacked = np.stack(parts)
+        columns = stacked.reshape(len(parts), -1).T
+        total = np.array([fsum(col) for col in columns]).reshape(stacked.shape[1:])
     return float(total) if total.ndim == 0 else total
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +12,7 @@ from critline.moments import (
     SIMPLE_ZEROS,
     ConfigError,
     MollifierConfig,
+    Monomials,
     blocks,
     compute_kappa,
     evaluate,
@@ -109,6 +111,7 @@ class Counted:
 
     def __init__(self, p, calls, name):
         self.p, self.calls, self.name = p, calls, name
+        self.degree = p.degree
 
     def __call__(self, x):
         self.calls[self.name] += 1
@@ -118,25 +121,75 @@ class Counted:
         return Counted(self.p.derivative(), self.calls, self.name + "'")
 
 
+def tensor_c1(Q, P1, P1_other, R, theta1):
+    """c1 - 1 between P1 and P1_other as the 24 x 24 tensor rule's sum of
+    e^{2Rv} L(P1) L(P1_other) over (u, v), symmetrized and normalized.
+
+    The rule's nodes and weights are mpmath's, rounded from 100 bits:
+    numpy's ``leggauss`` weights are off by up to 1.2e-13 relative at n = 24,
+    which would swamp a 1e-14 comparison.  24 nodes are exact in u for
+    degrees up to 47 and converged in v."""
+    rule = mpmath.calculus.quadrature.GaussLegendre(mpmath.mp).calc_nodes(4, 100)
+    nodes = np.array([float((x + 1) / 2) for x, _ in rule])
+    weights_1d = np.array([float(w / 2) for _, w in rule])
+    u, v = (g.ravel() for g in np.meshgrid(nodes, nodes, indexing="ij"))
+    weights = np.outer(weights_1d, weights_1d).ravel()
+    Qv, Qdv = Q(v), Q.derivative()(v)
+
+    def L(P):
+        return Qv * P.derivative()(u) + theta1 * Qdv * P(u) + theta1 * R * Qv * P(u)
+
+    K = np.sum(np.exp(2.0 * R * v) * L(P1) * L(P1_other) * weights, axis=-1)
+    return 0.5 * (K + np.transpose(K)) / theta1
+
+
 def test_c1_kernel_evaluates_each_factor_once():
-    # L(P) = Q(v)P'(u) + th1 (Q'(v) + R Q(v)) P(u) on both sides takes one
-    # Q(v) and one Q'(v), and each side's P(u) and P'(u) once
+    # building the kernel evaluates each side's P(u) and P'(u) once, for the
+    # exact u-moments; each call evaluates one Q(v) and one Q'(v), and no P
     cfg, other = small_config(), make_p1((0.3, 0.7))
     calls = {name: 0 for name in ("Q", "Q'", "P", "P'", "O", "O'")}
     integrand = moments.c1_integrand(
         Counted(cfg.Q, calls, "Q"), Counted(cfg.P1, calls, "P"), Counted(other, calls, "O"),
         cfg.R, cfg.theta1,
     )
-    u, v = np.linspace(0.0, 1.0, 7), np.linspace(1.0, 0.0, 7)
-    value = integrand(u, v)
-    assert set(calls.values()) == {1}
+    assert calls == {"Q": 0, "Q'": 0, "P": 1, "P'": 1, "O": 1, "O'": 1}
+    v = np.linspace(1.0, 0.0, 7)
+    value = integrand(v)
+    assert calls == {"Q": 1, "Q'": 1, "P": 1, "P'": 1, "O": 1, "O'": 1}
+    integrand(v)
+    assert calls == {"Q": 2, "Q'": 2, "P": 1, "P'": 1, "O": 1, "O'": 1}
+
+    # the u-integral of e^{2Rv} L(P1) L(other) on a 12-node rule, exact
+    # for its degree-4 u-part, at each v
+    rule = quad.gauss_rule(12)
+    u, w = rule.nodes[:, None], rule.weights[:, None]
 
     def L(P):
         Q, Qd, Pd = cfg.Q, cfg.Q.derivative(), P.derivative()
         return Q(v) * Pd(u) + cfg.theta1 * Qd(v) * P(u) + cfg.theta1 * cfg.R * Q(v) * P(u)
 
-    expected = np.exp(2.0 * cfg.R * v) * L(cfg.P1) * L(other)
+    expected = np.exp(2.0 * cfg.R * v) * np.sum(L(cfg.P1) * L(other) * w, axis=0)
     assert np.allclose(value, expected, rtol=1e-14, atol=0.0)
+
+
+C1_FAMILIES = {
+    "preset P1": lambda cfg: (cfg.P1, cfg.P1),
+    "monomials d1=5": lambda cfg: (Monomials.rows(range(1, 6)), Monomials.columns(range(1, 6))),
+    "monomials d1=9": lambda cfg: (Monomials.rows(range(1, 10)), Monomials.columns(range(1, 10))),
+}
+
+
+@pytest.mark.parametrize("family", C1_FAMILIES)
+@pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])
+def test_c1_block_matches_the_tensor_rule(preset, family):
+    # the 1-D kernel over exact u-moments against the 24 x 24 tensor rule of
+    # the 2-D integrand, entry by entry
+    cfg = renormalized_q(preset())
+    left, right = C1_FAMILIES[family](cfg)
+    got = form(cfg, (left, None), (right, None), tol=1e-12)[0]
+    want = tensor_c1(cfg.Q, left, right, cfg.R, cfg.theta1)
+    assert np.shape(got) == np.shape(want)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), np.max(np.abs(got / want - 1.0))
 
 
 def test_c1_at_least_one():
@@ -344,7 +397,7 @@ def assert_certificate_honest(cfg):
     the converged integral against the n = 48 rule, up to a 1e-13 floor: c1's
     integral scatters by about 4e-14 between orders once converged."""
     kernels = (
-        ("c1", moments.c1_integrand(cfg.Q, cfg.P1, cfg.P1, cfg.R, cfg.theta1), 2),
+        ("c1", moments.c1_integrand(cfg.Q, cfg.P1, cfg.P1, cfg.R, cfg.theta1), 1),
         ("c12", moments.c12_integrand(cfg.Q, cfg.P1, cfg.P2, cfg.R, cfg.theta1, cfg.theta2), 3),
         ("c2", moments.c2_integrand(cfg.Q, cfg.P2, cfg.P2, cfg.R, cfg.theta2), 4),
     )

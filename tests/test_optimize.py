@@ -310,6 +310,28 @@ def test_unknown_mode_is_rejected_before_any_gram_build(monkeypatch):
     assert builds == []
 
 
+def test_every_outer_point_builds_its_own_gram(monkeypatch):
+    # the --no-psi2 search at CLI defaults: nothing cached across outer
+    # points may stand in for a Gram build, and the search still lands on
+    # the same ablation optimum
+    builds = []
+    real_build = optimize.build_gram
+
+    def counted_build(Q, R, *args, **kwargs):
+        builds.append((R, Q.coeffs, kwargs.get("tol")))
+        return real_build(Q, R, *args, **kwargs)
+
+    monkeypatch.setattr(optimize, "build_gram", counted_build)
+    report = optimize.optimize_full(
+        THETA1, THETA2, d1=5, d2=0, q_degree=7, max_iterations=200, extra_seeds=3,
+    )
+    diag = report.diagnostics
+    assert sum(diag["rejected_evaluations"].values()) == 0
+    assert len(builds) == diag["outer_evaluations"] + 1
+    assert [tol for *_, tol in builds] == [optimize.SEARCH_GRAM_TOL] * (len(builds) - 1) + [optimize.GRAM_TOL]
+    assert abs(report.kappa - 0.408959216383342) <= 1e-10
+
+
 def test_rejected_outer_points_are_counted_by_reason(monkeypatch):
     search_tol = optimize.SEARCH_GRAM_TOL
     failures = [quad.QuadratureError("injected"), OptimizeError("injected"), ValueError("injected")]

@@ -127,6 +127,32 @@ def test_tables_match_direct_counting():
             assert t.dk(k)[n] == math.prod(math.comb(a + k - 1, k - 1) for a in exponents), (n, k)
 
 
+def _sieve_mu_every_p(N):
+    """The Mobius sieve ``ArithmeticTables`` ran before it sieved with the
+    primes up to isqrt(N) alone: every p in 2..N, composites skipped."""
+    mu = np.ones(N + 1, dtype=np.int64)
+    mu[0] = 0
+    is_prime = np.ones(N + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, N + 1):
+        if not is_prime[p]:
+            continue
+        is_prime[2 * p :: p] = False
+        mu[p::p] *= -1
+        if p * p <= N:
+            mu[p * p :: p * p] = 0
+    return mu
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 8, 9, 10, 24, 25, 26, 10**4, 10**5])
+def test_sieve_mu_matches_the_every_p_loop(N):
+    # squares and their neighbours, where isqrt(N) moves, and the sizes the
+    # mobius suite uses
+    got = ArithmeticTables._sieve_mu(N)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _sieve_mu_every_p(N))
+
+
 def test_tables_bounds():
     with pytest.raises(OracleError):
         ArithmeticTables(0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from critline import poly
 from critline.poly import (
     Polynomial,
     PolynomialError,
@@ -88,6 +89,59 @@ def test_horner_from_the_leading_coefficient_changes_nothing(degree):
             assert np.shape(got) == np.shape(want), name
             assert np.array_equal(got, want), name
             assert np.array_equal(np.signbit(got), np.signbit(want)), name
+
+
+def horner_out_of_place(p, x):
+    """The Horner loop ``Polynomial.__call__`` ran on arrays before it updated
+    one accumulator in place: a fresh ``acc * x + c`` at every step."""
+    *lower, lead = p.coeffs
+    acc = np.full(np.shape(x), lead, dtype=np.result_type(x, float))
+    for c in reversed(lower):
+        acc = acc * x + c
+    return acc
+
+
+def test_in_place_horner_matches_the_out_of_place_loop():
+    # degree 7 on 24^3 grids, as the finite-difference oracle evaluates Q;
+    # bit for bit, in the input's float type, and the input left as it was
+    rng = np.random.default_rng(7)
+    p = Polynomial(tuple(rng.uniform(-2.0, 2.0, size=8)))
+    grid = rng.uniform(-1.5, 1.5, size=(24, 24, 24))
+    for x in (grid, grid.astype(np.longdouble) / np.longdouble(3)):
+        before = x.copy()
+        got, want = p(x), horner_out_of_place(p, x)
+        assert got.dtype == want.dtype == x.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(x, before)
+    # the docstring's dtype rules: an array evaluates in result_type(x, float)
+    assert p(np.arange(3)).dtype == np.float64
+    assert p(np.ones(3, dtype=np.float32)).dtype == np.float64
+    assert type(p(0.5)) is float
+    assert type(p(np.float32(0.5))) is np.float32
+    assert type(p(np.array(0.5, dtype=np.longdouble))) is np.longdouble
+
+
+def term_by_term_q(spec):
+    """Q's monomial coefficients as ``make_q`` expanded them before its basis
+    was cached: the constant, then c * (1 - 2x)^k added power by power."""
+    out = np.zeros(max(spec.powers(), default=0) + 1)
+    out[0] = spec.const
+    for c, k in zip(spec.odd_coeffs, spec.powers()):
+        term = np.polynomial.polynomial.polypow(np.array([1.0, -2.0]), k)
+        out[: len(term)] += c * term
+    return Polynomial(tuple(out))
+
+
+def test_make_q_matches_the_term_by_term_expansion():
+    # the cached basis changes no bit of Q, and callers cannot write to it
+    rng = np.random.default_rng(11)
+    for n_odd in range(7):
+        for scale in (1e-3, 1.0, 10.0):
+            odd = tuple(scale * rng.standard_normal(n_odd))
+            spec = QSpec(odd_coeffs=odd, const=1.0 - sum(odd))
+            assert make_q(spec).coeffs == term_by_term_q(spec).coeffs, (n_odd, scale)
+    with pytest.raises(ValueError):
+        poly._q_basis((1, 3))[1, 0] = 0.0
 
 
 def test_derivative_and_antiderivative():

@@ -204,6 +204,24 @@ def test_array_integrand_chunking_is_exact():
     np.testing.assert_allclose(chunked, whole, rtol=1e-14, atol=0.0)
 
 
+def test_one_chunk_sums_as_fsum_does():
+    # a one-chunk integral skips fsum and must still equal it bit for bit,
+    # the sign of a zero included (fsum turns a lone -0.0 into 0.0)
+    for n in (1, 12):
+        rule = gauss_rule(n)
+
+        def f(x):
+            return np.stack([np.exp(x) / 3.0, -0.0 * x, np.sin(7.0 * x)])
+
+        partials = np.sum(f(rule.nodes) * rule.weights, axis=-1)
+        whole = integrate_cube(f, 1, rule)
+        assert isinstance(whole, np.ndarray) and whole.shape == (3,)
+        assert np.array_equal(whole, [math.fsum([p]) for p in partials])
+        assert not np.signbit(whole[1])
+        scalar = integrate_cube(lambda x: -0.0 * x, 1, rule)
+        assert type(scalar) is float and scalar == 0.0 and not np.signbit(scalar)
+
+
 def test_nan_in_one_entry_raises_at_the_first_order():
     def f(x):
         out = np.stack([x, x * x, np.exp(x)])
