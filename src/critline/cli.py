@@ -17,7 +17,7 @@ import sys
 from . import moments, oracle, optimize, quad
 from .moments import ConfigError, KappaReport, MollifierConfig
 from .poly import PolynomialError, QSpec, make_p1, make_p2, make_q
-from .presets import PRESETS
+from .presets import PRESETS, THETA1, THETA2
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -111,8 +111,8 @@ def parse_config(path: str) -> tuple[MollifierConfig, float, int]:
         except ValueError as exc:
             raise ConfigError(f"line {line_no}: invalid number for {key}: {value!r}") from exc
 
-    theta1 = scalar("theta1", 4.0 / 7.0)
-    theta2 = scalar("theta2", 0.5)
+    theta1 = scalar("theta1", THETA1)
+    theta2 = scalar("theta2", THETA2)
     R = scalar("R")
     q_const = scalar("q_const", 1.0)
 
@@ -234,11 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-degree", type=int, default=None,
                    help="highest odd power in Q (default 7; simple mode takes only 1)")
     p.add_argument("--no-psi2", action="store_true", help="disable the second mollifier piece")
-    p.add_argument("--theta1", type=float, default=4.0 / 7.0)
-    p.add_argument("--theta2", type=float, default=0.5)
-    p.add_argument("--max-iterations", type=int, default=200,
+    p.add_argument("--theta1", type=float, default=THETA1)
+    p.add_argument("--theta2", type=float, default=THETA2)
+    p.add_argument("--max-iterations", type=int, default=optimize.MAX_ITERATIONS,
                    help="outer simplex iteration cap per seed")
-    p.add_argument("--seeds", type=int, default=3, help="number of extra perturbed seeds, 0 to 3")
+    p.add_argument("--seeds", type=int, default=optimize.EXTRA_SEEDS,
+                   help=f"number of extra perturbed seeds, 0 to {optimize.EXTRA_SEEDS}")
     p.add_argument("--json", help="write the JSON report to this path")
     p.set_defaults(func=run_optimize)
 

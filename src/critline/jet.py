@@ -2,10 +2,12 @@
 
 A jet with caps (mx, my) stores the Taylor coefficients of x**i * y**j for
 i <= mx, j <= my on a dense grid; everything beyond the caps is truncated
-exactly.  Mixed partial derivatives at x = y = 0 are read off the grid.  The
-verification oracles use this ring for exact derivatives of their kernels; the
-moment constants use closed-form Taylor coefficients instead, and the tests
-rebuild the jet form of those kernels as a reference.
+exactly.  Mixed partial derivatives at x = y = 0 are read off the grid.  No
+package code computes with this ring: the moment constants use closed-form
+Taylor coefficients, and the oracles use closed forms and Cauchy integrals.
+It is the tests' independent reference ring, which rebuilds the jet form of
+the c12 and c2 kernels and of the oracles' K1 and L1 sides, and it stays in
+the package because the benchmark's tracing (perfbench/tracing.py) imports it.
 
 Coefficients may themselves be numpy arrays (a shared "batch" of quadrature
 nodes), so a single jet expression evaluates the integrand at every node at

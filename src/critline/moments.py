@@ -357,7 +357,8 @@ def blocks(Q, left, right, R: float, theta1: float, theta2: float, tol: float, n
         return (c1, t1), (0.0, []), (0.0, [])
     K12, t12 = integral(c12_integrand(Q, P1, P2_other, R, theta1, theta2), 3)
     # d^2/dxdy = 1! 1! [xy]
-    c12 = 4.0 * (theta2**2 / theta1**2) * math.exp(R) * K12
+    # the ratio, not the squares: theta1**2 underflows for a tiny theta1
+    c12 = 4.0 * (theta2 / theta1) ** 2 * math.exp(R) * K12
     K2, t2 = integral(c2_integrand(Q, P2, P2_other, R, theta2), 4)
     # d^4/dx^2dy^2 = 2! 2! [x^2 y^2]
     c2 = (2.0 / 3.0) * (4.0 * (0.5 * (K2 + np.transpose(K2))))
@@ -372,7 +373,10 @@ def compute_kappa(c: float, R: float) -> float:
         raise ValueError(f"total constant must be positive, got {c}")
     if R <= 0:
         raise ValueError("R must be positive")
-    return 1.0 - math.log(c) / R
+    kappa = 1.0 - math.log(c) / R
+    if not math.isfinite(kappa):
+        raise ValueError(f"kappa = 1 - log({c!r})/{R!r} is not finite")
+    return kappa
 
 
 def evaluate(cfg: MollifierConfig, tol=quad.DEFAULT_TOL, n_max=quad.N_MAX) -> KappaReport:

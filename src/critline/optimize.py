@@ -34,7 +34,7 @@ GRAM_N_START = 8
 GRAM_N_MAX = 64
 INITIAL_STEP = 0.05
 DIAMETER_TOL = 1e-6
-MAX_ITERATIONS = 2000
+MAX_ITERATIONS = 200
 # why optimize_full scored an outer point 1e6; counted in its diagnostics
 REJECTION_REASONS = (
     "R_out_of_range", "c_min_nonpositive", "optimize_error", "quadrature_error", "value_error",
@@ -203,6 +203,7 @@ def nelder_mead(
 # -- full optimization ------------------------------------------------------
 
 _SEED_SCALES = (0.02, 0.05, 0.1)
+EXTRA_SEEDS = len(_SEED_SCALES)
 
 
 def _published_seed(mode: str, q_degree: int) -> np.ndarray:
@@ -223,7 +224,7 @@ def optimize_full(
     q_degree: int,
     mode: str = ALL_ZEROS,
     max_iterations: int = MAX_ITERATIONS,
-    extra_seeds: int = 3,
+    extra_seeds: int = EXTRA_SEEDS,
 ) -> KappaReport:
     """Outer Nelder-Mead over (R, Q odd-basis coefficients) with an exact
     constrained quadratic solve for (P1, P2) at every outer point.

@@ -1,20 +1,23 @@
 """Independent numerical verification of the exactly-checkable identities.
 
 Everything here deliberately avoids the moment evaluation paths it is
-checking, the quadrature included: contour integrals use the trapezoid rule
-on circles in 40-digit mpmath arithmetic, climbing n = 64, 128, 256, 512
-points until the difference from the n/2-point sum (its every other node)
-is at most 1e-14, relative to the largest point value where that is below 1,
-which certifies the value far inside every check's threshold; sums use
-sieved arithmetic tables, real integrals use this module's own
-Gauss-Legendre rule, and derivative operators get 4th-order
-finite differences of long-double tensor-product Gauss integrals.  Work that
-does not change between evaluations is done once: the circles share their
-roots of unity, each circle converts its float parameters to mpmath numbers
-once, each finite-difference integrand is evaluated factor by factor on the
-axes it depends on, the c2 integrand's exponential is split into factors on
-fewer axes so its innermost loop runs no exp, the c2 stencil evaluates each
-of its symmetric offset pairs once, and every divisor sum is one Dirichlet
+checking, the quadrature and the jet ring included: contour integrals use
+the trapezoid rule on circles in 40-digit mpmath arithmetic, climbing n = 64,
+128, 256, 512 points until the difference from the n/2-point sum (its every
+other node) is at most 1e-14, relative to the largest point value where that
+is below 1, which certifies the value far inside every check's threshold.
+Their closed forms are product-rule Taylor coefficients (K1, L1), a triangle
+integral (K2) and finite sums (the F residues); the Q operator's derivatives
+are Cauchy integrals on one more such circle.  Sums use sieved arithmetic
+tables, real integrals use this module's own Gauss-Legendre rule, and
+derivative operators of the moment kernels get 4th-order finite differences
+of long-double tensor-product Gauss integrals.  Work that does not change
+between evaluations is done once: the circles share their roots of unity,
+each circle converts its float parameters to mpmath numbers once, each
+finite-difference integrand is evaluated factor by factor on the axes it
+depends on, the c2 integrand's exponential is split into factors on fewer
+axes so its innermost loop runs no exp, the c2 stencil evaluates each of its
+symmetric offset pairs once, and every divisor sum is one Dirichlet
 convolution split at isqrt(N), about 2 isqrt(N) strided slices instead of N.
 All are the same rules as the plain per-point forms, only with loop-invariant
 work hoisted.
@@ -34,7 +37,6 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from . import moments
-from .jet import Jet
 from .poly import Polynomial
 
 EXACT_TOL = 1e-10
@@ -380,12 +382,9 @@ def _k1_pair(i: int, alpha: float, beta: float, logq: float):
         lambda s: mpmath.exp(lq * s) * (a + s) * (-b + s) / s ** (i + 1),
         ContourSpec(center=0.0, radius=0.3),
     )
-    expo = Jet.linear(0.0, alpha, -beta, 1, 1).exp()
-    base = Jet.linear(logq, 1.0, 1.0, 1, 1)
-    power = Jet.constant(1.0, 1, 1)
-    for _ in range(i):
-        power = power * base
-    rhs = (expo * power).mixed_partial(1, 1) / factorial(i)
+    # [xy] of e^{alpha x - beta y} (logq + x + y)^i by the product rule
+    last = i * (i - 1) * logq ** (i - 2) if i >= 2 else 0.0
+    rhs = (-alpha * beta * logq**i + i * (alpha - beta) * logq ** (i - 1) + last) / factorial(i)
     return circle.value, rhs, circle
 
 
@@ -418,18 +417,13 @@ def _l1_pair(i: int, alpha: float, beta: float, logq: float):
         lambda s: mpmath.exp(lq * s) * (b + s) ** 2 / ((a + s) * s ** (i - 1)),
         ContourSpec(center=0.0, radius=0.25),
     )
-
-    def integrand(u):
-        expo = Jet.linear(-logq * alpha * u, beta - alpha * u, 0.0, 2, 0).exp()
-        return expo * ((1.0 - u) ** (i - 2))
-
-    nodes, weights = _gauss_rule(96)
-    inner = Jet(2, 0, np.sum(integrand(nodes).coeffs * weights, axis=-1))
-    base = Jet.linear(logq, 1.0, 0.0, 2, 0)
-    power = Jet.constant(1.0, 2, 0)
-    for _ in range(i - 1):
-        power = power * base
-    rhs = (power * inner).mixed_partial(2, 0) / factorial(i - 2)
+    # 2! [x^2] of (logq + x)^{i-1} (its [x^k] is g[k]) times the integral over
+    # u of e^{-logq alpha u + (beta - alpha u) x} (1 - u)^{i-2} (h[k])
+    u, w = _gauss_rule(96)
+    weighted = np.exp(-logq * alpha * u) * (1.0 - u) ** (i - 2) * w
+    h = [float(np.sum(weighted * (beta - alpha * u) ** k)) / factorial(k) for k in range(3)]
+    g = (logq ** (i - 1), (i - 1) * logq ** (i - 2), (i - 1) * (i - 2) * logq ** (i - 3) / 2)
+    rhs = 2.0 * (g[0] * h[2] + g[1] * h[1] + g[2] * h[0]) / factorial(i - 2)
     return circle.value, rhs, circle
 
 
@@ -459,6 +453,10 @@ def _f_residue_pair(j: int, k: int, s: float, logx: float):
     return (circle0.value, rhs0, circle0), (circle1.value, rhs1, circle1)
 
 
+# kind -> (pair, name of its index, least index)
+_INDEXED_PAIRS = {"K1": (_k1_pair, "i", 1), "K2": (_k2_pair, "j", 3), "L1": (_l1_pair, "i", 3)}
+
+
 def check_contour_identity(kind: str, **params) -> CheckResult:
     """Contour integral vs closed form for the K1/K2/L1/F-residue identities.
 
@@ -470,28 +468,15 @@ def check_contour_identity(kind: str, **params) -> CheckResult:
     beta = float(params.get("beta", 0.0))
     if max(abs(alpha), abs(beta)) > 0.1:
         raise OracleError("need |alpha|, |beta| <= 0.1")
-    if kind == "K1":
-        i = int(params["i"])
-        if i < 1:
-            raise OracleError("K1 needs i >= 1")
-        lhs, rhs, circle = _k1_pair(i, alpha, beta, float(params["logq"]))
+    if kind in _INDEXED_PAIRS:
+        pair, index, least = _INDEXED_PAIRS[kind]
+        n = int(params[index])
+        if n < least:
+            raise OracleError(f"{kind} needs {index} >= {least}")
+        lhs, rhs, circle = pair(n, alpha, beta, float(params["logq"]))
         circles = (circle,)
-        error = abs(lhs - rhs)
-    elif kind == "K2":
-        j = int(params["j"])
-        if j < 3:
-            raise OracleError("K2 needs j >= 3")
-        lhs, rhs, circle = _k2_pair(j, alpha, beta, float(params["logq"]))
-        circles = (circle,)
-        # values scale like logq^j, so normalize by the magnitude
-        error = abs(lhs - rhs) / max(1.0, abs(rhs))
-    elif kind == "L1":
-        i = int(params["i"])
-        if i < 3:
-            raise OracleError("L1 needs i >= 3")
-        lhs, rhs, circle = _l1_pair(i, alpha, beta, float(params["logq"]))
-        circles = (circle,)
-        error = abs(lhs - rhs)
+        # K2's values scale like logq^j, so it is normalized by the magnitude
+        error = abs(lhs - rhs) / (max(1.0, abs(rhs)) if kind == "K2" else 1.0)
     elif kind == "F_residues":
         pair0, pair1 = _f_residue_pair(
             int(params["j"]), int(params["k"]), float(params["s"]), float(params["logx"])
@@ -583,24 +568,33 @@ def check_mellin_pair(P1: Polynomial, y1: float, n: float) -> CheckResult:
 
 def check_q_operator(Q: Polynomial, X: float, T: float, alpha: float = 0.0):
     """Q(-(1/log T) d/d alpha) applied to X^{-alpha} equals Q(log X/log T)
-    times X^{-alpha}; the derivatives are taken with a univariate jet rather
-    than the power rule."""
+    times X^{-alpha}.  Each derivative is a Cauchy integral: the left side is
+    one circle of radius 1/4 about 0 over X^{-(alpha + z)} times
+    sum_k q_k k! (-1/log T)^k z^{-k-1}, sharing no formula with the right.
+    An uncertified circle fails the check with an infinite error."""
     if X <= 1 or T <= 1:
         raise OracleError("need X, T > 1")
+    import mpmath
+
     logX, logT = math.log(X), math.log(T)
-    deg = max(Q.degree, 1)
-    expo = Jet.linear(-alpha * logX, -logX, 0.0, deg, 0).exp()
-    lhs = 0.0
-    for k_idx, q_k in enumerate(Q.coeffs):
-        if q_k == 0.0:
-            continue
-        deriv_k = expo.mixed_partial(k_idx, 0)  # d^k/d alpha^k of X^{-alpha}
-        lhs += q_k * (-1.0 / logT) ** k_idx * deriv_k
-    rhs = Q(logX / logT) * math.exp(-alpha * logX)
-    scale = max(abs(rhs), 1.0)
+    with mpmath.workdps(CONTOUR_DPS):
+        a, lx, step = mpmath.mpf(alpha), mpmath.mpf(logX), -1 / mpmath.mpf(logT)
+        weights = [q_k * factorial(k) * step**k for k, q_k in enumerate(Q.coeffs)]
+
+    def f(z):
+        series = 0  # Horner in 1/z
+        for weight in reversed(weights):
+            series = (series + weight) / z
+        return mpmath.exp(-lx * (a + z)) * series
+
+    circle = contour_circle(f, ContourSpec(center=0.0, radius=0.25))
+    lhs, rhs = circle.value.real, Q(logX / logT) * math.exp(-alpha * logX)
+    error = math.inf if circle.certificate == math.inf else abs(lhs - rhs) / max(abs(rhs), 1.0)
     return CheckResult.from_error(
-        "q_operator", {"X": X, "T": T, "alpha": alpha, "lhs": lhs, "rhs": rhs},
-        abs(lhs - rhs) / scale, QOP_TOL,
+        "q_operator", {"X": X, "T": T, "alpha": alpha, "lhs": lhs, "rhs": rhs,
+                       "trapezoid_points": circle.points,
+                       "trapezoid_certificate": circle.certificate},
+        error, QOP_TOL,
     )
 
 

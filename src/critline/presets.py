@@ -25,28 +25,19 @@ KAPPA_STAR_P2 = (0.0323061, -0.00553783, 0.00769594)
 KAPPA_STAR_R = 1.12
 
 
-def kappa_preset() -> MollifierConfig:
+def _preset(R: float, qspec: QSpec, p1, p2, mode: str) -> MollifierConfig:
     return MollifierConfig(
-        theta1=THETA1,
-        theta2=THETA2,
-        R=KAPPA_R,
-        Q=make_q(KAPPA_QSPEC),
-        P1=make_p1(KAPPA_P1),
-        P2=make_p2(KAPPA_P2),
-        mode=ALL_ZEROS,
+        theta1=THETA1, theta2=THETA2, R=R,
+        Q=make_q(qspec), P1=make_p1(p1), P2=make_p2(p2), mode=mode,
     )
+
+
+def kappa_preset() -> MollifierConfig:
+    return _preset(KAPPA_R, KAPPA_QSPEC, KAPPA_P1, KAPPA_P2, ALL_ZEROS)
 
 
 def kappa_star_preset() -> MollifierConfig:
-    return MollifierConfig(
-        theta1=THETA1,
-        theta2=THETA2,
-        R=KAPPA_STAR_R,
-        Q=make_q(KAPPA_STAR_QSPEC),
-        P1=make_p1(KAPPA_STAR_P1),
-        P2=make_p2(KAPPA_STAR_P2),
-        mode=SIMPLE_ZEROS,
-    )
+    return _preset(KAPPA_STAR_R, KAPPA_STAR_QSPEC, KAPPA_STAR_P1, KAPPA_STAR_P2, SIMPLE_ZEROS)
 
 
 PRESETS = {

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from critline import cli, moments, optimize, oracle, quad
+from critline import cli, moments, optimize, oracle, presets, quad
 from critline.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFY, main, parse_config
 from critline.moments import ConfigError
 from critline.presets import PRESETS
@@ -23,6 +23,15 @@ p1_coeffs = 0.6, 0.4
 p2_coeffs = 0.05
 quad_tol = 1e-7
 """
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def load_report(raw):
+    """A report as JSON proper: NaN and Infinity fail to load."""
+    return json.loads(raw, parse_constant=_reject_constant)
 
 
 @pytest.fixture()
@@ -64,6 +73,18 @@ def test_parse_config_error_messages_name_lines(tmp_path):
         parse_config(str(path))
 
 
+def test_parser_defaults_are_the_library_constants(tmp_path):
+    args = cli.build_parser().parse_args(["optimize"])
+    assert args.max_iterations == optimize.MAX_ITERATIONS
+    assert args.seeds == optimize.EXTRA_SEEDS
+    assert (args.theta1, args.theta2) == (presets.THETA1, presets.THETA2)
+    path = tmp_path / "defaults.cfg"
+    path.write_text("R = 1.1\np1_coeffs = 0.6, 0.4\n")
+    cfg, quad_tol, n_max = parse_config(str(path))
+    assert (cfg.theta1, cfg.theta2) == (presets.THETA1, presets.THETA2)
+    assert (quad_tol, n_max) == (quad.DEFAULT_TOL, quad.N_MAX)
+
+
 def test_parse_config_requires_p1(tmp_path):
     path = tmp_path / "nop1.cfg"
     path.write_text("R = 1.0\n")
@@ -84,7 +105,7 @@ def test_parse_config_rejects_invalid_polynomials(tmp_path):
 def test_eval_writes_schema_1_report(cheap_config, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["eval", cheap_config, "--json", str(out)]) == EXIT_OK
-    payload = json.loads(out.read_text())
+    payload = load_report(out.read_text())
     assert payload["schema"] == 1
     assert payload["kappa"] == pytest.approx(1.0 - math.log(payload["c"]) / 1.1)
     text = capsys.readouterr().out
@@ -103,7 +124,7 @@ def test_empty_p2_zeroes_cross_terms(tmp_path):
     path.write_text("R = 1.1\np1_coeffs = 0.6, 0.4\nquad_tol = 1e-7\n")
     out = tmp_path / "r.json"
     assert main(["eval", str(path), "--json", str(out)]) == EXIT_OK
-    payload = json.loads(out.read_text())
+    payload = load_report(out.read_text())
     assert payload["c12"] == 0.0
     assert payload["c2"] == 0.0
 
@@ -163,6 +184,38 @@ def test_non_convergence_is_numerical_error(tmp_path, capsys):
     )
     assert main(["eval", str(path)]) == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("R", ["1e-320", "5e-324"])
+def test_non_finite_kappa_is_numerical_error(tmp_path, capsys, R):
+    # c is finite, but log(c)/R overflows: no report, exit 3
+    path = tmp_path / "tiny.cfg"
+    path.write_text(f"R = {R}\np1_coeffs = 0.6, 0.4\n")
+    out = tmp_path / "r.json"
+    assert main(["eval", str(path), "--json", str(out)]) == EXIT_NUMERICAL
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "{cfg}"],
+     ["optimize", "--theta1", "1e-200", "--theta2", "5e-201", "--d1", "2", "--d2", "3",
+      "--q-degree", "1", "--max-iterations", "2", "--seeds", "0"]],
+    ids=["eval", "optimize"],
+)
+def test_tiny_theta1_ends_in_a_number_or_exit_3(tmp_path, capsys, argv):
+    # theta1^2 underflows to 0 at theta1 = 1e-200; only the ratio enters c12
+    path = tmp_path / "tiny_theta.cfg"
+    path.write_text("theta1 = 1e-200\ntheta2 = 5e-201\nR = 1.1\n"
+                    "p1_coeffs = 0.6, 0.4\np2_coeffs = 0.03\n")
+    out = tmp_path / "r.json"
+    argv = [arg.format(cfg=path) for arg in argv] + ["--json", str(out)]
+    code = main(argv)
+    assert code in (EXIT_OK, EXIT_NUMERICAL)
+    if code == EXIT_OK:
+        assert math.isfinite(load_report(out.read_text())["kappa"])
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("seeds", ["-1", "4"])
@@ -227,7 +280,7 @@ def test_verify_json_lists_checks_in_run_order(tmp_path, monkeypatch, capsys):
     assert stdout.splitlines()[-1] == "2/3 checks passed"
     assert str(out) not in stdout
     first = out.read_bytes()
-    assert json.loads(first) == {
+    assert load_report(first) == {
         "schema": 1, "suite": "euler", "passed": 2, "total": 3,
         "checks": [
             {"name": "first", "error": 0.5, "threshold": 1.0, "passed": True},
@@ -261,7 +314,7 @@ def test_reproduce_normalizes_preset_q(tmp_path, monkeypatch):
     out = tmp_path / "rep.json"
     assert main(["reproduce", "--preset", "kappa", "--json", str(out)]) == EXIT_OK
     assert captured == [pytest.approx(1.0, abs=1e-12)]  # the normalized run only
-    payload = json.loads(out.read_text())
+    payload = load_report(out.read_text())
     diagnostics = payload["diagnostics"]
     assert diagnostics["q0_verbatim"] == pytest.approx(1.002)
     assert diagnostics["c_verbatim"] == pytest.approx(1.0 + 1.002**2 * (2.0 - 1.0), rel=1e-14)
@@ -284,7 +337,7 @@ def test_reproduce_evaluates_once(tmp_path, monkeypatch):
     out = tmp_path / "rep.json"
     assert main(["reproduce", "--preset", "kappa", "--json", str(out)]) == EXIT_OK
     assert calls == [pytest.approx(1.0, abs=1e-12)]
-    diagnostics = json.loads(out.read_text())["diagnostics"]
+    diagnostics = load_report(out.read_text())["diagnostics"]
     verbatim = real_evaluate(PRESETS["kappa"]())
     assert diagnostics["q0_verbatim"] == pytest.approx(1.002, abs=1e-12)
     assert diagnostics["c_verbatim"] == pytest.approx(verbatim.c, rel=1e-12)

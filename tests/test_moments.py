@@ -257,6 +257,9 @@ def test_compute_kappa_closed_form():
         compute_kappa(-1.0, 1.0)
     with pytest.raises(ValueError):
         compute_kappa(2.0, 0.0)
+    # log(2)/R overflows to inf: no certified number, so no kappa
+    with pytest.raises(ValueError, match="not finite"):
+        compute_kappa(2.0, 1e-320)
 
 
 def test_evaluate_report_shape():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from critline import moments, oracle
+from critline.jet import Jet
 from critline.oracle import (
     ArithmeticTables,
     ContourSpec,
@@ -294,7 +295,9 @@ def test_contour_pole_near_the_circle_is_uncertified():
 @pytest.mark.parametrize(
     "kind, params",
     [("K1", dict(i=2, alpha=0.0, beta=0.0, logq=10.0)),
-     ("F_residues", dict(j=1, k=2, s=0.5, logx=5.0))],
+     ("F_residues", dict(j=1, k=2, s=0.5, logx=5.0)),
+     ("q_operator", dict(Q=make_q(QSpec(odd_coeffs=(0.604, -0.08, -0.06, 0.046), const=0.492)),
+                         X=(1e8) ** (4.0 / 7.0), T=1e8))],
 )
 def test_uncertified_circle_fails_its_check(monkeypatch, kind, params):
     ladder = oracle.contour_circle
@@ -304,7 +307,10 @@ def test_uncertified_circle_fails_its_check(monkeypatch, kind, params):
         return ladder(lambda z: f(z) + 1.0 / (z - pole), spec)
 
     monkeypatch.setattr(oracle, "contour_circle", with_near_pole)
-    result = check_contour_identity(kind, **params)
+    if kind == "q_operator":
+        result = check_q_operator(**params)
+    else:
+        result = check_contour_identity(kind, **params)
     assert result.error == math.inf
     assert not result.passed
     assert result.params["trapezoid_certificate"] == math.inf
@@ -322,7 +328,9 @@ def test_contour_suite_point_budget():
 
 
 def test_oracle_does_not_import_quad():
-    # the oracles must not share code paths with the quadrature they check
+    # the oracles must not share code paths with the quadrature they check,
+    # and they take their derivatives by closed forms and Cauchy integrals,
+    # not through the jet ring
     tree = ast.parse(inspect.getsource(oracle))
     imported = set()
     for node in ast.walk(tree):
@@ -331,8 +339,10 @@ def test_oracle_does_not_import_quad():
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
-    assert not any(name.split(".")[-1] == "quad" for name in imported), imported
-    assert "quad" not in vars(oracle)
+    for module in ("quad", "jet"):
+        assert not any(name.split(".")[-1] == module for name in imported), imported
+        assert module not in vars(oracle)
+    assert "Jet" not in vars(oracle)
 
 
 # -- identity checks ---------------------------------------------------------
@@ -356,6 +366,51 @@ def test_contour_identity_validation():
         check_contour_identity("F_residues", j=0, k=0, s=0.0, logx=5.0)
     with pytest.raises(OracleError):
         check_contour_identity("parabola", logq=5.0)
+
+
+def _k1_rhs_jet(i, alpha, beta, logq):
+    """The K1 right side as the jet ring takes it: d^2/dx dy at 0 of
+    e^{alpha x - beta y} (logq + x + y)^i / i!."""
+    expo = Jet.linear(0.0, alpha, -beta, 1, 1).exp()
+    base = Jet.linear(logq, 1.0, 1.0, 1, 1)
+    power = Jet.constant(1.0, 1, 1)
+    for _ in range(i):
+        power = power * base
+    return (expo * power).mixed_partial(1, 1) / math.factorial(i)
+
+
+def _l1_rhs_jet(i, alpha, beta, logq):
+    """The L1 right side as the jet ring takes it: d^2/dx^2 at 0 of
+    (logq + x)^{i-1} times the 96-point Gauss integral over u of
+    e^{-logq alpha u + (beta - alpha u) x} (1 - u)^{i-2}, over (i - 2)!."""
+    nodes, weights = oracle._gauss_rule(96)
+    expo = Jet.linear(-logq * alpha * nodes, beta - alpha * nodes, 0.0, 2, 0).exp()
+    integrand = expo * ((1.0 - nodes) ** (i - 2))
+    inner = Jet(2, 0, np.sum(integrand.coeffs * weights, axis=-1))
+    base = Jet.linear(logq, 1.0, 0.0, 2, 0)
+    power = Jet.constant(1.0, 2, 0)
+    for _ in range(i - 1):
+        power = power * base
+    return (power * inner).mixed_partial(2, 0) / math.factorial(i - 2)
+
+
+def test_closed_form_contour_sides_match_the_jet_ring(monkeypatch):
+    # the right sides alone: a stub circle keeps the 200 draws cheap
+    monkeypatch.setattr(oracle, "contour_circle",
+                        lambda f, spec: oracle.ContourValue(0j, 0.0, 0))
+    rng = np.random.default_rng(2718)
+    for _ in range(200):
+        alpha, beta = rng.uniform(-0.1, 0.1, size=2)
+        logq = rng.uniform(5.0, 25.0)
+        i = int(rng.integers(1, 6))
+        _, rhs, _ = oracle._k1_pair(i, alpha, beta, logq)
+        assert abs(rhs - _k1_rhs_jet(i, alpha, beta, logq)) <= 1e-12, (i, alpha, beta, logq)
+        i = int(rng.integers(3, 6))
+        _, rhs, _ = oracle._l1_pair(i, alpha, beta, logq)
+        assert abs(rhs - _l1_rhs_jet(i, alpha, beta, logq)) <= 1e-12, (i, alpha, beta, logq)
+    # logq = 0 at i = 1 is a legal input: the i(i - 1) logq^{i-2} term is absent
+    _, rhs, _ = oracle._k1_pair(1, 0.05, -0.02, 0.0)
+    assert rhs == pytest.approx(_k1_rhs_jet(1, 0.05, -0.02, 0.0), abs=1e-15)
 
 
 def test_mobius_identities_exact():
@@ -421,6 +476,7 @@ def test_run_suite_unknown_name():
 def test_qop_suite_passes():
     results = oracle.run_suite("qop")
     assert results and all(r.passed for r in results)
+    assert all(r.params["trapezoid_certificate"] <= oracle.QOP_TOL for r in results)
 
 
 # -- finite-difference oracle ------------------------------------------------
