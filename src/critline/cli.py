@@ -9,7 +9,6 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -26,19 +25,19 @@ EXIT_VERIFY = 4
 
 CONFIG_KEYS = {
     "theta1", "theta2", "R", "q_const", "q_odd_coeffs", "p1_coeffs",
-    "p2_coeffs", "mode", "quad_tol", "quad_max_nodes",
+    "p2_coeffs", "mode", "quad_tol",
 }
 
 
-def _report_with_normalized_q(cfg: MollifierConfig, tol: float, n_max: int) -> KappaReport:
+def _report_with_normalized_q(cfg: MollifierConfig, tol: float) -> KappaReport:
     """Evaluate, renormalizing Q to Q(0) = 1 first when the input does not
     satisfy the constraint exactly; the unnormalized value is kept in the
     diagnostics.  Every constant is quadratic in Q, so c - 1 scales by Q(0)^2
     and the unnormalized value needs no second evaluation."""
     q0 = cfg.Q(0.0)
     if abs(q0 - 1.0) <= 1e-12:
-        return moments.evaluate(cfg, tol=tol, n_max=n_max)
-    report = moments.evaluate(moments.renormalized_q(cfg), tol=tol, n_max=n_max)
+        return moments.evaluate(cfg, tol=tol)
+    report = moments.evaluate(moments.renormalized_q(cfg), tol=tol)
     c_verbatim = 1.0 + q0 * q0 * (report.c - 1.0)
     report.diagnostics.update(
         q0_verbatim=q0,
@@ -81,9 +80,9 @@ def _parse_float_list(raw: str, key: str, line_no: int) -> tuple[float, ...]:
         raise ConfigError(f"line {line_no}: invalid number in {key}: {exc}") from exc
 
 
-def parse_config(path: str) -> tuple[MollifierConfig, float, int]:
+def parse_config(path: str) -> tuple[MollifierConfig, float]:
     """Read a ``key = value`` config file into a validated configuration plus
-    quadrature options (tolerance, max nodes)."""
+    the quadrature tolerance."""
     entries: dict[str, tuple[str, int]] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -129,16 +128,8 @@ def parse_config(path: str) -> tuple[MollifierConfig, float, int]:
         raise ConfigError("missing required key 'p1_coeffs'")
     mode = entries.get("mode", (moments.ALL_ZEROS, 0))[0]
     quad_tol = scalar("quad_tol", quad.DEFAULT_TOL)
-    max_nodes = scalar("quad_max_nodes", quad.N_MAX)
     if not (math.isfinite(quad_tol) and quad_tol > 0):
         raise ConfigError("quad_tol must be finite and positive")
-    # the ladder converges by comparing two rungs, so it must reach its second
-    _, min_nodes = itertools.islice(quad.ladder(), 2)
-    if not (math.isfinite(max_nodes) and max_nodes == int(max_nodes)
-            and min_nodes <= max_nodes <= quad.N_MAX):
-        raise ConfigError(f"quad_max_nodes must be a finite integer in "
-                          f"[{min_nodes}, {quad.N_MAX}]")
-    n_max = int(max_nodes)
     try:
         cfg = MollifierConfig(
             theta1=theta1, theta2=theta2, R=R,
@@ -147,7 +138,7 @@ def parse_config(path: str) -> tuple[MollifierConfig, float, int]:
         )
     except PolynomialError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg, quad_tol, n_max
+    return cfg, quad_tol
 
 
 # -- subcommands ------------------------------------------------------------
@@ -157,27 +148,26 @@ def run_reproduce(args) -> int:
     if args.preset not in PRESETS:
         raise ConfigError(f"unknown preset {args.preset!r}; choose kappa or kappa-star")
     cfg = PRESETS[args.preset]()
-    report = _report_with_normalized_q(cfg, quad.DEFAULT_TOL, quad.N_MAX)
+    report = _report_with_normalized_q(cfg, quad.DEFAULT_TOL)
     _emit(report, args.json)
     return EXIT_OK
 
 
 def run_eval(args) -> int:
-    cfg, tol, n_max = parse_config(args.config)
-    report = _report_with_normalized_q(cfg, tol, n_max)
+    cfg, tol = parse_config(args.config)
+    report = _report_with_normalized_q(cfg, tol)
     _emit(report, args.json)
     return EXIT_OK
 
 
 def run_optimize(args) -> int:
     mode = moments.SIMPLE_ZEROS if args.mode == "simple" else moments.ALL_ZEROS
-    d2 = 0 if args.no_psi2 else args.d2
     if args.q_degree is not None:
         q_degree = args.q_degree
     else:
         q_degree = 1 if mode == moments.SIMPLE_ZEROS else 7
     report = optimize.optimize_full(
-        theta1=args.theta1, theta2=args.theta2, d1=args.d1, d2=d2,
+        theta1=args.theta1, theta2=args.theta2, d1=args.d1, d2=args.d2,
         q_degree=q_degree, mode=mode, max_iterations=args.max_iterations,
         extra_seeds=args.seeds,
     )
@@ -230,10 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="search (R, Q, P1, P2) for the best bound")
     p.add_argument("--mode", choices=["all-zeros", "simple"], default="all-zeros")
     p.add_argument("--d1", type=int, default=5, help="P1 degree")
-    p.add_argument("--d2", type=int, default=5, help="P2 degree (>= 3)")
+    piece2 = p.add_mutually_exclusive_group()
+    piece2.add_argument("--d2", type=int, default=5, help="P2 degree (>= 3)")
+    piece2.add_argument("--no-psi2", action="store_const", const=0, dest="d2",
+                        help="disable the second mollifier piece (d2 = 0)")
     p.add_argument("--q-degree", type=int, default=None,
                    help="highest odd power in Q (default 7; simple mode takes only 1)")
-    p.add_argument("--no-psi2", action="store_true", help="disable the second mollifier piece")
     p.add_argument("--theta1", type=float, default=THETA1)
     p.add_argument("--theta2", type=float, default=THETA2)
     p.add_argument("--max-iterations", type=int, default=optimize.MAX_ITERATIONS,

@@ -334,11 +334,11 @@ def c2_integrand(Q: Polynomial, P2: Polynomial, P2_other: Polynomial, R: float, 
 # -- the bilinear form: every kernel integral goes through here ---------------
 
 
-def blocks(Q, left, right, R: float, theta1: float, theta2: float, tol: float, n_start: int, n_max: int):
+def blocks(Q, left, right, R: float, theta1: float, theta2: float, tol: float, n_start: int):
     """The c1 - 1, c12 and c2 blocks of the bilinear form between two sides,
-    each as ``(block, trace)``, integrated on the ladder ``n_start`` ..
-    ``n_max`` to ``tol`` and normalized: c1 in 1-D (v; its u-part is exact in
-    the kernel), c12 in 3-D and c2 in 4-D.
+    each as ``(block, trace)``, integrated to ``tol`` on the quadrature ladder
+    from ``n_start`` and normalized: c1 in 1-D (v; its u-part is exact in the
+    kernel), c12 in 3-D and c2 in 4-D.
 
     A side is a ``(P1, P2)`` pair of :class:`Polynomial` objects or of
     :class:`Monomials` families (rows left, columns right); a ``None`` P2
@@ -349,7 +349,7 @@ def blocks(Q, left, right, R: float, theta1: float, theta2: float, tol: float, n
     (P1, P2), (P1_other, P2_other) = left, right
 
     def integral(integrand, d: int):
-        return quad.integrate_converged(integrand, d, tol=tol, n_start=n_start, n_max=n_max)
+        return quad.integrate_converged(integrand, d, tol=tol, n_start=n_start)
 
     K1, t1 = integral(c1_integrand(Q, P1, P1_other, R, theta1), 1)
     c1 = 0.5 * (K1 + np.transpose(K1)) / theta1
@@ -379,10 +379,10 @@ def compute_kappa(c: float, R: float) -> float:
     return kappa
 
 
-def evaluate(cfg: MollifierConfig, tol=quad.DEFAULT_TOL, n_max=quad.N_MAX) -> KappaReport:
+def evaluate(cfg: MollifierConfig, tol=quad.DEFAULT_TOL) -> KappaReport:
     side = (cfg.P1, None if cfg.P2.is_zero else cfg.P2)
     (c1, t1), (c12, t12), (c2, t2) = blocks(cfg.Q, side, side, cfg.R, cfg.theta1, cfg.theta2,
-                                            tol, quad.N_SEQUENCE_START, n_max)
+                                            tol, quad.N_SEQUENCE_START)
     c1, c12, c2 = 1.0 + float(c1), float(c12), float(c2)
     c = c1 + 2.0 * c12 + c2
     return KappaReport(

@@ -31,7 +31,6 @@ from .poly import Polynomial, QSpec, make_p1, make_p2, make_q
 GRAM_TOL = 1e-9
 SEARCH_GRAM_TOL = 1e-5
 GRAM_N_START = 8
-GRAM_N_MAX = 64
 INITIAL_STEP = 0.05
 DIAMETER_TOL = 1e-6
 MAX_ITERATIONS = 200
@@ -90,9 +89,9 @@ def build_gram(
     """Assemble M on the monomial basis with one quadrature pass per block.
 
     :func:`moments.blocks` with a :class:`~critline.moments.Monomials` family
-    on each side (orders ``GRAM_N_START`` to ``GRAM_N_MAX``) returns the c1
-    (d1 x d1), c12 (d1 x (d2 - 2)) and c2 ((d2 - 2) x (d2 - 2)) blocks, the
-    diagonal ones symmetric; this function only places them into M.
+    on each side (orders from ``GRAM_N_START``) returns the c1 (d1 x d1), c12
+    (d1 x (d2 - 2)) and c2 ((d2 - 2) x (d2 - 2)) blocks, the diagonal ones
+    symmetric; this function only places them into M.
     ``d2 = 0`` disables the second mollifier piece entirely (no P2 columns,
     one pass); otherwise ``d2 >= 3`` since P2 vanishes to third order.
     """
@@ -103,8 +102,7 @@ def build_gram(
         return family(range(1, d1 + 1)), family(range(3, d2 + 1)) if n_p2 else None
 
     (c1, _), (c12, _), (c2, _) = moments.blocks(
-        Q, side(Monomials.rows), side(Monomials.columns), R, theta1, theta2,
-        tol, GRAM_N_START, GRAM_N_MAX,
+        Q, side(Monomials.rows), side(Monomials.columns), R, theta1, theta2, tol, GRAM_N_START
     )
     M = np.block([[c1, c12], [c12.T, c2]]) if n_p2 else c1
     return GramSystem(M=M, d1=d1)

@@ -98,12 +98,23 @@ class QSpec:
 @lru_cache(maxsize=32)
 def _q_basis(powers: tuple[int, ...]) -> np.ndarray:
     """Monomial coefficients of 1 and of (1 - 2x)^k for k in ``powers``, one
-    row each; read-only, since every caller with these powers shares it."""
+    row each; read-only, since every caller with these powers shares it.
+
+    Each row must make Q(x) + Q(1-x) constant, so every Q built on the basis
+    does; the defect is checked here, once per basis, to guard against future
+    basis changes.  Expanding and evaluating a row round in proportion to its
+    monomial coefficients, so the tolerance is ``Q_SYMMETRY_TOL`` times
+    ``max(1, sum |row|)``.
+    """
     basis = np.zeros((len(powers) + 1, max(powers, default=0) + 1))
     basis[0, 0] = 1.0
     for row, k in enumerate(powers, start=1):
         term = np.polynomial.polynomial.polypow(np.array([1.0, -2.0]), k)
         basis[row, : len(term)] = term
+    for row in basis:
+        defect = q_symmetry_defect(Polynomial(tuple(row)))
+        if defect > Q_SYMMETRY_TOL * max(1.0, float(np.sum(np.abs(row)))):
+            raise PolynomialError(f"Q(x) + Q(1-x) deviates from constant by {defect:.3e}")
     basis.setflags(write=False)
     return basis
 
@@ -113,21 +124,14 @@ def make_q(spec: QSpec) -> Polynomial:
 
     The expansion weights the rows of the cached ``(1 - 2x)^k`` basis and sums
     them in row order: the constant first, then the powers in turn, so every
-    coefficient rounds as in a term-by-term expansion.  The result
-    automatically satisfies the symmetry constraint; the defect is re-checked
-    to guard against future basis changes.  Expanding and evaluating round in
-    proportion to the monomial coefficients, so the tolerance is
-    ``Q_SYMMETRY_TOL`` times ``max(1, sum |q_k|)``.
+    coefficient rounds as in a term-by-term expansion.  The basis rows are
+    symmetry-checked, so the result satisfies the symmetry constraint.
     """
     weights = np.array((spec.const, *spec.odd_coeffs), dtype=float)
     out = np.sum(weights[:, None] * _q_basis(spec.powers()), axis=0)
     if not np.all(np.isfinite(out)):
         raise PolynomialError("Q has a non-finite coefficient")
-    q = Polynomial(tuple(out))
-    defect = q_symmetry_defect(q)
-    if defect > Q_SYMMETRY_TOL * max(1.0, float(np.sum(np.abs(out)))):
-        raise PolynomialError(f"Q(x) + Q(1-x) deviates from constant by {defect:.3e}")
-    return q
+    return Polynomial(tuple(out))
 
 
 def q_symmetry_defect(q: Polynomial) -> float:

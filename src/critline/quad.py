@@ -3,13 +3,15 @@
 All integrands in this project are entire (polynomials times exponentials), so
 fixed-order tensor rules converge geometrically in the order; there is no
 adaptive subdivision.  :func:`integrate_converged` climbs the ladder
-n = 12, 18, 27, 41, ... (n -> ceil(3n/2), the last rung clamped to ``n_max``)
-and stops when two successive rungs agree; it never runs a rung of more than
-``NODE_BUDGET`` nodes.  Integrands must be vectorized: they receive one numpy
-array per coordinate and return an array whose last axis is the node axis.
-Leading axes, if any, are independent integrals done in the same pass (a
-whole Gram block at once); the result has their shape, and the ladder's delta
-is the largest relative change over its entries.
+n = 12, 18, 27, 41, ... (n -> ceil(3n/2), the last rung clamped to ``N_MAX``)
+and stops when two successive rungs agree.  The rule cap and the node budget
+are its only bounds: it ends before any rung of more than ``NODE_BUDGET``
+nodes, so 1-D to 3-D ladders end at n = 256 and 4-D ladders at n = 62.
+Integrands must be vectorized: they receive one numpy array per coordinate
+and return an array whose last axis is the node axis.  Leading axes, if any,
+are independent integrals done in the same pass (a whole Gram block at once);
+the result has their shape, and the ladder's delta is the largest relative
+change over its entries.
 
 Node evaluation is chunked so high orders in four dimensions stay within
 memory.  The chunk size is a constant, not an option, because it fixes the
@@ -27,9 +29,9 @@ import numpy as np
 DEFAULT_TOL = 1e-10
 N_SEQUENCE_START = 12
 N_MAX = 256
-# Largest rung, in nodes n**d.  2^24 = 64^4 = 256^3, so the Gram's n_max in 4-D
-# and N_MAX in 3-D fit; a 4-D ladder that has not converged by n = 62 fails
-# there instead of climbing to 256^4 = 4.3e9 nodes.
+# Largest rung, in nodes n**d.  2^24 = 256^3, so every rule order fits in 1-D
+# to 3-D; a 4-D ladder that has not converged by n = 62 (62^4 = 1.5e7 nodes)
+# fails there instead of climbing to 256^4 = 4.3e9 nodes.
 NODE_BUDGET = 1 << 24
 # Nodes per integrand call.  Measured on the kappa preset's c2 (n = 16 and 32,
 # 2-core x86-64 VM, numpy 2.4): 0.87-0.93 s at 2^19, 0.52-0.58 s at 2^16,
@@ -79,7 +81,7 @@ def _accumulate(parts: list[np.ndarray]):
     return float(total) if total.ndim == 0 else total
 
 
-def integrate_cube(f, d: int, rule: QuadratureRule, chunk: int = _CHUNK):
+def integrate_cube(f, d: int, rule: QuadratureRule):
     """Tensor-product quadrature of ``f(x1, ..., xd)`` over [0, 1]^d."""
     if not 1 <= d <= 4:
         raise ValueError(f"dimension {d} outside [1, 4]")
@@ -87,8 +89,8 @@ def integrate_cube(f, d: int, rule: QuadratureRule, chunk: int = _CHUNK):
     total_nodes = n**d
     parts = []
     # coordinates are materialized per chunk so high orders in 4-D stay in memory
-    for start in range(0, total_nodes, chunk):
-        stop = min(start + chunk, total_nodes)
+    for start in range(0, total_nodes, _CHUNK):
+        stop = min(start + _CHUNK, total_nodes)
         multi = np.unravel_index(np.arange(start, stop), (n,) * d)
         coords = [rule.nodes[m] for m in multi]
         weights = np.prod(np.stack([rule.weights[m] for m in multi]), axis=0)
@@ -103,44 +105,32 @@ def _rel_diff(new, old) -> float:
     return float(np.max(np.abs(new - old) / scale))
 
 
-def ladder(n_start: int = N_SEQUENCE_START, n_max: int = N_MAX):
-    """The orders n_start, ceil(3 n_start / 2), ..., the last clamped to n_max."""
+def ladder(d: int, n_start: int = N_SEQUENCE_START):
+    """The orders n_start, ceil(3 n_start / 2), ..., the last clamped to
+    ``N_MAX``, up to the last whose d-D rule has at most ``NODE_BUDGET`` nodes."""
     n = n_start
-    while n <= n_max:
+    while n <= N_MAX and n**d <= NODE_BUDGET:
         yield n
-        if n == n_max:
+        if n == N_MAX:
             return
-        n = min(-(-3 * n // 2), n_max)
+        n = min(-(-3 * n // 2), N_MAX)
 
 
-def integrate_converged(
-    f,
-    d: int,
-    tol: float = DEFAULT_TOL,
-    n_start: int = N_SEQUENCE_START,
-    n_max: int = N_MAX,
-):
+def integrate_converged(f, d: int, tol: float = DEFAULT_TOL, n_start: int = N_SEQUENCE_START):
     """Integrate ``f`` over [0, 1]^d on the rungs of :func:`ladder`, n = 12,
     18, 27, ..., until the relative change between two successive rungs drops
     below ``tol``.
 
     Returns ``(value, trace)`` where the trace lists ``(n, delta)`` pairs
     (delta is None for the first order).  Raises :class:`QuadratureError` with
-    the trace on non-convergence, at the first order whose value is not finite
-    (more nodes cannot repair a NaN or an overflow), and before any rung of
-    more than ``NODE_BUDGET`` nodes.
+    the trace at the first order whose value is not finite (more nodes cannot
+    repair a NaN or an overflow), and when the ladder ends unconverged.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     trace = []
     prev = None
-    for n in ladder(n_start, n_max):
-        if n**d > NODE_BUDGET:
-            raise QuadratureError(
-                f"n = {n} in {d}-D exceeds the node budget of {NODE_BUDGET} nodes "
-                f"before converging to {tol:g}: trace {trace}",
-                trace,
-            )
+    for n in ladder(d, n_start):
         value = integrate_cube(f, d, gauss_rule(n))
         delta = None if prev is None else _rel_diff(value, prev)
         trace.append((n, delta))
@@ -150,5 +140,6 @@ def integrate_converged(
             return value, trace
         prev = value
     raise QuadratureError(
-        f"quadrature did not converge to {tol:g} by n = {n_max}: trace {trace}", trace
+        f"{d}-D quadrature did not converge to {tol:g} by its last rung: trace {trace}",
+        trace,
     )

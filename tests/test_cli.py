@@ -1,8 +1,9 @@
 """CLI behavior: config parsing, reports, exit codes, determinism."""
 
-import itertools
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,13 +46,12 @@ def cheap_config(tmp_path):
 
 
 def test_parse_config_round_trip(cheap_config):
-    cfg, quad_tol, n_max = parse_config(cheap_config)
+    cfg, quad_tol = parse_config(cheap_config)
     assert cfg.R == 1.1
     assert cfg.Q(0.0) == pytest.approx(1.0)
     assert cfg.P1.coeffs == (0.0, 0.6, 0.4)
     assert cfg.P2.coeffs == (0.0, 0.0, 0.0, 0.05)
     assert quad_tol == 1e-7
-    assert n_max == 256
 
 
 def test_parse_config_error_messages_name_lines(tmp_path):
@@ -75,14 +75,28 @@ def test_parse_config_error_messages_name_lines(tmp_path):
 
 def test_parser_defaults_are_the_library_constants(tmp_path):
     args = cli.build_parser().parse_args(["optimize"])
+    assert args.d2 == 5
     assert args.max_iterations == optimize.MAX_ITERATIONS
     assert args.seeds == optimize.EXTRA_SEEDS
     assert (args.theta1, args.theta2) == (presets.THETA1, presets.THETA2)
     path = tmp_path / "defaults.cfg"
     path.write_text("R = 1.1\np1_coeffs = 0.6, 0.4\n")
-    cfg, quad_tol, n_max = parse_config(str(path))
+    cfg, quad_tol = parse_config(str(path))
     assert (cfg.theta1, cfg.theta2) == (presets.THETA1, presets.THETA2)
-    assert (quad_tol, n_max) == (quad.DEFAULT_TOL, quad.N_MAX)
+    assert quad_tol == quad.DEFAULT_TOL
+
+
+def test_readme_config_example_is_the_config_format(tmp_path):
+    # the README's example names every key once, so a key added to or removed
+    # from one of the two and not the other fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config format", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+    path = tmp_path / "readme.cfg"
+    path.write_text(block)
+    parse_config(str(path))
+    keys = {line.split("#", 1)[0].split("=", 1)[0].strip() for line in block.splitlines()}
+    assert keys - {""} == cli.CONFIG_KEYS
 
 
 def test_parse_config_requires_p1(tmp_path):
@@ -144,7 +158,7 @@ def test_unknown_preset_is_config_error(capsys):
 
 @pytest.mark.parametrize(
     "line",
-    ["R = inf", "R = nan", "theta1 = inf", "p2_coeffs = nan", "quad_tol = nan", "quad_max_nodes = inf"],
+    ["R = inf", "R = nan", "theta1 = inf", "p2_coeffs = nan", "quad_tol = nan"],
 )
 def test_non_finite_config_is_config_error(tmp_path, capsys, line):
     path = tmp_path / "nonfinite.cfg"
@@ -155,16 +169,15 @@ def test_non_finite_config_is_config_error(tmp_path, capsys, line):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "8", "12", "257", "300", "12.5"])
+@pytest.mark.parametrize("value", ["0", "8", "12", "32", "257", "300", "12.5"])
 def test_quad_max_nodes_outside_the_rules_is_config_error(tmp_path, capsys, value):
-    # the ladder's last rung is n_max itself, so it must have a Gauss rule,
-    # and below the second rung the ladder has no two rungs to compare, so
-    # it could never converge; a fractional order is rejected, not truncated
+    # the node budget is the ladder's only bound: quad_max_nodes is no longer
+    # a key, so every value of it, the ones that were in range included, is
+    # an unknown key
     path = tmp_path / "order.cfg"
     path.write_text(f"R = 1.1\np1_coeffs = 0.6, 0.4\nquad_max_nodes = {value}\n")
     assert main(["eval", str(path)]) == EXIT_CONFIG
-    _, second_rung = itertools.islice(quad.ladder(), 2)
-    assert f"[{second_rung}, {quad.N_MAX}]" in capsys.readouterr().err
+    assert "line 3: unknown key 'quad_max_nodes'" in capsys.readouterr().err
 
 
 def test_overflowing_integrand_is_numerical_error(tmp_path, capsys):
@@ -180,10 +193,11 @@ def test_overflowing_integrand_is_numerical_error(tmp_path, capsys):
 def test_non_convergence_is_numerical_error(tmp_path, capsys):
     path = tmp_path / "strict.cfg"
     path.write_text(
-        "R = 1.1\np1_coeffs = 0.6, 0.4\nquad_tol = 1e-18\nquad_max_nodes = 32\n"
+        "R = 1.1\np1_coeffs = 0.6, 0.4\nquad_tol = 1e-18\n"
     )
     assert main(["eval", str(path)]) == EXIT_NUMERICAL
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "did not converge" in err and "trace [(12, None)" in err
 
 
 @pytest.mark.parametrize("R", ["1e-320", "5e-324"])
@@ -223,6 +237,15 @@ def test_seeds_outside_the_seed_scales_is_config_error(capsys, seeds):
     # three perturbation scales exist, so --seeds runs 0 to 3 extra seeds
     assert main(["optimize", "--no-psi2", "--seeds", seeds]) == EXIT_CONFIG
     assert "extra seeds must be in [0, 3]" in capsys.readouterr().err
+
+
+def test_no_psi2_with_d2_is_a_usage_error(capsys):
+    # --no-psi2 is d2 = 0, so a second d2 contradicts it instead of being ignored
+    with pytest.raises(SystemExit) as exc_info:
+        main(["optimize", "--no-psi2", "--d2", "2"])
+    assert exc_info.value.code == EXIT_CONFIG
+    assert "not allowed with argument --no-psi2" in capsys.readouterr().err
+    assert cli.build_parser().parse_args(["optimize", "--no-psi2"]).d2 == 0
 
 
 @pytest.mark.parametrize(
@@ -306,7 +329,7 @@ def test_reproduce_normalizes_preset_q(tmp_path, monkeypatch):
 
     captured = []
 
-    def fake_evaluate(cfg, tol, n_max):
+    def fake_evaluate(cfg, tol):
         captured.append(cfg.Q(0.0))
         return KappaReport(c1=2.0, c12=0.0, c2=0.0, c=2.0, kappa=0.4, config=cfg)
 

@@ -90,7 +90,7 @@ def form(cfg, left, right, tol, n_start=quad.N_SEQUENCE_START):
     """The (c1 - 1, c12, c2) values of :func:`moments.blocks` between two
     (P1, P2) sides at cfg's (Q, R, theta1, theta2)."""
     return [value for value, _ in blocks(
-        cfg.Q, left, right, cfg.R, cfg.theta1, cfg.theta2, tol, n_start, quad.N_MAX
+        cfg.Q, left, right, cfg.R, cfg.theta1, cfg.theta2, tol, n_start
     )]
 
 
@@ -389,7 +389,7 @@ def test_closed_form_kernels_match_the_jet_ring(point):
 def test_preset_ladders_stop_at_the_second_rung(preset):
     report = evaluate(renormalized_q(preset()))
     for name in ("c1_trace", "c12_trace", "c2_trace"):
-        assert [n for n, _ in report.diagnostics[name]] == list(quad.ladder())[:2] == [12, 18], name
+        assert [n for n, _ in report.diagnostics[name]] == list(quad.ladder(4))[:2] == [12, 18], name
 
 
 # -- the ladder's certificate against a higher-order reference ----------------

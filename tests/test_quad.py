@@ -51,17 +51,18 @@ def test_cube_rejects_bad_dimension():
         integrate_cube(lambda x: x, 5, gauss_rule(4))
 
 
-def test_cube_chunking_is_exact():
+def test_cube_chunking_is_exact(monkeypatch):
     rule = gauss_rule(16)
     f = lambda x, y, z: np.exp(x) * np.cos(y) * z  # noqa: E731
     whole = integrate_cube(f, 3, rule)
-    chunked = integrate_cube(f, 3, rule, chunk=97)
+    monkeypatch.setattr(quad, "_CHUNK", 97)
+    chunked = integrate_cube(f, 3, rule)
     assert chunked == pytest.approx(whole, rel=1e-14)
 
 
 # -- the order ladder --------------------------------------------------------
 
-FIRST, SECOND = list(quad.ladder())[:2]
+FIRST, SECOND = list(quad.ladder(1))[:2]
 
 
 def test_converged_exponential_closed_form():
@@ -79,17 +80,17 @@ def test_converged_respects_n_start():
 
 
 def test_non_convergence_raises_with_trace():
-    # |x - 1/2| has a kink, so no rung up to 32 can hit 1e-15
-    with pytest.raises(QuadratureError) as exc_info:
-        integrate_converged(lambda x: np.abs(x - 0.5), 1, tol=1e-15, n_max=32)
+    # |x - 1/2| has a kink, so no rung up to N_MAX can hit 1e-15
+    with pytest.raises(QuadratureError, match="did not converge") as exc_info:
+        integrate_converged(lambda x: np.abs(x - 0.5), 1, tol=1e-15)
     trace = exc_info.value.trace
-    assert [n for n, _ in trace] == list(quad.ladder(n_max=32))
-    assert trace[-1][0] == 32
+    assert [n for n, _ in trace] == list(quad.ladder(1))
+    assert trace[-1][0] == quad.N_MAX
     assert trace[0][1] is None and all(delta >= 1e-15 for _, delta in trace[1:])
 
 
 def test_non_finite_order_raises_at_once():
-    # a NaN cannot converge; the ladder must stop at the first order, not run to n_max
+    # a NaN cannot converge; the ladder must stop at the first order, not run to its end
     with pytest.raises(QuadratureError, match="non-finite") as exc_info:
         integrate_converged(lambda *xs: np.full_like(xs[0], np.nan), 4)
     assert exc_info.value.trace == [(FIRST, None)]
@@ -107,14 +108,21 @@ def test_non_finite_order_raises_at_once():
 
 
 def test_ladder_grows_by_three_halves():
-    assert list(quad.ladder()) == [12, 18, 27, 41, 62, 93, 140, 210, 256]
-    assert list(quad.ladder(8, 64)) == [8, 12, 18, 27, 41, 62, 64]
+    # 1-D to 3-D ladders end at the rule cap (256^3 is the node budget),
+    # 4-D ladders at the last rung within the budget (93^4 > 2^24)
+    assert 256**3 <= quad.NODE_BUDGET < 93**4
+    for d in (1, 2, 3):
+        assert list(quad.ladder(d)) == [12, 18, 27, 41, 62, 93, 140, 210, 256]
+    assert list(quad.ladder(4)) == [12, 18, 27, 41, 62]
+    assert list(quad.ladder(4, 8)) == [8, 12, 18, 27, 41, 62]
 
 
 @pytest.mark.parametrize("n_start", [1, 5, quad.N_SEQUENCE_START])
 @pytest.mark.parametrize("n_max", [1, 2, 30, 100, 255, quad.N_MAX])
-def test_ladder_terminates_and_clamps_to_n_max(n_start, n_max):
-    orders = list(quad.ladder(n_start, n_max))
+def test_ladder_terminates_and_clamps_to_n_max(monkeypatch, n_start, n_max):
+    # the last rung is clamped to the rule cap N_MAX, whatever the cap
+    monkeypatch.setattr(quad, "N_MAX", n_max)
+    orders = list(quad.ladder(1, n_start))
     if n_start > n_max:
         assert orders == []
         return
@@ -123,18 +131,19 @@ def test_ladder_terminates_and_clamps_to_n_max(n_start, n_max):
         assert n < nxt <= math.ceil(1.5 * n)
     # the quadrature walks the same rungs
     with pytest.raises(QuadratureError) as exc_info:
-        integrate_converged(lambda x: np.abs(x - 0.5), 1, tol=1e-300, n_start=n_start, n_max=n_max)
+        integrate_converged(lambda x: np.abs(x - 0.5), 1, tol=1e-300, n_start=n_start)
     assert [n for n, _ in exc_info.value.trace] == orders
 
 
 def test_node_budget_stops_a_4d_ladder():
-    # a kink in 4-D cannot reach 1e-15; the ladder stops before 93^4 > 2^24 nodes
-    assert 62**4 <= quad.NODE_BUDGET < 93**4
-    with pytest.raises(QuadratureError, match="node budget") as exc_info:
+    # a kink in 4-D cannot reach 1e-15; the ladder ends at n = 62, the last
+    # rung within the node budget, and the error carries the whole trace
+    with pytest.raises(QuadratureError, match="4-D quadrature did not converge") as exc_info:
         integrate_converged(lambda *xs: np.abs(xs[0] - 0.5), 4, tol=1e-15)
     trace = exc_info.value.trace
-    assert [n for n, _ in trace] == [12, 18, 27, 41, 62]
-    assert all(delta >= 1e-15 for _, delta in trace[1:])
+    assert [n for n, _ in trace] == list(quad.ladder(4)) == [12, 18, 27, 41, 62]
+    assert trace[0][1] is None and all(delta >= 1e-15 for _, delta in trace[1:])
+    assert str(trace) in str(exc_info.value)
 
 
 def test_invalid_arguments():
@@ -185,13 +194,11 @@ def test_array_delta_is_the_largest_relative_change():
     changes = [rel_change(g) for g in entries]
     assert min(changes) > 0
     with pytest.raises(QuadratureError) as exc_info:
-        integrate_converged(
-            lambda x: np.stack([g(x) for g in entries]), 1, tol=1e-15, n_max=SECOND
-        )
-    assert exc_info.value.trace == [(FIRST, None), (SECOND, max(changes))]
+        integrate_converged(lambda x: np.stack([g(x) for g in entries]), 1, tol=1e-15)
+    assert exc_info.value.trace[:2] == [(FIRST, None), (SECOND, max(changes))]
 
 
-def test_array_integrand_chunking_is_exact():
+def test_array_integrand_chunking_is_exact(monkeypatch):
     rule = gauss_rule(16)
 
     def f(x, y, z):
@@ -199,7 +206,8 @@ def test_array_integrand_chunking_is_exact():
         return np.stack([base, base * x, np.sin(z)])[:, None, :] * np.array([1.0, -2.0])[:, None]
 
     whole = integrate_cube(f, 3, rule)
-    chunked = integrate_cube(f, 3, rule, chunk=97)
+    monkeypatch.setattr(quad, "_CHUNK", 97)
+    chunked = integrate_cube(f, 3, rule)
     assert whole.shape == chunked.shape == (3, 2)
     np.testing.assert_allclose(chunked, whole, rtol=1e-14, atol=0.0)
 
