@@ -64,6 +64,13 @@ def check_mode(mode: str, q_degree: int) -> None:
         raise ConfigError(f"simple mode searches a linear Q: its degree must be <= 1, got {q_degree}")
 
 
+def check_p1_degree(degree: int) -> None:
+    """Raise ConfigError unless c1's exact u-rule, deg P1 + 1 nodes, is within quad.N_MAX."""
+    if degree >= quad.N_MAX:
+        raise ConfigError(f"P1 degree {degree} exceeds {quad.N_MAX - 1}: c1's exact u-rule"
+                          f" needs deg P1 + 1 <= {quad.N_MAX} nodes")
+
+
 @dataclass(frozen=True)
 class MollifierConfig:
     """One full parameter point: exponents, offset scale, and polynomials."""
@@ -85,6 +92,7 @@ class MollifierConfig:
                 raise ConfigError(f"{name} has a non-finite coefficient")
         if not self.R > 0:
             raise ConfigError("R must be positive")
+        check_p1_degree(self.P1.degree)
         check_mode(self.mode, self.Q.degree)
 
 
@@ -137,11 +145,9 @@ def c1_integrand(Q: Polynomial, P1: Polynomial, P1_other: Polynomial, R: float, 
     a, ad = P1(u), P1.derivative()(u)
     b, bd = P1_other(u), P1_other.derivative()(u)
 
-    def moment(f):
-        # the u-axis is summed away and kept as length 1, where v's nodes go
-        return np.sum(f * rule.weights, axis=-1, keepdims=True)
-
-    U0, U1, U2 = moment(ad * bd), moment(ad * b + a * bd), moment(a * b)
+    # the u-axis is summed away and kept as length 1: v's node axis
+    U0, U1, U2 = (np.sum(f * rule.weights, axis=-1, keepdims=True)
+                  for f in (ad * bd, ad * b + a * bd, a * b))
     Qd = Q.derivative()
 
     def integrand(v):
@@ -212,15 +218,12 @@ def _coeff(a: list, b: list, k: int, l: int | None = None):
 
 
 class Monomials:
-    """Monomials c_k x^(p_k) evaluated together, members on the leading axes.
-
-    ``coeffs`` and ``powers`` share a shape whose last axis has length 1, so a
-    call on node values of shape (m,) puts the node axis last: (na, 1, m) for
-    :meth:`rows`, (1, nb, m) for :meth:`columns`.  Passed to the c1, c12 and
-    c2 kernels in place of a :class:`Polynomial` (they use only evaluation,
-    ``degree``, ``derivative`` and ``scale``), two families make the unchanged
-    kernel arithmetic broadcast to a whole (na, nb, m) block of the bilinear
-    form.
+    """Monomials c_k x^(p_k) evaluated together, members on the leading axes:
+    (na, 1) for :meth:`rows`, (1, nb) for :meth:`columns`.  A call appends one
+    length-1 axis per axis of its argument, so the node axes follow.  Passed
+    to the c1, c12 and c2 kernels in place of a :class:`Polynomial` (they use
+    only evaluation, ``degree``, ``derivative`` and ``scale``), two families
+    make the unchanged kernel arithmetic broadcast to a whole (na, nb) block.
     """
 
     def __init__(self, coeffs: np.ndarray, powers: np.ndarray):
@@ -229,20 +232,19 @@ class Monomials:
 
     @classmethod
     def rows(cls, powers) -> "Monomials":
-        p = np.asarray(powers).reshape(-1, 1, 1)
-        return cls(np.ones(p.shape), p)
+        return cls(np.ones((len(powers), 1)), np.reshape(powers, (-1, 1)))
 
     @classmethod
     def columns(cls, powers) -> "Monomials":
-        p = np.asarray(powers).reshape(1, -1, 1)
-        return cls(np.ones(p.shape), p)
+        return cls(np.ones((1, len(powers))), np.reshape(powers, (1, -1)))
 
     @property
     def degree(self) -> int:
         return int(self.powers.max())
 
     def __call__(self, x):
-        return self.coeffs * x**self.powers
+        c, p = (a.reshape(a.shape + (1,) * np.ndim(x)) for a in (self.coeffs, self.powers))
+        return c * x**p
 
     def derivative(self) -> "Monomials":
         return Monomials(self.coeffs * self.powers, np.maximum(self.powers - 1, 0))
@@ -343,8 +345,10 @@ def blocks(Q, left, right, R: float, theta1: float, theta2: float, tol: float, n
     A side is a ``(P1, P2)`` pair of :class:`Polynomial` objects or of
     :class:`Monomials` families (rows left, columns right); a ``None`` P2
     means no second piece, and c12 and c2 are then ``(0.0, [])``.  c12 pairs
-    the left P1 with the right P2.  The diagonal blocks c1 and c2 are stored
-    as (K + K')/2, the quadratic form they define; for scalars that is K.
+    the left P1 with the right P2.  Each factor of a kernel lives on the axes
+    it depends on (c2's X on (a, t, r, u), its Y on (b, t, r, v)).  The
+    diagonal blocks c1 and c2 are stored as (K + K')/2, the quadratic form
+    they define; for scalars that is K.
     """
     (P1, P2), (P1_other, P2_other) = left, right
 

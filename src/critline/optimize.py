@@ -48,10 +48,11 @@ class OptimizeError(RuntimeError):
 
 
 def check_degrees(d1: int, d2: int) -> None:
-    """Raise ConfigError unless P1 has powers 1..d1 with d1 >= 1 and P2 powers
-    3..d2 with d2 >= 3, or d2 = 0 to disable the second piece."""
+    """Raise ConfigError unless P1 has powers 1..d1 with 1 <= d1 < quad.N_MAX
+    and P2 powers 3..d2 with d2 >= 3, or d2 = 0 to disable the second piece."""
     if d1 < 1:
         raise moments.ConfigError(f"d1 must be >= 1 (P1 has powers 1..d1), got {d1}")
+    moments.check_p1_degree(d1)
     if d2 != 0 and d2 < 3:
         raise moments.ConfigError(f"d2 must be 0 or >= 3 (P2 starts at x^3), got {d2}")
 

@@ -7,22 +7,21 @@ n = 12, 18, 27, 41, ... (n -> ceil(3n/2), the last rung clamped to ``N_MAX``)
 and stops when two successive rungs agree.  The rule cap and the node budget
 are its only bounds: it ends before any rung of more than ``NODE_BUDGET``
 nodes, so 1-D to 3-D ladders end at n = 256 and 4-D ladders at n = 62.
-Integrands must be vectorized: they receive one numpy array per coordinate
-and return an array whose last axis is the node axis.  Leading axes, if any,
-are independent integrals done in the same pass (a whole Gram block at once);
-the result has their shape, and the ladder's delta is the largest relative
-change over its entries.
-
-Node evaluation is chunked so high orders in four dimensions stay within
-memory.  The chunk size is a constant, not an option, because it fixes the
-order of the floating-point reduction and so the last bits of every result.
+Integrands must be vectorized: coordinate k arrives on its own axis of d
+(shape 1 x ... x n x ... x 1), and the integrand returns its member axes, if
+any, then the d node axes (length 1 where it does not depend on one).  Members
+are independent integrals done in one pass (a whole Gram block); the result
+has their shape, and the ladder's delta is the largest relative change over
+its entries.  The rule is contracted an axis at a time, last to first, with
+plain numpy sums (no BLAS, so the thread count cannot change a bit); the first
+axis is cut into slabs of whole rows to bound memory, and contracted once after
+the last slab, so the slab size does not set the order of the reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import fsum
 
 import numpy as np
 
@@ -33,11 +32,11 @@ N_MAX = 256
 # to 3-D; a 4-D ladder that has not converged by n = 62 (62^4 = 1.5e7 nodes)
 # fails there instead of climbing to 256^4 = 4.3e9 nodes.
 NODE_BUDGET = 1 << 24
-# Nodes per integrand call.  Measured on the kappa preset's c2 (n = 16 and 32,
-# 2-core x86-64 VM, numpy 2.4): 0.87-0.93 s at 2^19, 0.52-0.58 s at 2^16,
-# 0.38-0.44 s at 2^13 and 2^14, 0.44-0.54 s at 2^12, 0.66-0.77 s at 2^11.
-# Small chunks pay per-call overhead; large ones push the kernel's temporaries
-# out of cache.
+# Nodes per integrand call, in whole rows of the first axis (at least one).  The
+# kappa preset's evaluate and a d1 = d2 = 5 Gram build at its (Q, R) took, cold
+# (medians of 5, 2-core x86-64 VM, numpy 2.4): 64 and 173 ms at 2^11, 61 and 191
+# at 2^12, 55 and 170 at 2^13, 56 and 181 at 2^14, 60 and 229 at 2^15, 67 and
+# 248 at 2^16; larger slabs fault more fresh pages in per call.
 _CHUNK = 1 << 14
 
 
@@ -67,36 +66,28 @@ def gauss_rule(n: int) -> QuadratureRule:
     return rule
 
 
-def _accumulate(parts: list[np.ndarray]):
-    """Sum the per-chunk partials entry by entry with ``fsum``; a float for a
-    scalar integrand, an array of the leading shape otherwise.  One chunk's
-    partial skips ``fsum``: the ``fsum`` of one term is that term plus 0.0,
-    which changes only a -0.0 (to 0.0)."""
-    if len(parts) == 1:
-        total = parts[0] + 0.0
-    else:
-        stacked = np.stack(parts)
-        columns = stacked.reshape(len(parts), -1).T
-        total = np.array([fsum(col) for col in columns]).reshape(stacked.shape[1:])
-    return float(total) if total.ndim == 0 else total
-
-
 def integrate_cube(f, d: int, rule: QuadratureRule):
     """Tensor-product quadrature of ``f(x1, ..., xd)`` over [0, 1]^d."""
     if not 1 <= d <= 4:
         raise ValueError(f"dimension {d} outside [1, 4]")
-    n = rule.nodes.size
-    total_nodes = n**d
+    x, w = rule.nodes, rule.weights
+    n = x.size
+    coords = [x.reshape((1,) * k + (n,) + (1,) * (d - 1 - k)) for k in range(d)]
+    rows = max(1, _CHUNK // n ** (d - 1))
     parts = []
-    # coordinates are materialized per chunk so high orders in 4-D stay in memory
-    for start in range(0, total_nodes, _CHUNK):
-        stop = min(start + _CHUNK, total_nodes)
-        multi = np.unravel_index(np.arange(start, stop), (n,) * d)
-        coords = [rule.nodes[m] for m in multi]
-        weights = np.prod(np.stack([rule.weights[m] for m in multi]), axis=0)
-        values = f(*coords)
-        parts.append(np.sum(values * weights, axis=-1))
-    return _accumulate(parts)
+    for start in range(0, n, rows):
+        first = coords[0][start:start + rows]
+        # ``values`` stays bound through the next slab's call, so the heap above
+        # it is not trimmed and that call reuses this one's pages (the kappa
+        # preset's c2 at n = 18: 1.3k minor faults instead of 8.7k)
+        values = f(first, *coords[1:])
+        part = values
+        # contract the node axes last to second, leaving one partial per row
+        for _ in range(d - 1):
+            part = np.sum(part * w, axis=-1)
+        parts.append(np.broadcast_to(part, np.shape(part)[:-1] + (first.shape[0],)))
+    total = np.sum(np.concatenate(parts, axis=-1) * w, axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def _rel_diff(new, old) -> float:

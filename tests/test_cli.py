@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -259,9 +262,10 @@ def test_no_psi2_with_d2_is_a_usage_error(capsys):
         (["--no-psi2", "--theta1", "0.9"], "theta1 must be <= 4/7"),
         (["--no-psi2", "--theta2", "0.6"], "theta2 must be < theta1"),
         (["--no-psi2", "--theta1", "nan"], "theta1 and theta2 must be finite"),
+        (["--no-psi2", "--d1", "300"], f"P1 degree 300 exceeds {quad.N_MAX - 1}"),
     ],
     ids=["d1=0", "d2=2", "q-degree=8", "max-iterations=-1", "simple-q-degree=5",
-         "theta1=0.9", "theta2=0.6", "theta1=nan"],
+         "theta1=0.9", "theta2=0.6", "theta1=nan", "d1=300"],
 )
 def test_unusable_search_inputs_are_config_errors(monkeypatch, capsys, args, reason):
     # rejected before any outer step, with the reason, instead of a search
@@ -277,6 +281,19 @@ def test_unusable_search_inputs_are_config_errors(monkeypatch, capsys, args, rea
     assert main(["optimize", *args]) == EXIT_CONFIG
     assert reason in capsys.readouterr().err
     assert not builds
+
+
+def test_p1_degree_beyond_the_exact_u_rule_is_config_error(tmp_path, capsys):
+    # c1's u-rule of deg P1 + 1 nodes must be a rule quad can build: the
+    # config is refused, exit 2, before any quadrature
+    path = tmp_path / "deg300.cfg"
+    path.write_text("R = 1.1\np1_coeffs = " + ", ".join(["0"] * 299 + ["1"]) + "\n")
+    assert main(["eval", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"P1 degree 300 exceeds {quad.N_MAX - 1}" in err and "numerical failure" not in err
+    optimize.check_degrees(quad.N_MAX - 1, 0)
+    with pytest.raises(ConfigError, match=f"exceeds {quad.N_MAX - 1}"):
+        optimize.check_degrees(quad.N_MAX, 0)
 
 
 def test_verify_pass_and_fail_exit_codes(monkeypatch, capsys):
@@ -320,6 +337,27 @@ def test_verify_json_lists_checks_in_run_order(tmp_path, monkeypatch, capsys):
 
 
 # -- reproduce ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["reproduce", "--preset", "kappa"],
+     ["optimize", "--mode", "simple", "--d1", "3", "--d2", "3", "--max-iterations", "2",
+      "--seeds", "0"]],
+    ids=["reproduce", "optimize"],
+)
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
+    # each run is a fresh interpreter with the thread counts set on it alone
+    src = Path(cli.__file__).resolve().parents[1]
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads}.json"
+        subprocess.run([sys.executable, "-m", "critline.cli", *argv, "--json", str(out)],
+                       env=env, check=True, capture_output=True)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_reproduce_normalizes_preset_q(tmp_path, monkeypatch):

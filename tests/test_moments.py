@@ -385,6 +385,61 @@ def test_closed_form_kernels_match_the_jet_ring(point):
     assert c2 == pytest.approx(float(c2_jet[2, 2]), rel=1e-13, abs=0.0)
 
 
+# -- the separated-axis quadrature against a flat-rule reference --------------
+
+
+def flat_integrate_cube(f, d, rule, chunk=1 << 14):
+    """The tensor rule on a flat node index: coordinates and weight products
+    rebuilt per chunk of ``chunk`` nodes, the node axis last, and the chunk
+    partials added entry by entry with ``fsum``."""
+    n = rule.nodes.size
+    parts = []
+    for start in range(0, n**d, chunk):
+        multi = np.unravel_index(np.arange(start, min(start + chunk, n**d)), (n,) * d)
+        weights = np.prod(np.stack([rule.weights[m] for m in multi]), axis=0)
+        values = f(*(rule.nodes[m] for m in multi))
+        parts.append(np.sum(values * weights, axis=-1))
+    stacked = np.stack(parts)
+    columns = stacked.reshape(len(parts), -1).T
+    return np.array([math.fsum(col) for col in columns]).reshape(stacked.shape[1:])
+
+
+def assert_matches_flat_rule(integrand, d):
+    for n in (12, 18):
+        rule = quad.gauss_rule(n)
+        got, want = quad.integrate_cube(integrand, d, rule), flat_integrate_cube(integrand, d, rule)
+        assert np.shape(got) == np.shape(want)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (n, np.max(np.abs(got / want - 1.0)))
+
+
+def kernels(cfg, p1_rows, p1_cols, p2_rows, p2_cols):
+    Q, R, th1, th2 = cfg.Q, cfg.R, cfg.theta1, cfg.theta2
+    return {
+        "c1": (moments.c1_integrand(Q, p1_rows, p1_cols, R, th1), 1),
+        "c12": (moments.c12_integrand(Q, p1_rows, p2_cols, R, th1, th2), 3),
+        "c2": (moments.c2_integrand(Q, p2_rows, p2_cols, R, th2), 4),
+    }
+
+
+@pytest.mark.parametrize("name", ["c1", "c12", "c2"])
+def test_gram_blocks_match_the_flat_rule(name):
+    # d1 = d2 = 5: P1 powers 1..5, P2 powers 3..5, at the kappa preset's (Q, R)
+    cfg = renormalized_q(kappa_preset())
+    integrand, d = kernels(
+        cfg, Monomials.rows(range(1, 6)), Monomials.columns(range(1, 6)),
+        Monomials.rows(range(3, 6)), Monomials.columns(range(3, 6)),
+    )[name]
+    assert_matches_flat_rule(integrand, d)
+
+
+@pytest.mark.parametrize("name", ["c1", "c12", "c2"])
+@pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])
+def test_scalar_kernels_match_the_flat_rule(preset, name):
+    cfg = renormalized_q(preset())
+    integrand, d = kernels(cfg, cfg.P1, cfg.P1, cfg.P2, cfg.P2)[name]
+    assert_matches_flat_rule(integrand, d)
+
+
 @pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])
 def test_preset_ladders_stop_at_the_second_rung(preset):
     report = evaluate(renormalized_q(preset()))

@@ -1,6 +1,7 @@
 """Gauss-Legendre rules, tensor integration, and the order ladder."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,11 +159,14 @@ def test_invalid_arguments():
 # -- array-valued integrands -------------------------------------------------
 
 
-def test_array_integrand_matches_componentwise():
+def test_array_integrand_matches_componentwise(monkeypatch):
+    # members first, then one node axis per coordinate; 97 nodes is 9 rows of
+    # 10, so the 2-D rule takes two slabs
+    monkeypatch.setattr(quad, "_CHUNK", 97)
     rule = gauss_rule(10)
 
     def f(u, v):
-        return np.stack([u * v, u, v])
+        return np.stack(np.broadcast_arrays(u * v, u, v))
 
     value = integrate_cube(f, 2, rule)
     assert value.shape == (3,)
@@ -203,7 +207,8 @@ def test_array_integrand_chunking_is_exact(monkeypatch):
 
     def f(x, y, z):
         base = np.exp(x) * np.cos(y) * z
-        return np.stack([base, base * x, np.sin(z)])[:, None, :] * np.array([1.0, -2.0])[:, None]
+        members = np.stack(np.broadcast_arrays(base, base * x, np.sin(z)))
+        return members[:, None] * np.array([1.0, -2.0])[:, None, None, None]
 
     whole = integrate_cube(f, 3, rule)
     monkeypatch.setattr(quad, "_CHUNK", 97)
@@ -212,22 +217,67 @@ def test_array_integrand_chunking_is_exact(monkeypatch):
     np.testing.assert_allclose(chunked, whole, rtol=1e-14, atol=0.0)
 
 
-def test_one_chunk_sums_as_fsum_does():
-    # a one-chunk integral skips fsum and must still equal it bit for bit,
-    # the sign of a zero included (fsum turns a lone -0.0 into 0.0)
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_coordinates_arrive_on_separate_axes(d):
+    n = 5
+    seen = []
+
+    def f(*xs):
+        seen.append([x.shape for x in xs])
+        return sum(xs)
+
+    integrate_cube(f, d, gauss_rule(n))
+    shapes = seen[0]
+    assert len(seen) == 1 and len(shapes) == d
+    for k, shape in enumerate(shapes):
+        assert shape == tuple(n if j == k else 1 for j in range(d))
+
+
+def test_omitted_axis_integrates_as_if_broadcast(monkeypatch):
+    # an integrand of z alone keeps length 1 on the x and y axes, members too
+    monkeypatch.setattr(quad, "_CHUNK", 97)
+    rule = gauss_rule(12)
+
+    def lean(x, y, z):
+        return np.stack([np.exp(z), z * z])
+
+    def full(x, y, z):
+        shape = np.broadcast_shapes(x.shape, y.shape, z.shape)
+        return np.stack([np.broadcast_to(g, shape) for g in lean(x, y, z)])
+
+    got, want = integrate_cube(lean, 3, rule), integrate_cube(full, 3, rule)
+    assert got.shape == want.shape == (2,)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    assert got[0] == pytest.approx(math.e - 1.0, rel=1e-13)
+    assert got[1] == pytest.approx(1.0 / 3.0, rel=1e-13)
+
+
+def test_results_are_floats_and_a_zero_is_positive():
+    # a scalar integrand returns a Python float, members an array of their
+    # shape, and a lone -0.0 comes back as 0.0
     for n in (1, 12):
         rule = gauss_rule(n)
-
-        def f(x):
-            return np.stack([np.exp(x) / 3.0, -0.0 * x, np.sin(7.0 * x)])
-
-        partials = np.sum(f(rule.nodes) * rule.weights, axis=-1)
-        whole = integrate_cube(f, 1, rule)
+        whole = integrate_cube(lambda x: np.stack([np.exp(x) / 3.0, -0.0 * x, np.sin(7.0 * x)]), 1, rule)
         assert isinstance(whole, np.ndarray) and whole.shape == (3,)
-        assert np.array_equal(whole, [math.fsum([p]) for p in partials])
-        assert not np.signbit(whole[1])
-        scalar = integrate_cube(lambda x: -0.0 * x, 1, rule)
-        assert type(scalar) is float and scalar == 0.0 and not np.signbit(scalar)
+        assert whole[1] == 0.0 and not np.signbit(whole[1])
+        for d in (1, 4):
+            scalar = integrate_cube(lambda *xs: -0.0 * xs[0], d, rule)
+            assert type(scalar) is float and scalar == 0.0 and not np.signbit(scalar)
+
+
+def test_4d_memory_stays_within_a_few_slabs():
+    # at n = 62 one slab is a single row of 62^3 nodes; the whole rule would
+    # be 62 times that, and the peak must stay near the slab, not the rule
+    n = 62
+    slab_bytes = 8 * n**3
+    tracemalloc.start()
+    try:
+        value = integrate_cube(lambda t, r, u, v: np.exp(t) * r * u * v, 4, gauss_rule(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx((math.e - 1.0) / 8.0, rel=1e-13)
+    assert peak <= 6 * slab_bytes, peak / slab_bytes
 
 
 def test_nan_in_one_entry_raises_at_the_first_order():
