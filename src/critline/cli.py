@@ -229,9 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta1", type=float, default=THETA1)
     p.add_argument("--theta2", type=float, default=THETA2)
     p.add_argument("--max-iterations", type=int, default=optimize.MAX_ITERATIONS,
-                   help="outer simplex iteration cap per seed")
+                   help="cap on the R values searched after the published R")
     p.add_argument("--seeds", type=int, default=optimize.EXTRA_SEEDS,
-                   help=f"number of extra perturbed seeds, 0 to {optimize.EXTRA_SEEDS}")
+                   help=f"number of extra perturbed Q starts, 0 to {optimize.EXTRA_SEEDS}")
     p.add_argument("--json", help="write the JSON report to this path")
     p.set_defaults(func=run_optimize)
 

@@ -10,11 +10,11 @@ Taylor coefficient the operator reads ([xy] for c12, [x^2 y^2] for c2); the
 operators are exact and quadrature is the only error source.  The quadrature
 ladder's delta is measured on that coefficient.
 
-Each kernel is bilinear in its two smoothing polynomials (P1 and P1 for c1,
-P1 and P2 for c12, P2 and P2 for c2).  Given :class:`Monomials` families in
-their place, the same kernel returns a whole block of the bilinear form per
-node.  :func:`blocks` is the one path from kernel to constant, for
-:func:`evaluate` and for the Gram matrix of :mod:`critline.optimize`.
+Each kernel is linear in each of its four polynomials, a (Q, P) pair per
+side.  Given :class:`Family` objects in their place, the same kernel returns
+a whole block of that 4-linear form per node.  :func:`blocks` is the one
+path from kernel to constant, for :func:`evaluate` and for the Gram matrices
+and tensors of :mod:`critline.optimize`.
 """
 
 from __future__ import annotations
@@ -129,16 +129,17 @@ class KappaReport:
 # -- c1: a 1-D integral in v over exact u-moments ---------------------------
 
 
-def c1_integrand(Q: Polynomial, P1: Polynomial, P1_other: Polynomial, R: float, theta1: float):
-    """e^{2Rv} times the u-integral of L(P1) L(P1_other), a function of v alone,
-    bilinear in (P1, P1_other), with L(P) = Q(v)P'(u) + th1 (Q'(v) + R Q(v)) P(u).
+def c1_integrand(Q, P1, Q_other, P1_other, R: float, theta1: float):
+    """e^{2Rv} times the u-integral of L_Q(P1) L_Qo(P1o), a function of v
+    alone, with L_Q(P) = Q(v)P'(u) + th1 (Q'(v) + R Q(v)) P(u), Qo = Q_other
+    and P1o = P1_other.
 
-    With q = Q(v) and qp = th1 (Q'(v) + R Q(v)) the product is
-    q^2 P1'P1o' + q qp (P1'P1o + P1 P1o') + qp^2 P1 P1o (P1o = P1_other), and
-    its u-part has degree at most deg P1 + deg P1_other.  A Gauss rule of
-    (deg P1 + deg P1_other) // 2 + 1 nodes integrates it exactly, so the three
-    u-moments U0, U1, U2 are computed once here and the quadrature ladder runs
-    over v alone: the integrand is e^{2Rv} (U0 q^2 + U1 q qp + U2 qp^2).
+    With q = Q(v), qp = th1 (Q'(v) + R Q(v)) and qo, qpo the same of Qo, the
+    product is q qo P1'P1o' + q qpo P1'P1o + qp qo P1 P1o' + qp qpo P1 P1o.
+    Its u-part has degree at most deg P1 + deg P1o, so a Gauss rule of
+    (deg P1 + deg P1o) // 2 + 1 nodes gives the four u-moments exactly, once,
+    and the quadrature ladder runs over v alone.  The two mixed terms are
+    added first: they are equal when Qo = Q and P1o = P1, and their sum exact.
     """
     rule = quad.gauss_rule((P1.degree + P1_other.degree) // 2 + 1)
     u = rule.nodes
@@ -146,14 +147,16 @@ def c1_integrand(Q: Polynomial, P1: Polynomial, P1_other: Polynomial, R: float, 
     b, bd = P1_other(u), P1_other.derivative()(u)
 
     # the u-axis is summed away and kept as length 1: v's node axis
-    U0, U1, U2 = (np.sum(f * rule.weights, axis=-1, keepdims=True)
-                  for f in (ad * bd, ad * b + a * bd, a * b))
-    Qd = Q.derivative()
+    U_dd, U_d0, U_0d, U_00 = (np.sum(f * rule.weights, axis=-1, keepdims=True)
+                              for f in (ad * bd, ad * b, a * bd, a * b))
+    Qd, Qod = Q.derivative(), Q_other.derivative()
 
     def integrand(v):
-        q = Q(v)
+        q, qo = Q(v), Q_other(v)
         qp = theta1 * (Qd(v) + R * q)
-        return np.exp(2.0 * R * v) * (U0 * (q * q) + U1 * (q * qp) + U2 * (qp * qp))
+        qpo = theta1 * (Qod(v) + R * qo)
+        mixed = U_d0 * (q * qpo) + U_0d * (qp * qo)
+        return np.exp(2.0 * R * v) * (U_dd * (q * qo) + mixed + U_00 * (qp * qpo))
 
     return integrand
 
@@ -191,7 +194,7 @@ def _grid(taylor: list[Polynomial], c0, cx, cy, cap: int) -> list[list]:
     t = [p(c0) for p in taylor]
     px, py = [1.0, cx, cx * cx], [1.0, cy, cy * cy]
     return [
-        [math.comb(i + j, i) * t[i + j] * px[i] * py[j] for j in range(cap + 1)]
+        [t[i + j] * (math.comb(i + j, i) * px[i] * py[j]) for j in range(cap + 1)]
         for i in range(cap + 1)
     ]
 
@@ -214,60 +217,54 @@ def _coeff(a: list, b: list, k: int, l: int | None = None):
     return acc
 
 
-# -- monomial families: a Gram block per kernel call -------------------------
+# -- polynomial families: a block of the form per kernel call ---------------
 
 
-class Monomials:
-    """Monomials c_k x^(p_k) evaluated together, members on the leading axes:
-    (na, 1) for :meth:`rows`, (1, nb) for :meth:`columns`.  A call appends one
-    length-1 axis per axis of its argument, so the node axes follow.  Passed
-    to the c1, c12 and c2 kernels in place of a :class:`Polynomial` (they use
-    only evaluation, ``degree``, ``derivative`` and ``scale``), two families
-    make the unchanged kernel arithmetic broadcast to a whole (na, nb) block.
-    """
+class Family:
+    """Polynomials as the rows of a coefficient matrix (ascending powers),
+    evaluated together by Horner, their members on axis ``axis`` of ``axes``
+    leading axes, then the argument's axes.  In place of a
+    :class:`Polynomial` (the kernels use only evaluation, ``degree``,
+    ``derivative`` and ``scale``), families on distinct axes make a kernel
+    return a whole block."""
 
-    def __init__(self, coeffs: np.ndarray, powers: np.ndarray):
+    def __init__(self, coeffs: np.ndarray, axis: int, axes: int):
         self.coeffs = coeffs
-        self.powers = powers
-
-    @classmethod
-    def rows(cls, powers) -> "Monomials":
-        return cls(np.ones((len(powers), 1)), np.reshape(powers, (-1, 1)))
-
-    @classmethod
-    def columns(cls, powers) -> "Monomials":
-        return cls(np.ones((1, len(powers))), np.reshape(powers, (1, -1)))
+        self.axis = axis
+        self.axes = axes
 
     @property
     def degree(self) -> int:
-        return int(self.powers.max())
+        return self.coeffs.shape[1] - 1
 
     def __call__(self, x):
-        c, p = (a.reshape(a.shape + (1,) * np.ndim(x)) for a in (self.coeffs, self.powers))
-        return c * x**p
+        shape = [1] * (self.axes + np.ndim(x))
+        shape[self.axis] = len(self.coeffs)
+        acc = 0.0
+        for c in self.coeffs.T[::-1]:
+            acc = acc * x + c.reshape(shape)
+        return acc
 
-    def derivative(self) -> "Monomials":
-        return Monomials(self.coeffs * self.powers, np.maximum(self.powers - 1, 0))
+    def derivative(self) -> "Family":
+        return Family(np.polynomial.polynomial.polyder(self.coeffs, axis=1), self.axis, self.axes)
 
-    def scale(self, factor: float) -> "Monomials":
-        return Monomials(factor * self.coeffs, self.powers)
+    def scale(self, factor: float) -> "Family":
+        return Family(factor * self.coeffs, self.axis, self.axes)
 
 
 # -- c12: [xy] over simplex(a,b) x [0,1] -------------------------------------
 
 
-def c12_integrand(
-    Q: Polynomial, P1: Polynomial, P2: Polynomial, R: float, theta1: float, theta2: float
-):
+def c12_integrand(Q, P1, Q_other, P2, R: float, theta1: float, theta2: float):
     """Per-node [xy] coefficient of the c12 kernel on the cube (s, t, u).
 
     The kernel is e^(R u th2 (a-b)) * e^(-R th1 x) Q(a u th2 - th1 x)
-    * e^(R th1 y) Q(1 - b u th2 + th1 y) * P1(1 - (1-u) th2/th1 + x + y)
+    * e^(R th1 y) Q_other(1 - b u th2 + th1 y) * P1(1 - (1-u) th2/th1 + x + y)
     * u^2 (1-u) P2''((1-a-b)u) with a = s, b = (1-s)t and Jacobian 1-s.  The
     two exponential-times-Q factors depend on x only and on y only, so they
     form a rank-1 outer product that contracts against P1's (1,1) grid.
     """
-    q = _taylor(Q, 1)
+    q, qo = _taylor(Q, 1), _taylor(Q_other, 1)
     p1 = _taylor(P1, 2)
     P2dd = P2.derivative().derivative()
 
@@ -276,7 +273,7 @@ def c12_integrand(
         b = (1.0 - s) * t
         jac = 1.0 - s
         X = _times_exp(_series(q, a * u * theta2, -theta1), -R * theta1)
-        Y = _times_exp(_series(q, 1.0 - b * u * theta2, theta1), R * theta1)
+        Y = _times_exp(_series(qo, 1.0 - b * u * theta2, theta1), R * theta1)
         XY = [[xi * yj for yj in Y] for xi in X]
         grid = _grid(p1, 1.0 - (1.0 - u) * theta2 / theta1, 1.0, 1.0, 1)
         scalar = u * u * (1.0 - u) * P2dd((1.0 - a - b) * u) * jac
@@ -288,18 +285,22 @@ def c12_integrand(
 # -- c2: [x^2 y^2] over [0,1]^4 ----------------------------------------------
 
 
-def c2_integrand(Q: Polynomial, P2: Polynomial, P2_other: Polynomial, R: float, theta2: float):
+def c2_integrand(Q, P2, Q_other, P2_other, R: float, theta2: float):
     """Per-node [x^2 y^2] coefficient of the c2 kernel on the cube (t, r, u, v).
 
     With E = x + y - v(y+r) - u(x+r) and G = 1 + th2 E, the kernel is
     (1/th2 + E)(1-r)^4 * e^(-th2 R E + 2 R t G) * Q(th2(u(x+r) - y) + tG)
-    * Q(th2(v(y+r) - x) + tG) * (x+r) P2''((1-u)(x+r)) * (y+r) P2_other''((1-v)(y+r)).
-    The exponential splits into e^L0 e^(Lx x) e^(Ly y); with the x-only and
-    y-only P2 factors it is a rank-1 outer product X(x) Y(y).  The linear
-    front factor shifts the index, so only three coefficients of
-    X Y Q Q are needed.
+    * Q_other(th2(v(y+r) - x) + tG) * (x+r) P2''((1-u)(x+r))
+    * (y+r) P2_other''((1-v)(y+r)).  The exponential splits into
+    e^L0 e^(Lx x) e^(Ly y); with the x-only and y-only P2 factors it is a
+    rank-1 outer product X(x) Y(y).  The linear front factor
+    (1/th2 + e0) + ex x + ey y, split by variable as (fx + ex x) + (fy + ey y),
+    folds into X and Y on their own axes (A and B), so the grid Z of
+    front X Y is A Y + X B.  Z times Q's grid qa is W, and [x^2 y^2] of
+    W times Q_other's grid qb is nine products: only there do Q_other's
+    members meet the P members.
     """
-    q = _taylor(Q, 4)
+    q, qo = _taylor(Q, 4), _taylor(Q_other, 4)
     pa = _taylor(P2.derivative().derivative(), 2)
     pb = _taylor(P2_other.derivative().derivative(), 2)
 
@@ -317,55 +318,51 @@ def c2_integrand(Q: Polynomial, P2: Polynomial, P2_other: Polynomial, R: float, 
         Ly = rt * gy - theta2 * R * ey
         tg0, tgx, tgy = t * g0, t * gx, t * gy
         qa = _grid(q, theta2 * u * r + tg0, theta2 * u + tgx, tgy - theta2, 2)
-        qb = _grid(q, theta2 * v * r + tg0, tgx - theta2, theta2 * v + tgy, 2)
-        qq = [[_coeff(qa, qb, k, l) for l in range(3)] for k in range(3)]
+        qb = _grid(qo, theta2 * v * r + tg0, tgx - theta2, theta2 * v + tgy, 2)
         X = side(pa, r, ex, Lx)
         Y = side(pb, r, ey, Ly)
-        XY = [[xi * yj for yj in Y] for xi in X]
-        # front = (1/th2 + e0) + ex x + ey y
-        g = (
-            (1.0 / theta2 + e0) * _coeff(XY, qq, 2, 2)
-            + ex * _coeff(XY, qq, 1, 2)
-            + ey * _coeff(XY, qq, 2, 1)
-        )
-        return g * np.exp(L0) * (1.0 - r) ** 4
+        fx, fy = 0.5 / theta2 - r * u, 0.5 / theta2 - r * v
+        A = [fx * X[0], fx * X[1] + ex * X[0], fx * X[2] + ex * X[1]]
+        B = [fy * Y[0], fy * Y[1] + ey * Y[0], fy * Y[2] + ey * Y[1]]
+        Z = [[a * yj + xi * b for yj, b in zip(Y, B)] for xi, a in zip(X, A)]
+        W = [[_coeff(Z, qa, i, j) for j in range(3)] for i in range(3)]
+        return _coeff(W, qb, 2, 2) * np.exp(L0) * (1.0 - r) ** 4
 
     return integrand
 
 
-# -- the bilinear form: every kernel integral goes through here ---------------
+# -- the 4-linear form: every kernel integral goes through here -------------
 
 
-def blocks(Q, left, right, R: float, theta1: float, theta2: float, tol: float, n_start: int):
-    """The c1 - 1, c12 and c2 blocks of the bilinear form between two sides,
-    each as ``(block, trace)``, integrated to ``tol`` on the quadrature ladder
-    from ``n_start`` and normalized: c1 in 1-D (v; its u-part is exact in the
+def blocks(left, right, R: float, theta1: float, theta2: float, tol: float, n_start: int):
+    """The c1 - 1, c12 and c2 blocks of the form between two sides, each as
+    ``(block, trace)``, integrated to ``tol`` on the quadrature ladder from
+    ``n_start`` and normalized: c1 in 1-D (v; its u-part is exact in the
     kernel), c12 in 3-D and c2 in 4-D.
 
-    A side is a ``(P1, P2)`` pair of :class:`Polynomial` objects or of
-    :class:`Monomials` families (rows left, columns right); a ``None`` P2
-    means no second piece, and c12 and c2 are then ``(0.0, [])``.  c12 pairs
-    the left P1 with the right P2.  Each factor of a kernel lives on the axes
-    it depends on (c2's X on (a, t, r, u), its Y on (b, t, r, v)).  The
-    diagonal blocks c1 and c2 are stored as (K + K')/2, the quadratic form
-    they define; for scalars that is K.
+    A side is a ``(Q, P1, P2)`` triple of :class:`Polynomial` or
+    :class:`Family` objects, each family on its own member axis; a ``None``
+    P2 means no second piece, and c12 and c2 are then ``(0.0, [])``.  c12
+    pairs the left (Q, P1) with the right (Q, P2).  The blocks are not
+    symmetrized: with three or four member axes no transpose pairs left with
+    right, so each caller symmetrizes what it builds.
     """
-    (P1, P2), (P1_other, P2_other) = left, right
+    (Q, P1, P2), (Q_other, P1_other, P2_other) = left, right
 
     def integral(integrand, d: int):
         return quad.integrate_converged(integrand, d, tol=tol, n_start=n_start)
 
-    K1, t1 = integral(c1_integrand(Q, P1, P1_other, R, theta1), 1)
-    c1 = 0.5 * (K1 + np.transpose(K1)) / theta1
+    K1, t1 = integral(c1_integrand(Q, P1, Q_other, P1_other, R, theta1), 1)
+    c1 = K1 / theta1
     if P2 is None or P2_other is None:
         return (c1, t1), (0.0, []), (0.0, [])
-    K12, t12 = integral(c12_integrand(Q, P1, P2_other, R, theta1, theta2), 3)
+    K12, t12 = integral(c12_integrand(Q, P1, Q_other, P2_other, R, theta1, theta2), 3)
     # d^2/dxdy = 1! 1! [xy]
     # the ratio, not the squares: theta1**2 underflows for a tiny theta1
     c12 = 4.0 * (theta2 / theta1) ** 2 * math.exp(R) * K12
-    K2, t2 = integral(c2_integrand(Q, P2, P2_other, R, theta2), 4)
+    K2, t2 = integral(c2_integrand(Q, P2, Q_other, P2_other, R, theta2), 4)
     # d^4/dx^2dy^2 = 2! 2! [x^2 y^2]
-    c2 = (2.0 / 3.0) * (4.0 * (0.5 * (K2 + np.transpose(K2))))
+    c2 = (2.0 / 3.0) * (4.0 * K2)
     return (c1, t1), (c12, t12), (c2, t2)
 
 
@@ -384,8 +381,8 @@ def compute_kappa(c: float, R: float) -> float:
 
 
 def evaluate(cfg: MollifierConfig, tol=quad.DEFAULT_TOL) -> KappaReport:
-    side = (cfg.P1, None if cfg.P2.is_zero else cfg.P2)
-    (c1, t1), (c12, t12), (c2, t2) = blocks(cfg.Q, side, side, cfg.R, cfg.theta1, cfg.theta2,
+    side = (cfg.Q, cfg.P1, None if cfg.P2.is_zero else cfg.P2)
+    (c1, t1), (c12, t12), (c2, t2) = blocks(side, side, cfg.R, cfg.theta1, cfg.theta2,
                                             tol, quad.N_SEQUENCE_START)
     c1, c12, c2 = 1.0 + float(c1), float(c12), float(c2)
     c = c1 + 2.0 * c12 + c2

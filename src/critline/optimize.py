@@ -1,17 +1,13 @@
-"""Maximizing the kappa bound over polynomial coefficients and R.
+"""Maximizing the kappa bound over R and the polynomial coefficients.
 
-For fixed (Q, R, theta1, theta2) the total constant c is an inhomogeneous
-quadratic form in the concatenated coefficient vector w = (P1 coeffs, P2
-coeffs): c(w) = 1 + w'Mw.  The inner problem (best P1, P2 subject to
-P1(1) = 1) is therefore a linear solve on the constraint surface, one
-Cholesky factorization of M restricted to it (Conrey's quadratic-form
-optimization), and only the few outer parameters (R and Q's odd-basis
-coefficients) need derivative-free search.  M is assembled from the bilinear
-c1, c12 and c2 blocks of :func:`critline.moments.blocks`, one quadrature
-pass per block (1-D in v for c1, whose u-integral is exact in its kernel;
-3-D for c12 and 4-D for c2), with the monomial basis on both sides.  What
-depends only on sizes (Q's odd basis, the constraint's null basis) is built
-once per size and shared by every outer step.
+At fixed (R, theta1, theta2), c - 1 is a quadratic form in Q and one in
+(P1, P2) (Conrey's quadratic-form optimization): c = 1 + sum T[a, b, k, l]
+q_a q_b w_k w_l, with q Q's coefficients on its odd basis (``poly._q_basis``)
+and w those of P1 and P2 on monomials.  :func:`build_tensor` integrates T
+once per R.  Contracted on its Q axes it is the Gram matrix of (P1, P2),
+contracted on its P axes that of Q, and the constraints P1(1) = 1 and
+Q(0) = sum(q) = 1 have the same form, so one constrained solve serves both;
+:func:`alternate` alternates them, and R is the only searched parameter.
 """
 
 from __future__ import annotations
@@ -19,25 +15,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import moments, presets, quad
-from .moments import ALL_ZEROS, SIMPLE_ZEROS, KappaReport, MollifierConfig, Monomials
-from .poly import Polynomial, QSpec, make_p1, make_p2, make_q
+from .moments import ALL_ZEROS, SIMPLE_ZEROS, Family, KappaReport, MollifierConfig
+from .poly import Polynomial, QSpec, _q_basis, make_p1, make_p2, make_q
 
 # Gram quadrature tolerance: the final re-solve, and the cheaper search
 GRAM_TOL = 1e-9
 SEARCH_GRAM_TOL = 1e-5
 GRAM_N_START = 8
-INITIAL_STEP = 0.05
-DIAMETER_TOL = 1e-6
 MAX_ITERATIONS = 200
-# why optimize_full scored an outer point 1e6; counted in its diagnostics
-REJECTION_REASONS = (
-    "R_out_of_range", "c_min_nonpositive", "optimize_error", "quadrature_error", "value_error",
-)
+# the R search: admissible range, first bracketing step, final bracket width
+R_RANGE = (0.1, 5.0)
+R_STEP = 0.05
+R_TOL = 1e-6
+GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+# alternation at one R: stop once a round lowers c by at most this, relatively
+ROUND_TOL = 1e-15
+MAX_ROUNDS = 100
 
 
 class OptimizeError(RuntimeError):
@@ -59,8 +57,9 @@ def check_degrees(d1: int, d2: int) -> None:
 
 @dataclass(frozen=True)
 class GramSystem:
-    """c(w) = 1 + w'Mw over the monomial basis x^1..x^d1 for P1 and
-    x^3..x^d2 for P2; ``e`` encodes the constraint P1(1) = 1."""
+    """c(w) = 1 + w'Mw under e'w = 1, ``e`` 1 on the first d1 coordinates
+    and 0 after: P1(1) = 1 over the monomials x^1..x^d1 of P1 and x^3..x^d2
+    of P2, or Q(0) = 1 over Q's odd basis (d1 the basis size)."""
 
     M: np.ndarray
     d1: int
@@ -78,6 +77,47 @@ class GramSystem:
         return 1.0 + float(w @ self.M @ w)
 
 
+def build_tensor(
+    basis: np.ndarray, R: float, theta1: float, theta2: float, d1: int, d2: int, tol: float
+) -> np.ndarray:
+    """T with c = 1 + sum T[a, b, k, l] q_a q_b w_k w_l for
+    Q = sum_a q_a basis[a] (monomial coefficients, one row per member) and w
+    the P1 and P2 monomial coefficients (none of P2 if d2 = 0).
+
+    One :func:`moments.blocks` pass per left member a: basis[a] as a scalar
+    Q on the left, the right Q family and both P families each on its own
+    axis, so a node holds m * na * nb members, not m^2 * na * nb.  The P2-P1
+    blocks are the P1-P2 ones with both axis pairs swapped.  T is not
+    symmetrized; :func:`gram_at` symmetrizes what it contracts.
+    """
+    check_degrees(d1, d2)
+    m, n = len(basis), d1 + (d2 - 2 if d2 else 0)
+    # P1 has powers 1..d1 and P2 powers 3..d2: rows of the identity
+    left_p, right_p = ((Family(np.eye(d1 + 1)[1:], axis, 3),
+                        Family(np.eye(d2 + 1)[3:], axis, 3) if d2 else None) for axis in (1, 2))
+    T = np.empty((m, m, n, n))
+    for a, row in enumerate(basis):
+        (c1, _), (c12, _), (c2, _) = moments.blocks(
+            (Polynomial(tuple(row)), *left_p), (Family(basis, 0, 3), *right_p),
+            R, theta1, theta2, tol, GRAM_N_START,
+        )
+        T[a, :, :d1, :d1] = c1
+        if d2:
+            T[a, :, :d1, d1:] = c12
+            T[a, :, d1:, d1:] = c2
+    T[:, :, d1:, :d1] = T[:, :, :d1, d1:].transpose(1, 0, 3, 2)
+    return T
+
+
+def gram_at(T: np.ndarray, v: np.ndarray, d1: int) -> GramSystem:
+    """The Gram system of T's last two axes with v on its first two: of
+    (P1, P2) at Q's coefficients v, or of Q at v = (P1, P2) when T's axis
+    pairs are swapped.  Plain einsum, without ``optimize=``, calls no BLAS,
+    so the thread count cannot change a bit of the search."""
+    M = np.einsum("a,b,abkl->kl", v, v, T)
+    return GramSystem(M=0.5 * (M + M.T), d1=d1)
+
+
 def build_gram(
     Q: Polynomial,
     R: float,
@@ -87,26 +127,10 @@ def build_gram(
     d2: int,
     tol: float = GRAM_TOL,
 ) -> GramSystem:
-    """Assemble M on the monomial basis with one quadrature pass per block.
-
-    :func:`moments.blocks` with a :class:`~critline.moments.Monomials` family
-    on each side (orders from ``GRAM_N_START``) returns the c1 (d1 x d1), c12
-    (d1 x (d2 - 2)) and c2 ((d2 - 2) x (d2 - 2)) blocks, the diagonal ones
-    symmetric; this function only places them into M.
-    ``d2 = 0`` disables the second mollifier piece entirely (no P2 columns,
-    one pass); otherwise ``d2 >= 3`` since P2 vanishes to third order.
-    """
-    check_degrees(d1, d2)
-    n_p2 = 0 if d2 == 0 else d2 - 2
-
-    def side(family):
-        return family(range(1, d1 + 1)), family(range(3, d2 + 1)) if n_p2 else None
-
-    (c1, _), (c12, _), (c2, _) = moments.blocks(
-        Q, side(Monomials.rows), side(Monomials.columns), R, theta1, theta2, tol, GRAM_N_START
-    )
-    M = np.block([[c1, c12], [c12.T, c2]]) if n_p2 else c1
-    return GramSystem(M=M, d1=d1)
+    """The Gram system of (P1, P2) at one Q: the tensor of the one-member
+    basis [Q].  ``d2 = 0`` disables the second piece (no P2 columns)."""
+    T = build_tensor(np.array([Q.coeffs]), R, theta1, theta2, d1, d2, tol)
+    return gram_at(T, np.ones(1), d1)
 
 
 @lru_cache(maxsize=16)
@@ -140,63 +164,56 @@ def solve_constrained(sys: GramSystem) -> tuple[np.ndarray, float]:
     return w, sys.total(w)
 
 
-# -- Nelder-Mead ------------------------------------------------------------
-
-
-def nelder_mead(
-    f: Callable[[np.ndarray], float],
-    x0: Sequence[float],
-    diameter_tol: float = DIAMETER_TOL,
-    max_iterations: int = MAX_ITERATIONS,
-) -> tuple[np.ndarray, float]:
-    """Downhill simplex with reflection 1, expansion 2, contraction 1/2,
-    shrink 1/2 and first steps of ``INITIAL_STEP``; stops when the simplex
-    diameter drops below ``diameter_tol`` or after ``max_iterations`` steps."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 1 or x0.size == 0:
-        raise OptimizeError("x0 must be a nonempty vector")
-    f0 = f(x0)
-    if not math.isfinite(f0):
-        raise OptimizeError("objective is not finite at x0")
-
-    n = x0.size
-    simplex = [x0]
-    for k in range(n):
-        step = np.zeros(n)
-        step[k] = INITIAL_STEP if x0[k] == 0.0 else INITIAL_STEP * max(abs(x0[k]), 1.0)
-        simplex.append(x0 + step)
-    values = [f0] + [f(x) for x in simplex[1:]]
-
-    for _ in range(max_iterations):
-        order = np.argsort(values)
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        diameter = max(np.max(np.abs(x - simplex[0])) for x in simplex[1:])
-        if diameter < diameter_tol:
+def alternate(T: np.ndarray, q: np.ndarray, d1: int) -> tuple[np.ndarray, list[float]]:
+    """Lower c at one R from Q's coefficients q (sum(q) = 1) by alternating
+    the exact solves for (P1, P2) and for q, neither of which can raise c,
+    until a round lowers c by at most ``ROUND_TOL`` relatively or after
+    ``MAX_ROUNDS`` rounds.  Returns the last q and c after every solve."""
+    history: list[float] = []
+    for _ in range(MAX_ROUNDS):
+        w, c_w = solve_constrained(gram_at(T, q, d1))
+        q, c_q = solve_constrained(gram_at(T.transpose(2, 3, 0, 1), w, len(q)))
+        history += [c_w, c_q]
+        if len(history) > 2 and history[-3] - c_q <= ROUND_TOL * c_q:
             break
+    return q, history
 
-        centroid = np.mean(simplex[:-1], axis=0)
-        worst = simplex[-1]
-        reflected = centroid + (centroid - worst)
-        f_r = f(reflected)
-        if f_r < values[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
-            f_e = f(expanded)
-            simplex[-1], values[-1] = (expanded, f_e) if f_e < f_r else (reflected, f_r)
-        elif f_r < values[-2]:
-            simplex[-1], values[-1] = reflected, f_r
+
+# -- the search over R --------------------------------------------------------
+
+
+def _search_R(score: Callable[[float], float], R0: float, budget: int) -> None:
+    """Minimize ``score`` over ``R_RANGE``, calling it at most 1 + ``budget``
+    times: bracket from R0 and R0 + ``R_STEP``, stepping downhill with each
+    step ``GOLDEN`` times the last until the score rises or the range ends,
+    then narrow the bracket to ``R_TOL`` by golden section."""
+    values: dict[float, float] = {}
+
+    def f(R: float) -> float:
+        if R not in values:
+            values[R] = score(R)
+        return values[R]
+
+    a, b = R0, min(R0 + R_STEP, R_RANGE[1])
+    f(a)
+    if len(values) > budget:
+        return
+    if f(b) > f(a):
+        a, b = b, a
+    c = b
+    while len(values) <= budget:
+        c = min(max(b + GOLDEN * (b - a), R_RANGE[0]), R_RANGE[1])
+        if c == b or f(c) >= f(b):
+            break
+        a, b = b, c
+    lo, mid, hi = min(a, c), b, max(a, c)
+    while hi - lo > R_TOL and len(values) <= budget:
+        # the new point goes into the larger part, 1/GOLDEN^2 of it from mid
+        x = mid + ((hi - mid) if hi - mid > mid - lo else (lo - mid)) / GOLDEN**2
+        if f(x) < f(mid):
+            lo, mid, hi = (mid, x, hi) if x > mid else (lo, x, mid)
         else:
-            contracted = centroid + 0.5 * (worst - centroid)
-            f_c = f(contracted)
-            if f_c < values[-1]:
-                simplex[-1], values[-1] = contracted, f_c
-            else:
-                best = simplex[0]
-                simplex = [best] + [best + 0.5 * (x - best) for x in simplex[1:]]
-                values = [values[0]] + [f(x) for x in simplex[1:]]
-
-    i_best = int(np.argmin(values))
-    return simplex[i_best], values[i_best]
+            lo, hi = (lo, x) if x > mid else (x, hi)
 
 
 # -- full optimization ------------------------------------------------------
@@ -205,14 +222,14 @@ _SEED_SCALES = (0.02, 0.05, 0.1)
 EXTRA_SEEDS = len(_SEED_SCALES)
 
 
-def _published_seed(mode: str, q_degree: int) -> np.ndarray:
+def _published_seed(mode: str, q_degree: int) -> tuple[float, np.ndarray]:
     """R and odd-basis Q coefficients of the ``mode`` preset, Q cut or padded to ``q_degree``."""
     if mode == SIMPLE_ZEROS:
         R, spec = presets.KAPPA_STAR_R, presets.KAPPA_STAR_QSPEC
     else:
         R, spec = presets.KAPPA_R, presets.KAPPA_QSPEC
     n_odd = (q_degree + 1) // 2
-    return np.array([R, *(spec.odd_coeffs + (0.0,) * n_odd)[:n_odd]])
+    return R, np.array((spec.odd_coeffs + (0.0,) * n_odd)[:n_odd])
 
 
 def optimize_full(
@@ -225,18 +242,17 @@ def optimize_full(
     max_iterations: int = MAX_ITERATIONS,
     extra_seeds: int = EXTRA_SEEDS,
 ) -> KappaReport:
-    """Outer Nelder-Mead over (R, Q odd-basis coefficients) with an exact
-    constrained quadratic solve for (P1, P2) at every outer point.
-
-    Q's constant term is always 1 - sum(odd coefficients), so Q(0) = 1 holds
-    exactly throughout the search; simple mode takes only ``q_degree = 1``.
-    ``d2 = 0`` disables the P2 piece.  The search starts from the published
-    point and from ``extra_seeds`` (0 to 3) perturbations of it.  It uses a
-    cheap Gram quadrature (``SEARCH_GRAM_TOL``); once the outer point is
-    settled, the inner problem is re-solved at ``GRAM_TOL`` and the winning
-    configuration is re-evaluated with fully converged quadrature.  Inputs
-    it cannot use, thetas and mode included, raise ConfigError before any
-    outer step.
+    """Search R alone, with the exact alternating solve for (Q, P1, P2) at
+    each R: one :func:`build_tensor` at ``SEARCH_GRAM_TOL``, then
+    :func:`alternate`, from the published Q (cut or padded to ``q_degree``)
+    and ``extra_seeds`` (0 to 3) perturbations of it at the published R, and
+    from the best Q so far at every later R.  ``max_iterations`` caps the
+    tensor builds after the first.  A quadrature failure, a failed solve or a
+    c that is not a positive number at any R raises :class:`OptimizeError`
+    naming that R.  The best (R, Q)'s P is re-solved at ``GRAM_TOL`` and the
+    result evaluated with converged quadrature.  Q(0) = 1 throughout; simple
+    mode takes only ``q_degree = 1``, and ``d2 = 0`` disables the P2 piece.
+    Inputs it cannot use raise ConfigError before any tensor build.
     """
     moments.check_thetas(theta1, theta2)
     check_degrees(d1, d2)
@@ -247,60 +263,45 @@ def optimize_full(
         raise moments.ConfigError(f"max_iterations must be >= 0, got {max_iterations}")
     if not 0 <= extra_seeds <= len(_SEED_SCALES):
         raise moments.ConfigError(f"the number of extra seeds must be in [0, {len(_SEED_SCALES)}]")
-    evaluations = admissible = 0
-    best: dict[str, Any] = {"kappa": -math.inf}
-    # outer points scored 1e6 instead of a kappa, by reason
-    rejected = dict.fromkeys(REJECTION_REASONS, 0)
 
-    def reject(reason: str) -> float:
-        rejected[reason] += 1
-        return 1e6
-
-    def objective(params: np.ndarray) -> float:
-        nonlocal evaluations, admissible
-        evaluations += 1
-        R = float(params[0])
-        if not 0.1 <= R <= 5.0:
-            return reject("R_out_of_range")
-        odd = tuple(float(v) for v in params[1:])
-        try:
-            Q = make_q(QSpec(odd_coeffs=odd, const=1.0 - sum(odd)))
-            sys = build_gram(Q, R, theta1, theta2, d1, d2, tol=SEARCH_GRAM_TOL)
-            _, c_min = solve_constrained(sys)
-        except OptimizeError:
-            return reject("optimize_error")
-        except quad.QuadratureError:
-            return reject("quadrature_error")
-        except ValueError:
-            return reject("value_error")
-        if c_min <= 0:
-            return reject("c_min_nonpositive")
-        admissible += 1
-        kappa = moments.compute_kappa(c_min, R)
-        if kappa > best["kappa"]:
-            best.update(kappa=kappa, R=R, Q=Q)
-        return -kappa
-
-    seed0 = _published_seed(mode, q_degree)
+    R0, odd0 = _published_seed(mode, q_degree)
     rng = np.random.default_rng(20260826)
-    seeds = [seed0] + [
-        seed0 + scale * rng.standard_normal(seed0.size) for scale in _SEED_SCALES[:extra_seeds]
-    ]
-    for seed in seeds:
-        nelder_mead(objective, seed, max_iterations=max_iterations)
+    starts = [np.array([1.0 - odd.sum(), *odd]) for odd in [odd0] + [
+        odd0 + scale * rng.standard_normal(odd0.size) for scale in _SEED_SCALES[:extra_seeds]
+    ]]
+    basis = _q_basis(QSpec(odd_coeffs=tuple(odd0)).powers())
+    points: dict[float, tuple[float, np.ndarray]] = {}  # R -> (kappa, q)
+    rounds = 0
 
-    if "R" not in best:
-        raise OptimizeError("no admissible outer point found")
-    R, Q = best["R"], best["Q"]
+    def score(R: float) -> float:
+        nonlocal rounds
+        seeds = [max(points.values(), key=lambda point: point[0])[1]] if points else starts
+        try:
+            T = build_tensor(basis, R, theta1, theta2, d1, d2, SEARCH_GRAM_TOL)
+            runs = [alternate(T, q, d1) for q in seeds]
+        except (quad.QuadratureError, OptimizeError) as exc:
+            raise OptimizeError(f"search failed at R = {R!r}: {exc}") from exc
+        rounds += sum(len(history) // 2 for _, history in runs)
+        q, history = min(runs, key=lambda run: run[1][-1])
+        c = history[-1]
+        if not 0.0 < c < math.inf:
+            raise OptimizeError(f"total constant {c!r} is not a positive number at R = {R!r}")
+        points[R] = (moments.compute_kappa(c, R), q)
+        return -points[R][0]
+
+    _search_R(score, R0, max_iterations)
+
+    R = max(points, key=lambda R: points[R][0])
+    q = points[R][1]
+    Q = make_q(QSpec(odd_coeffs=tuple(q[1:]), const=q[0]))
     sys = build_gram(Q, R, theta1, theta2, d1, d2, tol=GRAM_TOL)
     w, c_min = solve_constrained(sys)
     P1, P2 = sys.split(w)
     report = moments.evaluate(MollifierConfig(theta1, theta2, R, Q, P1, P2, mode))
     report.diagnostics.update(
-        outer_evaluations=evaluations,
-        admissible_evaluations=admissible,
-        rejected_evaluations=rejected,
+        outer_evaluations=len(points),
+        alternation_rounds=rounds,
         inner_c_min=c_min,
-        seeds=len(seeds),
+        seeds=len(starts),
     )
     return report

@@ -112,9 +112,9 @@ def test_criterion_5_jets_vs_finite_differences():
 def test_criterion_6_c1_closed_form():
     """c1 at Q = 1, P1 = x matches the elementary closed form to 1e-12."""
     R = 1.28
-    side = (make_p1((1.0,)), None)
+    side = (Polynomial((1.0,)), make_p1((1.0,)), None)
     (c1_part, _), _, _ = moments.blocks(
-        Polynomial((1.0,)), side, side, R, THETA1, THETA2, 1e-13, quad.N_SEQUENCE_START
+        side, side, R, THETA1, THETA2, 1e-13, quad.N_SEQUENCE_START
     )
     c1 = 1.0 + c1_part
     expected = 1.0 + math.expm1(2 * R) * ((1 + THETA1 * R) ** 3 - 1) / (6 * THETA1**2 * R**2)

@@ -269,15 +269,15 @@ def test_no_psi2_with_d2_is_a_usage_error(capsys):
 )
 def test_unusable_search_inputs_are_config_errors(monkeypatch, capsys, args, reason):
     # rejected before any outer step, with the reason, instead of a search
-    # whose every Gram build fails or that silently runs something else
+    # whose every tensor build fails or that silently runs something else
     builds = []
-    real_build = optimize.build_gram
+    real_build = optimize.build_tensor
 
     def counted_build(*build_args, **kwargs):
         builds.append(build_args)
         return real_build(*build_args, **kwargs)
 
-    monkeypatch.setattr(optimize, "build_gram", counted_build)
+    monkeypatch.setattr(optimize, "build_tensor", counted_build)
     assert main(["optimize", *args]) == EXIT_CONFIG
     assert reason in capsys.readouterr().err
     assert not builds
@@ -343,8 +343,9 @@ def test_verify_json_lists_checks_in_run_order(tmp_path, monkeypatch, capsys):
     "argv",
     [["reproduce", "--preset", "kappa"],
      ["optimize", "--mode", "simple", "--d1", "3", "--d2", "3", "--max-iterations", "2",
-      "--seeds", "0"]],
-    ids=["reproduce", "optimize"],
+      "--seeds", "0"],
+     ["optimize", "--no-psi2"]],
+    ids=["reproduce", "optimize", "optimize-no-psi2"],
 )
 def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
     # each run is a fresh interpreter with the thread counts set on it alone

@@ -11,8 +11,8 @@ from critline.jet import Jet, jet_eval_poly
 from critline.moments import (
     SIMPLE_ZEROS,
     ConfigError,
+    Family,
     MollifierConfig,
-    Monomials,
     blocks,
     compute_kappa,
     evaluate,
@@ -88,9 +88,9 @@ def test_theta_boundaries_are_inclusive():
 
 def form(cfg, left, right, tol, n_start=quad.N_SEQUENCE_START):
     """The (c1 - 1, c12, c2) values of :func:`moments.blocks` between two
-    (P1, P2) sides at cfg's (Q, R, theta1, theta2)."""
+    (P1, P2) sides, each with cfg's Q, at cfg's (R, theta1, theta2)."""
     return [value for value, _ in blocks(
-        cfg.Q, left, right, cfg.R, cfg.theta1, cfg.theta2, tol, n_start
+        (cfg.Q, *left), (cfg.Q, *right), cfg.R, cfg.theta1, cfg.theta2, tol, n_start
     )]
 
 
@@ -123,7 +123,7 @@ class Counted:
 
 def tensor_c1(Q, P1, P1_other, R, theta1):
     """c1 - 1 between P1 and P1_other as the 24 x 24 tensor rule's sum of
-    e^{2Rv} L(P1) L(P1_other) over (u, v), symmetrized and normalized.
+    e^{2Rv} L(P1) L(P1_other) over (u, v), normalized.
 
     The rule's nodes and weights are mpmath's, rounded from 100 bits:
     numpy's ``leggauss`` weights are off by up to 1.2e-13 relative at n = 24,
@@ -140,42 +140,44 @@ def tensor_c1(Q, P1, P1_other, R, theta1):
         return Qv * P.derivative()(u) + theta1 * Qdv * P(u) + theta1 * R * Qv * P(u)
 
     K = np.sum(np.exp(2.0 * R * v) * L(P1) * L(P1_other) * weights, axis=-1)
-    return 0.5 * (K + np.transpose(K)) / theta1
+    return K / theta1
 
 
 def test_c1_kernel_evaluates_each_factor_once():
     # building the kernel evaluates each side's P(u) and P'(u) once, for the
-    # exact u-moments; each call evaluates one Q(v) and one Q'(v), and no P
+    # exact u-moments; each call evaluates Q(v), Q'(v) and the other side's
+    # two once each, and no P
     cfg, other = small_config(), make_p1((0.3, 0.7))
-    calls = {name: 0 for name in ("Q", "Q'", "P", "P'", "O", "O'")}
+    other_q = make_q(QSpec(odd_coeffs=(0.2, 0.1), const=0.7))
+    calls = {name: 0 for name in ("Q", "Q'", "P", "P'", "R", "R'", "O", "O'")}
     integrand = moments.c1_integrand(
-        Counted(cfg.Q, calls, "Q"), Counted(cfg.P1, calls, "P"), Counted(other, calls, "O"),
-        cfg.R, cfg.theta1,
+        Counted(cfg.Q, calls, "Q"), Counted(cfg.P1, calls, "P"),
+        Counted(other_q, calls, "R"), Counted(other, calls, "O"), cfg.R, cfg.theta1,
     )
-    assert calls == {"Q": 0, "Q'": 0, "P": 1, "P'": 1, "O": 1, "O'": 1}
+    assert calls == {"Q": 0, "Q'": 0, "P": 1, "P'": 1, "R": 0, "R'": 0, "O": 1, "O'": 1}
     v = np.linspace(1.0, 0.0, 7)
     value = integrand(v)
-    assert calls == {"Q": 1, "Q'": 1, "P": 1, "P'": 1, "O": 1, "O'": 1}
+    assert calls == {"Q": 1, "Q'": 1, "P": 1, "P'": 1, "R": 1, "R'": 1, "O": 1, "O'": 1}
     integrand(v)
-    assert calls == {"Q": 2, "Q'": 2, "P": 1, "P'": 1, "O": 1, "O'": 1}
+    assert calls == {"Q": 2, "Q'": 2, "P": 1, "P'": 1, "R": 2, "R'": 2, "O": 1, "O'": 1}
 
-    # the u-integral of e^{2Rv} L(P1) L(other) on a 12-node rule, exact
+    # the u-integral of e^{2Rv} L_Q(P1) L_R(other) on a 12-node rule, exact
     # for its degree-4 u-part, at each v
     rule = quad.gauss_rule(12)
     u, w = rule.nodes[:, None], rule.weights[:, None]
 
-    def L(P):
-        Q, Qd, Pd = cfg.Q, cfg.Q.derivative(), P.derivative()
+    def L(Q, P):
+        Qd, Pd = Q.derivative(), P.derivative()
         return Q(v) * Pd(u) + cfg.theta1 * Qd(v) * P(u) + cfg.theta1 * cfg.R * Q(v) * P(u)
 
-    expected = np.exp(2.0 * cfg.R * v) * np.sum(L(cfg.P1) * L(other) * w, axis=0)
+    expected = np.exp(2.0 * cfg.R * v) * np.sum(L(cfg.Q, cfg.P1) * L(other_q, other) * w, axis=0)
     assert np.allclose(value, expected, rtol=1e-14, atol=0.0)
 
 
 C1_FAMILIES = {
     "preset P1": lambda cfg: (cfg.P1, cfg.P1),
-    "monomials d1=5": lambda cfg: (Monomials.rows(range(1, 6)), Monomials.columns(range(1, 6))),
-    "monomials d1=9": lambda cfg: (Monomials.rows(range(1, 10)), Monomials.columns(range(1, 10))),
+    "monomials d1=5": lambda cfg: (Family(np.eye(6)[1:], 0, 2), Family(np.eye(6)[1:], 1, 2)),
+    "monomials d1=9": lambda cfg: (Family(np.eye(10)[1:], 0, 2), Family(np.eye(10)[1:], 1, 2)),
 }
 
 
@@ -377,12 +379,115 @@ def kernel_panel():
 def test_closed_form_kernels_match_the_jet_ring(point):
     rule = quad.gauss_rule(8)
     Q, P1, P2, other, R, th2 = (point[k] for k in ("Q", "P1", "P2", "P2_other", "R", "theta2"))
-    c12 = quad.integrate_cube(moments.c12_integrand(Q, P1, P2, R, THETA1, th2), 3, rule)
+    c12 = quad.integrate_cube(moments.c12_integrand(Q, P1, Q, P2, R, THETA1, th2), 3, rule)
     c12_jet = quad.integrate_cube(coefficient_grid(jet_c12_integrand(Q, P1, P2, R, THETA1, th2)), 3, rule)
     assert c12 == pytest.approx(float(c12_jet[1, 1]), rel=1e-13, abs=0.0)
-    c2 = quad.integrate_cube(moments.c2_integrand(Q, P2, other, R, th2), 4, rule)
+    c2 = quad.integrate_cube(moments.c2_integrand(Q, P2, Q, other, R, th2), 4, rule)
     c2_jet = quad.integrate_cube(coefficient_grid(jet_c2_integrand(Q, P2, other, R, th2)), 4, rule)
     assert c2 == pytest.approx(float(c2_jet[2, 2]), rel=1e-13, abs=0.0)
+
+
+# -- the 4-linear kernels against the bilinear kernels they replaced ----------
+#
+# Before Q_other, each kernel took one Q for both of its Q factors.  These are
+# those kernels as they were, the reference for the 4-linear ones at
+# Q_other = Q.
+
+
+def bilinear_c1_integrand(Q, P1, P1_other, R, theta1):
+    rule = quad.gauss_rule((P1.degree + P1_other.degree) // 2 + 1)
+    u = rule.nodes
+    a, ad = P1(u), P1.derivative()(u)
+    b, bd = P1_other(u), P1_other.derivative()(u)
+    U0, U1, U2 = (np.sum(f * rule.weights, axis=-1, keepdims=True)
+                  for f in (ad * bd, ad * b + a * bd, a * b))
+    Qd = Q.derivative()
+
+    def integrand(v):
+        q = Q(v)
+        qp = theta1 * (Qd(v) + R * q)
+        return np.exp(2.0 * R * v) * (U0 * (q * q) + U1 * (q * qp) + U2 * (qp * qp))
+
+    return integrand
+
+
+def bilinear_grid(taylor, c0, cx, cy, cap):
+    t = [p(c0) for p in taylor]
+    px, py = [1.0, cx, cx * cx], [1.0, cy, cy * cy]
+    return [[math.comb(i + j, i) * t[i + j] * px[i] * py[j] for j in range(cap + 1)]
+            for i in range(cap + 1)]
+
+
+def bilinear_c12_integrand(Q, P1, P2, R, theta1, theta2):
+    q = moments._taylor(Q, 1)
+    p1 = moments._taylor(P1, 2)
+    P2dd = P2.derivative().derivative()
+
+    def integrand(s, t, u):
+        a = s
+        b = (1.0 - s) * t
+        jac = 1.0 - s
+        X = moments._times_exp(moments._series(q, a * u * theta2, -theta1), -R * theta1)
+        Y = moments._times_exp(moments._series(q, 1.0 - b * u * theta2, theta1), R * theta1)
+        XY = [[xi * yj for yj in Y] for xi in X]
+        grid = bilinear_grid(p1, 1.0 - (1.0 - u) * theta2 / theta1, 1.0, 1.0, 1)
+        scalar = u * u * (1.0 - u) * P2dd((1.0 - a - b) * u) * jac
+        return moments._coeff(XY, grid, 1, 1) * np.exp(R * u * theta2 * (a - b)) * scalar
+
+    return integrand
+
+
+def bilinear_c2_integrand(Q, P2, P2_other, R, theta2):
+    q = moments._taylor(Q, 4)
+    pa = moments._taylor(P2.derivative().derivative(), 2)
+    pb = moments._taylor(P2_other.derivative().derivative(), 2)
+
+    def side(taylor, r, w, L):
+        D = moments._series(taylor, w * r, w)
+        return moments._times_exp([r * D[0], D[0] + r * D[1], D[1] + r * D[2]], L)
+
+    def integrand(t, r, u, v):
+        e0, ex, ey = -r * (u + v), 1.0 - u, 1.0 - v
+        g0, gx, gy = 1.0 + theta2 * e0, theta2 * ex, theta2 * ey
+        rt = 2.0 * R * t
+        L0 = rt * g0 - theta2 * R * e0
+        Lx = rt * gx - theta2 * R * ex
+        Ly = rt * gy - theta2 * R * ey
+        tg0, tgx, tgy = t * g0, t * gx, t * gy
+        qa = bilinear_grid(q, theta2 * u * r + tg0, theta2 * u + tgx, tgy - theta2, 2)
+        qb = bilinear_grid(q, theta2 * v * r + tg0, tgx - theta2, theta2 * v + tgy, 2)
+        qq = [[moments._coeff(qa, qb, k, l) for l in range(3)] for k in range(3)]
+        X = side(pa, r, ex, Lx)
+        Y = side(pb, r, ey, Ly)
+        XY = [[xi * yj for yj in Y] for xi in X]
+        g = (
+            (1.0 / theta2 + e0) * moments._coeff(XY, qq, 2, 2)
+            + ex * moments._coeff(XY, qq, 1, 2)
+            + ey * moments._coeff(XY, qq, 2, 1)
+        )
+        return g * np.exp(L0) * (1.0 - r) ** 4
+
+    return integrand
+
+
+@pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])
+def test_four_linear_kernels_at_q_other_q_match_the_bilinear_ones(preset):
+    cfg = renormalized_q(preset())
+    Q, P1, P2, R, th1, th2 = cfg.Q, cfg.P1, cfg.P2, cfg.R, cfg.theta1, cfg.theta2
+    pairs = {
+        "c1": (moments.c1_integrand(Q, P1, Q, P1, R, th1),
+               bilinear_c1_integrand(Q, P1, P1, R, th1), 1),
+        "c12": (moments.c12_integrand(Q, P1, Q, P2, R, th1, th2),
+                bilinear_c12_integrand(Q, P1, P2, R, th1, th2), 3),
+        "c2": (moments.c2_integrand(Q, P2, Q, P2, R, th2),
+               bilinear_c2_integrand(Q, P2, P2, R, th2), 4),
+    }
+    for n in (12, 18):
+        rule = quad.gauss_rule(n)
+        for name, (kernel, reference, d) in pairs.items():
+            got = quad.integrate_cube(kernel, d, rule)
+            want = quad.integrate_cube(reference, d, rule)
+            assert abs(got - want) <= 1e-15 * abs(want), (name, n, got / want - 1.0)
 
 
 # -- the separated-axis quadrature against a flat-rule reference --------------
@@ -415,9 +520,9 @@ def assert_matches_flat_rule(integrand, d):
 def kernels(cfg, p1_rows, p1_cols, p2_rows, p2_cols):
     Q, R, th1, th2 = cfg.Q, cfg.R, cfg.theta1, cfg.theta2
     return {
-        "c1": (moments.c1_integrand(Q, p1_rows, p1_cols, R, th1), 1),
-        "c12": (moments.c12_integrand(Q, p1_rows, p2_cols, R, th1, th2), 3),
-        "c2": (moments.c2_integrand(Q, p2_rows, p2_cols, R, th2), 4),
+        "c1": (moments.c1_integrand(Q, p1_rows, Q, p1_cols, R, th1), 1),
+        "c12": (moments.c12_integrand(Q, p1_rows, Q, p2_cols, R, th1, th2), 3),
+        "c2": (moments.c2_integrand(Q, p2_rows, Q, p2_cols, R, th2), 4),
     }
 
 
@@ -426,8 +531,8 @@ def test_gram_blocks_match_the_flat_rule(name):
     # d1 = d2 = 5: P1 powers 1..5, P2 powers 3..5, at the kappa preset's (Q, R)
     cfg = renormalized_q(kappa_preset())
     integrand, d = kernels(
-        cfg, Monomials.rows(range(1, 6)), Monomials.columns(range(1, 6)),
-        Monomials.rows(range(3, 6)), Monomials.columns(range(3, 6)),
+        cfg, Family(np.eye(6)[1:], 0, 2), Family(np.eye(6)[1:], 1, 2),
+        Family(np.eye(6)[3:], 0, 2), Family(np.eye(6)[3:], 1, 2),
     )[name]
     assert_matches_flat_rule(integrand, d)
 
@@ -455,9 +560,10 @@ def assert_certificate_honest(cfg):
     the converged integral against the n = 48 rule, up to a 1e-13 floor: c1's
     integral scatters by about 4e-14 between orders once converged."""
     kernels = (
-        ("c1", moments.c1_integrand(cfg.Q, cfg.P1, cfg.P1, cfg.R, cfg.theta1), 1),
-        ("c12", moments.c12_integrand(cfg.Q, cfg.P1, cfg.P2, cfg.R, cfg.theta1, cfg.theta2), 3),
-        ("c2", moments.c2_integrand(cfg.Q, cfg.P2, cfg.P2, cfg.R, cfg.theta2), 4),
+        ("c1", moments.c1_integrand(cfg.Q, cfg.P1, cfg.Q, cfg.P1, cfg.R, cfg.theta1), 1),
+        ("c12", moments.c12_integrand(cfg.Q, cfg.P1, cfg.Q, cfg.P2, cfg.R, cfg.theta1,
+                                      cfg.theta2), 3),
+        ("c2", moments.c2_integrand(cfg.Q, cfg.P2, cfg.Q, cfg.P2, cfg.R, cfg.theta2), 4),
     )
     rule = quad.gauss_rule(48)
     for name, integrand, d in kernels:

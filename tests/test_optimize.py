@@ -1,65 +1,21 @@
-"""Nelder-Mead benchmarks, Gram assembly, and the constrained inner solve."""
+"""Gram assembly, the quartic tensor, the constrained solves and the R search."""
 
 import numpy as np
 import pytest
 
-from critline import moments, optimize, quad
+from critline import moments, optimize, presets, quad
+from critline.cli import EXIT_NUMERICAL, main
 from critline.optimize import (
     GramSystem,
     OptimizeError,
     build_gram,
-    nelder_mead,
     solve_constrained,
 )
-from critline.poly import Polynomial, QSpec, make_p1, make_p2, make_q
+from critline.poly import Polynomial, QSpec, _q_basis, make_p1, make_p2, make_q
 from critline.presets import kappa_preset, kappa_star_preset
 
 THETA1 = 4.0 / 7.0
 THETA2 = 0.5
-
-
-# -- Nelder-Mead -------------------------------------------------------------
-
-
-def test_nelder_mead_quadratic():
-    x, fx = nelder_mead(lambda v: (v[0] - 3.0) ** 2 + (v[1] + 1.0) ** 2, [0.0, 0.0])
-    assert np.allclose(x, [3.0, -1.0], atol=1e-4)
-    assert fx < 1e-8
-
-
-def test_nelder_mead_rosenbrock():
-    def rosen(v):
-        return 100.0 * (v[1] - v[0] ** 2) ** 2 + (1.0 - v[0]) ** 2
-
-    x, fx = nelder_mead(rosen, [-1.2, 1.0], max_iterations=5000, diameter_tol=1e-10)
-    assert np.allclose(x, [1.0, 1.0], atol=1e-4)
-    assert fx < 1e-8
-
-
-def test_nelder_mead_one_dimensional():
-    x, fx = nelder_mead(lambda v: abs(v[0] - 2.0), [10.0])
-    assert x[0] == pytest.approx(2.0, abs=1e-4)
-    assert fx < 1e-4
-
-
-def test_nelder_mead_evaluates_x0_once():
-    # 3 simplex vertices, a reflection, then a reflection and an expansion
-    points = []
-
-    def f(v):
-        points.append(tuple(v))
-        return float(v[0] + v[1])
-
-    nelder_mead(f, [0.0, 0.0], max_iterations=2)
-    assert len(points) == 6
-    assert len(set(points)) == 6
-
-
-def test_nelder_mead_input_validation():
-    with pytest.raises(OptimizeError):
-        nelder_mead(lambda v: float(v.sum()), [])
-    with pytest.raises(OptimizeError):
-        nelder_mead(lambda v: float("nan"), [1.0])
 
 
 # -- constrained quadratic solve ---------------------------------------------
@@ -206,8 +162,8 @@ def polarized_gram(Q, R, theta1, theta2, d1, d2, tol):
     size = d1 + d2 - 2
 
     def q(w):
-        side = (Polynomial((0.0,) + tuple(w[:d1])), make_p2(tuple(w[d1:])))
-        (c1, _), (c12, _), (c2, _) = moments.blocks(Q, side, side, R, theta1, theta2, tol, 8)
+        side = (Q, Polynomial((0.0,) + tuple(w[:d1])), make_p2(tuple(w[d1:])))
+        (c1, _), (c12, _), (c2, _) = moments.blocks(side, side, R, theta1, theta2, tol, 8)
         return c1 + 2.0 * c12 + c2
 
     M = np.zeros((size, size))
@@ -275,33 +231,60 @@ def test_optimum_is_stationary_in_the_p2_scale():
     assert abs(report.c12 + report.c2) <= 1e-12
 
 
-# -- rejected outer points ---------------------------------------------------
+# -- the quartic tensor --------------------------------------------------------
 
 
-def small_search():
-    return optimize.optimize_full(
-        theta1=THETA1, theta2=THETA2, d1=2, d2=0, q_degree=1,
-        mode=moments.SIMPLE_ZEROS, max_iterations=6, extra_seeds=1,
-    )
+@pytest.fixture(scope="module", params=[
+    (kappa_preset, presets.KAPPA_QSPEC), (kappa_star_preset, presets.KAPPA_STAR_QSPEC),
+], ids=["kappa", "kappa-star"])
+def preset_tensor(request):
+    """The d1 = d2 = 5 tensor at a preset's R over its Q's odd basis, and the
+    preset's (q, w) with Q(0) = 1."""
+    preset, spec = request.param
+    cfg = moments.renormalized_q(preset())
+    T = optimize.build_tensor(_q_basis(spec.powers()), cfg.R, cfg.theta1, cfg.theta2, 5, 5, 1e-10)
+    q = np.array([spec.const, *spec.odd_coeffs]) / (spec.const + sum(spec.odd_coeffs))
+    w = np.array(cfg.P1.coeffs[1:] + cfg.P2.coeffs[3:])
+    return cfg, T, q, w
 
 
-def test_outer_points_are_all_counted():
-    diag = small_search().diagnostics
-    rejected = diag["rejected_evaluations"]
-    assert set(rejected) == set(optimize.REJECTION_REASONS)
-    assert diag["admissible_evaluations"] + sum(rejected.values()) == diag["outer_evaluations"]
-    assert diag["admissible_evaluations"] > 0
+def test_tensor_contracted_at_presets_is_evaluate(preset_tensor):
+    cfg, T, q, w = preset_tensor
+    c = moments.evaluate(cfg).c
+    assert abs(1.0 + np.einsum("a,b,k,l,abkl->", q, q, w, w, T) - c) <= 1e-12
+    assert abs(optimize.gram_at(T, q, 5).total(w) - c) <= 1e-12
+    assert abs(optimize.gram_at(T.transpose(2, 3, 0, 1), w, len(q)).total(q) - c) <= 1e-12
+
+
+def test_alternation_never_raises_c(preset_tensor):
+    # each solve minimizes c over its own variables with the others fixed;
+    # in floating point c may rise by rounding only (a few 1e-15)
+    cfg, T, q, _ = preset_tensor
+    q_best, history = optimize.alternate(T, q, 5)
+    assert len(history) >= 4 and len(history) % 2 == 0
+    assert np.all(np.diff(history) <= 1e-14), np.diff(history)
+    assert history[-1] < history[0] - 1e-6
+    assert q_best.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+# -- the R search ---------------------------------------------------------------
+
+NO_PSI2_KAPPA = 0.408959216383342  # Nelder-Mead's --no-psi2 optimum at CLI defaults
+
+
+def no_psi2_search(q_degree):
+    return optimize.optimize_full(THETA1, THETA2, d1=5, d2=0, q_degree=q_degree)
 
 
 def test_unknown_mode_is_rejected_before_any_gram_build(monkeypatch):
     builds = []
-    real_build = optimize.build_gram
+    real_build = optimize.build_tensor
 
     def counted_build(*args, **kwargs):
         builds.append(args)
         return real_build(*args, **kwargs)
 
-    monkeypatch.setattr(optimize, "build_gram", counted_build)
+    monkeypatch.setattr(optimize, "build_tensor", counted_build)
     with pytest.raises(moments.ConfigError, match="unknown mode 'bogus'"):
         optimize.optimize_full(
             theta1=THETA1, theta2=THETA2, d1=2, d2=0, q_degree=1,
@@ -311,46 +294,88 @@ def test_unknown_mode_is_rejected_before_any_gram_build(monkeypatch):
 
 
 def test_every_outer_point_builds_its_own_gram(monkeypatch):
-    # the --no-psi2 search at CLI defaults: nothing cached across outer
-    # points may stand in for a Gram build, and the search still lands on
-    # the same ablation optimum
-    builds = []
-    real_build = optimize.build_gram
+    # the --no-psi2 search at CLI defaults: one tensor per outer point (R),
+    # nothing cached across them, then one Gram at GRAM_TOL for the winner;
+    # it lands at or above Nelder-Mead's optimum
+    tensors, grams = [], []
+    real_tensor, real_gram = optimize.build_tensor, optimize.build_gram
 
-    def counted_build(Q, R, *args, **kwargs):
-        builds.append((R, Q.coeffs, kwargs.get("tol")))
-        return real_build(Q, R, *args, **kwargs)
+    def counted_tensor(basis, R, *args):
+        tensors.append((R, args[-1]))
+        return real_tensor(basis, R, *args)
 
-    monkeypatch.setattr(optimize, "build_gram", counted_build)
-    report = optimize.optimize_full(
-        THETA1, THETA2, d1=5, d2=0, q_degree=7, max_iterations=200, extra_seeds=3,
-    )
+    def counted_gram(*args, tol):
+        grams.append(tol)
+        return real_gram(*args, tol=tol)
+
+    monkeypatch.setattr(optimize, "build_tensor", counted_tensor)
+    monkeypatch.setattr(optimize, "build_gram", counted_gram)
+    report = no_psi2_search(7)
     diag = report.diagnostics
-    assert sum(diag["rejected_evaluations"].values()) == 0
-    assert len(builds) == diag["outer_evaluations"] + 1
-    assert [tol for *_, tol in builds] == [optimize.SEARCH_GRAM_TOL] * (len(builds) - 1) + [optimize.GRAM_TOL]
-    assert abs(report.kappa - 0.408959216383342) <= 1e-10
+    searched = [R for R, tol in tensors if tol == optimize.SEARCH_GRAM_TOL]
+    assert len(searched) == len(set(searched)) == diag["outer_evaluations"]
+    assert grams == [optimize.GRAM_TOL]
+    assert len(tensors) == diag["outer_evaluations"] + 1  # the final Gram's
+    assert diag["alternation_rounds"] >= diag["outer_evaluations"] + diag["seeds"] - 1
+    assert report.kappa >= NO_PSI2_KAPPA - 1e-12
 
 
-def test_rejected_outer_points_are_counted_by_reason(monkeypatch):
-    search_tol = optimize.SEARCH_GRAM_TOL
-    failures = [quad.QuadratureError("injected"), OptimizeError("injected"), ValueError("injected")]
-    real_build = optimize.build_gram
-    builds = []
+def test_a_higher_degree_q_is_no_worse():
+    # the exact Q solve makes the odd basis of degree 9 contain degree 7's
+    # optimum, so the search cannot land lower
+    q7, q9 = no_psi2_search(7), no_psi2_search(9)
+    assert q9.kappa >= q7.kappa - 1e-12
+    assert q9.config.Q.degree == 9
 
-    def flaky_build(*args, tol, **kwargs):
-        builds.append(tol)
-        if tol == search_tol and len(builds) % 4:
-            raise failures[len(builds) % 4 - 1]
-        return real_build(*args, tol=tol, **kwargs)
 
-    monkeypatch.setattr(optimize, "build_gram", flaky_build)
-    diag = small_search().diagnostics
-    assert builds[-1] == optimize.GRAM_TOL  # the final re-solve
-    phase = np.arange(1, len(builds)) % 4  # one per search build
-    rejected = diag["rejected_evaluations"]
-    assert rejected["quadrature_error"] == np.sum(phase == 1)
-    assert rejected["optimize_error"] == np.sum(phase == 2)
-    assert rejected["value_error"] == np.sum(phase == 3)
-    assert diag["admissible_evaluations"] == np.sum(phase == 0)
-    assert diag["admissible_evaluations"] + sum(rejected.values()) == diag["outer_evaluations"]
+def test_the_budget_caps_the_tensor_builds(monkeypatch):
+    Rs = []
+    real_tensor = optimize.build_tensor
+
+    def counted_tensor(basis, R, *args):
+        Rs.append(R)
+        return real_tensor(basis, R, *args)
+
+    monkeypatch.setattr(optimize, "build_tensor", counted_tensor)
+    report = optimize.optimize_full(THETA1, THETA2, d1=3, d2=0, q_degree=1,
+                                    mode=moments.SIMPLE_ZEROS, max_iterations=2, extra_seeds=2)
+    assert report.diagnostics["outer_evaluations"] == 3
+    assert report.diagnostics["seeds"] == 3
+    assert Rs[:2] == [presets.KAPPA_STAR_R, presets.KAPPA_STAR_R + optimize.R_STEP]
+    assert len(Rs) == 4 and Rs[-1] == report.config.R
+
+
+# -- search failures end the run ---------------------------------------------
+
+
+def negated(build):
+    # -T: the P Gram is negative definite on the constraint surface
+    return lambda *args: -build(*args)
+
+
+def shifted_below_zero(build):
+    # T - 10 lowers c by 10 at every point of the constraint surfaces
+    # (sum(q) = sum(w) = 1 with no P2), where c is about 2
+    return lambda *args: build(*args) - 10.0
+
+
+def quadrature_failure(build):
+    def fail(*args):
+        raise quad.QuadratureError("injected")
+
+    return fail
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [(quadrature_failure, "injected"), (negated, "not positive definite"),
+     (shifted_below_zero, "is not a positive number")],
+    ids=["quadrature_error", "optimize_error", "c_nonpositive"],
+)
+def test_search_failures_exit_3_naming_the_R(monkeypatch, capsys, fault, message):
+    monkeypatch.setattr(optimize, "build_tensor", fault(optimize.build_tensor))
+    argv = ["optimize", "--no-psi2", "--mode", "simple", "--d1", "2", "--q-degree", "1",
+            "--max-iterations", "0", "--seeds", "0"]
+    assert main(argv) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert f"at R = {presets.KAPPA_STAR_R!r}" in err and message in err, err
