@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import moments, oracle, optimize, quad
@@ -23,21 +22,24 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
-CONFIG_KEYS = {
-    "theta1", "theta2", "R", "q_const", "q_odd_coeffs", "p1_coeffs",
-    "p2_coeffs", "mode", "quad_tol",
-}
+CONFIG_KEYS = {"theta1", "theta2", "R", "q_const", "q_odd_coeffs", "p1_coeffs", "p2_coeffs", "mode"}
 
 
-def _report_with_normalized_q(cfg: MollifierConfig, tol: float) -> KappaReport:
+def _report_with_normalized_q(cfg: MollifierConfig) -> KappaReport:
     """Evaluate, renormalizing Q to Q(0) = 1 first when the input does not
     satisfy the constraint exactly; the unnormalized value is kept in the
-    diagnostics.  Every constant is quadratic in Q, so c - 1 scales by Q(0)^2
-    and the unnormalized value needs no second evaluation."""
+    diagnostics.
+
+    The unnormalized c needs no second evaluation.  The published formula
+    writes c1's diagonal term P1(1)^2 Q(0)^2 as the literal 1, and
+    :func:`moments.evaluate` adds that same 1; every kernel behind c - 1 is
+    quadratic in Q.  So at the verbatim Q, c - 1 scales by Q(0)^2 and the 1
+    stays: c_verbatim = 1 + Q(0)^2 (c - 1) is what evaluating the verbatim
+    input directly gives, not Q(0)^2 c."""
     q0 = cfg.Q(0.0)
     if abs(q0 - 1.0) <= 1e-12:
-        return moments.evaluate(cfg, tol=tol)
-    report = moments.evaluate(moments.renormalized_q(cfg), tol=tol)
+        return moments.evaluate(cfg)
+    report = moments.evaluate(moments.renormalized_q(cfg))
     c_verbatim = 1.0 + q0 * q0 * (report.c - 1.0)
     report.diagnostics.update(
         q0_verbatim=q0,
@@ -80,9 +82,8 @@ def _parse_float_list(raw: str, key: str, line_no: int) -> tuple[float, ...]:
         raise ConfigError(f"line {line_no}: invalid number in {key}: {exc}") from exc
 
 
-def parse_config(path: str) -> tuple[MollifierConfig, float]:
-    """Read a ``key = value`` config file into a validated configuration plus
-    the quadrature tolerance."""
+def parse_config(path: str) -> MollifierConfig:
+    """Read a ``key = value`` config file into a validated configuration."""
     entries: dict[str, tuple[str, int]] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -127,18 +128,14 @@ def parse_config(path: str) -> tuple[MollifierConfig, float]:
     if not p1:
         raise ConfigError("missing required key 'p1_coeffs'")
     mode = entries.get("mode", (moments.ALL_ZEROS, 0))[0]
-    quad_tol = scalar("quad_tol", quad.DEFAULT_TOL)
-    if not (math.isfinite(quad_tol) and quad_tol > 0):
-        raise ConfigError("quad_tol must be finite and positive")
     try:
-        cfg = MollifierConfig(
+        return MollifierConfig(
             theta1=theta1, theta2=theta2, R=R,
             Q=make_q(QSpec(odd_coeffs=q_odd, const=q_const)),
             P1=make_p1(p1), P2=make_p2(p2), mode=mode,
         )
     except PolynomialError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg, quad_tol
 
 
 # -- subcommands ------------------------------------------------------------
@@ -147,15 +144,13 @@ def parse_config(path: str) -> tuple[MollifierConfig, float]:
 def run_reproduce(args) -> int:
     if args.preset not in PRESETS:
         raise ConfigError(f"unknown preset {args.preset!r}; choose kappa or kappa-star")
-    cfg = PRESETS[args.preset]()
-    report = _report_with_normalized_q(cfg, quad.DEFAULT_TOL)
+    report = _report_with_normalized_q(PRESETS[args.preset]())
     _emit(report, args.json)
     return EXIT_OK
 
 
 def run_eval(args) -> int:
-    cfg, tol = parse_config(args.config)
-    report = _report_with_normalized_q(cfg, tol)
+    report = _report_with_normalized_q(parse_config(args.config))
     _emit(report, args.json)
     return EXIT_OK
 

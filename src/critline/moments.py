@@ -380,7 +380,9 @@ def compute_kappa(c: float, R: float) -> float:
     return kappa
 
 
-def evaluate(cfg: MollifierConfig, tol=quad.DEFAULT_TOL) -> KappaReport:
+def evaluate(cfg: MollifierConfig) -> KappaReport:
+    """The constants and kappa, every ladder certified to ``quad.DEFAULT_TOL``."""
+    tol = quad.DEFAULT_TOL
     side = (cfg.Q, cfg.P1, None if cfg.P2.is_zero else cfg.P2)
     (c1, t1), (c12, t12), (c2, t2) = blocks(side, side, cfg.R, cfg.theta1, cfg.theta2,
                                             tol, quad.N_SEQUENCE_START)

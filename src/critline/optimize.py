@@ -8,6 +8,8 @@ once per R.  Contracted on its Q axes it is the Gram matrix of (P1, P2),
 contracted on its P axes that of Q, and the constraints P1(1) = 1 and
 Q(0) = sum(q) = 1 have the same form, so one constrained solve serves both;
 :func:`alternate` alternates them, and R is the only searched parameter.
+The (Q, P1, P2) the search solved at its best R is the reported point, and
+:func:`moments.evaluate` certifies it.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from . import moments, presets, quad
 from .moments import ALL_ZEROS, SIMPLE_ZEROS, Family, KappaReport, MollifierConfig
 from .poly import Polynomial, QSpec, _q_basis, make_p1, make_p2, make_q
 
-# Gram quadrature tolerance: the final re-solve, and the cheaper search
-GRAM_TOL = 1e-9
+# the search's quadrature: its tolerance and first rung
 SEARCH_GRAM_TOL = 1e-5
 GRAM_N_START = 8
 MAX_ITERATIONS = 200
@@ -125,7 +126,7 @@ def build_gram(
     theta2: float,
     d1: int,
     d2: int,
-    tol: float = GRAM_TOL,
+    tol: float,
 ) -> GramSystem:
     """The Gram system of (P1, P2) at one Q: the tensor of the one-member
     basis [Q].  ``d2 = 0`` disables the second piece (no P2 columns)."""
@@ -249,8 +250,9 @@ def optimize_full(
     from the best Q so far at every later R.  ``max_iterations`` caps the
     tensor builds after the first.  A quadrature failure, a failed solve or a
     c that is not a positive number at any R raises :class:`OptimizeError`
-    naming that R.  The best (R, Q)'s P is re-solved at ``GRAM_TOL`` and the
-    result evaluated with converged quadrature.  Q(0) = 1 throughout; simple
+    naming that R.  At each R, P is solved once more at the final Q on the
+    same tensor; the R with the best search c reports that (Q, P1, P2), which
+    :func:`moments.evaluate` certifies.  Q(0) = 1 throughout; simple
     mode takes only ``q_degree = 1``, and ``d2 = 0`` disables the P2 piece.
     Inputs it cannot use raise ConfigError before any tensor build.
     """
@@ -270,7 +272,7 @@ def optimize_full(
         odd0 + scale * rng.standard_normal(odd0.size) for scale in _SEED_SCALES[:extra_seeds]
     ]]
     basis = _q_basis(QSpec(odd_coeffs=tuple(odd0)).powers())
-    points: dict[float, tuple[float, np.ndarray]] = {}  # R -> (kappa, q)
+    points: dict[float, tuple] = {}  # R -> (kappa, q, (P1, P2), c of (q, P1, P2) on R's tensor)
     rounds = 0
 
     def score(R: float) -> float:
@@ -279,24 +281,23 @@ def optimize_full(
         try:
             T = build_tensor(basis, R, theta1, theta2, d1, d2, SEARCH_GRAM_TOL)
             runs = [alternate(T, q, d1) for q in seeds]
+            q, history = min(runs, key=lambda run: run[1][-1])
+            gram = gram_at(T, q, d1)
+            w, c_w = solve_constrained(gram)
         except (quad.QuadratureError, OptimizeError) as exc:
             raise OptimizeError(f"search failed at R = {R!r}: {exc}") from exc
         rounds += sum(len(history) // 2 for _, history in runs)
-        q, history = min(runs, key=lambda run: run[1][-1])
         c = history[-1]
         if not 0.0 < c < math.inf:
             raise OptimizeError(f"total constant {c!r} is not a positive number at R = {R!r}")
-        points[R] = (moments.compute_kappa(c, R), q)
+        points[R] = (moments.compute_kappa(c, R), q, gram.split(w), c_w)
         return -points[R][0]
 
     _search_R(score, R0, max_iterations)
 
     R = max(points, key=lambda R: points[R][0])
-    q = points[R][1]
+    _, q, (P1, P2), c_min = points[R]
     Q = make_q(QSpec(odd_coeffs=tuple(q[1:]), const=q[0]))
-    sys = build_gram(Q, R, theta1, theta2, d1, d2, tol=GRAM_TOL)
-    w, c_min = solve_constrained(sys)
-    P1, P2 = sys.split(w)
     report = moments.evaluate(MollifierConfig(theta1, theta2, R, Q, P1, P2, mode))
     report.diagnostics.update(
         outer_evaluations=len(points),

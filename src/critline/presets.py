@@ -1,7 +1,7 @@
 """The two published parameter points, entered verbatim.
 
 ``kappa``: R = 1.28, degree-7 odd-basis Q, theta = (4/7, 1/2), giving the
-headline bound kappa >= .4105.  ``kappa_star``: R = 1.12 with linear Q
+headline bound kappa >= .4105.  ``kappa-star``: R = 1.12 with linear Q
 (simple-zeros mode), giving kappa* >= .4058.
 """
 
@@ -43,5 +43,4 @@ def kappa_star_preset() -> MollifierConfig:
 PRESETS = {
     "kappa": kappa_preset,
     "kappa-star": kappa_star_preset,
-    "kappa_star": kappa_star_preset,
 }

@@ -25,7 +25,6 @@ q_const = 0.7
 q_odd_coeffs = 0.3
 p1_coeffs = 0.6, 0.4
 p2_coeffs = 0.05
-quad_tol = 1e-7
 """
 
 
@@ -49,12 +48,11 @@ def cheap_config(tmp_path):
 
 
 def test_parse_config_round_trip(cheap_config):
-    cfg, quad_tol = parse_config(cheap_config)
+    cfg = parse_config(cheap_config)
     assert cfg.R == 1.1
     assert cfg.Q(0.0) == pytest.approx(1.0)
     assert cfg.P1.coeffs == (0.0, 0.6, 0.4)
     assert cfg.P2.coeffs == (0.0, 0.0, 0.0, 0.05)
-    assert quad_tol == 1e-7
 
 
 def test_parse_config_error_messages_name_lines(tmp_path):
@@ -84,9 +82,8 @@ def test_parser_defaults_are_the_library_constants(tmp_path):
     assert (args.theta1, args.theta2) == (presets.THETA1, presets.THETA2)
     path = tmp_path / "defaults.cfg"
     path.write_text("R = 1.1\np1_coeffs = 0.6, 0.4\n")
-    cfg, quad_tol = parse_config(str(path))
+    cfg = parse_config(str(path))
     assert (cfg.theta1, cfg.theta2) == (presets.THETA1, presets.THETA2)
-    assert quad_tol == quad.DEFAULT_TOL
 
 
 def test_readme_config_example_is_the_config_format(tmp_path):
@@ -138,7 +135,7 @@ def test_eval_is_deterministic(cheap_config, tmp_path):
 
 def test_empty_p2_zeroes_cross_terms(tmp_path):
     path = tmp_path / "nop2.cfg"
-    path.write_text("R = 1.1\np1_coeffs = 0.6, 0.4\nquad_tol = 1e-7\n")
+    path.write_text("R = 1.1\np1_coeffs = 0.6, 0.4\n")
     out = tmp_path / "r.json"
     assert main(["eval", str(path), "--json", str(out)]) == EXIT_OK
     payload = load_report(out.read_text())
@@ -154,14 +151,16 @@ def test_missing_config_file_is_config_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_unknown_preset_is_config_error(capsys):
-    assert main(["reproduce", "--preset", "nu"]) == EXIT_CONFIG
-    capsys.readouterr()
+@pytest.mark.parametrize("preset", ["nu", "kappa_star"])
+def test_unknown_preset_is_config_error(capsys, preset):
+    # kappa-star has one spelling, the one --preset's help names
+    assert main(["reproduce", "--preset", preset]) == EXIT_CONFIG
+    assert f"unknown preset {preset!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "line",
-    ["R = inf", "R = nan", "theta1 = inf", "p2_coeffs = nan", "quad_tol = nan"],
+    ["R = inf", "R = nan", "theta1 = inf", "p2_coeffs = nan"],
 )
 def test_non_finite_config_is_config_error(tmp_path, capsys, line):
     path = tmp_path / "nonfinite.cfg"
@@ -172,15 +171,23 @@ def test_non_finite_config_is_config_error(tmp_path, capsys, line):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "8", "12", "32", "257", "300", "12.5"])
-def test_quad_max_nodes_outside_the_rules_is_config_error(tmp_path, capsys, value):
-    # the node budget is the ladder's only bound: quad_max_nodes is no longer
-    # a key, so every value of it, the ones that were in range included, is
-    # an unknown key
+MAX_NODES_VALUES = ["0", "8", "12", "32", "257", "300", "12.5"]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("quad_max_nodes", value) for value in MAX_NODES_VALUES]
+    + [("quad_tol", "1e-10"), ("quad_tol", "1e-7")],
+    ids=MAX_NODES_VALUES + ["quad_tol = 1e-10", "quad_tol = 1e-7"],
+)
+def test_quad_max_nodes_outside_the_rules_is_config_error(tmp_path, capsys, key, value):
+    # the node budget is the ladder's only bound and quad.DEFAULT_TOL its
+    # only tolerance: neither is a key any more, so every value of them, the
+    # ones that were in range included, is an unknown key
     path = tmp_path / "order.cfg"
-    path.write_text(f"R = 1.1\np1_coeffs = 0.6, 0.4\nquad_max_nodes = {value}\n")
+    path.write_text(f"R = 1.1\np1_coeffs = 0.6, 0.4\n{key} = {value}\n")
     assert main(["eval", str(path)]) == EXIT_CONFIG
-    assert "line 3: unknown key 'quad_max_nodes'" in capsys.readouterr().err
+    assert f"line 3: unknown key {key!r}" in capsys.readouterr().err
 
 
 def test_overflowing_integrand_is_numerical_error(tmp_path, capsys):
@@ -193,11 +200,12 @@ def test_overflowing_integrand_is_numerical_error(tmp_path, capsys):
     assert f"non-finite integral at n = {quad.N_SEQUENCE_START}" in err
 
 
-def test_non_convergence_is_numerical_error(tmp_path, capsys):
+def test_non_convergence_is_numerical_error(tmp_path, capsys, monkeypatch):
+    # no input makes a ladder fail at the fixed tolerance (R up to 350
+    # converges), so an unreachable one stands in for it
+    monkeypatch.setattr(quad, "DEFAULT_TOL", 1e-18)
     path = tmp_path / "strict.cfg"
-    path.write_text(
-        "R = 1.1\np1_coeffs = 0.6, 0.4\nquad_tol = 1e-18\n"
-    )
+    path.write_text("R = 1.1\np1_coeffs = 0.6, 0.4\n")
     assert main(["eval", str(path)]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert "numerical failure" in err and "did not converge" in err and "trace [(12, None)" in err
@@ -361,6 +369,18 @@ def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
     assert reports[0] == reports[1]
 
 
+def test_importing_the_cli_does_not_import_mpmath():
+    # only the oracle uses mpmath, and it imports it inside each function, so
+    # reproduce, eval and optimize never pay mpmath's import
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = "import sys, critline.cli; print(sorted(m for m in sys.modules if 'mpmath' in m))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert run.stdout.strip() == "[]"
+
+
 def test_reproduce_normalizes_preset_q(tmp_path, monkeypatch):
     # stub the heavy evaluation: reproduce must renormalize Q(0) = 1.002 -> 1,
     # evaluate once, and derive the verbatim values from the normalized report
@@ -368,7 +388,7 @@ def test_reproduce_normalizes_preset_q(tmp_path, monkeypatch):
 
     captured = []
 
-    def fake_evaluate(cfg, tol):
+    def fake_evaluate(cfg):
         captured.append(cfg.Q(0.0))
         return KappaReport(c1=2.0, c12=0.0, c2=0.0, c=2.0, kappa=0.4, config=cfg)
 

@@ -242,7 +242,7 @@ def test_c2_bilinear_hook_polarizes():
 
 def test_zero_p2_kills_cross_and_diagonal_terms():
     cfg = small_config(P2=make_p2(()))
-    report = evaluate(cfg, tol=1e-9)
+    report = evaluate(cfg)
     assert report.c12 == 0.0
     assert report.c2 == 0.0
     assert report.c == report.c1
@@ -266,7 +266,7 @@ def test_compute_kappa_closed_form():
 
 def test_evaluate_report_shape():
     cfg = small_config()
-    report = evaluate(cfg, tol=1e-6)
+    report = evaluate(cfg)
     assert report.c == pytest.approx(report.c1 + 2 * report.c12 + report.c2, rel=1e-15)
     assert report.kappa == pytest.approx(1.0 - math.log(report.c) / cfg.R, rel=1e-14)
     payload = report.to_dict()
@@ -295,8 +295,8 @@ def test_renormalization_rescales_the_quadratic_part():
     # every constant is quadratic in Q, so c - 1 scales by 1/Q(0)^2
     cfg = small_config(Q=make_q(QSpec(odd_coeffs=(0.3,), const=0.704)))
     q0 = cfg.Q(0.0)
-    raw = evaluate(cfg, tol=1e-6)
-    normed = evaluate(renormalized_q(cfg), tol=1e-6)
+    raw = evaluate(cfg)
+    normed = evaluate(renormalized_q(cfg))
     assert normed.c - 1.0 == pytest.approx((raw.c - 1.0) / q0**2, rel=1e-9)
 
 

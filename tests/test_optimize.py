@@ -99,9 +99,9 @@ def test_build_gram_rejects_bad_degrees():
     # the rule optimize_full applies, with its messages: a configuration error
     q = Polynomial((1.0,))
     with pytest.raises(moments.ConfigError, match="d1 must be >= 1"):
-        build_gram(q, 1.0, THETA1, THETA2, d1=0, d2=0)
+        build_gram(q, 1.0, THETA1, THETA2, d1=0, d2=0, tol=1e-9)
     with pytest.raises(moments.ConfigError, match="d2 must be 0 or >= 3"):
-        build_gram(q, 1.0, THETA1, THETA2, d1=2, d2=2)
+        build_gram(q, 1.0, THETA1, THETA2, d1=2, d2=2, tol=1e-9)
 
 
 def test_build_gram_p1_only_closed_form():
@@ -143,7 +143,7 @@ def test_gram_reconstructs_direct_evaluation(small_gram):
         cfg = moments.MollifierConfig(
             theta1=THETA1, theta2=THETA2, R=SMALL_R, Q=SMALL_Q, P1=p1, P2=p2
         )
-        direct = moments.evaluate(cfg, tol=1e-8).c
+        direct = moments.evaluate(cfg).c
         assert g.total(w) == pytest.approx(direct, rel=5e-5)
 
 
@@ -222,13 +222,19 @@ def test_rescaled_presets_are_the_constrained_optimum(preset_gram):
 
 def test_optimum_is_stationary_in_the_p2_scale():
     # at any constrained optimum c(s) = c1 + 2s c12 + s^2 c2 is stationary at
-    # s = 1 (P2 -> sP2 keeps P1(1) = 1), so c12 + c2 = 0: the constrained
-    # solve of build_gram's blocks, read back through moments.evaluate
+    # s = 1 (P2 -> sP2 keeps P1(1) = 1), so c12 + c2 = 0: the search's own
+    # constrained solve, read back through moments.evaluate
     report = optimize.optimize_full(
         theta1=THETA1, theta2=THETA2, d1=3, d2=3, q_degree=1,
         mode=moments.SIMPLE_ZEROS, max_iterations=2, extra_seeds=0,
     )
     assert abs(report.c12 + report.c2) <= 1e-12
+    # the reported P is the optimum at the reported (Q, R) on a Gram at a
+    # far tighter tolerance than the search's: re-solving there gains nothing
+    cfg = report.config
+    gram = build_gram(cfg.Q, cfg.R, cfg.theta1, cfg.theta2, 3, 3, tol=1e-10)
+    _, c_star = solve_constrained(gram)
+    assert gram.total(np.array(cfg.P1.coeffs[1:] + cfg.P2.coeffs[3:])) - c_star <= 1e-12
 
 
 # -- the quartic tensor --------------------------------------------------------
@@ -295,27 +301,24 @@ def test_unknown_mode_is_rejected_before_any_gram_build(monkeypatch):
 
 def test_every_outer_point_builds_its_own_gram(monkeypatch):
     # the --no-psi2 search at CLI defaults: one tensor per outer point (R),
-    # nothing cached across them, then one Gram at GRAM_TOL for the winner;
-    # it lands at or above Nelder-Mead's optimum
+    # all at the search's tolerance, nothing cached across them, and no Gram
+    # after the search: the winner's P is the search's own solve.  It lands
+    # at or above Nelder-Mead's optimum
     tensors, grams = [], []
-    real_tensor, real_gram = optimize.build_tensor, optimize.build_gram
+    real_tensor = optimize.build_tensor
 
     def counted_tensor(basis, R, *args):
         tensors.append((R, args[-1]))
         return real_tensor(basis, R, *args)
 
-    def counted_gram(*args, tol):
-        grams.append(tol)
-        return real_gram(*args, tol=tol)
-
     monkeypatch.setattr(optimize, "build_tensor", counted_tensor)
-    monkeypatch.setattr(optimize, "build_gram", counted_gram)
+    monkeypatch.setattr(optimize, "build_gram", lambda *args, **kwargs: grams.append(args))
     report = no_psi2_search(7)
     diag = report.diagnostics
-    searched = [R for R, tol in tensors if tol == optimize.SEARCH_GRAM_TOL]
-    assert len(searched) == len(set(searched)) == diag["outer_evaluations"]
-    assert grams == [optimize.GRAM_TOL]
-    assert len(tensors) == diag["outer_evaluations"] + 1  # the final Gram's
+    assert {tol for _, tol in tensors} == {optimize.SEARCH_GRAM_TOL}
+    Rs = [R for R, _ in tensors]
+    assert len(Rs) == len(set(Rs)) == diag["outer_evaluations"]
+    assert grams == []
     assert diag["alternation_rounds"] >= diag["outer_evaluations"] + diag["seeds"] - 1
     assert report.kappa >= NO_PSI2_KAPPA - 1e-12
 
@@ -342,7 +345,7 @@ def test_the_budget_caps_the_tensor_builds(monkeypatch):
     assert report.diagnostics["outer_evaluations"] == 3
     assert report.diagnostics["seeds"] == 3
     assert Rs[:2] == [presets.KAPPA_STAR_R, presets.KAPPA_STAR_R + optimize.R_STEP]
-    assert len(Rs) == 4 and Rs[-1] == report.config.R
+    assert len(Rs) == 3 and report.config.R in Rs
 
 
 # -- search failures end the run ---------------------------------------------
