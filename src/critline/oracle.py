@@ -13,14 +13,16 @@ tables, real integrals use this module's own Gauss-Legendre rule, and
 derivative operators of the moment kernels get 4th-order finite differences
 of long-double tensor-product Gauss integrals.  Work that does not change
 between evaluations is done once: the circles share their roots of unity,
-each circle converts its float parameters to mpmath numbers once, each
-finite-difference integrand is evaluated factor by factor on the axes it
-depends on, the c2 integrand's exponential is split into factors on fewer
-axes so its innermost loop runs no exp, the c2 stencil evaluates each of its
-symmetric offset pairs once, and every divisor sum is one Dirichlet
-convolution split at isqrt(N), about 2 isqrt(N) strided slices instead of N.
-All are the same rules as the plain per-point forms, only with loop-invariant
-work hoisted.
+each circle converts its float parameters to mpmath numbers once, the c12
+integrand is evaluated factor by factor on the axes it depends on, the c2
+stencil evaluates each of its symmetric offset pairs once, and every divisor
+sum is one Dirichlet convolution split at isqrt(N), about 2 isqrt(N) strided
+slices instead of N.  All are the same rules as the plain per-point forms,
+only with loop-invariant work hoisted.  The c2 integral's (u, v) plane is
+summed per (r, t) slice through its u- and v-moments (a sum factorization:
+the Q factors are expanded as polynomials in (u, v) and every other factor
+splits into a u part and a v part), which is the same rule summed in another
+order, exact in exact arithmetic.
 Asymptotic statements are tested as bounded-normalized-error properties (their
 O(.) constants are not quantified), never as equalities.
 """
@@ -364,10 +366,13 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@lru_cache(maxsize=8)
 def _gauss_rule_ld(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_gauss_rule` widened to extended precision."""
-    nodes, weights = _gauss_rule(n)
-    return nodes.astype(np.longdouble), weights.astype(np.longdouble)
+    """:func:`_gauss_rule` widened to extended precision (read-only arrays)."""
+    nodes, weights = (a.astype(np.longdouble) for a in _gauss_rule(n))
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 # -- contour identities -----------------------------------------------------
@@ -618,9 +623,11 @@ def _c12_scalar(cfg: moments.MollifierConfig, x, y, n: int):
     A tensor-product Gauss rule of order n on [0,1]^3 in extended precision:
     the stencil divides by h^2, which amplifies double rounding of the plain
     integrals beyond the 1e-6 comparison floor.  The axes are (s, t, u) with
-    the triangle point (a, b) = (s, (1 - s) t); each factor is evaluated on
-    the axes it depends on and broadcast, which is the same rule as
-    evaluating it at every node.
+    the triangle point (a, b) = (s, (1 - s) t).  Each factor is evaluated on
+    the axes it depends on, the ones on u and on (s, u) are multiplied with
+    their rule weights before they meet the (s, t, u) grid, the t weights are
+    contracted without a 3-D weight array, and exp(R theta1 (y - x)) joins the
+    pre-factor: the same rule as evaluating the integrand at every node.
     """
     ld = np.longdouble
     th1, th2, R = ld(cfg.theta1), ld(cfg.theta2), ld(cfg.R)
@@ -629,67 +636,130 @@ def _c12_scalar(cfg: moments.MollifierConfig, x, y, n: int):
     P2dd = cfg.P2.derivative().derivative()
     nodes, weights = _gauss_rule_ld(n)
     s, t, u = nodes[:, None, None], nodes[None, :, None], nodes[None, None, :]
-    a = s
     b = (1.0 - s) * t
-    jac = 1.0 - s
-    expo = np.exp(R * (th1 * (y - x) + u * th2 * (a - b)))
-    values = (
-        u * u * (1.0 - u) * expo
-        * Q(-x * th1 + a * u * th2) * Q(1.0 + y * th1 - b * u * th2)
-        * P1(x + y + 1.0 - (1.0 - u) * th2 / th1)
-        * P2dd((1.0 - a - b) * u) * jac
+    su = (
+        weights * u * u * (1.0 - u) * P1(x + y + 1.0 - (1.0 - u) * th2 / th1)
+        * (weights[:, None, None] * (1.0 - s)) * Q(-x * th1 + s * u * th2)
     )
-    weight = weights[:, None, None] * weights[None, :, None] * weights[None, None, :]
-    value = np.sum(values * weight)
-    return 4.0 * (th2**2 / th1**2) * np.exp(R) * value
+    values = (
+        np.exp(R * th2 * u * (s - b)) * Q(1.0 + y * th1 - b * u * th2)
+        * P2dd((1.0 - s - b) * u) * su
+    )
+    value = np.einsum("stu,t->", values, weights)
+    return 4.0 * (th2**2 / th1**2) * np.exp(R * (1.0 + th1 * (y - x))) * value
+
+
+def _powers_ld(a, k: int) -> np.ndarray:
+    """a^0 .. a^k on a new trailing axis, by repeated multiplication."""
+    out = np.empty(np.shape(a) + (k + 1,), dtype=np.longdouble)
+    out[..., 0] = 1.0
+    for m in range(1, k + 1):
+        out[..., m] = out[..., m - 1] * a
+    return out
+
+
+def _taylor_rows_ld(Q: Polynomial) -> np.ndarray:
+    """Row k holds the ascending coefficients of T_k = Q^(k)/k!, in extended
+    precision: T_k(c) = sum_m C(m + k, k) q_(m+k) c^m.
+
+    Built from Q's coefficients rather than by repeated
+    :meth:`Polynomial.derivative`, whose float64 k q_k rounds.
+    """
+    q = np.array(Q.coeffs, dtype=np.longdouble)
+    d = Q.degree
+    rows = np.zeros((d + 1, d + 1), dtype=np.longdouble)
+    for k in range(d + 1):
+        for m in range(d + 1 - k):
+            rows[k, m] = comb(m + k, k) * q[m + k]
+    return rows
 
 
 def _c2_scalar(cfg: moments.MollifierConfig, x, y, n: int):
     """The c2 inner integral at real offsets (x, y) (pre-factor 2/3 included).
 
-    A tensor-product Gauss rule of order n on [0,1]^4 over (t, r, u, v) in
-    extended precision (the stencil divides by 144 h^4), with the integrand
-    split by axis: only Q(A + tG), exp(2RtG) and Q(B + tG) depend on t, with
-    A = theta2 (-y + u (x + r)) and B = theta2 (-x + v (y + r)), so every
-    other factor is built once on the (r, u, v) grid.  The exponential is
-    split by axis too, exp(2RtG) = exp(2Rt(1 + theta2 (x + y)))
-    exp(-2Rt theta2 u (x + r)) exp(-2Rt theta2 v (y + r)), so the t loop runs
-    no exp: the first factor is folded into the t weights and the other two
-    are built once on the (t, r, u) and (t, r, v) axes.  The t-dependent
-    factors are contracted with the t weights one node at a time, then the
-    (r, u, v) sum is taken; this is the same rule as summing the full
-    integrand over all n^4 nodes.
+    The tensor-product Gauss rule of order n on [0,1]^4 over (t, r, u, v) in
+    extended precision (the stencil divides by 144 h^4), with the (u, v)
+    plane of each (r, t) slice summed through moments.  With p = x + r,
+    q = y + r and g0 = 1 + theta2 (x + y), the Q arguments are linear in
+    (u, v):
 
-    Swapping (x, u) with (y, v) leaves E, G, the outer factors and the
-    product Q(A + tG) Q(B + tG) unchanged (A and B trade places), swaps the
-    two split exponential factors, and u and v share one rule, so the scalar
-    is symmetric in (x, y) up to rounding.
+        A + tG = (-theta2 y + t g0) + (1 - t) theta2 p u - t theta2 q v
+        B + tG = (-theta2 x + t g0) - t theta2 p u + (1 - t) theta2 q v.
+
+    Expanded about the centre of the (u, v) square, Q(c + alpha u + beta v)
+    is sum_ij T_(i+j)(c') C(i+j, i) alpha^i beta^j (u - 1/2)^i (v - 1/2)^j
+    with c' = c + (alpha + beta)/2 and T_k = Q^(k)/k!: a coefficient matrix
+    Qa (for A) or Qb (for B) per slice.  The centre halves each term's reach:
+    for a degree-11 Q, expanding about u = v = 0 put the scalar 1.2e-17
+    (relative) off the node-by-node sum, and the centre 1.6e-18.  Every other
+    factor splits into a u part and a v part:
+    exp(-theta2 R E) exp(2RtG) = exp(-theta2 R (x + y) + 2Rt g0)
+    exp(R (1 - 2t) theta2 p u) exp(R (1 - 2t) theta2 q v), the front factor
+    1/theta2 + E is (1/(2 theta2) + x - p u) + (1/(2 theta2) + y - q v), and
+    each P2'' factor depends on one of u, v.  So the slice's (u, v) sum is
+    Qa^T H_u Qb : H_v over the two halves of the front factor, where H_u and
+    H_v are the Hankel matrices of the u- and v-moments
+    sum_u w_u (u factors) (u - 1/2)^k, k <= 2 deg Q.  That is the same rule
+    as summing the full integrand over all n^4 nodes, exact in exact
+    arithmetic, at O(n deg Q + deg Q^3) per slice instead of O(n^2 deg Q).
+    The expansions and moments are built for all slices at once; the
+    matrices are formed one t node at a time, so each step holds n of them.
+
+    Swapping (x, u) with (y, v) swaps p and q, turns Qa into Qb^T and Qb
+    into Qa^T, and swaps H_u and H_v; the trace of the four-matrix product is
+    invariant under that, and u and v share one rule, so the scalar is
+    symmetric in (x, y) up to rounding.
     """
     ld = np.longdouble
     th2, R = ld(cfg.theta2), ld(cfg.R)
     x, y = ld(x), ld(y)
-    Q = cfg.Q
+    d = cfg.Q.degree
     P2dd = cfg.P2.derivative().derivative()
     nodes, weights = _gauss_rule_ld(n)
-    r, u, v = nodes[:, None, None], nodes[None, :, None], nodes[None, None, :]
-    E = x + y - v * (y + r) - u * (x + r)
-    G = 1.0 + th2 * E
-    A = th2 * (-y + u * (x + r))
-    B = th2 * (-x + v * (y + r))
+    t, r = nodes[:, None], nodes[None, :]  # the slices, t on the leading axis
+    p, q = x + r, y + r
+    g0 = 1.0 + th2 * (x + y)
+    rows = _taylor_rows_ld(cfg.Q).T[::-1]
+    hankel = np.add.outer(np.arange(d + 1), np.arange(d + 1))
+    binom = np.array([[comb(a + b, a) if a + b <= d else 0 for b in range(d + 1)]
+                      for a in range(d + 1)], dtype=ld)
+
+    def expansion(c, alpha, beta):
+        # T_(i+j) at the centre and the powers of alpha and beta, per slice
+        centre = (c + 0.5 * (alpha + beta))[..., None]
+        taylor = np.zeros(centre.shape[:-1] + (d + 1,), dtype=ld)
+        for row in rows:
+            taylor = taylor * centre + row
+        return taylor, _powers_ld(alpha, d), _powers_ld(beta, d)
+
+    def axis_moments(offset, s):
+        # sum_u w_u exp(R (1 - 2t) theta2 s u) P2''((1 - u) s) (u - 1/2)^k per
+        # slice, bare and times the axis's half of the front factor
+        base = (weights * P2dd((1.0 - nodes) * s[..., None])) * np.exp(
+            (R * th2 * (1.0 - 2.0 * t) * s)[..., None] * nodes)
+        front = 1.0 / (2.0 * th2) + offset - s[..., None] * nodes
+        return np.stack((base, base * front)) @ _powers_ld(nodes - 0.5, 2 * d)
+
+    def matrix(taylor, alpha_powers, beta_powers):
+        # [(u - 1/2)^i (v - 1/2)^j] Q(c + alpha u + beta v) on one t node
+        return (taylor[..., np.minimum(hankel, d)] * binom
+                * alpha_powers[..., :, None] * beta_powers[..., None, :])
+
+    qa = expansion(-th2 * y + t * g0, (1.0 - t) * th2 * p, -t * th2 * q)
+    qb = expansion(-th2 * x + t * g0, -t * th2 * p, (1.0 - t) * th2 * q)
+    mu, mv = axis_moments(x, p), axis_moments(y, q)
+    slices = np.empty((n, n), dtype=ld)
+    for k in range(n):
+        a = np.swapaxes(matrix(*(part[k] for part in qa)), -1, -2)
+        b = matrix(*(part[k] for part in qb))
+        # Qa^T H_u Qb : (H_v front) + Qa^T (H_u front) Qb : H_v on each r
+        hu, hv = mu[:, k][..., hankel], mv[:, k][..., hankel]
+        slices[k] = np.sum((a @ hu @ b) * hv[::-1], axis=(0, -2, -1))
     outer = (
-        (1.0 - r) ** 4 * (1.0 / th2 + E) * np.exp(-th2 * R * E)
-        * (x + r) * (y + r) * P2dd((1.0 - u) * (x + r)) * P2dd((1.0 - v) * (y + r))
-        * (weights[:, None, None] * weights[None, :, None] * weights[None, None, :])
+        (2.0 / 3.0) * (1.0 - r) ** 4 * p * q * weights
+        * (weights * np.exp(R * (2.0 * nodes * g0 - th2 * (x + y))))[:, None]
     )
-    t_axis = nodes[:, None, None, None]
-    exp_u = np.exp(-2.0 * R * th2 * t_axis * (u * (x + r)))
-    exp_v = np.exp(-2.0 * R * th2 * t_axis * (v * (y + r)))
-    t_weights = weights * np.exp(2.0 * R * nodes * (1.0 + th2 * (x + y)))
-    inner = np.zeros_like(G)
-    for t, w, eu, ev in zip(nodes, t_weights, exp_u, exp_v):
-        tG = t * G
-        inner += w * (Q(A + tG) * (eu * ev) * Q(B + tG))
-    return (2.0 / 3.0) * np.sum(inner * outer)
+    return np.sum(slices * outer)
 
 
 def fd_c12(cfg: moments.MollifierConfig) -> float:

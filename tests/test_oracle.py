@@ -1,6 +1,7 @@
 """Unit checks of the verification oracles themselves."""
 
 import ast
+import dataclasses
 import inspect
 import math
 
@@ -21,7 +22,7 @@ from critline.oracle import (
     check_q_operator,
     contour_circle,
 )
-from critline.poly import Polynomial, QSpec, make_p1, make_q
+from critline.poly import Polynomial, QSpec, make_p1, make_p2, make_q
 from critline.presets import kappa_preset, kappa_star_preset
 
 
@@ -539,21 +540,40 @@ def _c2_scalar_meshgrid(cfg, x, y, n):
     return (2.0 / 3.0) * _tensor_integral_ld(f, 4, n)
 
 
-@pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])
+def _constant_q():
+    # Q = 1: each per-slice moment expansion is a 1 x 1 Hankel matrix
+    return dataclasses.replace(kappa_preset(), Q=Polynomial((1.0,)))
+
+
+def _degree_11_q():
+    # the largest --q-degree searched for kappa
+    spec = QSpec(odd_coeffs=(0.604, -0.08, -0.06, 0.046, -0.02, 0.01), const=0.492)
+    return dataclasses.replace(kappa_preset(), Q=make_q(spec))
+
+
+def _cubic_p2():
+    # P2 of degree 3: P2'' is linear and vanishes at 0
+    return dataclasses.replace(kappa_preset(), P2=make_p2((0.03,)))
+
+
+@pytest.mark.parametrize(
+    "preset", [kappa_preset, kappa_star_preset, _constant_q, _degree_11_q, _cubic_p2]
+)
 def test_factored_fd_scalars_match_the_meshgrid_form(preset):
     cfg = preset()
     h = oracle.FD_H
     offsets = [(0.0, 0.0), (h, -2 * h), (-2 * h, 2 * h), (2 * h, h), (0.3, -0.2)]
-    for n in (6, 8):
-        for x, y in offsets:
-            for factored, reference in (
-                (oracle._c12_scalar, _c12_scalar_meshgrid),
-                (oracle._c2_scalar, _c2_scalar_meshgrid),
-            ):
-                got = factored(cfg, x, y, n=n)
-                want = reference(cfg, x, y, n=n)
-                assert got.dtype == np.longdouble
-                assert abs(got - want) <= 1e-17 * abs(want), (n, x, y, factored.__name__)
+    cases = [(n, x, y) for n in (6, 8) for x, y in offsets]
+    cases.append((oracle.FD_C2_ORDER, -h, 2 * h))  # the order verify runs c2 at
+    for n, x, y in cases:
+        for factored, reference in (
+            (oracle._c12_scalar, _c12_scalar_meshgrid),
+            (oracle._c2_scalar, _c2_scalar_meshgrid),
+        ):
+            got = factored(cfg, x, y, n=n)
+            want = reference(cfg, x, y, n=n)
+            assert got.dtype == np.longdouble
+            assert abs(got - want) <= 1e-17 * abs(want), (n, x, y, factored.__name__)
 
 
 def test_jet_operators_pass_at_the_kappa_preset():
@@ -564,7 +584,8 @@ def test_jet_operators_pass_at_the_kappa_preset():
 @pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])
 def test_fd_oracle_agrees_with_evaluate_to_its_floor(preset):
     # a hundredth of JET_OPERATOR_TOL: the stencil's 1/(144 h^4) amplifies
-    # long-double rounding of each scalar to about 1e-9 relative in c2
+    # long-double rounding of each scalar to 8.3e-10 (kappa) and 6.9e-10
+    # (kappa-star) relative in c2
     cfg = preset()
     report = moments.evaluate(cfg)
     assert abs(oracle.fd_c12(cfg) - report.c12) <= 1e-8 * abs(report.c12)
