@@ -380,6 +380,23 @@ def compute_kappa(c: float, R: float) -> float:
     return kappa
 
 
+def _p1_normalized(P1: Polynomial, R: float, c1: float, c12: float, c2: float) -> dict:
+    """P1(1) and the kappa of P1 rescaled to P1(1) = 1, from the constants at
+    P1: c1 - 1 is quadratic in P1, c12 linear and c2 free of it, so with
+    lam = 1/P1(1) the rescaled c is 1 + lam^2 (c1 - 1) + 2 lam c12 + c2.  The
+    kappa is left out when P1(1) = 0 or that c gives no finite kappa."""
+    p1_at_1 = float(P1(1.0))
+    out = {"p1_at_1": p1_at_1}
+    if p1_at_1 != 0.0:
+        lam = 1.0 / p1_at_1
+        try:
+            out["kappa_p1_normalized"] = compute_kappa(
+                1.0 + lam * lam * (c1 - 1.0) + 2.0 * lam * c12 + c2, R)
+        except ValueError:
+            pass
+    return out
+
+
 def evaluate(cfg: MollifierConfig) -> KappaReport:
     """The constants and kappa, every ladder certified to ``quad.DEFAULT_TOL``."""
     tol = quad.DEFAULT_TOL
@@ -395,7 +412,8 @@ def evaluate(cfg: MollifierConfig) -> KappaReport:
         c=c,
         kappa=compute_kappa(c, cfg.R),
         config=cfg,
-        diagnostics={"quad_tol": tol, "c1_trace": t1, "c12_trace": t12, "c2_trace": t2},
+        diagnostics={"quad_tol": tol, "c1_trace": t1, "c12_trace": t12, "c2_trace": t2,
+                     **_p1_normalized(cfg.P1, cfg.R, c1, c12, c2)},
     )
 
 

@@ -8,21 +8,26 @@ other node) is at most 1e-14, relative to the largest point value where that
 is below 1, which certifies the value far inside every check's threshold.
 Their closed forms are product-rule Taylor coefficients (K1, L1), a triangle
 integral (K2) and finite sums (the F residues); the Q operator's derivatives
-are Cauchy integrals on one more such circle.  Sums use sieved arithmetic
+are Cauchy integrals on one more such circle.  Each integrand is written in
+its circle's own coordinate, as a term of the unit node w: a pole of order m
+at the centre is radius^-m conj(w)^m there, a product where the point form
+took a negative complex power and a division.  Sums use sieved arithmetic
 tables, real integrals use this module's own Gauss-Legendre rule, and
 derivative operators of the moment kernels get 4th-order finite differences
 of long-double tensor-product Gauss integrals.  Work that does not change
 between evaluations is done once: the circles share their roots of unity,
-each circle converts its float parameters to mpmath numbers once, the c12
-integrand is evaluated factor by factor on the axes it depends on, the c2
-stencil evaluates each of its symmetric offset pairs once, and every divisor
-sum is one Dirichlet convolution split at isqrt(N), about 2 isqrt(N) strided
-slices instead of N.  All are the same rules as the plain per-point forms,
-only with loop-invariant work hoisted.  The c2 integral's (u, v) plane is
-summed per (r, t) slice through its u- and v-moments (a sum factorization:
-the Q factors are expanded as polynomials in (u, v) and every other factor
-splits into a u part and a v part), which is the same rule summed in another
-order, exact in exact arithmetic.
+each circle converts its float parameters and its pole powers radius^-m to
+mpmath numbers once, the two F circles (one radius, centres 0 and -s) share
+each node's exp(logx radius w), the c12 stencil sums the t axis once per y
+offset and evaluates every other factor on the axes it depends on, the c2
+stencil evaluates each of its symmetric offset pairs once and each offset's
+axis moments once, and every divisor sum is one Dirichlet convolution split
+at isqrt(N), about 2 isqrt(N) strided slices instead of N.  All are the same
+rules as the plain per-point forms, only with loop-invariant work hoisted.
+The c2 integral's (u, v) plane is summed per (r, t) slice through its u- and
+v-moments (a sum factorization: the Q factors are expanded as polynomials in
+(u, v) and every other factor splits into a u part and a v part), which is
+the same rule summed in another order, exact in exact arithmetic.
 Asymptotic statements are tested as bounded-normalized-error properties (their
 O(.) constants are not quantified), never as equalities.
 """
@@ -166,7 +171,7 @@ class ArithmeticTables:
 # large cancelling circle values need the head-room.  Its trapezoid ladder
 # starts at CONTOUR_START_POINTS, doubles up to CONTOUR_POINTS, and stops at
 # the first rung whose certificate |T_n - T_{n/2}| is at most CONTOUR_FLOOR
-# times min(1, largest point value |f(z) (z - c)|): relative for small
+# times min(1, largest point value |term(w)|): relative for small
 # values, and never above an absolute CONTOUR_FLOOR, so a certificate stays
 # below every check threshold however large the circle's values are.
 CONTOUR_DPS = 40
@@ -179,10 +184,12 @@ CONTOUR_FLOOR = 1e-14
 class ContourSpec:
     """A circle for (1/2*pi*i) closed contour integration by the trapezoid
     rule, which converges geometrically for integrands analytic near the
-    circle.  Points and accumulation use mpmath at ``CONTOUR_DPS`` digits, on
-    a ladder of ``CONTOUR_START_POINTS`` to ``CONTOUR_POINTS`` points that
-    stops once |T_n - T_{n/2}| is at most ``CONTOUR_FLOOR`` times the smaller
-    of 1 and the largest point value.
+    circle.  The integrand is handed to :func:`contour_circle` as a term of
+    the unit node w, so its points are center + radius*w; the terms and their
+    sum use mpmath at ``CONTOUR_DPS`` digits, on a ladder of
+    ``CONTOUR_START_POINTS`` to ``CONTOUR_POINTS`` points that stops once
+    |T_n - T_{n/2}| is at most ``CONTOUR_FLOOR`` times the smaller of 1 and
+    the largest term.
     """
 
     center: complex = 0.0
@@ -210,7 +217,7 @@ def _roots_of_unity() -> tuple:
     """The trapezoid nodes exp(2*pi*i*k/n) on the unit circle, k < n =
     ``CONTOUR_POINTS``, as mpmath numbers computed at ``CONTOUR_DPS`` digits.
 
-    Every circle shares them and forms its points as center + radius * node.
+    Every circle shares them: each is the unit node w of a circle's term.
     Rung m uses every (n/m)-th node; n/m is a power of two, so these are
     bit-identical to the m-th roots of unity.
     """
@@ -221,9 +228,16 @@ def _roots_of_unity() -> tuple:
         return tuple(mpmath.exp(2j * mpmath.pi * k / n) for k in range(n))
 
 
-def contour_circle(f: Callable[[Any], Any], spec: ContourSpec) -> ContourValue:
-    """(1/2*pi*i) times the integral of f around the circle; ``f`` takes and
-    returns mpmath numbers.
+def contour_circle(term: Callable[[Any], Any], spec: ContourSpec) -> ContourValue:
+    """(1/2*pi*i) times the integral of f around ``spec``'s circle, given as
+    the term ``term(w) = f(center + radius*w) * radius*w`` of the unit node w
+    (mpmath numbers in and out): with z = center + radius*w, dz/(2*pi*i) is
+    radius*w dtheta/(2*pi), so the trapezoid value is the mean of the terms.
+    The term is the circle's own coordinate: a pole of order m at the centre
+    is radius^-m conj(w)^m there, since |w| = 1, and a factor like
+    exp(L z) is exp(L center) exp(L radius w), formed once per circle.
+    ``spec`` names the circle the term is written on; the ladder itself needs
+    only the nodes.
 
     Each rung evaluates only its new (odd-indexed) points and sums all its
     point values in node order, so the value at rung n is the plain n-point
@@ -233,26 +247,20 @@ def contour_circle(f: Callable[[Any], Any], spec: ContourSpec) -> ContourValue:
 
     nodes = _roots_of_unity()
     with mpmath.workdps(CONTOUR_DPS):
-        # converted once (exactly) instead of at every point
-        center, radius = mpmath.mpmathify(spec.center), mpmath.mpmathify(spec.radius)
 
         def values(indices):
-            out = []
-            for k in indices:
-                z = center + radius * nodes[k]
-                out.append(f(z) * (z - center))
-            return out
+            return [term(nodes[k]) for k in indices]
 
         def trapezoid(terms):
             total = mpmath.mpc(0)
-            for term in terms:
-                total += term
+            for value in terms:
+                total += value
             return total / len(terms)
 
         n = CONTOUR_START_POINTS
         stride = CONTOUR_POINTS // n
         terms = values(range(0, CONTOUR_POINTS, stride))
-        scale = max(abs(term) for term in terms)
+        scale = max(abs(value) for value in terms)
         previous = trapezoid(terms[::2])
         while True:
             total = trapezoid(terms)
@@ -263,8 +271,8 @@ def contour_circle(f: Callable[[Any], Any], spec: ContourSpec) -> ContourValue:
                 return ContourValue(complex(total), math.inf, n)
             stride //= 2
             fresh = values(range(stride, CONTOUR_POINTS, 2 * stride))
-            scale = max(scale, max(abs(term) for term in fresh))
-            terms = [term for pair in zip(terms, fresh) for term in pair]
+            scale = max(scale, max(abs(value) for value in fresh))
+            terms = [value for pair in zip(terms, fresh) for value in pair]
             previous, n = total, 2 * n
 
 
@@ -381,12 +389,18 @@ def _gauss_rule_ld(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _k1_pair(i: int, alpha: float, beta: float, logq: float):
     import mpmath
 
-    # float -> mpf is exact: converted once per circle, not at every point
-    a, b, lq = map(mpmath.mpf, (alpha, beta, logq))
-    circle = contour_circle(
-        lambda s: mpmath.exp(lq * s) * (a + s) * (-b + s) / s ** (i + 1),
-        ContourSpec(center=0.0, radius=0.3),
-    )
+    spec = ContourSpec(center=0.0, radius=0.3)
+    with mpmath.workdps(CONTOUR_DPS):
+        # float -> mpf is exact: converted once per circle, not at every point
+        a, b, r = map(mpmath.mpf, (alpha, beta, spec.radius))
+        lqr, pole = logq * r, r**-i
+
+    # f(s) = e^{logq s} (alpha + s) (s - beta) / s^{i+1} at s = r w, times r w
+    def term(w):
+        rw = r * w
+        return mpmath.exp(lqr * w) * (a + rw) * (rw - b) * pole * w.conjugate() ** i
+
+    circle = contour_circle(term, spec)
     # [xy] of e^{alpha x - beta y} (logq + x + y)^i by the product rule
     last = i * (i - 1) * logq ** (i - 2) if i >= 2 else 0.0
     rhs = (-alpha * beta * logq**i + i * (alpha - beta) * logq ** (i - 1) + last) / factorial(i)
@@ -396,18 +410,24 @@ def _k1_pair(i: int, alpha: float, beta: float, logq: float):
 def _k2_pair(j: int, alpha: float, beta: float, logq: float):
     import mpmath
 
-    a, b, lq = map(mpmath.mpf, (alpha, beta, logq))
     # the circle must enclose every pole: 0, -alpha and beta
-    circle = contour_circle(
-        lambda u: mpmath.exp(lq * u) / ((a + u) * (-b + u) * u ** (j - 1)),
-        ContourSpec(center=0.0, radius=0.25),
-    )
+    spec = ContourSpec(center=0.0, radius=0.25)
+    with mpmath.workdps(CONTOUR_DPS):
+        a, b, r = map(mpmath.mpf, (alpha, beta, spec.radius))
+        lqr, pole = logq * r, r ** (2 - j)
+
+    # f(u) = e^{logq u} / ((alpha + u) (u - beta) u^{j-1}) at u = r w, times r w
+    def term(w):
+        rw = r * w
+        return mpmath.exp(lqr * w) * pole * w.conjugate() ** (j - 2) / ((a + rw) * (rw - b))
+
+    circle = contour_circle(term, spec)
     # triangle via b = (1 - a)t; extended precision because the logq^j
     # prefactor amplifies the quadrature sum's rounding
     xs, ws = _gauss_rule_ld(96)
-    a = xs[:, None]
-    b = (1.0 - a) * xs[None, :]
-    vals = (1.0 - a - b) ** (j - 2) * np.exp(logq * (-a * alpha + b * beta)) * (1.0 - a)
+    ta = xs[:, None]
+    tb = (1.0 - ta) * xs[None, :]
+    vals = (1.0 - ta - tb) ** (j - 2) * np.exp(logq * (-ta * alpha + tb * beta)) * (1.0 - ta)
     inner = np.sum(vals * ws[:, None] * ws[None, :])
     rhs = float(4.0 * np.longdouble(logq) ** j / factorial(j - 2) * inner)
     return 4.0 * circle.value, rhs, circle
@@ -416,12 +436,18 @@ def _k2_pair(j: int, alpha: float, beta: float, logq: float):
 def _l1_pair(i: int, alpha: float, beta: float, logq: float):
     import mpmath
 
-    a, b, lq = map(mpmath.mpf, (alpha, beta, logq))
     # poles at 0 and -alpha; (beta + s)^2 is entire
-    circle = contour_circle(
-        lambda s: mpmath.exp(lq * s) * (b + s) ** 2 / ((a + s) * s ** (i - 1)),
-        ContourSpec(center=0.0, radius=0.25),
-    )
+    spec = ContourSpec(center=0.0, radius=0.25)
+    with mpmath.workdps(CONTOUR_DPS):
+        a, b, r = map(mpmath.mpf, (alpha, beta, spec.radius))
+        lqr, pole = logq * r, r ** (2 - i)
+
+    # f(s) = e^{logq s} (beta + s)^2 / ((alpha + s) s^{i-1}) at s = r w, times r w
+    def term(w):
+        rw = r * w
+        return mpmath.exp(lqr * w) * (b + rw) ** 2 * pole * w.conjugate() ** (i - 2) / (a + rw)
+
+    circle = contour_circle(term, spec)
     # 2! [x^2] of (logq + x)^{i-1} (its [x^k] is g[k]) times the integral over
     # u of e^{-logq alpha u + (beta - alpha u) x} (1 - u)^{i-2} (h[k])
     u, w = _gauss_rule(96)
@@ -433,23 +459,42 @@ def _l1_pair(i: int, alpha: float, beta: float, logq: float):
 
 
 def _f_residue_pair(j: int, k: int, s: float, logx: float):
+    """Both residues of f(u) = x^u / ((u + s)^{j+1} u^{k+1}), on circles of
+    radius 0.3 |s| about 0 and about -s, so the other pole sits at 1/0.3 radii.
+
+    Both circles have the same radius, so with u = r w about 0 and
+    u = -s + r w about -s, x^u is exp(logx r w) and x^{-s} exp(logx r w):
+    each node's exp(logx r w) is computed once for the pair.
+    """
     if s == 0.0:
         raise OracleError("s must be nonzero")
     import mpmath
 
-    radius = 0.4 * abs(s)
-    mp_s, mp_logx = mpmath.mpf(s), mpmath.mpf(logx)
+    spec0 = ContourSpec(center=0.0, radius=0.3 * abs(s))
+    spec1 = ContourSpec(center=-s, radius=spec0.radius)
+    with mpmath.workdps(CONTOUR_DPS):
+        mp_s, r = mpmath.mpf(s), mpmath.mpf(spec0.radius)
+        lr, shift = logx * r, mpmath.exp(-logx * mp_s)
+        pole0, pole1 = r**-k, shift * r**-j
+    @lru_cache(maxsize=None)
+    def exp_lrw(w):
+        return mpmath.exp(lr * w)
 
-    def f(u):
-        return mpmath.exp(mp_logx * u) / ((u + mp_s) ** (j + 1) * u ** (k + 1))
+    # f(r w) r w: the pole u^{k+1} at the centre, (u + s)^{j+1} off it
+    def term0(w):
+        return exp_lrw(w) * pole0 * w.conjugate() ** k / (r * w + mp_s) ** (j + 1)
 
-    circle0 = contour_circle(f, ContourSpec(center=0.0, radius=radius))
+    # f(-s + r w) r w: the pole (u + s)^{j+1} at the centre, u^{k+1} off it
+    def term1(w):
+        return exp_lrw(w) * pole1 * w.conjugate() ** j / (r * w - mp_s) ** (k + 1)
+
+    circle0 = contour_circle(term0, spec0)
     rhs0 = sum(
         (-1) ** l * comb(j + l, j) * logx ** (k - l) / (s ** (j + l + 1) * factorial(k - l))
         for l in range(k + 1)
     )
     # residue at u = -s: shift u -> u - s, which swaps j and k and brings x^{-s}
-    circle1 = contour_circle(f, ContourSpec(center=-s, radius=radius))
+    circle1 = contour_circle(term1, spec1)
     rhs1 = math.exp(-logx * s) * sum(
         (-1) ** l * comb(k + l, k) * logx ** (j - l)
         / ((-s) ** (k + l + 1) * factorial(j - l))
@@ -582,17 +627,20 @@ def check_q_operator(Q: Polynomial, X: float, T: float, alpha: float = 0.0):
     import mpmath
 
     logX, logT = math.log(X), math.log(T)
+    spec = ContourSpec(center=0.0, radius=0.25)
     with mpmath.workdps(CONTOUR_DPS):
-        a, lx, step = mpmath.mpf(alpha), mpmath.mpf(logX), -1 / mpmath.mpf(logT)
-        weights = [q_k * factorial(k) * step**k for k, q_k in enumerate(Q.coeffs)]
+        r, lx, step = mpmath.mpf(spec.radius), mpmath.mpf(logX), -1 / mpmath.mpf(logT)
+        front, lxr = mpmath.exp(-lx * alpha), lx * r
+        # z^{-k-1} times dz = r w is r^{-k} conj(w)^k on the circle
+        weights = [q_k * factorial(k) * (step / r) ** k for k, q_k in enumerate(Q.coeffs)]
 
-    def f(z):
-        series = 0  # Horner in 1/z
+    def term(w):
+        series, cw = 0, w.conjugate()  # Horner in conj(w)
         for weight in reversed(weights):
-            series = (series + weight) / z
-        return mpmath.exp(-lx * (a + z)) * series
+            series = series * cw + weight
+        return front * mpmath.exp(-lxr * w) * series
 
-    circle = contour_circle(f, ContourSpec(center=0.0, radius=0.25))
+    circle = contour_circle(term, spec)
     lhs, rhs = circle.value.real, Q(logX / logT) * math.exp(-alpha * logX)
     error = math.inf if circle.certificate == math.inf else abs(lhs - rhs) / max(abs(rhs), 1.0)
     return CheckResult.from_error(
@@ -616,37 +664,40 @@ _D2_OFFSETS = (-2.0, -1.0, 0.0, 1.0, 2.0)
 _D2_WEIGHTS = (-1.0, 16.0, -30.0, 16.0, -1.0)
 
 
-def _c12_scalar(cfg: moments.MollifierConfig, x, y, n: int):
-    """The c12 integrand's inner integral at real offsets (x, y), pre-factor
-    included; finite differences of this reproduce the kernel's c12.
+def _c12_scalars(cfg: moments.MollifierConfig, xs, ys, n: int) -> np.ndarray:
+    """The c12 integrand's inner integral at every pair of real offsets,
+    pre-factor included: entry [i, j] is at (xs[i], ys[j]), and finite
+    differences of these reproduce the kernel's c12.
 
     A tensor-product Gauss rule of order n on [0,1]^3 in extended precision:
     the stencil divides by h^2, which amplifies double rounding of the plain
     integrals beyond the 1e-6 comparison floor.  The axes are (s, t, u) with
-    the triangle point (a, b) = (s, (1 - s) t).  Each factor is evaluated on
-    the axes it depends on, the ones on u and on (s, u) are multiplied with
-    their rule weights before they meet the (s, t, u) grid, the t weights are
-    contracted without a 3-D weight array, and exp(R theta1 (y - x)) joins the
-    pre-factor: the same rule as evaluating the integrand at every node.
+    the triangle point (a, b) = (s, (1 - s) t).  Only the factor
+    exp(R theta2 u (s - b)) Q(1 + y theta1 - b u theta2) P2''((1 - s - b) u)
+    depends on t, and of the offsets only on y, so its t-sum G_y(s, u) is
+    formed once per y; the pair (x, y) is then the (s, u) sum of G_y times
+    Q(-x theta1 + s u theta2) and P1(x + y + 1 - (1 - u) theta2/theta1) with
+    their rule weights, and exp(R theta1 (y - x)) joins the pre-factor: the
+    same rule as evaluating the integrand at every node of every pair.
     """
     ld = np.longdouble
     th1, th2, R = ld(cfg.theta1), ld(cfg.theta2), ld(cfg.R)
-    x, y = ld(x), ld(y)
+    xs, ys = np.asarray(xs, dtype=ld), np.asarray(ys, dtype=ld)
     Q, P1 = cfg.Q, cfg.P1
     P2dd = cfg.P2.derivative().derivative()
     nodes, weights = _gauss_rule_ld(n)
     s, t, u = nodes[:, None, None], nodes[None, :, None], nodes[None, None, :]
     b = (1.0 - s) * t
-    su = (
-        weights * u * u * (1.0 - u) * P1(x + y + 1.0 - (1.0 - u) * th2 / th1)
-        * (weights[:, None, None] * (1.0 - s)) * Q(-x * th1 + s * u * th2)
-    )
-    values = (
-        np.exp(R * th2 * u * (s - b)) * Q(1.0 + y * th1 - b * u * th2)
-        * P2dd((1.0 - s - b) * u) * su
-    )
-    value = np.einsum("stu,t->", values, weights)
-    return 4.0 * (th2**2 / th1**2) * np.exp(R * (1.0 + th1 * (y - x))) * value
+    common = np.exp(R * th2 * u * (s - b)) * P2dd((1.0 - s - b) * u)
+    g = np.stack([np.einsum("stu,t->su", common * Q(1.0 + y * th1 - b * u * th2), weights)
+                  for y in ys])
+    x = xs[:, None, None]
+    # on (x, s, u) and on (x, y, u), with the s and u weights
+    qx = (weights * (1.0 - nodes))[:, None] * Q(-x * th1 + nodes[:, None] * nodes * th2)
+    p1 = weights * nodes * nodes * (1.0 - nodes) * P1(
+        x + ys[:, None] + 1.0 - (1.0 - nodes) * th2 / th1)
+    value = np.einsum("xsu,xyu,ysu->xy", qx, p1, g)
+    return 4.0 * (th2**2 / th1**2) * np.exp(R * (1.0 + th1 * (ys - xs[:, None]))) * value
 
 
 def _powers_ld(a, k: int) -> np.ndarray:
@@ -674,8 +725,9 @@ def _taylor_rows_ld(Q: Polynomial) -> np.ndarray:
     return rows
 
 
-def _c2_scalar(cfg: moments.MollifierConfig, x, y, n: int):
-    """The c2 inner integral at real offsets (x, y) (pre-factor 2/3 included).
+def _c2_scalars(cfg: moments.MollifierConfig, pairs, n: int) -> np.ndarray:
+    """The c2 inner integral at each pair of real offsets (x, y) in ``pairs``
+    (pre-factor 2/3 included).
 
     The tensor-product Gauss rule of order n on [0,1]^4 over (t, r, u, v) in
     extended precision (the stencil divides by 144 h^4), with the (u, v)
@@ -702,8 +754,10 @@ def _c2_scalar(cfg: moments.MollifierConfig, x, y, n: int):
     sum_u w_u (u factors) (u - 1/2)^k, k <= 2 deg Q.  That is the same rule
     as summing the full integrand over all n^4 nodes, exact in exact
     arithmetic, at O(n deg Q + deg Q^3) per slice instead of O(n^2 deg Q).
-    The expansions and moments are built for all slices at once; the
-    matrices are formed one t node at a time, so each step holds n of them.
+    The u-moments at offset x are the v-moments at offset y = x, so each
+    distinct offset's moments are built once for all pairs.  The expansions
+    and moments are built for all slices at once; the matrices are formed one
+    t node at a time, so each step holds n of them.
 
     Swapping (x, u) with (y, v) swaps p and q, turns Qa into Qb^T and Qb
     into Qa^T, and swaps H_u and H_v; the trace of the four-matrix product is
@@ -712,17 +766,15 @@ def _c2_scalar(cfg: moments.MollifierConfig, x, y, n: int):
     """
     ld = np.longdouble
     th2, R = ld(cfg.theta2), ld(cfg.R)
-    x, y = ld(x), ld(y)
     d = cfg.Q.degree
     P2dd = cfg.P2.derivative().derivative()
     nodes, weights = _gauss_rule_ld(n)
     t, r = nodes[:, None], nodes[None, :]  # the slices, t on the leading axis
-    p, q = x + r, y + r
-    g0 = 1.0 + th2 * (x + y)
     rows = _taylor_rows_ld(cfg.Q).T[::-1]
     hankel = np.add.outer(np.arange(d + 1), np.arange(d + 1))
     binom = np.array([[comb(a + b, a) if a + b <= d else 0 for b in range(d + 1)]
                       for a in range(d + 1)], dtype=ld)
+    centred = _powers_ld(nodes - 0.5, 2 * d)
 
     def expansion(c, alpha, beta):
         # T_(i+j) at the centre and the powers of alpha and beta, per slice
@@ -732,58 +784,69 @@ def _c2_scalar(cfg: moments.MollifierConfig, x, y, n: int):
             taylor = taylor * centre + row
         return taylor, _powers_ld(alpha, d), _powers_ld(beta, d)
 
-    def axis_moments(offset, s):
+    @lru_cache(maxsize=None)
+    def axis_moments(offset):
         # sum_u w_u exp(R (1 - 2t) theta2 s u) P2''((1 - u) s) (u - 1/2)^k per
-        # slice, bare and times the axis's half of the front factor
+        # slice with s = offset + r, bare and times the axis's half of the
+        # front factor; the same on the u axis at x and the v axis at y
+        s = offset + r
         base = (weights * P2dd((1.0 - nodes) * s[..., None])) * np.exp(
             (R * th2 * (1.0 - 2.0 * t) * s)[..., None] * nodes)
         front = 1.0 / (2.0 * th2) + offset - s[..., None] * nodes
-        return np.stack((base, base * front)) @ _powers_ld(nodes - 0.5, 2 * d)
+        return np.stack((base, base * front)) @ centred
 
     def matrix(taylor, alpha_powers, beta_powers):
         # [(u - 1/2)^i (v - 1/2)^j] Q(c + alpha u + beta v) on one t node
         return (taylor[..., np.minimum(hankel, d)] * binom
                 * alpha_powers[..., :, None] * beta_powers[..., None, :])
 
-    qa = expansion(-th2 * y + t * g0, (1.0 - t) * th2 * p, -t * th2 * q)
-    qb = expansion(-th2 * x + t * g0, -t * th2 * p, (1.0 - t) * th2 * q)
-    mu, mv = axis_moments(x, p), axis_moments(y, q)
-    slices = np.empty((n, n), dtype=ld)
-    for k in range(n):
-        a = np.swapaxes(matrix(*(part[k] for part in qa)), -1, -2)
-        b = matrix(*(part[k] for part in qb))
-        # Qa^T H_u Qb : (H_v front) + Qa^T (H_u front) Qb : H_v on each r
-        hu, hv = mu[:, k][..., hankel], mv[:, k][..., hankel]
-        slices[k] = np.sum((a @ hu @ b) * hv[::-1], axis=(0, -2, -1))
-    outer = (
-        (2.0 / 3.0) * (1.0 - r) ** 4 * p * q * weights
-        * (weights * np.exp(R * (2.0 * nodes * g0 - th2 * (x + y))))[:, None]
-    )
-    return np.sum(slices * outer)
+    out = np.empty(len(pairs), dtype=ld)
+    for i, (x, y) in enumerate(pairs):
+        x, y = ld(x), ld(y)
+        p, q = x + r, y + r
+        g0 = 1.0 + th2 * (x + y)
+        qa = expansion(-th2 * y + t * g0, (1.0 - t) * th2 * p, -t * th2 * q)
+        qb = expansion(-th2 * x + t * g0, -t * th2 * p, (1.0 - t) * th2 * q)
+        mu, mv = axis_moments(x), axis_moments(y)
+        slices = np.empty((n, n), dtype=ld)
+        for k in range(n):
+            a = np.swapaxes(matrix(*(part[k] for part in qa)), -1, -2)
+            b = matrix(*(part[k] for part in qb))
+            # Qa^T H_u Qb : (H_v front) + Qa^T (H_u front) Qb : H_v on each r
+            hu, hv = mu[:, k][..., hankel], mv[:, k][..., hankel]
+            slices[k] = np.sum((a @ hu @ b) * hv[::-1], axis=(0, -2, -1))
+        outer = (
+            ld(2) / 3 * (1.0 - r) ** 4 * p * q * weights
+            * (weights * np.exp(R * (2.0 * nodes * g0 - th2 * (x + y))))[:, None]
+        )
+        out[i] = np.sum(slices * outer)
+    return out
 
 
 def fd_c12(cfg: moments.MollifierConfig) -> float:
     """4th-order central-difference d^2/dx dy at the origin of the c12 kernel."""
-    total = np.longdouble(0.0)
-    for ox, wx in zip(_D1_OFFSETS, _D1_WEIGHTS):
-        for oy, wy in zip(_D1_OFFSETS, _D1_WEIGHTS):
-            total += wx * wy * _c12_scalar(cfg, ox * FD_H, oy * FD_H, n=FD_C12_ORDER)
-    return float(total / np.longdouble(12.0 * FD_H) ** 2)
+    offsets = np.array(_D1_OFFSETS) * FD_H
+    weights = np.array(_D1_WEIGHTS, dtype=np.longdouble)
+    scalars = _c12_scalars(cfg, offsets, offsets, n=FD_C12_ORDER)
+    return float(weights @ scalars @ weights / np.longdouble(12.0 * FD_H) ** 2)
 
 
 def fd_c2(cfg: moments.MollifierConfig) -> float:
     """4th-order central-difference d^4/dx^2 dy^2 at the origin of the c2
     kernel.
 
-    The c2 scalar is symmetric in its offsets (see :func:`_c2_scalar`) and
+    The c2 scalar is symmetric in its offsets (see :func:`_c2_scalars`) and
     the stencil is the same on both axes, so each unordered offset pair is
     evaluated once and an off-diagonal one counts twice: 15 scalars, not 25.
     """
-    total = np.longdouble(0.0)
+    pairs, factors = [], []
     for i, (ox, wx) in enumerate(zip(_D2_OFFSETS, _D2_WEIGHTS)):
         for oy, wy in zip(_D2_OFFSETS[i:], _D2_WEIGHTS[i:]):
-            pairs = 1.0 if oy == ox else 2.0
-            total += pairs * wx * wy * _c2_scalar(cfg, ox * FD_H, oy * FD_H, n=FD_C2_ORDER)
+            pairs.append((ox * FD_H, oy * FD_H))
+            factors.append((1.0 if oy == ox else 2.0) * wx * wy)
+    total = np.longdouble(0.0)
+    for factor, scalar in zip(factors, _c2_scalars(cfg, pairs, n=FD_C2_ORDER)):
+        total += factor * scalar
     return float(total / np.longdouble(12.0 * FD_H * FD_H) ** 2)
 
 

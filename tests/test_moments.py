@@ -1,6 +1,7 @@
 """The moment constants: closed forms, scaling structure, and validation."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -278,6 +279,27 @@ def test_evaluate_report_shape():
     for name in ("c1_trace", "c12_trace", "c2_trace"):
         trace = payload["diagnostics"][name]
         assert trace[-1][1] < 1e-6
+
+
+@pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])
+def test_p1_normalized_kappa_is_the_rescaled_evaluation(preset):
+    # the published P1 is rounded, so P1(1) is 0.99999951 at kappa; the
+    # diagnostics give kappa at P1 / P1(1) without evaluating it
+    cfg = preset()
+    diagnostics = evaluate(cfg).diagnostics
+    assert diagnostics["p1_at_1"] == cfg.P1(1.0)
+    rescaled = evaluate(replace(cfg, P1=cfg.P1.scale(1.0 / cfg.P1(1.0))))
+    assert diagnostics["kappa_p1_normalized"] == pytest.approx(rescaled.kappa, abs=1e-12)
+
+
+def test_p1_normalized_kappa_is_left_out_when_undefined():
+    # P1(1) = 0: no rescaling exists, and the evaluation still stands
+    report = evaluate(small_config(P1=Polynomial((0.0, 1.0, -1.0))))
+    assert report.diagnostics["p1_at_1"] == 0.0
+    assert "kappa_p1_normalized" not in report.diagnostics
+    assert math.isfinite(report.kappa)
+    # a rescaled c <= 0 has no kappa: 1 + (c1 - 1) + 2 c12 + c2 = -1 here
+    assert moments._p1_normalized(ONE, 1.0, c1=1.0, c12=-1.0, c2=0.0) == {"p1_at_1": 1.0}
 
 
 def test_renormalized_q():

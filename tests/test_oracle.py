@@ -165,19 +165,32 @@ def test_tables_bounds():
 # -- contour integration -----------------------------------------------------
 
 
+def _term(f, spec):
+    """f on ``spec``'s circle as the term ``contour_circle`` takes: the unit
+    node w goes to f(center + radius*w) * radius*w."""
+    with mpmath.workdps(oracle.CONTOUR_DPS):
+        center, radius = mpmath.mpmathify(spec.center), mpmath.mpmathify(spec.radius)
+    return lambda w: f(center + radius * w) * radius * w
+
+
+def _circle(f, spec):
+    """``contour_circle`` of f(z) on ``spec``'s circle."""
+    return contour_circle(_term(f, spec), spec)
+
+
 def test_contour_residue_of_simple_pole():
-    value = contour_circle(lambda z: 1.0 / z, ContourSpec(radius=1.0)).value
+    value = _circle(lambda z: 1.0 / z, ContourSpec(radius=1.0)).value
     assert abs(value - 1.0) < 1e-13
 
 
 def test_contour_residue_of_double_pole():
     # e^z / z^2 has residue 1 at the origin
-    value = contour_circle(lambda z: mpmath.exp(z) / z**2, ContourSpec(radius=0.5)).value
+    value = _circle(lambda z: mpmath.exp(z) / z**2, ContourSpec(radius=0.5)).value
     assert abs(value - 1.0) < 1e-13
 
 
 def test_contour_no_enclosed_pole():
-    value = contour_circle(lambda z: 1.0 / (z - 2.0), ContourSpec(radius=1.0)).value
+    value = _circle(lambda z: 1.0 / (z - 2.0), ContourSpec(radius=1.0)).value
     assert abs(value) < 1e-13
 
 
@@ -198,15 +211,14 @@ def test_contour_spec_rejects_non_finite(center, radius):
         ContourSpec(center=center, radius=radius)
 
 
-def _contour_circle_per_point(f, spec, n):
+def _contour_circle_per_point(term, n):
     """The plain n-point trapezoid rule with every node computed by its own
     exp: the form the shared roots of unity and the ladder replaced."""
     with mpmath.workdps(oracle.CONTOUR_DPS):
         total = mpmath.mpc(0)
         for k in range(n):
-            z = spec.center + spec.radius * mpmath.exp(2j * mpmath.pi * k / n)
-            total += f(z) * (z - spec.center)
-        return complex(total / n)
+            total += term(mpmath.exp(2j * mpmath.pi * k / n))
+        return total / n
 
 
 def test_shared_contour_nodes_change_no_value():
@@ -220,10 +232,11 @@ def test_shared_contour_nodes_change_no_value():
         ContourSpec(center=complex(0.1, -0.05), radius=0.45),
         ContourSpec(center=0.0, radius=1.5),
     ):
-        circle = contour_circle(f, spec)
-        expected = _contour_circle_per_point(f, spec, circle.points)
+        term = _term(f, spec)
+        circle = contour_circle(term, spec)
+        expected = complex(_contour_circle_per_point(term, circle.points))
         assert circle.value == expected
-        assert contour_circle(f, spec).value == expected
+        assert contour_circle(term, spec).value == expected
         rungs.add(circle.points)
     # the value is the plain rule at a rung above the first one too
     assert len(rungs) > 1, rungs
@@ -235,10 +248,10 @@ def test_parameters_converted_once_change_no_value():
     alpha, beta, logq = 0.037, -0.081, 13.7
     a, b, lq = map(mpmath.mpf, (alpha, beta, logq))
     spec = ContourSpec(center=0.0, radius=0.3)
-    per_point = contour_circle(
+    per_point = _circle(
         lambda s: mpmath.exp(logq * s) * (alpha + s) * (-beta + s) / s**4, spec
     ).value
-    per_circle = contour_circle(
+    per_circle = _circle(
         lambda s: mpmath.exp(lq * s) * (a + s) * (-b + s) / s**4, spec
     ).value
     assert per_circle == per_point
@@ -246,14 +259,14 @@ def test_parameters_converted_once_change_no_value():
 
 def test_contour_node_cache_is_bounded():
     for radius in (0.5, 1.0, 2.0):
-        contour_circle(lambda z: 1.0 / z, ContourSpec(radius=radius))
+        _circle(lambda z: 1.0 / z, ContourSpec(radius=radius))
     info = oracle._roots_of_unity.cache_info()
     assert info.currsize == info.maxsize == 1
     assert len(oracle._roots_of_unity()) == oracle.CONTOUR_POINTS
 
 
 def test_contour_extended_precision_path():
-    value = contour_circle(lambda z: 1.0 / z, ContourSpec(radius=1.0)).value
+    value = _circle(lambda z: 1.0 / z, ContourSpec(radius=1.0)).value
     assert abs(value - 1.0) < 1e-14
 
 
@@ -264,7 +277,7 @@ def test_contour_extended_precision_path():
 def test_contour_certificate_bounds_the_true_error(f, radius):
     # both residues are 1; the returned double adds at most one rounding of
     # the 40-digit value, which the certificate does not cover
-    circle = contour_circle(f, ContourSpec(radius=radius))
+    circle = _circle(f, ContourSpec(radius=radius))
     assert math.isfinite(circle.certificate)
     assert abs(circle.value - 1.0) <= circle.certificate + 2.0**-52
 
@@ -278,17 +291,17 @@ def test_contour_ladder_climbs_until_certified():
     def f(z):
         return mpmath.exp(z) / z**2
 
-    circle = contour_circle(f, ContourSpec(radius=20.0))
+    circle = _circle(f, ContourSpec(radius=20.0))
     assert circle.points == 256
     assert circle.certificate <= 1e-30
-    short = contour_circle(f, ContourSpec(radius=0.5))
+    short = _circle(f, ContourSpec(radius=0.5))
     assert short.points == oracle.CONTOUR_START_POINTS
 
 
 def test_contour_pole_near_the_circle_is_uncertified():
     # a pole at 0.99 of the radius: the trapezoid error falls only like
     # 0.99^n, so no rung up to 512 meets the floor
-    circle = contour_circle(lambda z: 1.0 / (z - 0.99), ContourSpec(radius=1.0))
+    circle = _circle(lambda z: 1.0 / (z - 0.99), ContourSpec(radius=1.0))
     assert circle.points == oracle.CONTOUR_POINTS
     assert circle.certificate == math.inf
 
@@ -303,9 +316,9 @@ def test_contour_pole_near_the_circle_is_uncertified():
 def test_uncertified_circle_fails_its_check(monkeypatch, kind, params):
     ladder = oracle.contour_circle
 
-    def with_near_pole(f, spec):
-        pole = spec.center + 0.99 * spec.radius
-        return ladder(lambda z: f(z) + 1.0 / (z - pole), spec)
+    def with_near_pole(term, spec):
+        # 1 / (z - pole) with the pole at center + 0.99 radius, as a term of w
+        return ladder(lambda w: term(w) + w / (w - 0.99), spec)
 
     monkeypatch.setattr(oracle, "contour_circle", with_near_pole)
     if kind == "q_operator":
@@ -319,13 +332,82 @@ def test_uncertified_circle_fails_its_check(monkeypatch, kind, params):
 
 def test_contour_suite_point_budget():
     # the work the suite does, counted from the checks' own params: the
-    # ladder stops at 64, 128 or 256 points on these circles (6144 in total),
-    # and every certificate alone proves its check's threshold
+    # ladder stops at 64, 128 or 256 points on these circles (5376 in total;
+    # each F circle, of radius 0.3 |s|, stops at 64 or 128), and every
+    # certificate alone proves its check's threshold
     results = oracle._contour_suite()
     assert len(results) == 44 and all(r.passed for r in results)
     total = sum(r.params["trapezoid_points"] for r in results)
-    assert total <= 8192, total
+    assert total <= 5376, total
     assert all(r.params["trapezoid_certificate"] <= r.threshold for r in results)
+
+
+def _f_of_z(kind, params):
+    """The integrand of each kind's circles as a function of z: the form the
+    oracle's unit-node terms replaced (both F circles share one)."""
+    alpha, beta = params.get("alpha", 0.0), params.get("beta", 0.0)
+    if kind == "K1":
+        i, lq = params["i"], params["logq"]
+        return lambda s: mpmath.exp(lq * s) * (alpha + s) * (-beta + s) / s ** (i + 1)
+    if kind == "K2":
+        j, lq = params["j"], params["logq"]
+        return lambda u: mpmath.exp(lq * u) / ((alpha + u) * (-beta + u) * u ** (j - 1))
+    if kind == "L1":
+        i, lq = params["i"], params["logq"]
+        return lambda s: mpmath.exp(lq * s) * (beta + s) ** 2 / ((alpha + s) * s ** (i - 1))
+    if kind == "F_residues":
+        j, k, s, logx = params["j"], params["k"], params["s"], params["logx"]
+        return lambda u: mpmath.exp(logx * u) / ((u + s) ** (j + 1) * u ** (k + 1))
+    lx = math.log(params["X"])
+    with mpmath.workdps(oracle.CONTOUR_DPS):
+        step = -1 / mpmath.mpf(math.log(params["T"]))
+        weights = [q_k * math.factorial(k) * step**k for k, q_k in enumerate(params["Q"].coeffs)]
+
+    def q_operator(z):
+        series = 0
+        for weight in reversed(weights):
+            series = (series + weight) / z
+        return mpmath.exp(-lx * (alpha + z)) * series
+
+    return q_operator
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [("K1", dict(i=1, alpha=0.07, beta=-0.03, logq=12.0)),
+     ("K1", dict(i=4, alpha=-0.02, beta=0.09, logq=22.0)),
+     ("K2", dict(j=4, alpha=0.03, beta=0.02, logq=20.0)),
+     ("L1", dict(i=5, alpha=0.05, beta=-0.04, logq=15.0)),
+     ("F_residues", dict(j=2, k=0, s=0.5, logx=5.0)),
+     ("F_residues", dict(j=1, k=3, s=-1.3, logx=7.5)),
+     ("q_operator", dict(Q=make_q(QSpec(odd_coeffs=(0.604, -0.08, -0.06, 0.046), const=0.492)),
+                         X=(1e8) ** (4.0 / 7.0), T=1e8, alpha=-0.1 / math.log(1e8)))],
+)
+def test_unit_node_terms_match_the_f_of_z_form(monkeypatch, kind, params):
+    # each circle's term against f(center + radius w) radius w through the
+    # same ladder: the same rung, and the same 40-digit sum there to 1e-30
+    ladder = oracle.contour_circle
+    circles = []
+
+    def recording(term, spec):
+        circles.append((term, spec))
+        return ladder(term, spec)
+
+    monkeypatch.setattr(oracle, "contour_circle", recording)
+    if kind == "q_operator":
+        assert check_q_operator(**params).passed
+    else:
+        assert check_contour_identity(kind, **params).passed
+    assert len(circles) == (2 if kind == "F_residues" else 1)
+    f = _f_of_z(kind, params)
+    for term, spec in circles:
+        reference = _term(f, spec)
+        got, want = ladder(term, spec), ladder(reference, spec)
+        assert got.points == want.points
+        with mpmath.workdps(oracle.CONTOUR_DPS):
+            a = _contour_circle_per_point(term, got.points)
+            b = _contour_circle_per_point(reference, got.points)
+            assert abs(a - b) <= 1e-30 * abs(b), (spec, a, b)
 
 
 def test_oracle_does_not_import_quad():
@@ -398,7 +480,7 @@ def _l1_rhs_jet(i, alpha, beta, logq):
 def test_closed_form_contour_sides_match_the_jet_ring(monkeypatch):
     # the right sides alone: a stub circle keeps the 200 draws cheap
     monkeypatch.setattr(oracle, "contour_circle",
-                        lambda f, spec: oracle.ContourValue(0j, 0.0, 0))
+                        lambda term, spec: oracle.ContourValue(0j, 0.0, 0))
     rng = np.random.default_rng(2718)
     for _ in range(200):
         alpha, beta = rng.uniform(-0.1, 0.1, size=2)
@@ -474,6 +556,26 @@ def test_run_suite_unknown_name():
         oracle.run_suite("everything")
 
 
+# every check verify runs, in order, with its threshold
+_CHECK_INVENTORY = (
+    [("euler_maclaurin[basic]", 10.0)] * 9
+    + [("euler_maclaurin[diag]", 10.0), ("euler_maclaurin[cross]", 10.0)] * 3
+    + [("logsave", 10.0)] * 15
+    + [(f"contour[{kind}]", 1e-10) for kind in ("K1", "K2", "L1", "F_residues")] * 11
+    + [("mobius", 0.0)]
+    + [("mellin_pair", 1e-3)] * 4
+    + [("q_operator", 1e-12)] * 5
+    + [("jet_operators", 1e-6)]
+)
+
+
+def test_run_suite_all_runs_the_pinned_checks():
+    # a refactor must not drop, add, reorder or rename a check silently
+    results = oracle.run_suite("all")
+    assert len(_CHECK_INVENTORY) == 85
+    assert [(r.name, r.threshold) for r in results] == _CHECK_INVENTORY
+
+
 def test_qop_suite_passes():
     results = oracle.run_suite("qop")
     assert results and all(r.passed for r in results)
@@ -537,7 +639,7 @@ def _c2_scalar_meshgrid(cfg, x, y, n):
             * (x + r) * (y + r) * P2dd((1.0 - u) * (x + r)) * P2dd((1.0 - v) * (y + r))
         )
 
-    return (2.0 / 3.0) * _tensor_integral_ld(f, 4, n)
+    return np.longdouble(2) / 3 * _tensor_integral_ld(f, 4, n)
 
 
 def _constant_q():
@@ -560,20 +662,25 @@ def _cubic_p2():
     "preset", [kappa_preset, kappa_star_preset, _constant_q, _degree_11_q, _cubic_p2]
 )
 def test_factored_fd_scalars_match_the_meshgrid_form(preset):
+    # c12 at every (x, y) of the offsets' x and y values, c2 at the listed
+    # pairs, which share offsets across their x and y axes
     cfg = preset()
     h = oracle.FD_H
     offsets = [(0.0, 0.0), (h, -2 * h), (-2 * h, 2 * h), (2 * h, h), (0.3, -0.2)]
-    cases = [(n, x, y) for n in (6, 8) for x, y in offsets]
-    cases.append((oracle.FD_C2_ORDER, -h, 2 * h))  # the order verify runs c2 at
-    for n, x, y in cases:
-        for factored, reference in (
-            (oracle._c12_scalar, _c12_scalar_meshgrid),
-            (oracle._c2_scalar, _c2_scalar_meshgrid),
-        ):
-            got = factored(cfg, x, y, n=n)
-            want = reference(cfg, x, y, n=n)
-            assert got.dtype == np.longdouble
-            assert abs(got - want) <= 1e-17 * abs(want), (n, x, y, factored.__name__)
+    for n, pairs in ((6, offsets), (8, offsets), (oracle.FD_C2_ORDER, [(-h, 2 * h)])):
+        # n = FD_C2_ORDER is the order verify runs c2 at
+        xs, ys = zip(*pairs)
+        grid = oracle._c12_scalars(cfg, xs, ys, n=n)
+        assert grid.dtype == np.longdouble and grid.shape == (len(xs), len(ys))
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                want = _c12_scalar_meshgrid(cfg, x, y, n=n)
+                assert abs(grid[i, j] - want) <= 1e-17 * abs(want), (n, x, y, "c12")
+        scalars = oracle._c2_scalars(cfg, pairs, n=n)
+        assert scalars.dtype == np.longdouble and scalars.shape == (len(pairs),)
+        for (x, y), got in zip(pairs, scalars):
+            want = _c2_scalar_meshgrid(cfg, x, y, n=n)
+            assert abs(got - want) <= 1e-17 * abs(want), (n, x, y, "c2")
 
 
 def test_jet_operators_pass_at_the_kappa_preset():
@@ -584,7 +691,7 @@ def test_jet_operators_pass_at_the_kappa_preset():
 @pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])
 def test_fd_oracle_agrees_with_evaluate_to_its_floor(preset):
     # a hundredth of JET_OPERATOR_TOL: the stencil's 1/(144 h^4) amplifies
-    # long-double rounding of each scalar to 8.3e-10 (kappa) and 6.9e-10
+    # long-double rounding of each scalar to 1.0e-9 (kappa) and 1.8e-10
     # (kappa-star) relative in c2
     cfg = preset()
     report = moments.evaluate(cfg)
@@ -600,8 +707,7 @@ def test_c2_scalar_is_symmetric_in_its_offsets(preset):
     h = oracle.FD_H
     offsets = [(h, -2 * h), (-2 * h, 2 * h), (2 * h, h), (-h, 0.0), (0.3, -0.2)]
     for x, y in offsets:
-        xy = oracle._c2_scalar(cfg, x, y, n=oracle.FD_C2_ORDER)
-        yx = oracle._c2_scalar(cfg, y, x, n=oracle.FD_C2_ORDER)
+        xy, yx = oracle._c2_scalars(cfg, [(x, y), (y, x)], n=oracle.FD_C2_ORDER)
         assert abs(xy - yx) <= 1e-17 * abs(xy), (x, y)
 
 
@@ -611,9 +717,10 @@ def _fd_c2_full_stencil(cfg):
     total = np.longdouble(0.0)
     for ox, wx in zip(oracle._D2_OFFSETS, oracle._D2_WEIGHTS):
         for oy, wy in zip(oracle._D2_OFFSETS, oracle._D2_WEIGHTS):
-            total += wx * wy * oracle._c2_scalar(
-                cfg, ox * oracle.FD_H, oy * oracle.FD_H, n=oracle.FD_C2_ORDER
+            (scalar,) = oracle._c2_scalars(
+                cfg, [(ox * oracle.FD_H, oy * oracle.FD_H)], n=oracle.FD_C2_ORDER
             )
+            total += wx * wy * scalar
     return float(total / np.longdouble(12.0 * oracle.FD_H * oracle.FD_H) ** 2)
 
 
