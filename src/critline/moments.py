@@ -14,7 +14,8 @@ Each kernel is linear in each of its four polynomials, a (Q, P) pair per
 side.  Given :class:`Family` objects in their place, the same kernel returns
 a whole block of that 4-linear form per node.  :func:`blocks` is the one
 path from kernel to constant, for :func:`evaluate` and for the Gram matrices
-and tensors of :mod:`critline.optimize`.
+and tensors of :mod:`critline.optimize`; where c2's two sides mirror each
+other it sums c2 over half of the (u, v) plane.
 """
 
 from __future__ import annotations
@@ -298,7 +299,8 @@ def c2_integrand(Q, P2, Q_other, P2_other, R: float, theta2: float):
     folds into X and Y on their own axes (A and B), so the grid Z of
     front X Y is A Y + X B.  Z times Q's grid qa is W, and [x^2 y^2] of
     W times Q_other's grid qb is nine products: only there do Q_other's
-    members meet the P members.
+    members meet the P members.  Exchanging (Q, P2) with (Q_other, P2_other)
+    and u with v exchanges x with y and leaves the coefficient unchanged.
     """
     q, qo = _taylor(Q, 4), _taylor(Q_other, 4)
     pa = _taylor(P2.derivative().derivative(), 2)
@@ -334,6 +336,42 @@ def c2_integrand(Q, P2, Q_other, P2_other, R: float, theta2: float):
 # -- the 4-linear form: every kernel integral goes through here -------------
 
 
+def _mirror(left, right) -> tuple[int, ...] | None:
+    """The member-axis permutation that exchanges two (Q, P2) sides, or None
+    when the right side is not the left one mirrored.
+
+    c2's kernel is unchanged when its sides, x with y and u with v are
+    exchanged, so its block F between these sides satisfies F(u, v) =
+    F(v, u) with the permutation applied.  Mirrored means: equal
+    :class:`Polynomial` objects, or families of equal coefficients whose
+    left and right member axes the permutation swaps; scalar sides give the
+    empty permutation."""
+    swaps: dict[int, int] = {}
+    axes = 0
+    for a, b in zip(left, right):
+        if isinstance(a, Family) and isinstance(b, Family):
+            if a.axes != b.axes or not np.array_equal(a.coeffs, b.coeffs):
+                return None
+            if swaps.get(a.axis, b.axis) != b.axis or swaps.get(b.axis, a.axis) != a.axis:
+                return None
+            swaps[a.axis], swaps[b.axis] = b.axis, a.axis
+            axes = a.axes
+        elif isinstance(a, Family) or isinstance(b, Family) or a != b:
+            return None
+    return tuple(swaps.get(k, k) for k in range(axes))
+
+
+def _symmetrized(integrand, perm: tuple[int, ...]):
+    """0.5 (F + F with the member axes permuted) per node: with ``perm`` from
+    :func:`_mirror`, each member is symmetric in the last two coordinates."""
+
+    def symmetric(*xs):
+        F = integrand(*xs)
+        return 0.5 * (F + F.transpose(perm + tuple(range(len(perm), F.ndim))))
+
+    return symmetric
+
+
 def blocks(left, right, R: float, theta1: float, theta2: float, tol: float, n_start: int):
     """The c1 - 1, c12 and c2 blocks of the form between two sides, each as
     ``(block, trace)``, integrated to ``tol`` on the quadrature ladder from
@@ -343,14 +381,22 @@ def blocks(left, right, R: float, theta1: float, theta2: float, tol: float, n_st
     A side is a ``(Q, P1, P2)`` triple of :class:`Polynomial` or
     :class:`Family` objects, each family on its own member axis; a ``None``
     P2 means no second piece, and c12 and c2 are then ``(0.0, [])``.  c12
-    pairs the left (Q, P1) with the right (Q, P2).  The blocks are not
-    symmetrized: with three or four member axes no transpose pairs left with
-    right, so each caller symmetrizes what it builds.
+    pairs the left (Q, P1) with the right (Q, P2).  When the right (Q, P2)
+    mirrors the left one (:func:`_mirror`: the same polynomials, or the same
+    families on exchanged member axes), c2 is summed over the (u, v)
+    triangle of node pairs i <= j, n^2 * n (n + 1) / 2 nodes per rung
+    instead of n^4.  Families are first symmetrized per node, 0.5 (F + F
+    with the mirrored member axes swapped), which leaves the block's
+    integral as it is: a member alone is not symmetric in (u, v), and its
+    triangle would have a kink on the diagonal.  Sides that do not mirror
+    keep the square.  The blocks are otherwise not symmetrized: with three
+    or four member axes no transpose pairs left with right, so each caller
+    symmetrizes what it builds.
     """
     (Q, P1, P2), (Q_other, P1_other, P2_other) = left, right
 
-    def integral(integrand, d: int):
-        return quad.integrate_converged(integrand, d, tol=tol, n_start=n_start)
+    def integral(integrand, d: int, symmetric: bool = False):
+        return quad.integrate_converged(integrand, d, tol=tol, n_start=n_start, symmetric=symmetric)
 
     K1, t1 = integral(c1_integrand(Q, P1, Q_other, P1_other, R, theta1), 1)
     c1 = K1 / theta1
@@ -360,7 +406,11 @@ def blocks(left, right, R: float, theta1: float, theta2: float, tol: float, n_st
     # d^2/dxdy = 1! 1! [xy]
     # the ratio, not the squares: theta1**2 underflows for a tiny theta1
     c12 = 4.0 * (theta2 / theta1) ** 2 * math.exp(R) * K12
-    K2, t2 = integral(c2_integrand(Q, P2, Q_other, P2_other, R, theta2), 4)
+    kernel = c2_integrand(Q, P2, Q_other, P2_other, R, theta2)
+    perm = _mirror((Q, P2), (Q_other, P2_other))
+    if perm is not None and perm != tuple(range(len(perm))):
+        kernel = _symmetrized(kernel, perm)
+    K2, t2 = integral(kernel, 4, symmetric=perm is not None)
     # d^4/dx^2dy^2 = 2! 2! [x^2 y^2]
     c2 = (2.0 / 3.0) * (4.0 * K2)
     return (c1, t1), (c12, t12), (c2, t2)

@@ -85,28 +85,26 @@ def build_tensor(
     Q = sum_a q_a basis[a] (monomial coefficients, one row per member) and w
     the P1 and P2 monomial coefficients (none of P2 if d2 = 0).
 
-    One :func:`moments.blocks` pass per left member a: basis[a] as a scalar
-    Q on the left, the right Q family and both P families each on its own
-    axis, so a node holds m * na * nb members, not m^2 * na * nb.  The P2-P1
-    blocks are the P1-P2 ones with both axis pairs swapped.  T is not
-    symmetrized; :func:`gram_at` symmetrizes what it contracts.
+    One :func:`moments.blocks` pass: Q's basis as a family on axis 0 (left)
+    and axis 1 (right), P1 and P2 on axes 2 (left) and 3 (right), so a node
+    holds m^2 * na * nb members.  The two sides mirror each other, so c2 is
+    summed over its (u, v) triangle.  The P2-P1 blocks are the P1-P2 ones
+    with both axis pairs swapped.  T is not symmetrized; :func:`gram_at`
+    symmetrizes what it contracts.
     """
     check_degrees(d1, d2)
     m, n = len(basis), d1 + (d2 - 2 if d2 else 0)
     # P1 has powers 1..d1 and P2 powers 3..d2: rows of the identity
-    left_p, right_p = ((Family(np.eye(d1 + 1)[1:], axis, 3),
-                        Family(np.eye(d2 + 1)[3:], axis, 3) if d2 else None) for axis in (1, 2))
+    left, right = ((Family(basis, q_axis, 4), Family(np.eye(d1 + 1)[1:], p_axis, 4),
+                    Family(np.eye(d2 + 1)[3:], p_axis, 4) if d2 else None)
+                   for q_axis, p_axis in ((0, 2), (1, 3)))
+    (c1, _), (c12, _), (c2, _) = moments.blocks(left, right, R, theta1, theta2, tol, GRAM_N_START)
     T = np.empty((m, m, n, n))
-    for a, row in enumerate(basis):
-        (c1, _), (c12, _), (c2, _) = moments.blocks(
-            (Polynomial(tuple(row)), *left_p), (Family(basis, 0, 3), *right_p),
-            R, theta1, theta2, tol, GRAM_N_START,
-        )
-        T[a, :, :d1, :d1] = c1
-        if d2:
-            T[a, :, :d1, d1:] = c12
-            T[a, :, d1:, d1:] = c2
-    T[:, :, d1:, :d1] = T[:, :, :d1, d1:].transpose(1, 0, 3, 2)
+    T[:, :, :d1, :d1] = c1
+    if d2:
+        T[:, :, :d1, d1:] = c12
+        T[:, :, d1:, d1:] = c2
+        T[:, :, d1:, :d1] = T[:, :, :d1, d1:].transpose(1, 0, 3, 2)
     return T
 
 

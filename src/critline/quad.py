@@ -12,14 +12,19 @@ Integrands must be vectorized: coordinate k arrives on its own axis of d
 any, then the d node axes (length 1 where it does not depend on one).  Members
 are independent integrals done in one pass (a whole Gram block); the result
 has their shape, and the ladder's delta is the largest relative change over
-its entries.  The rule is contracted an axis at a time, last to first, with
-plain numpy sums (no BLAS, so the thread count cannot change a bit); the first
-axis is cut into slabs of whole rows to bound memory, and contracted once after
-the last slab, so the slab size does not set the order of the reduction.
+its entries.  An integrand symmetric in its last two coordinates can take
+them on one shared axis of the node pairs i <= j (``symmetric``): the same
+tensor rule summed over a triangle of that plane, so c2's 4-D rung takes
+n^2 * n (n + 1) / 2 nodes instead of n^4.  The rule is contracted an axis at
+a time, last to first, with plain numpy sums (no BLAS, so the thread count
+cannot change a bit); the first axis is cut into slabs of whole rows of at
+most ``_CHUNK`` values to bound memory, and contracted once after the last
+slab, so the slab size does not set the order of the reduction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,12 +37,15 @@ N_MAX = 256
 # to 3-D; a 4-D ladder that has not converged by n = 62 (62^4 = 1.5e7 nodes)
 # fails there instead of climbing to 256^4 = 4.3e9 nodes.
 NODE_BUDGET = 1 << 24
-# Nodes per integrand call, in whole rows of the first axis (at least one).  The
-# kappa preset's evaluate and a d1 = d2 = 5 Gram build at its (Q, R) took, cold
-# (medians of 5, 2-core x86-64 VM, numpy 2.4): 64 and 173 ms at 2^11, 61 and 191
-# at 2^12, 55 and 170 at 2^13, 56 and 181 at 2^14, 60 and 229 at 2^15, 67 and
-# 248 at 2^16; larger slabs fault more fresh pages in per call.
-_CHUNK = 1 << 14
+# Values per integrand call (nodes times the values f returns per node), in
+# whole rows of the first axis (at least one).  The kappa preset's evaluate and
+# a d1 = d2 = 5 Gram build at its (Q, R), each cold in a fresh process, took
+# (medians of 5, 2-core x86-64 VM, numpy 2.4; peak RSS in brackets): 36 and 54
+# ms (31 and 33 MB) at 2^11, 34 and 54 (31, 34) at 2^12, 25 and 49 (33, 34) at
+# 2^13, 23 and 51 (36, 34) at 2^14, 29 and 30 (41, 35) at 2^15, 33 and 31 (51,
+# 42) at 2^16.  The benchmark's evaluate workload read the same wall time at
+# 2^13 and 2^14, and 37.2 against 40.5 MB peak RSS.
+_CHUNK = 1 << 13
 
 
 class QuadratureError(RuntimeError):
@@ -66,27 +74,43 @@ def gauss_rule(n: int) -> QuadratureRule:
     return rule
 
 
-def integrate_cube(f, d: int, rule: QuadratureRule):
-    """Tensor-product quadrature of ``f(x1, ..., xd)`` over [0, 1]^d."""
+def integrate_cube(f, d: int, rule: QuadratureRule, symmetric: bool = False, members: int = 1):
+    """Tensor-product quadrature of ``f(x1, ..., xd)`` over [0, 1]^d.
+
+    With ``symmetric``, f must be symmetric in its last two coordinates: they
+    share one node axis of the pairs i <= j, weighted 2 w_i w_j off the
+    diagonal and w_i^2 on it, which is the tensor rule summed over a triangle
+    of its plane (n (n + 1) / 2 nodes instead of n^2).  ``members`` is the
+    number of values f returns per node; slabs hold at most ``_CHUNK``
+    values."""
     if not 1 <= d <= 4:
         raise ValueError(f"dimension {d} outside [1, 4]")
+    if symmetric and d < 2:
+        raise ValueError("a symmetric integrand needs two coordinates")
     x, w = rule.nodes, rule.weights
-    n = x.size
-    coords = [x.reshape((1,) * k + (n,) + (1,) * (d - 1 - k)) for k in range(d)]
-    rows = max(1, _CHUNK // n ** (d - 1))
+    points, weights, axis_of = [x] * d, [w] * d, list(range(d))
+    if symmetric:
+        # the last two coordinates share one axis, which has one weight
+        i, j = np.triu_indices(x.size)
+        points[-2:] = x[i], x[j]
+        axis_of[-1] = d - 2
+        weights[-2:] = [np.where(i == j, 1.0, 2.0) * (w[i] * w[j])]
+    axes = len(weights)
+    coords = [p.reshape((1,) * k + (-1,) + (1,) * (axes - 1 - k)) for p, k in zip(points, axis_of)]
+    n0, row_nodes = weights[0].size, math.prod(wk.size for wk in weights[1:])
+    rows = max(1, _CHUNK // (members * row_nodes))
     parts = []
-    for start in range(0, n, rows):
-        first = coords[0][start:start + rows]
+    for start in range(0, n0, rows):
         # ``values`` stays bound through the next slab's call, so the heap above
         # it is not trimmed and that call reuses this one's pages (the kappa
         # preset's c2 at n = 18: 1.3k minor faults instead of 8.7k)
-        values = f(first, *coords[1:])
+        values = f(*(c[start:start + rows] if k == 0 else c for c, k in zip(coords, axis_of)))
         part = values
         # contract the node axes last to second, leaving one partial per row
-        for _ in range(d - 1):
-            part = np.sum(part * w, axis=-1)
-        parts.append(np.broadcast_to(part, np.shape(part)[:-1] + (first.shape[0],)))
-    total = np.sum(np.concatenate(parts, axis=-1) * w, axis=-1)
+        for wk in weights[:0:-1]:
+            part = np.sum(part * wk, axis=-1)
+        parts.append(np.broadcast_to(part, np.shape(part)[:-1] + (min(rows, n0 - start),)))
+    total = np.sum(np.concatenate(parts, axis=-1) * weights[0], axis=-1)
     return float(total) if total.ndim == 0 else total
 
 
@@ -107,10 +131,12 @@ def ladder(d: int, n_start: int = N_SEQUENCE_START):
         n = min(-(-3 * n // 2), N_MAX)
 
 
-def integrate_converged(f, d: int, tol: float = DEFAULT_TOL, n_start: int = N_SEQUENCE_START):
+def integrate_converged(f, d: int, tol: float = DEFAULT_TOL, n_start: int = N_SEQUENCE_START,
+                        symmetric: bool = False):
     """Integrate ``f`` over [0, 1]^d on the rungs of :func:`ladder`, n = 12,
     18, 27, ..., until the relative change between two successive rungs drops
-    below ``tol``.
+    below ``tol``; ``symmetric`` is passed to every rung's
+    :func:`integrate_cube`.
 
     Returns ``(value, trace)`` where the trace lists ``(n, delta)`` pairs
     (delta is None for the first order).  Raises :class:`QuadratureError` with
@@ -122,7 +148,10 @@ def integrate_converged(f, d: int, tol: float = DEFAULT_TOL, n_start: int = N_SE
     trace = []
     prev = None
     for n in ladder(d, n_start):
-        value = integrate_cube(f, d, gauss_rule(n))
+        # the first rung is sized as if f were scalar; its result tells the
+        # later rungs how many values f returns per node
+        members = 1 if prev is None else np.size(prev)
+        value = integrate_cube(f, d, gauss_rule(n), symmetric=symmetric, members=members)
         delta = None if prev is None else _rel_diff(value, prev)
         trace.append((n, delta))
         if not np.all(np.isfinite(value)):

@@ -99,6 +99,19 @@ def test_readme_config_example_is_the_config_format(tmp_path):
     assert keys - {""} == cli.CONFIG_KEYS
 
 
+def test_readme_config_example_gives_a_positive_bound(tmp_path):
+    # Q(0) = 1.002 as in the presets, so eval renormalizes Q and reports the
+    # bound near the published one; q_const = 1.0 gave kappa = -0.0293
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config format", 1)[1]
+    path = tmp_path / "readme.cfg"
+    path.write_text(re.search(r"```\n(.*?)```", section, re.DOTALL).group(1))
+    assert parse_config(str(path)).Q(0.0) == pytest.approx(1.002, abs=1e-12)
+    out = tmp_path / "report.json"
+    assert main(["eval", str(path), "--json", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["kappa"] == pytest.approx(0.4089575965622455, abs=1e-12)
+
+
 def test_parse_config_requires_p1(tmp_path):
     path = tmp_path / "nop1.cfg"
     path.write_text("R = 1.0\n")

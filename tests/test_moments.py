@@ -567,6 +567,114 @@ def test_scalar_kernels_match_the_flat_rule(preset, name):
     assert_matches_flat_rule(integrand, d)
 
 
+# -- c2's mirror symmetry and its triangle -------------------------------------
+
+
+def random_polynomial(rng, degree):
+    return Polynomial(tuple(rng.uniform(-1.0, 1.0, degree + 1)))
+
+
+def mirror_grid(k=5, seed=0):
+    """k random points per coordinate in (0, 1), each on its own axis."""
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(0.0, 1.0, k).reshape((1,) * j + (k,) + (1,) * (3 - j)) for j in range(4)]
+
+
+def assert_mirrored(kernel, mirror):
+    """kernel(t, r, u, v) = mirror(t, r, v, u) to 1e-14 of the largest value:
+    single nodes cancel to well below it, where only rounding is left."""
+    t, r, u, v = mirror_grid()
+    got, want = kernel(t, r, u, v), mirror(t, r, v, u)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_c2_kernel_is_unchanged_by_the_mirror():
+    # exchanging the sides (Q, P2) and (Q_other, P2_other), and u with v
+    rng = np.random.default_rng(20261018)
+    R, th2 = 1.3, 0.5
+    for _ in range(12):
+        Q, P2, Qo, P2o = (random_polynomial(rng, int(rng.integers(1, 12))) for _ in range(4))
+        assert_mirrored(moments.c2_integrand(Q, P2, Qo, P2o, R, th2),
+                        moments.c2_integrand(Qo, P2o, Q, P2, R, th2))
+    # families: each member pair of the block, on the mirrored axes
+    left = Family(rng.uniform(-1.0, 1.0, (3, 8)), 0, 4), Family(np.eye(6)[3:], 2, 4)
+    right = Family(rng.uniform(-1.0, 1.0, (2, 5)), 1, 4), Family(rng.uniform(-1.0, 1.0, (4, 7)), 3, 4)
+    assert_mirrored(moments.c2_integrand(*left, *right, R, th2),
+                    moments.c2_integrand(*right, *left, R, th2))
+
+
+def test_mirror_is_read_from_the_sides():
+    Q, P2 = kappa_preset().Q, kappa_preset().P2
+    assert moments._mirror((Q, P2), (Q, P2)) == ()
+    assert moments._mirror((Q, P2), (Q, P2.scale(2.0))) is None
+    assert moments._mirror((Q, P2), (Q, Family(np.eye(6)[3:], 0, 1))) is None
+    eye, basis = np.eye(6)[3:], np.eye(3)
+    mirrored = (Family(basis, 0, 4), Family(eye, 2, 4)), (Family(basis, 1, 4), Family(eye, 3, 4))
+    assert moments._mirror(*mirrored) == (1, 0, 3, 2)
+    assert moments._mirror((Q, Family(eye, 0, 2)), (Q, Family(eye, 1, 2))) == (1, 0)
+    # other coefficients, or axes that no one swap exchanges
+    assert moments._mirror((Q, Family(eye, 0, 2)), (Q, Family(2.0 * eye, 1, 2))) is None
+    assert moments._mirror((Family(basis, 0, 3), Family(eye, 1, 3)),
+                           (Family(basis, 1, 3), Family(eye, 2, 3))) is None
+
+
+def assert_triangle_is_the_square(integrand):
+    for n in (12, 18):
+        rule = quad.gauss_rule(n)
+        got = quad.integrate_cube(integrand, 4, rule, symmetric=True)
+        want = quad.integrate_cube(integrand, 4, rule)
+        assert np.shape(got) == np.shape(want)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (n, np.max(np.abs(got / want - 1.0)))
+
+
+@pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])
+def test_c2_triangle_matches_the_square_at_presets(preset):
+    cfg = renormalized_q(preset())
+    assert_triangle_is_the_square(moments.c2_integrand(cfg.Q, cfg.P2, cfg.Q, cfg.P2, cfg.R, cfg.theta2))
+
+
+def test_symmetrized_c2_block_triangle_matches_the_square():
+    # d1 = d2 = 5 at the kappa preset's (Q, R): each P2 member is made
+    # symmetric in (u, v), and its triangle sums the unsymmetrized square
+    cfg = renormalized_q(kappa_preset())
+    p2, swapped = Family(np.eye(6)[3:], 0, 2), Family(np.eye(6)[3:], 1, 2)
+    kernel = moments.c2_integrand(cfg.Q, p2, cfg.Q, swapped, cfg.R, cfg.theta2)
+    perm = moments._mirror((cfg.Q, p2), (cfg.Q, swapped))
+    assert perm == (1, 0)
+    symmetric = moments._symmetrized(kernel, perm)
+    assert_triangle_is_the_square(symmetric)
+    for n in (12, 18):
+        rule = quad.gauss_rule(n)
+        got = quad.integrate_cube(symmetric, 4, rule, symmetric=True)
+        want = flat_integrate_cube(kernel, 4, rule)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (n, np.max(np.abs(got / want - 1.0)))
+
+
+def test_blocks_use_the_triangle_for_mirrored_sides_only(monkeypatch):
+    # evaluate's c2 reaches the module's integrate_cube with a QuadratureRule
+    # as its third positional argument, the signature tools that wrap the
+    # quadrature rely on; sides that do not mirror keep the square
+    calls = []
+    real = quad.integrate_cube
+
+    def recording(f, d, *args, **kwargs):
+        calls.append((d, args, kwargs))
+        return real(f, d, *args, **kwargs)
+
+    monkeypatch.setattr(quad, "integrate_cube", recording)
+    cfg = renormalized_q(kappa_preset())
+    report = evaluate(cfg)
+    c2 = [(args, kwargs) for d, args, kwargs in calls if d == 4]
+    assert len(c2) == len(report.diagnostics["c2_trace"]) == 2
+    for args, kwargs in c2:
+        assert isinstance(args[0], quad.QuadratureRule)
+        assert kwargs["symmetric"] is True
+    calls.clear()
+    form(cfg, (cfg.P1, cfg.P2), (cfg.P1, make_p2((0.02, 0.01))), tol=1e-6, n_start=8)
+    assert [kwargs["symmetric"] for d, _, kwargs in calls if d == 4] == [False, False]
+
+
 @pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])
 def test_preset_ladders_stop_at_the_second_rung(preset):
     report = evaluate(renormalized_q(preset()))

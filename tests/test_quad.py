@@ -210,11 +210,60 @@ def test_array_integrand_chunking_is_exact(monkeypatch):
         members = np.stack(np.broadcast_arrays(base, base * x, np.sin(z)))
         return members[:, None] * np.array([1.0, -2.0])[:, None, None, None]
 
+    def g(x, y, z):
+        # symmetric in (y, z), for the pair rule
+        base = np.exp(x) * np.cos(y) * np.cos(z)
+        members = np.stack(np.broadcast_arrays(base, base * (y + z), np.sin(y * z)))
+        return members[:, None] * np.array([1.0, -2.0]).reshape((2,) + (1,) * (members.ndim - 1))
+
     whole = integrate_cube(f, 3, rule)
+    pairs = integrate_cube(g, 3, rule, symmetric=True)
     monkeypatch.setattr(quad, "_CHUNK", 97)
     chunked = integrate_cube(f, 3, rule)
     assert whole.shape == chunked.shape == (3, 2)
     np.testing.assert_allclose(chunked, whole, rtol=1e-14, atol=0.0)
+    # the pair rule's rows are 136 nodes of 6 values: one slab of all 16 rows
+    # above, one row per slab here, 3 rows per slab when the slab holds 3
+    # rows of values; the same bits every way
+    assert pairs.shape == (3, 2)
+    for members in (1, 6):
+        np.testing.assert_array_equal(integrate_cube(g, 3, rule, symmetric=True, members=members), pairs)
+    monkeypatch.setattr(quad, "_CHUNK", 3 * 136 * 6)
+    np.testing.assert_array_equal(integrate_cube(g, 3, rule, symmetric=True, members=6), pairs)
+    np.testing.assert_allclose(pairs, integrate_cube(g, 3, rule), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_pair_rule_is_the_tensor_rule_on_symmetric_polynomials(n):
+    # an n-point rule is exact to degree 2n - 1 in each coordinate, and the
+    # pair rule, the same rule summed over a triangle, is exact where it is
+    rule = gauss_rule(n)
+    for k in range(2 * n):
+        product = integrate_cube(lambda u, v: (u * v) ** k, 2, rule, symmetric=True)
+        total = integrate_cube(lambda u, v: (u + v) ** k, 2, rule, symmetric=True)
+        assert product == pytest.approx(1.0 / (k + 1) ** 2, rel=1e-13), k
+        assert total == pytest.approx((2.0 ** (k + 2) - 2.0) / ((k + 1) * (k + 2)), rel=1e-13), k
+        # in 4-D the pair shares the last axis, after t and r on their own
+        f = lambda t, r, u, v: t * r ** (k // 2) * (u + v) ** k * (u * v)  # noqa: E731
+        value = integrate_cube(f, 4, rule, symmetric=True)
+        assert value == pytest.approx(integrate_cube(f, 4, rule), rel=1e-14), k
+    with pytest.raises(ValueError, match="two coordinates"):
+        integrate_cube(lambda u: u, 1, rule, symmetric=True)
+
+
+def test_pair_rule_takes_the_pairs_on_one_axis():
+    n = 5
+    seen = []
+
+    def f(t, r, u, v):
+        seen.append([x.shape for x in (t, r, u, v)])
+        return t + r + u * v
+
+    integrate_cube(f, 4, gauss_rule(n), symmetric=True)
+    assert seen == [[(n, 1, 1), (1, n, 1), (1, 1, 15), (1, 1, 15)]]
+    value, trace = integrate_converged(lambda u, v: np.exp(u + v), 2, tol=1e-12, symmetric=True)
+    assert value == pytest.approx((math.e - 1.0) ** 2, rel=1e-13)
+    assert trace[0] == (quad.N_SEQUENCE_START, None)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
