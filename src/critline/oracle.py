@@ -6,24 +6,30 @@ the trapezoid rule on circles in 40-digit mpmath arithmetic, climbing n = 64,
 128, 256, 512 points until the difference from the n/2-point sum (its every
 other node) is at most 1e-14, relative to the largest point value where that
 is below 1, which certifies the value far inside every check's threshold.
-Their closed forms are product-rule Taylor coefficients (K1, L1), a triangle
-integral (K2) and finite sums (the F residues); the Q operator's derivatives
-are Cauchy integrals on one more such circle.  Each integrand is written in
-its circle's own coordinate, as a term of the unit node w: a pole of order m
-at the centre is radius^-m conj(w)^m there, a product where the point form
-took a negative complex power and a division.  Sums use sieved arithmetic
-tables, real integrals use this module's own Gauss-Legendre rule, and
-derivative operators of the moment kernels get 4th-order finite differences
-of long-double tensor-product Gauss integrals.  Work that does not change
-between evaluations is done once: the circles share their roots of unity,
-each circle converts its float parameters and its pole powers radius^-m to
-mpmath numbers once, the two F circles (one radius, centres 0 and -s) share
-each node's exp(logx radius w), the c12 stencil sums the t axis once per y
-offset and evaluates every other factor on the axes it depends on, the c2
-stencil evaluates each of its symmetric offset pairs once and each offset's
-axis moments once, and every divisor sum is one Dirichlet convolution split
-at isqrt(N), about 2 isqrt(N) strided slices instead of N.  All are the same
-rules as the plain per-point forms, only with loop-invariant work hoisted.
+Every circle is centred on the real axis and every integrand has real
+parameters, so term(conj w) = conj(term(w)) (Schwarz reflection): each
+n-point rule is summed over the n/2 + 1 nodes of the closed upper half
+circle and its value is real, half the term evaluations of the plain rule
+for the same rule summed in another order.  Their closed forms are
+product-rule Taylor coefficients (K1, L1), a triangle integral (K2) and
+finite sums (the F residues); the Q operator's derivatives are Cauchy
+integrals on one more such circle.  Each integrand is written in its
+circle's own coordinate, as a term of the unit node w: a pole of order m at
+the centre is radius^-m conj(w)^m there, a product where the point form took
+a negative complex power and a division.  Sums use sieved arithmetic tables,
+real integrals use this module's own Gauss-Legendre rule, and derivative
+operators of the moment kernels get 4th-order finite differences of
+long-double tensor-product Gauss integrals.  Work that does not change
+between evaluations is done once: the circles share the upper half's roots
+of unity, each circle converts its float parameters and its pole powers
+radius^-m to mpmath numbers once, the two F circles (one radius, centres 0
+and -s) share each node's exp(logx radius w), the c12 stencil sums the t
+axis once per y offset and evaluates every other factor on the axes it
+depends on, the c2 stencil evaluates each of its symmetric offset pairs once
+and each offset's axis moments once, and every divisor sum is one Dirichlet
+convolution split at isqrt(N), about 2 isqrt(N) strided slices instead of N.
+All are the same rules as the plain per-point forms, only with
+loop-invariant work hoisted.
 The c2 integral's (u, v) plane is summed per (r, t) slice through its u- and
 v-moments (a sum factorization: the Q factors are expanded as polynomials in
 (u, v) and every other factor splits into a u part and a v part), which is
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, factorial
@@ -190,9 +197,14 @@ class ContourSpec:
     ``CONTOUR_START_POINTS`` to ``CONTOUR_POINTS`` points that stops once
     |T_n - T_{n/2}| is at most ``CONTOUR_FLOOR`` times the smaller of 1 and
     the largest term.
+
+    The centre is real (a complex one with a nonzero imaginary part raises
+    :class:`OracleError`): with real parameters the term then satisfies
+    term(conj w) = conj(term(w)), which lets the ladder evaluate only the
+    n/2 + 1 upper-half nodes of each n-point rule.
     """
 
-    center: complex = 0.0
+    center: float = 0.0
     radius: float = 1.0
 
     def __post_init__(self):
@@ -200,12 +212,18 @@ class ContourSpec:
             raise OracleError("center and radius must be finite")
         if self.radius <= 0:
             raise OracleError("radius must be positive")
+        center = complex(self.center)
+        if center.imag != 0.0:
+            raise OracleError(f"center must be real, got {self.center!r}")
+        object.__setattr__(self, "center", center.real)
 
 
 class ContourValue(NamedTuple):
     """One circle's integral: the trapezoid value at the rung where the
-    ladder stopped, its certificate |T_n - T_{n/2}| (``inf`` when no rung up
-    to ``CONTOUR_POINTS`` met the floor) and the number of points n."""
+    ladder stopped (real, as a complex with imaginary part exactly 0), its
+    certificate |T_n - T_{n/2}| (``inf`` when no rung up to
+    ``CONTOUR_POINTS`` met the floor) and the number of points n of that
+    rung's rule (n/2 + 1 of which were evaluated)."""
 
     value: complex
     certificate: float
@@ -214,18 +232,27 @@ class ContourValue(NamedTuple):
 
 @lru_cache(maxsize=1)
 def _roots_of_unity() -> tuple:
-    """The trapezoid nodes exp(2*pi*i*k/n) on the unit circle, k < n =
-    ``CONTOUR_POINTS``, as mpmath numbers computed at ``CONTOUR_DPS`` digits.
+    """The trapezoid nodes exp(2*pi*i*k/n) of the closed upper half circle,
+    k = 0 .. n/2 with n = ``CONTOUR_POINTS``, as mpmath numbers computed at
+    ``CONTOUR_DPS`` digits.
 
-    Every circle shares them: each is the unit node w of a circle's term.
-    Rung m uses every (n/m)-th node; n/m is a power of two, so these are
-    bit-identical to the m-th roots of unity.
+    Every circle shares them: each is the unit node w of a circle's term,
+    and the lower half's nodes are their conjugates, which no term is
+    evaluated at.  Rung m uses every (n/m)-th node; n/m is a power of two,
+    so these are bit-identical to the m-th roots of unity.
     """
     import mpmath
 
     n = CONTOUR_POINTS
     with mpmath.workdps(CONTOUR_DPS):
-        return tuple(mpmath.exp(2j * mpmath.pi * k / n) for k in range(n))
+        return tuple(mpmath.exp(2j * mpmath.pi * k / n) for k in range(n // 2 + 1))
+
+
+def _magnitude(value):
+    """|value| as a double, or at 40 digits where the double would fall
+    below the smallest normal one, so a tiny term keeps a relative floor."""
+    double = abs(complex(value))
+    return double if double >= sys.float_info.min else abs(value)
 
 
 def contour_circle(term: Callable[[Any], Any], spec: ContourSpec) -> ContourValue:
@@ -236,43 +263,53 @@ def contour_circle(term: Callable[[Any], Any], spec: ContourSpec) -> ContourValu
     The term is the circle's own coordinate: a pole of order m at the centre
     is radius^-m conj(w)^m there, since |w| = 1, and a factor like
     exp(L z) is exp(L center) exp(L radius w), formed once per circle.
-    ``spec`` names the circle the term is written on; the ladder itself needs
-    only the nodes.
+    ``spec`` names the circle the term is written on; its real centre is
+    what the fold below needs, and the ladder itself needs only the nodes.
 
-    Each rung evaluates only its new (odd-indexed) points and sums all its
-    point values in node order, so the value at rung n is the plain n-point
-    trapezoid rule, bit for bit.
+    Every circle is centred on the real axis and every term has real
+    parameters, so term(conj w) = conj(term(w)) (Schwarz reflection) and
+    the n-point rule is
+
+        T_n = [term(1) + term(-1) + 2 Re sum_{0<k<n/2} term(w_k)] / n,
+
+    which is real: only the n/2 + 1 nodes of the closed upper half circle
+    are evaluated.  Each rung evaluates only its new (odd-indexed) nodes and
+    keeps the real part and the magnitude of every term; T_{n/2} and the
+    certificate come from the same stored values.
     """
     import mpmath
 
     nodes = _roots_of_unity()
+    half = len(nodes) - 1
     with mpmath.workdps(CONTOUR_DPS):
 
         def values(indices):
-            return [term(nodes[k]) for k in indices]
+            terms = [term(nodes[k]) for k in indices]
+            return [value.real for value in terms], max(map(_magnitude, terms))
 
-        def trapezoid(terms):
-            total = mpmath.mpc(0)
-            for value in terms:
-                total += value
-            return total / len(terms)
+        def trapezoid(reals):
+            # the ends are w = 1 and w = -1; each inner node stands for itself
+            # and its conjugate
+            inner = mpmath.mpf(0)
+            for value in reals[1:-1]:
+                inner += value
+            return (reals[0] + reals[-1] + 2 * inner) / (2 * (len(reals) - 1))
 
         n = CONTOUR_START_POINTS
         stride = CONTOUR_POINTS // n
-        terms = values(range(0, CONTOUR_POINTS, stride))
-        scale = max(abs(value) for value in terms)
-        previous = trapezoid(terms[::2])
+        reals, scale = values(range(0, half + 1, stride))
+        previous = trapezoid(reals[::2])
         while True:
-            total = trapezoid(terms)
+            total = trapezoid(reals)
             certificate = abs(total - previous)
             if certificate <= CONTOUR_FLOOR * min(1.0, scale):
                 return ContourValue(complex(total), float(certificate), n)
             if n == CONTOUR_POINTS:
                 return ContourValue(complex(total), math.inf, n)
             stride //= 2
-            fresh = values(range(stride, CONTOUR_POINTS, 2 * stride))
-            scale = max(scale, max(abs(value) for value in fresh))
-            terms = [value for pair in zip(terms, fresh) for value in pair]
+            fresh, fresh_scale = values(range(stride, half, 2 * stride))
+            scale = max(scale, fresh_scale)
+            reals = [value for pair in zip(reals, fresh) for value in pair] + reals[-1:]
             previous, n = total, 2 * n
 
 

@@ -357,6 +357,18 @@ def test_verify_json_lists_checks_in_run_order(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == stdout
 
 
+@pytest.mark.parametrize("suite", ["contour", "qop"])
+def test_verify_contour_suites_are_deterministic(suite, tmp_path, capsys):
+    # the folded contour sums run in a fixed node order: two runs in one
+    # process write the same bytes
+    outputs = []
+    for run in range(2):
+        out = tmp_path / f"verify{run}.json"
+        assert main(["verify", "--suite", suite, "--json", str(out)]) == EXIT_OK
+        outputs.append((out.read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+
+
 # -- reproduce ---------------------------------------------------------------
 
 

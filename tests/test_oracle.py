@@ -199,6 +199,11 @@ def test_contour_spec_validation():
         ContourSpec(radius=0.0)
     with pytest.raises(OracleError):
         ContourSpec(radius=-1.0)
+    # the ladder folds conjugate nodes, which needs a centre on the real axis
+    with pytest.raises(OracleError, match="center must be real"):
+        ContourSpec(center=0.1j)
+    spec = ContourSpec(center=complex(-0.2, 0.0))
+    assert type(spec.center) is float and spec.center == -0.2
 
 
 @pytest.mark.parametrize(
@@ -225,18 +230,22 @@ def test_shared_contour_nodes_change_no_value():
     def f(z):
         return mpmath.exp(3.0 * z) / ((z + 0.2) * z**3)
 
+    # the folded sum is the plain rule in another order: the same real part
+    # to far below a double's rounding, and an imaginary part that is 0
+    # exactly, where the plain sum keeps a 40-digit rounding residue
     rungs = set()
     for spec in (
         ContourSpec(center=0.0, radius=0.3),
         ContourSpec(center=-0.2, radius=0.1),
-        ContourSpec(center=complex(0.1, -0.05), radius=0.45),
+        ContourSpec(center=0.1, radius=0.45),
         ContourSpec(center=0.0, radius=1.5),
     ):
         term = _term(f, spec)
         circle = contour_circle(term, spec)
         expected = complex(_contour_circle_per_point(term, circle.points))
-        assert circle.value == expected
-        assert contour_circle(term, spec).value == expected
+        assert abs(circle.value.real - expected.real) <= 1e-30 * abs(expected), spec
+        assert circle.value.imag == 0.0
+        assert contour_circle(term, spec) == circle
         rungs.add(circle.points)
     # the value is the plain rule at a rung above the first one too
     assert len(rungs) > 1, rungs
@@ -262,7 +271,7 @@ def test_contour_node_cache_is_bounded():
         _circle(lambda z: 1.0 / z, ContourSpec(radius=radius))
     info = oracle._roots_of_unity.cache_info()
     assert info.currsize == info.maxsize == 1
-    assert len(oracle._roots_of_unity()) == oracle.CONTOUR_POINTS
+    assert len(oracle._roots_of_unity()) == oracle.CONTOUR_POINTS // 2 + 1
 
 
 def test_contour_extended_precision_path():
@@ -340,6 +349,38 @@ def test_contour_suite_point_budget():
     total = sum(r.params["trapezoid_points"] for r in results)
     assert total <= 5376, total
     assert all(r.params["trapezoid_certificate"] <= r.threshold for r in results)
+
+
+@pytest.mark.parametrize("suite, circles, term_budget", [("contour", 55, 2743), ("qop", 5, 165)])
+def test_folded_ladder_on_every_suite_circle(monkeypatch, suite, circles, term_budget):
+    # every circle the suite draws, through the module global the checks and
+    # perfbench's spans look up: its term is conjugate-symmetric, the folded
+    # value is the plain rule at the rung where the ladder stopped, and the
+    # fold evaluates n/2 + 1 terms for an n-point rule
+    ladder = oracle.contour_circle
+    recorded, calls = [], [0]
+
+    def recording(term, spec):
+        def counted(w):
+            calls[0] += 1
+            return term(w)
+
+        circle = ladder(counted, spec)
+        recorded.append((term, spec, circle))
+        return circle
+
+    monkeypatch.setattr(oracle, "contour_circle", recording)
+    assert all(r.passed for r in oracle.run_suite(suite))
+    assert len(recorded) == circles
+    assert calls[0] <= term_budget, calls[0]
+    nodes = oracle._roots_of_unity()
+    for term, spec, circle in recorded:
+        with mpmath.workdps(oracle.CONTOUR_DPS):
+            for w in (nodes[1], nodes[37], nodes[128], nodes[255]):
+                assert term(w.conjugate()) == term(w).conjugate(), (spec, w)
+            expected = complex(_contour_circle_per_point(term, circle.points))
+        assert abs(circle.value.real - expected.real) <= 1e-30 * abs(expected), spec
+        assert circle.value.imag == 0.0
 
 
 def _f_of_z(kind, params):
