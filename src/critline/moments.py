@@ -15,7 +15,8 @@ side.  Given :class:`Family` objects in their place, the same kernel returns
 a whole block of that 4-linear form per node.  :func:`blocks` is the one
 path from kernel to constant, for :func:`evaluate` and for the Gram matrices
 and tensors of :mod:`critline.optimize`; where c2's two sides mirror each
-other it sums c2 over half of the (u, v) plane.
+other it sums c2 over a triangle of the (u, v) plane, ruled one rung of the
+ladder behind t and r.
 """
 
 from __future__ import annotations
@@ -384,14 +385,16 @@ def blocks(left, right, R: float, theta1: float, theta2: float, tol: float, n_st
     pairs the left (Q, P1) with the right (Q, P2).  When the right (Q, P2)
     mirrors the left one (:func:`_mirror`: the same polynomials, or the same
     families on exchanged member axes), c2 is summed over the (u, v)
-    triangle of node pairs i <= j, n^2 * n (n + 1) / 2 nodes per rung
-    instead of n^4.  Families are first symmetrized per node, 0.5 (F + F
-    with the mirrored member axes swapped), which leaves the block's
-    integral as it is: a member alone is not symmetric in (u, v), and its
-    triangle would have a kink on the diagonal.  Sides that do not mirror
-    keep the square.  The blocks are otherwise not symmetrized: with three
-    or four member axes no transpose pairs left with right, so each caller
-    symmetrizes what it builds.
+    triangle of node pairs i <= j of the rule of order m = ceil(2n/3), one
+    rung behind the order n of t and r (``symmetric`` in
+    :func:`quad.integrate_converged`): n^2 * m (m + 1) / 2 nodes per rung
+    instead of n^4, and c2's trace lists the n of t and r.  Families are
+    first symmetrized per node, 0.5 (F + F with the mirrored member axes
+    swapped), which leaves the block's integral as it is: a member alone is
+    not symmetric in (u, v), and its triangle would have a kink on the
+    diagonal.  Sides that do not mirror keep the square.  The blocks are
+    otherwise not symmetrized: with three or four member axes no transpose
+    pairs left with right, so each caller symmetrizes what it builds.
     """
     (Q, P1, P2), (Q_other, P1_other, P2_other) = left, right
 

@@ -88,9 +88,9 @@ def build_tensor(
     One :func:`moments.blocks` pass: Q's basis as a family on axis 0 (left)
     and axis 1 (right), P1 and P2 on axes 2 (left) and 3 (right), so a node
     holds m^2 * na * nb members.  The two sides mirror each other, so c2 is
-    summed over its (u, v) triangle.  The P2-P1 blocks are the P1-P2 ones
-    with both axis pairs swapped.  T is not symmetrized; :func:`gram_at`
-    symmetrizes what it contracts.
+    summed over its (u, v) triangle, ruled one rung behind t and r.  The
+    P2-P1 blocks are the P1-P2 ones with both axis pairs swapped.  T is not
+    symmetrized; :func:`gram_at` symmetrizes what it contracts.
     """
     check_degrees(d1, d2)
     m, n = len(basis), d1 + (d2 - 2 if d2 else 0)

@@ -13,13 +13,17 @@ any, then the d node axes (length 1 where it does not depend on one).  Members
 are independent integrals done in one pass (a whole Gram block); the result
 has their shape, and the ladder's delta is the largest relative change over
 its entries.  An integrand symmetric in its last two coordinates can take
-them on one shared axis of the node pairs i <= j (``symmetric``): the same
-tensor rule summed over a triangle of that plane, so c2's 4-D rung takes
-n^2 * n (n + 1) / 2 nodes instead of n^4.  The rule is contracted an axis at
-a time, last to first, with plain numpy sums (no BLAS, so the thread count
-cannot change a bit); the first axis is cut into slabs of whole rows of at
-most ``_CHUNK`` values to bound memory, and contracted once after the last
-slab, so the slab size does not set the order of the reduction.
+them on one shared axis of the node pairs i <= j of a pair rule of order m
+(``pair``): that rule's tensor rule summed over a triangle of the plane,
+n^(d-2) * m (m + 1) / 2 nodes instead of n^(d-2) * m^2.  With ``symmetric``
+the ladder rules that plane one rung behind the other axes, m = ceil(2n/3):
+c2's 4-D rungs at n = 12 and 18 take m = 8 and 12, 5,184 and 25,272 nodes
+(the n^4 square took 20,736 and 104,976), and the search's first rung,
+n = 8, takes m = 6.  The rule is contracted an axis at a time, last to
+first, with plain numpy sums (no BLAS, so the thread count cannot change a
+bit); the first axis is cut into slabs of whole rows of at most ``_CHUNK``
+values to bound memory, and contracted once after the last slab, so the
+slab size does not set the order of the reduction.
 """
 
 from __future__ import annotations
@@ -74,23 +78,27 @@ def gauss_rule(n: int) -> QuadratureRule:
     return rule
 
 
-def integrate_cube(f, d: int, rule: QuadratureRule, symmetric: bool = False, members: int = 1):
+def integrate_cube(f, d: int, rule: QuadratureRule, pair: QuadratureRule | None = None,
+                   members: int = 1):
     """Tensor-product quadrature of ``f(x1, ..., xd)`` over [0, 1]^d.
 
-    With ``symmetric``, f must be symmetric in its last two coordinates: they
-    share one node axis of the pairs i <= j, weighted 2 w_i w_j off the
-    diagonal and w_i^2 on it, which is the tensor rule summed over a triangle
-    of its plane (n (n + 1) / 2 nodes instead of n^2).  ``members`` is the
+    With a ``pair`` rule, f must be symmetric in its last two coordinates:
+    they share one node axis of the pair rule's node pairs i <= j, weighted
+    2 w_i w_j off the diagonal and w_i^2 on it, which is the pair rule's
+    tensor rule summed over a triangle of its plane (m (m + 1) / 2 nodes
+    instead of m^2 for a rule of order m); ``rule`` rules the other axes.
+    ``None`` is the square: ``rule`` on every axis.  ``members`` is the
     number of values f returns per node; slabs hold at most ``_CHUNK``
     values."""
     if not 1 <= d <= 4:
         raise ValueError(f"dimension {d} outside [1, 4]")
-    if symmetric and d < 2:
-        raise ValueError("a symmetric integrand needs two coordinates")
+    if pair is not None and d < 2:
+        raise ValueError("a pair rule needs two coordinates")
     x, w = rule.nodes, rule.weights
     points, weights, axis_of = [x] * d, [w] * d, list(range(d))
-    if symmetric:
+    if pair is not None:
         # the last two coordinates share one axis, which has one weight
+        x, w = pair.nodes, pair.weights
         i, j = np.triu_indices(x.size)
         points[-2:] = x[i], x[j]
         axis_of[-1] = d - 2
@@ -135,13 +143,17 @@ def integrate_converged(f, d: int, tol: float = DEFAULT_TOL, n_start: int = N_SE
                         symmetric: bool = False):
     """Integrate ``f`` over [0, 1]^d on the rungs of :func:`ladder`, n = 12,
     18, 27, ..., until the relative change between two successive rungs drops
-    below ``tol``; ``symmetric`` is passed to every rung's
-    :func:`integrate_cube`.
+    below ``tol``.  With ``symmetric`` (f symmetric in its last two
+    coordinates), each rung of order n takes those two on one pair axis of
+    the rule of order ceil(2n/3), the previous rung's order up to n = 27, and
+    n on the others; the delta between two rungs still measures the change
+    on every axis.
 
     Returns ``(value, trace)`` where the trace lists ``(n, delta)`` pairs
-    (delta is None for the first order).  Raises :class:`QuadratureError` with
-    the trace at the first order whose value is not finite (more nodes cannot
-    repair a NaN or an overflow), and when the ladder ends unconverged.
+    (delta is None for the first order); n is the order on the axes outside
+    the pair.  Raises :class:`QuadratureError` with the trace at the first
+    order whose value is not finite (more nodes cannot repair a NaN or an
+    overflow), and when the ladder ends unconverged.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -151,7 +163,8 @@ def integrate_converged(f, d: int, tol: float = DEFAULT_TOL, n_start: int = N_SE
         # the first rung is sized as if f were scalar; its result tells the
         # later rungs how many values f returns per node
         members = 1 if prev is None else np.size(prev)
-        value = integrate_cube(f, d, gauss_rule(n), symmetric=symmetric, members=members)
+        pair = gauss_rule(-(-2 * n // 3)) if symmetric else None
+        value = integrate_cube(f, d, gauss_rule(n), pair=pair, members=members)
         delta = None if prev is None else _rel_diff(value, prev)
         trace.append((n, delta))
         if not np.all(np.isfinite(value)):

@@ -406,6 +406,20 @@ def test_importing_the_cli_does_not_import_mpmath():
     assert run.stdout.strip() == "[]"
 
 
+def test_python_dash_m_runs_the_cli(capsys):
+    # ``python -m critline`` is cli.main: the same stdout and the same exit code
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    for argv, code in ((["reproduce", "--preset", "kappa-star"], cli.EXIT_OK),
+                       (["reproduce", "--preset", "nope"], cli.EXIT_CONFIG)):
+        run = subprocess.run([sys.executable, "-m", "critline", *argv], env=env,
+                             capture_output=True, text=True)
+        assert cli.main(argv) == code
+        assert run.returncode == code
+        assert run.stdout == capsys.readouterr().out
+
+
 def test_reproduce_normalizes_preset_q(tmp_path, monkeypatch):
     # stub the heavy evaluation: reproduce must renormalize Q(0) = 1.002 -> 1,
     # evaluate once, and derive the verbatim values from the normalized report

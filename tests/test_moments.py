@@ -622,7 +622,7 @@ def test_mirror_is_read_from_the_sides():
 def assert_triangle_is_the_square(integrand):
     for n in (12, 18):
         rule = quad.gauss_rule(n)
-        got = quad.integrate_cube(integrand, 4, rule, symmetric=True)
+        got = quad.integrate_cube(integrand, 4, rule, pair=rule)
         want = quad.integrate_cube(integrand, 4, rule)
         assert np.shape(got) == np.shape(want)
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (n, np.max(np.abs(got / want - 1.0)))
@@ -646,7 +646,7 @@ def test_symmetrized_c2_block_triangle_matches_the_square():
     assert_triangle_is_the_square(symmetric)
     for n in (12, 18):
         rule = quad.gauss_rule(n)
-        got = quad.integrate_cube(symmetric, 4, rule, symmetric=True)
+        got = quad.integrate_cube(symmetric, 4, rule, pair=rule)
         want = flat_integrate_cube(kernel, 4, rule)
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (n, np.max(np.abs(got / want - 1.0)))
 
@@ -654,7 +654,11 @@ def test_symmetrized_c2_block_triangle_matches_the_square():
 def test_blocks_use_the_triangle_for_mirrored_sides_only(monkeypatch):
     # evaluate's c2 reaches the module's integrate_cube with a QuadratureRule
     # as its third positional argument, the signature tools that wrap the
-    # quadrature rely on; sides that do not mirror keep the square
+    # quadrature rely on, and a pair rule one rung behind it: 8 at n = 12,
+    # 12 at 18, and in a search tensor 6 at n = 8, 8 at 12; c12 and sides
+    # that do not mirror keep the square
+    from critline import optimize
+
     calls = []
     real = quad.integrate_cube
 
@@ -662,17 +666,24 @@ def test_blocks_use_the_triangle_for_mirrored_sides_only(monkeypatch):
         calls.append((d, args, kwargs))
         return real(f, d, *args, **kwargs)
 
+    def orders(d):
+        return [(args[0].nodes.size, None if kwargs["pair"] is None else kwargs["pair"].nodes.size)
+                for dim, args, kwargs in calls if dim == d]
+
     monkeypatch.setattr(quad, "integrate_cube", recording)
     cfg = renormalized_q(kappa_preset())
     report = evaluate(cfg)
-    c2 = [(args, kwargs) for d, args, kwargs in calls if d == 4]
-    assert len(c2) == len(report.diagnostics["c2_trace"]) == 2
-    for args, kwargs in c2:
-        assert isinstance(args[0], quad.QuadratureRule)
-        assert kwargs["symmetric"] is True
+    assert all(isinstance(args[0], quad.QuadratureRule) for _, args, _ in calls)
+    assert [n for n, _ in report.diagnostics["c2_trace"]] == [12, 18]
+    assert orders(4) == [(12, 8), (18, 12)]
+    assert orders(3) == [(12, None), (18, None)]
+    calls.clear()
+    optimize.build_gram(cfg.Q, cfg.R, cfg.theta1, cfg.theta2, 5, 5, optimize.SEARCH_GRAM_TOL)
+    assert orders(4) == [(8, 6), (12, 8)]
+    assert orders(3) == [(8, None), (12, None)]
     calls.clear()
     form(cfg, (cfg.P1, cfg.P2), (cfg.P1, make_p2((0.02, 0.01))), tol=1e-6, n_start=8)
-    assert [kwargs["symmetric"] for d, _, kwargs in calls if d == 4] == [False, False]
+    assert [pair for _, pair in orders(4)] == [None, None]
 
 
 @pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])
@@ -688,16 +699,20 @@ def test_preset_ladders_stop_at_the_second_rung(preset):
 def assert_certificate_honest(cfg):
     """For c1, c12 and c2 the ladder's last delta bounds the relative error of
     the converged integral against the n = 48 rule, up to a 1e-13 floor: c1's
-    integral scatters by about 4e-14 between orders once converged."""
+    integral scatters by about 4e-14 between orders once converged.  c2 is
+    checked on the square and on the path :func:`moments.blocks` takes for
+    mirrored sides, its (u, v) pair plane a rung behind t and r."""
+    c2 = moments.c2_integrand(cfg.Q, cfg.P2, cfg.Q, cfg.P2, cfg.R, cfg.theta2)
     kernels = (
-        ("c1", moments.c1_integrand(cfg.Q, cfg.P1, cfg.Q, cfg.P1, cfg.R, cfg.theta1), 1),
+        ("c1", moments.c1_integrand(cfg.Q, cfg.P1, cfg.Q, cfg.P1, cfg.R, cfg.theta1), 1, False),
         ("c12", moments.c12_integrand(cfg.Q, cfg.P1, cfg.Q, cfg.P2, cfg.R, cfg.theta1,
-                                      cfg.theta2), 3),
-        ("c2", moments.c2_integrand(cfg.Q, cfg.P2, cfg.Q, cfg.P2, cfg.R, cfg.theta2), 4),
+                                      cfg.theta2), 3, False),
+        ("c2", c2, 4, False),
+        ("c2 pairs", c2, 4, True),
     )
     rule = quad.gauss_rule(48)
-    for name, integrand, d in kernels:
-        value, trace = quad.integrate_converged(integrand, d)
+    for name, integrand, d, symmetric in kernels:
+        value, trace = quad.integrate_converged(integrand, d, symmetric=symmetric)
         reference = quad.integrate_cube(integrand, d, rule)
         error = abs(value - reference) / max(abs(value), abs(reference), 1.0)
         assert error <= trace[-1][1] + 1e-13, (name, error, trace)

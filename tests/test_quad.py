@@ -55,7 +55,7 @@ def test_cube_rejects_bad_dimension():
 def test_cube_chunking_is_exact(monkeypatch):
     rule = gauss_rule(16)
     f = lambda x, y, z: np.exp(x) * np.cos(y) * z  # noqa: E731
-    whole = integrate_cube(f, 3, rule)
+    whole, default = integrate_cube(f, 3, rule), quad._CHUNK
     monkeypatch.setattr(quad, "_CHUNK", 97)
     chunked = integrate_cube(f, 3, rule)
     assert chunked == pytest.approx(whole, rel=1e-14)
@@ -216,39 +216,55 @@ def test_array_integrand_chunking_is_exact(monkeypatch):
         members = np.stack(np.broadcast_arrays(base, base * (y + z), np.sin(y * z)))
         return members[:, None] * np.array([1.0, -2.0]).reshape((2,) + (1,) * (members.ndim - 1))
 
-    whole = integrate_cube(f, 3, rule)
-    pairs = integrate_cube(g, 3, rule, symmetric=True)
+    whole, default = integrate_cube(f, 3, rule), quad._CHUNK
     monkeypatch.setattr(quad, "_CHUNK", 97)
     chunked = integrate_cube(f, 3, rule)
     assert whole.shape == chunked.shape == (3, 2)
     np.testing.assert_allclose(chunked, whole, rtol=1e-14, atol=0.0)
-    # the pair rule's rows are 136 nodes of 6 values: one slab of all 16 rows
-    # above, one row per slab here, 3 rows per slab when the slab holds 3
-    # rows of values; the same bits every way
-    assert pairs.shape == (3, 2)
-    for members in (1, 6):
-        np.testing.assert_array_equal(integrate_cube(g, 3, rule, symmetric=True, members=members), pairs)
-    monkeypatch.setattr(quad, "_CHUNK", 3 * 136 * 6)
-    np.testing.assert_array_equal(integrate_cube(g, 3, rule, symmetric=True, members=6), pairs)
-    np.testing.assert_allclose(pairs, integrate_cube(g, 3, rule), rtol=1e-14, atol=0.0)
+    # the pair rule of order m has rows of m (m + 1) / 2 nodes of 6 values:
+    # one slab of all 16 rows at the default, one row per slab at 97, 3 rows
+    # per slab when the slab holds 3 rows of values; the same bits every way,
+    # on the square's order and on a lower pair order than x's
+    for m in (16, 11):
+        pair = gauss_rule(m)
+        monkeypatch.setattr(quad, "_CHUNK", default)
+        pairs = integrate_cube(g, 3, rule, pair=pair)
+        assert pairs.shape == (3, 2)
+        monkeypatch.setattr(quad, "_CHUNK", 97)
+        for members in (1, 6):
+            np.testing.assert_array_equal(integrate_cube(g, 3, rule, pair=pair, members=members), pairs)
+        monkeypatch.setattr(quad, "_CHUNK", 3 * (m * (m + 1) // 2) * 6)
+        np.testing.assert_array_equal(integrate_cube(g, 3, rule, pair=pair, members=6), pairs)
+    np.testing.assert_allclose(integrate_cube(g, 3, rule, pair=rule), integrate_cube(g, 3, rule),
+                               rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.parametrize("n", [1, 4, 8])
-def test_pair_rule_is_the_tensor_rule_on_symmetric_polynomials(n):
-    # an n-point rule is exact to degree 2n - 1 in each coordinate, and the
-    # pair rule, the same rule summed over a triangle, is exact where it is
-    rule = gauss_rule(n)
-    for k in range(2 * n):
-        product = integrate_cube(lambda u, v: (u * v) ** k, 2, rule, symmetric=True)
-        total = integrate_cube(lambda u, v: (u + v) ** k, 2, rule, symmetric=True)
-        assert product == pytest.approx(1.0 / (k + 1) ** 2, rel=1e-13), k
-        assert total == pytest.approx((2.0 ** (k + 2) - 2.0) / ((k + 1) * (k + 2)), rel=1e-13), k
-        # in 4-D the pair shares the last axis, after t and r on their own
+@pytest.mark.parametrize("m", [1, 4, 8])
+def test_pair_rule_is_the_tensor_rule_on_symmetric_polynomials(m):
+    # an m-point rule is exact to degree 2m - 1 in each coordinate, and the
+    # pair rule, its tensor rule summed over a triangle, is exact where that
+    # is, whatever the order of the rule on the other axes: the same m, or
+    # a higher one, as on the ladder's lagged pair plane
+    pair = gauss_rule(m)
+    for rule in (pair, gauss_rule(m + 4)):
+        # in 4-D the pair shares the last axis, after t and r on ``rule``,
+        # which is exact for r^j and no lower rule is
+        j = 2 * rule.nodes.size - 1
+        for k in range(2 * m):
+            total_exact = (2.0 ** (k + 2) - 2.0) / ((k + 1) * (k + 2))
+            product = integrate_cube(lambda u, v: (u * v) ** k, 2, rule, pair=pair)
+            total = integrate_cube(lambda u, v: (u + v) ** k, 2, rule, pair=pair)
+            assert product == pytest.approx(1.0 / (k + 1) ** 2, rel=1e-13), k
+            assert total == pytest.approx(total_exact, rel=1e-13), k
+            value = integrate_cube(lambda t, r, u, v: t * r ** j * (u + v) ** k, 4, rule, pair=pair)
+            assert value == pytest.approx(total_exact / (2.0 * (j + 1)), rel=1e-13), (k, j)
+    # on the square's own order it is the square summed in another order
+    for k in range(2 * m):
         f = lambda t, r, u, v: t * r ** (k // 2) * (u + v) ** k * (u * v)  # noqa: E731
-        value = integrate_cube(f, 4, rule, symmetric=True)
-        assert value == pytest.approx(integrate_cube(f, 4, rule), rel=1e-14), k
+        value = integrate_cube(f, 4, pair, pair=pair)
+        assert value == pytest.approx(integrate_cube(f, 4, pair), rel=1e-14), k
     with pytest.raises(ValueError, match="two coordinates"):
-        integrate_cube(lambda u: u, 1, rule, symmetric=True)
+        integrate_cube(lambda u: u, 1, pair, pair=pair)
 
 
 def test_pair_rule_takes_the_pairs_on_one_axis():
@@ -259,8 +275,8 @@ def test_pair_rule_takes_the_pairs_on_one_axis():
         seen.append([x.shape for x in (t, r, u, v)])
         return t + r + u * v
 
-    integrate_cube(f, 4, gauss_rule(n), symmetric=True)
-    assert seen == [[(n, 1, 1), (1, n, 1), (1, 1, 15), (1, 1, 15)]]
+    integrate_cube(f, 4, gauss_rule(n), pair=gauss_rule(4))
+    assert seen == [[(n, 1, 1), (1, n, 1), (1, 1, 10), (1, 1, 10)]]
     value, trace = integrate_converged(lambda u, v: np.exp(u + v), 2, tol=1e-12, symmetric=True)
     assert value == pytest.approx((math.e - 1.0) ** 2, rel=1e-13)
     assert trace[0] == (quad.N_SEQUENCE_START, None)
