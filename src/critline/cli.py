@@ -85,20 +85,24 @@ def _parse_float_list(raw: str, key: str, line_no: int) -> tuple[float, ...]:
 def parse_config(path: str) -> MollifierConfig:
     """Read a ``key = value`` config file into a validated configuration."""
     entries: dict[str, tuple[str, int]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"line {line_no}: expected 'key = value', got {line.rstrip()!r}")
-            key, _, value = text.partition("=")
-            key = key.strip()
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"line {line_no}: unknown key {key!r}")
-            if key in entries:
-                raise ConfigError(f"line {line_no}: duplicate key {key!r}")
-            entries[key] = (value.strip(), line_no)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+    for line_no, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"line {line_no}: expected 'key = value', got {line.rstrip()!r}")
+        key, _, value = text.partition("=")
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"line {line_no}: unknown key {key!r}")
+        if key in entries:
+            raise ConfigError(f"line {line_no}: duplicate key {key!r}")
+        entries[key] = (value.strip(), line_no)
 
     def scalar(key: str, default: float | None = None) -> float:
         if key not in entries:

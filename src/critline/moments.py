@@ -12,11 +12,11 @@ ladder's delta is measured on that coefficient.
 
 Each kernel is linear in each of its four polynomials, a (Q, P) pair per
 side.  Given :class:`Family` objects in their place, the same kernel returns
-a whole block of that 4-linear form per node.  :func:`blocks` is the one
-path from kernel to constant, for :func:`evaluate` and for the Gram matrices
-and tensors of :mod:`critline.optimize`; where c2's two sides mirror each
-other it sums c2 over a triangle of the (u, v) plane, ruled one rung of the
-ladder behind t and r.
+a whole block of that 4-linear form per node.  c is a symmetric form, so
+:func:`blocks` takes one side and pairs it with its mirror; it is the one
+path from kernel to constant, for :func:`evaluate` and the tensors of
+:mod:`critline.optimize`, and it sums c2 over a triangle of the (u, v) plane,
+ruled one rung of the ladder behind t and r.
 """
 
 from __future__ import annotations
@@ -224,23 +224,22 @@ def _coeff(a: list, b: list, k: int, l: int | None = None):
 
 class Family:
     """Polynomials as the rows of a coefficient matrix (ascending powers),
-    evaluated together by Horner, their members on axis ``axis`` of ``axes``
+    evaluated together by Horner, their members on axis ``axis`` of four
     leading axes, then the argument's axes.  In place of a
     :class:`Polynomial` (the kernels use only evaluation, ``degree``,
     ``derivative`` and ``scale``), families on distinct axes make a kernel
     return a whole block."""
 
-    def __init__(self, coeffs: np.ndarray, axis: int, axes: int):
+    def __init__(self, coeffs: np.ndarray, axis: int):
         self.coeffs = coeffs
         self.axis = axis
-        self.axes = axes
 
     @property
     def degree(self) -> int:
         return self.coeffs.shape[1] - 1
 
     def __call__(self, x):
-        shape = [1] * (self.axes + np.ndim(x))
+        shape = [1] * (4 + np.ndim(x))
         shape[self.axis] = len(self.coeffs)
         acc = 0.0
         for c in self.coeffs.T[::-1]:
@@ -248,10 +247,10 @@ class Family:
         return acc
 
     def derivative(self) -> "Family":
-        return Family(np.polynomial.polynomial.polyder(self.coeffs, axis=1), self.axis, self.axes)
+        return Family(np.polynomial.polynomial.polyder(self.coeffs, axis=1), self.axis)
 
     def scale(self, factor: float) -> "Family":
-        return Family(factor * self.coeffs, self.axis, self.axes)
+        return Family(factor * self.coeffs, self.axis)
 
 
 # -- c12: [xy] over simplex(a,b) x [0,1] -------------------------------------
@@ -337,83 +336,62 @@ def c2_integrand(Q, P2, Q_other, P2_other, R: float, theta2: float):
 # -- the 4-linear form: every kernel integral goes through here -------------
 
 
-def _mirror(left, right) -> tuple[int, ...] | None:
-    """The member-axis permutation that exchanges two (Q, P2) sides, or None
-    when the right side is not the left one mirrored.
-
-    c2's kernel is unchanged when its sides, x with y and u with v are
-    exchanged, so its block F between these sides satisfies F(u, v) =
-    F(v, u) with the permutation applied.  Mirrored means: equal
-    :class:`Polynomial` objects, or families of equal coefficients whose
-    left and right member axes the permutation swaps; scalar sides give the
-    empty permutation."""
-    swaps: dict[int, int] = {}
-    axes = 0
-    for a, b in zip(left, right):
-        if isinstance(a, Family) and isinstance(b, Family):
-            if a.axes != b.axes or not np.array_equal(a.coeffs, b.coeffs):
-                return None
-            if swaps.get(a.axis, b.axis) != b.axis or swaps.get(b.axis, a.axis) != a.axis:
-                return None
-            swaps[a.axis], swaps[b.axis] = b.axis, a.axis
-            axes = a.axes
-        elif isinstance(a, Family) or isinstance(b, Family) or a != b:
-            return None
-    return tuple(swaps.get(k, k) for k in range(axes))
+def _sides(slot, axis: int):
+    """A slot's left and right halves: a :class:`Polynomial` twice, or its
+    coefficient rows as families on member axis ``axis`` and the next."""
+    if isinstance(slot, np.ndarray):
+        return Family(slot, axis), Family(slot, axis + 1)
+    return slot, slot
 
 
-def _symmetrized(integrand, perm: tuple[int, ...]):
-    """0.5 (F + F with the member axes permuted) per node: with ``perm`` from
-    :func:`_mirror`, each member is symmetric in the last two coordinates."""
+def _symmetrized(integrand):
+    """0.5 (F + F with member axes 0, 1 and 2, 3 swapped) per node: each
+    member of a block between mirrored families is then symmetric in (u, v)."""
 
     def symmetric(*xs):
         F = integrand(*xs)
-        return 0.5 * (F + F.transpose(perm + tuple(range(len(perm), F.ndim))))
+        return 0.5 * (F + F.transpose((1, 0, 3, 2) + tuple(range(4, F.ndim))))
 
     return symmetric
 
 
-def blocks(left, right, R: float, theta1: float, theta2: float, tol: float, n_start: int):
-    """The c1 - 1, c12 and c2 blocks of the form between two sides, each as
-    ``(block, trace)``, integrated to ``tol`` on the quadrature ladder from
-    ``n_start`` and normalized: c1 in 1-D (v; its u-part is exact in the
-    kernel), c12 in 3-D and c2 in 4-D.
+def blocks(side, R: float, theta1: float, theta2: float, tol: float, n_start: int):
+    """The c1 - 1, c12 and c2 blocks of the form between ``side`` and its
+    mirror, each as ``(block, trace)``, integrated to ``tol`` on the
+    quadrature ladder from ``n_start`` and normalized: c1 in 1-D (v; its
+    u-part is exact in the kernel), c12 in 3-D and c2 in 4-D.
 
-    A side is a ``(Q, P1, P2)`` triple of :class:`Polynomial` or
-    :class:`Family` objects, each family on its own member axis; a ``None``
-    P2 means no second piece, and c12 and c2 are then ``(0.0, [])``.  c12
-    pairs the left (Q, P1) with the right (Q, P2).  When the right (Q, P2)
-    mirrors the left one (:func:`_mirror`: the same polynomials, or the same
-    families on exchanged member axes), c2 is summed over the (u, v)
-    triangle of node pairs i <= j of the rule of order m = ceil(2n/3), one
-    rung behind the order n of t and r (``symmetric`` in
-    :func:`quad.integrate_converged`): n^2 * m (m + 1) / 2 nodes per rung
-    instead of n^4, and c2's trace lists the n of t and r.  Families are
-    first symmetrized per node, 0.5 (F + F with the mirrored member axes
-    swapped), which leaves the block's integral as it is: a member alone is
-    not symmetric in (u, v), and its triangle would have a kink on the
-    diagonal.  Sides that do not mirror keep the square.  The blocks are
-    otherwise not symmetrized: with three or four member axes no transpose
-    pairs left with right, so each caller symmetrizes what it builds.
+    ``side`` is ``(Q, P1, P2)``, P2 ``None`` for no second piece (c12 and
+    c2 are then ``(0.0, [])``).  A :class:`Polynomial` slot is its own
+    mirror; an array of coefficient rows puts its members on member axis 0
+    (Q) or 2 (P) on the left and the next axis on the right.  c12 pairs the
+    left (Q, P1) with the right (Q, P2).  c2's kernel is unchanged when its
+    sides, x with y and u with v are exchanged, so c2 is summed over the
+    (u, v) triangle of node pairs i <= j of the rule of order ceil(2n/3),
+    one rung behind the order n of t and r, which its trace lists.  When Q
+    or P2 is an array, c2 is first symmetrized per node, which leaves the
+    block's integral as it is: a member alone is not symmetric in (u, v),
+    and its triangle would have a kink on the diagonal.  c1 and c12 are not
+    symmetrized; each caller symmetrizes what it builds.
     """
-    (Q, P1, P2), (Q_other, P1_other, P2_other) = left, right
+    (Q, Q_other), (P1, P1_other), (P2, P2_other) = (
+        _sides(slot, axis) for slot, axis in zip(side, (0, 2, 2)))
 
     def integral(integrand, d: int, symmetric: bool = False):
         return quad.integrate_converged(integrand, d, tol=tol, n_start=n_start, symmetric=symmetric)
 
     K1, t1 = integral(c1_integrand(Q, P1, Q_other, P1_other, R, theta1), 1)
     c1 = K1 / theta1
-    if P2 is None or P2_other is None:
+    if P2 is None:
         return (c1, t1), (0.0, []), (0.0, [])
     K12, t12 = integral(c12_integrand(Q, P1, Q_other, P2_other, R, theta1, theta2), 3)
     # d^2/dxdy = 1! 1! [xy]
     # the ratio, not the squares: theta1**2 underflows for a tiny theta1
     c12 = 4.0 * (theta2 / theta1) ** 2 * math.exp(R) * K12
     kernel = c2_integrand(Q, P2, Q_other, P2_other, R, theta2)
-    perm = _mirror((Q, P2), (Q_other, P2_other))
-    if perm is not None and perm != tuple(range(len(perm))):
-        kernel = _symmetrized(kernel, perm)
-    K2, t2 = integral(kernel, 4, symmetric=perm is not None)
+    if isinstance(Q, Family) or isinstance(P2, Family):
+        kernel = _symmetrized(kernel)
+    K2, t2 = integral(kernel, 4, symmetric=True)
     # d^4/dx^2dy^2 = 2! 2! [x^2 y^2]
     c2 = (2.0 / 3.0) * (4.0 * K2)
     return (c1, t1), (c12, t12), (c2, t2)
@@ -454,7 +432,7 @@ def evaluate(cfg: MollifierConfig) -> KappaReport:
     """The constants and kappa, every ladder certified to ``quad.DEFAULT_TOL``."""
     tol = quad.DEFAULT_TOL
     side = (cfg.Q, cfg.P1, None if cfg.P2.is_zero else cfg.P2)
-    (c1, t1), (c12, t12), (c2, t2) = blocks(side, side, cfg.R, cfg.theta1, cfg.theta2,
+    (c1, t1), (c12, t12), (c2, t2) = blocks(side, cfg.R, cfg.theta1, cfg.theta2,
                                             tol, quad.N_SEQUENCE_START)
     c1, c12, c2 = 1.0 + float(c1), float(c12), float(c2)
     c = c1 + 2.0 * c12 + c2

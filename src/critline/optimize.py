@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import moments, presets, quad
-from .moments import ALL_ZEROS, SIMPLE_ZEROS, Family, KappaReport, MollifierConfig
+from .moments import ALL_ZEROS, SIMPLE_ZEROS, KappaReport, MollifierConfig
 from .poly import Polynomial, QSpec, _q_basis, make_p1, make_p2, make_q
 
 # the search's quadrature: its tolerance and first rung
@@ -85,20 +85,18 @@ def build_tensor(
     Q = sum_a q_a basis[a] (monomial coefficients, one row per member) and w
     the P1 and P2 monomial coefficients (none of P2 if d2 = 0).
 
-    One :func:`moments.blocks` pass: Q's basis as a family on axis 0 (left)
-    and axis 1 (right), P1 and P2 on axes 2 (left) and 3 (right), so a node
-    holds m^2 * na * nb members.  The two sides mirror each other, so c2 is
-    summed over its (u, v) triangle, ruled one rung behind t and r.  The
-    P2-P1 blocks are the P1-P2 ones with both axis pairs swapped.  T is not
-    symmetrized; :func:`gram_at` symmetrizes what it contracts.
+    One :func:`moments.blocks` pass on the side (basis, P1's monomials,
+    P2's monomials): Q's rows land on member axes 0 and 1, the P rows on 2
+    and 3, so a node holds m^2 * na * nb members, and c2 is summed over its
+    (u, v) triangle, ruled one rung behind t and r.  The P2-P1 blocks are
+    the P1-P2 ones with both axis pairs swapped.  T is not symmetrized;
+    :func:`gram_at` symmetrizes what it contracts.
     """
     check_degrees(d1, d2)
     m, n = len(basis), d1 + (d2 - 2 if d2 else 0)
     # P1 has powers 1..d1 and P2 powers 3..d2: rows of the identity
-    left, right = ((Family(basis, q_axis, 4), Family(np.eye(d1 + 1)[1:], p_axis, 4),
-                    Family(np.eye(d2 + 1)[3:], p_axis, 4) if d2 else None)
-                   for q_axis, p_axis in ((0, 2), (1, 3)))
-    (c1, _), (c12, _), (c2, _) = moments.blocks(left, right, R, theta1, theta2, tol, GRAM_N_START)
+    side = (basis, np.eye(d1 + 1)[1:], np.eye(d2 + 1)[3:] if d2 else None)
+    (c1, _), (c12, _), (c2, _) = moments.blocks(side, R, theta1, theta2, tol, GRAM_N_START)
     T = np.empty((m, m, n, n))
     T[:, :, :d1, :d1] = c1
     if d2:

@@ -40,7 +40,6 @@ O(.) constants are not quantified), never as equalities.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass, field
@@ -187,37 +186,6 @@ CONTOUR_START_POINTS = 64
 CONTOUR_FLOOR = 1e-14
 
 
-@dataclass(frozen=True)
-class ContourSpec:
-    """A circle for (1/2*pi*i) closed contour integration by the trapezoid
-    rule, which converges geometrically for integrands analytic near the
-    circle.  The integrand is handed to :func:`contour_circle` as a term of
-    the unit node w, so its points are center + radius*w; the terms and their
-    sum use mpmath at ``CONTOUR_DPS`` digits, on a ladder of
-    ``CONTOUR_START_POINTS`` to ``CONTOUR_POINTS`` points that stops once
-    |T_n - T_{n/2}| is at most ``CONTOUR_FLOOR`` times the smaller of 1 and
-    the largest term.
-
-    The centre is real (a complex one with a nonzero imaginary part raises
-    :class:`OracleError`): with real parameters the term then satisfies
-    term(conj w) = conj(term(w)), which lets the ladder evaluate only the
-    n/2 + 1 upper-half nodes of each n-point rule.
-    """
-
-    center: float = 0.0
-    radius: float = 1.0
-
-    def __post_init__(self):
-        if not (cmath.isfinite(self.center) and math.isfinite(self.radius)):
-            raise OracleError("center and radius must be finite")
-        if self.radius <= 0:
-            raise OracleError("radius must be positive")
-        center = complex(self.center)
-        if center.imag != 0.0:
-            raise OracleError(f"center must be real, got {self.center!r}")
-        object.__setattr__(self, "center", center.real)
-
-
 class ContourValue(NamedTuple):
     """One circle's integral: the trapezoid value at the rung where the
     ladder stopped (real, as a complex with imaginary part exactly 0), its
@@ -255,20 +223,20 @@ def _magnitude(value):
     return double if double >= sys.float_info.min else abs(value)
 
 
-def contour_circle(term: Callable[[Any], Any], spec: ContourSpec) -> ContourValue:
-    """(1/2*pi*i) times the integral of f around ``spec``'s circle, given as
-    the term ``term(w) = f(center + radius*w) * radius*w`` of the unit node w
+def contour_circle(term: Callable[[Any], Any]) -> ContourValue:
+    """(1/2*pi*i) times the integral of f around a circle, given as the term
+    ``term(w) = f(center + radius*w) * radius*w`` of the unit node w
     (mpmath numbers in and out): with z = center + radius*w, dz/(2*pi*i) is
     radius*w dtheta/(2*pi), so the trapezoid value is the mean of the terms.
     The term is the circle's own coordinate: a pole of order m at the centre
     is radius^-m conj(w)^m there, since |w| = 1, and a factor like
-    exp(L z) is exp(L center) exp(L radius w), formed once per circle.
-    ``spec`` names the circle the term is written on; its real centre is
-    what the fold below needs, and the ladder itself needs only the nodes.
+    exp(L z) is exp(L center) exp(L radius w), formed once per circle.  The
+    trapezoid rule converges geometrically for an f analytic near the
+    circle; the terms and their sum use mpmath at ``CONTOUR_DPS`` digits.
 
-    Every circle is centred on the real axis and every term has real
-    parameters, so term(conj w) = conj(term(w)) (Schwarz reflection) and
-    the n-point rule is
+    The term must satisfy term(conj w) = conj(term(w)) (Schwarz reflection),
+    as it does for every circle here: each is centred on the real axis and
+    each term has real parameters.  The n-point rule is then
 
         T_n = [term(1) + term(-1) + 2 Re sum_{0<k<n/2} term(w_k)] / n,
 
@@ -426,10 +394,10 @@ def _gauss_rule_ld(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _k1_pair(i: int, alpha: float, beta: float, logq: float):
     import mpmath
 
-    spec = ContourSpec(center=0.0, radius=0.3)
+    # the circle |s| = 0.3
     with mpmath.workdps(CONTOUR_DPS):
         # float -> mpf is exact: converted once per circle, not at every point
-        a, b, r = map(mpmath.mpf, (alpha, beta, spec.radius))
+        a, b, r = map(mpmath.mpf, (alpha, beta, 0.3))
         lqr, pole = logq * r, r**-i
 
     # f(s) = e^{logq s} (alpha + s) (s - beta) / s^{i+1} at s = r w, times r w
@@ -437,7 +405,7 @@ def _k1_pair(i: int, alpha: float, beta: float, logq: float):
         rw = r * w
         return mpmath.exp(lqr * w) * (a + rw) * (rw - b) * pole * w.conjugate() ** i
 
-    circle = contour_circle(term, spec)
+    circle = contour_circle(term)
     # [xy] of e^{alpha x - beta y} (logq + x + y)^i by the product rule
     last = i * (i - 1) * logq ** (i - 2) if i >= 2 else 0.0
     rhs = (-alpha * beta * logq**i + i * (alpha - beta) * logq ** (i - 1) + last) / factorial(i)
@@ -447,10 +415,9 @@ def _k1_pair(i: int, alpha: float, beta: float, logq: float):
 def _k2_pair(j: int, alpha: float, beta: float, logq: float):
     import mpmath
 
-    # the circle must enclose every pole: 0, -alpha and beta
-    spec = ContourSpec(center=0.0, radius=0.25)
+    # the circle |u| = 0.25 must enclose every pole: 0, -alpha and beta
     with mpmath.workdps(CONTOUR_DPS):
-        a, b, r = map(mpmath.mpf, (alpha, beta, spec.radius))
+        a, b, r = map(mpmath.mpf, (alpha, beta, 0.25))
         lqr, pole = logq * r, r ** (2 - j)
 
     # f(u) = e^{logq u} / ((alpha + u) (u - beta) u^{j-1}) at u = r w, times r w
@@ -458,7 +425,7 @@ def _k2_pair(j: int, alpha: float, beta: float, logq: float):
         rw = r * w
         return mpmath.exp(lqr * w) * pole * w.conjugate() ** (j - 2) / ((a + rw) * (rw - b))
 
-    circle = contour_circle(term, spec)
+    circle = contour_circle(term)
     # triangle via b = (1 - a)t; extended precision because the logq^j
     # prefactor amplifies the quadrature sum's rounding
     xs, ws = _gauss_rule_ld(96)
@@ -473,10 +440,9 @@ def _k2_pair(j: int, alpha: float, beta: float, logq: float):
 def _l1_pair(i: int, alpha: float, beta: float, logq: float):
     import mpmath
 
-    # poles at 0 and -alpha; (beta + s)^2 is entire
-    spec = ContourSpec(center=0.0, radius=0.25)
+    # the circle |s| = 0.25 about the poles 0 and -alpha; (beta + s)^2 is entire
     with mpmath.workdps(CONTOUR_DPS):
-        a, b, r = map(mpmath.mpf, (alpha, beta, spec.radius))
+        a, b, r = map(mpmath.mpf, (alpha, beta, 0.25))
         lqr, pole = logq * r, r ** (2 - i)
 
     # f(s) = e^{logq s} (beta + s)^2 / ((alpha + s) s^{i-1}) at s = r w, times r w
@@ -484,7 +450,7 @@ def _l1_pair(i: int, alpha: float, beta: float, logq: float):
         rw = r * w
         return mpmath.exp(lqr * w) * (b + rw) ** 2 * pole * w.conjugate() ** (i - 2) / (a + rw)
 
-    circle = contour_circle(term, spec)
+    circle = contour_circle(term)
     # 2! [x^2] of (logq + x)^{i-1} (its [x^k] is g[k]) times the integral over
     # u of e^{-logq alpha u + (beta - alpha u) x} (1 - u)^{i-2} (h[k])
     u, w = _gauss_rule(96)
@@ -507,10 +473,8 @@ def _f_residue_pair(j: int, k: int, s: float, logx: float):
         raise OracleError("s must be nonzero")
     import mpmath
 
-    spec0 = ContourSpec(center=0.0, radius=0.3 * abs(s))
-    spec1 = ContourSpec(center=-s, radius=spec0.radius)
     with mpmath.workdps(CONTOUR_DPS):
-        mp_s, r = mpmath.mpf(s), mpmath.mpf(spec0.radius)
+        mp_s, r = mpmath.mpf(s), mpmath.mpf(0.3 * abs(s))
         lr, shift = logx * r, mpmath.exp(-logx * mp_s)
         pole0, pole1 = r**-k, shift * r**-j
     @lru_cache(maxsize=None)
@@ -525,13 +489,13 @@ def _f_residue_pair(j: int, k: int, s: float, logx: float):
     def term1(w):
         return exp_lrw(w) * pole1 * w.conjugate() ** j / (r * w - mp_s) ** (k + 1)
 
-    circle0 = contour_circle(term0, spec0)
+    circle0 = contour_circle(term0)
     rhs0 = sum(
         (-1) ** l * comb(j + l, j) * logx ** (k - l) / (s ** (j + l + 1) * factorial(k - l))
         for l in range(k + 1)
     )
     # residue at u = -s: shift u -> u - s, which swaps j and k and brings x^{-s}
-    circle1 = contour_circle(term1, spec1)
+    circle1 = contour_circle(term1)
     rhs1 = math.exp(-logx * s) * sum(
         (-1) ** l * comb(k + l, k) * logx ** (j - l)
         / ((-s) ** (k + l + 1) * factorial(j - l))
@@ -664,9 +628,8 @@ def check_q_operator(Q: Polynomial, X: float, T: float, alpha: float = 0.0):
     import mpmath
 
     logX, logT = math.log(X), math.log(T)
-    spec = ContourSpec(center=0.0, radius=0.25)
     with mpmath.workdps(CONTOUR_DPS):
-        r, lx, step = mpmath.mpf(spec.radius), mpmath.mpf(logX), -1 / mpmath.mpf(logT)
+        r, lx, step = mpmath.mpf(0.25), mpmath.mpf(logX), -1 / mpmath.mpf(logT)
         front, lxr = mpmath.exp(-lx * alpha), lx * r
         # z^{-k-1} times dz = r w is r^{-k} conj(w)^k on the circle
         weights = [q_k * factorial(k) * (step / r) ** k for k, q_k in enumerate(Q.coeffs)]
@@ -677,7 +640,7 @@ def check_q_operator(Q: Polynomial, X: float, T: float, alpha: float = 0.0):
             series = series * cw + weight
         return front * mpmath.exp(-lxr * w) * series
 
-    circle = contour_circle(term, spec)
+    circle = contour_circle(term)
     lhs, rhs = circle.value.real, Q(logX / logT) * math.exp(-alpha * logX)
     error = math.inf if circle.certificate == math.inf else abs(lhs - rhs) / max(abs(rhs), 1.0)
     return CheckResult.from_error(

@@ -164,6 +164,14 @@ def test_missing_config_file_is_config_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_utf8_config_file_is_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"R = 1.28\np1_coeffs = 1.0\xff\n")
+    assert main(["eval", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: {path}: not UTF-8 text" in err
+
+
 @pytest.mark.parametrize("preset", ["nu", "kappa_star"])
 def test_unknown_preset_is_config_error(capsys, preset):
     # kappa-star has one spelling, the one --preset's help names

@@ -87,11 +87,11 @@ def test_theta_boundaries_are_inclusive():
     small_config(theta1=4.0 / 7.0, theta2=0.5)  # the published point
 
 
-def form(cfg, left, right, tol, n_start=quad.N_SEQUENCE_START):
-    """The (c1 - 1, c12, c2) values of :func:`moments.blocks` between two
-    (P1, P2) sides, each with cfg's Q, at cfg's (R, theta1, theta2)."""
+def form(cfg, p, tol, n_start=quad.N_SEQUENCE_START):
+    """The (c1 - 1, c12, c2) values of :func:`moments.blocks` on the side
+    (cfg's Q, *p), p a (P1, P2) pair, at cfg's (R, theta1, theta2)."""
     return [value for value, _ in blocks(
-        (cfg.Q, *left), (cfg.Q, *right), cfg.R, cfg.theta1, cfg.theta2, tol, n_start
+        (cfg.Q, *p), cfg.R, cfg.theta1, cfg.theta2, tol, n_start
     )]
 
 
@@ -102,7 +102,7 @@ def test_c1_closed_form():
     # Q = 1, P1 = x: the double integral separates into elementary pieces
     R, t1 = 1.28, THETA1
     cfg = small_config(Q=ONE, R=R)
-    c1 = 1.0 + form(cfg, (IDENT, None), (IDENT, None), tol=1e-13)[0]
+    c1 = 1.0 + form(cfg, (IDENT, None), tol=1e-13)[0]
     expected = 1.0 + (math.expm1(2 * R)) * ((1 + t1 * R) ** 3 - 1) / (6 * t1**2 * R**2)
     assert abs(c1 - expected) <= 1e-12
 
@@ -176,9 +176,9 @@ def test_c1_kernel_evaluates_each_factor_once():
 
 
 C1_FAMILIES = {
-    "preset P1": lambda cfg: (cfg.P1, cfg.P1),
-    "monomials d1=5": lambda cfg: (Family(np.eye(6)[1:], 0, 2), Family(np.eye(6)[1:], 1, 2)),
-    "monomials d1=9": lambda cfg: (Family(np.eye(10)[1:], 0, 2), Family(np.eye(10)[1:], 1, 2)),
+    "preset P1": lambda cfg: cfg.P1,
+    "monomials d1=5": lambda cfg: np.eye(6)[1:],
+    "monomials d1=9": lambda cfg: np.eye(10)[1:],
 }
 
 
@@ -186,10 +186,12 @@ C1_FAMILIES = {
 @pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])
 def test_c1_block_matches_the_tensor_rule(preset, family):
     # the 1-D kernel over exact u-moments against the 24 x 24 tensor rule of
-    # the 2-D integrand, entry by entry
+    # the 2-D integrand, entry by entry; coefficient rows are P1's members on
+    # axes 2 (left) and 3 (right)
     cfg = renormalized_q(preset())
-    left, right = C1_FAMILIES[family](cfg)
-    got = form(cfg, (left, None), (right, None), tol=1e-12)[0]
+    p1 = C1_FAMILIES[family](cfg)
+    got = form(cfg, (p1, None), tol=1e-12)[0]
+    left, right = (p1, p1) if isinstance(p1, Polynomial) else (Family(p1, 2), Family(p1, 3))
     want = tensor_c1(cfg.Q, left, right, cfg.R, cfg.theta1)
     assert np.shape(got) == np.shape(want)
     assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), np.max(np.abs(got / want - 1.0))
@@ -199,7 +201,7 @@ def test_c1_at_least_one():
     # c1 - 1 is a weighted square integral, so it can never be negative
     for R in (0.5, 1.28, 2.0):
         cfg = small_config(R=R)
-        assert 1.0 + form(cfg, (cfg.P1, None), (cfg.P1, None), tol=1e-9)[0] >= 1.0
+        assert 1.0 + form(cfg, (cfg.P1, None), tol=1e-9)[0] >= 1.0
 
 
 # -- scaling structure -------------------------------------------------------
@@ -208,37 +210,32 @@ def test_c1_at_least_one():
 def test_c12_is_bilinear_in_p1_p2():
     cfg = small_config()
     lam, mu = 1.7, -0.6
-    base = form(cfg, (cfg.P1, cfg.P2), (cfg.P1, cfg.P2), tol=1e-6, n_start=8)[1]
+    base = form(cfg, (cfg.P1, cfg.P2), tol=1e-6, n_start=8)[1]
     p1, p2 = cfg.P1.scale(lam), cfg.P2.scale(mu)
-    scaled = form(cfg, (p1, p2), (p1, p2), tol=1e-6, n_start=8)[1]
+    scaled = form(cfg, (p1, p2), tol=1e-6, n_start=8)[1]
     assert scaled == pytest.approx(lam * mu * base, rel=1e-9)
 
 
 def test_c2_is_quadratic_in_p2():
     cfg = small_config()
     mu = 2.3
-    base = form(cfg, (cfg.P1, cfg.P2), (cfg.P1, cfg.P2), tol=1e-6, n_start=8)[2]
+    base = form(cfg, (cfg.P1, cfg.P2), tol=1e-6, n_start=8)[2]
     p2 = cfg.P2.scale(mu)
-    scaled = form(cfg, (cfg.P1, p2), (cfg.P1, p2), tol=1e-6, n_start=8)[2]
+    scaled = form(cfg, (cfg.P1, p2), tol=1e-6, n_start=8)[2]
     assert scaled == pytest.approx(mu * mu * base, rel=1e-9)
 
 
 def test_c2_bilinear_hook_polarizes():
+    # P2 as the rows a, b, a + b: the c2 block holds B(x, y) for each pair
     cfg = small_config()
-    other = make_p2((0.02, 0.01))
-
-    def c2(a, b):
-        return form(cfg, (cfg.P1, a), (cfg.P1, b), tol=1e-6, n_start=8)[2]
-
-    cross = c2(cfg.P2, other)
-    swapped = c2(other, cfg.P2)
-    assert cross == pytest.approx(swapped, rel=1e-9)
+    a, b = np.array(cfg.P2.coeffs), np.array(make_p2((0.02, 0.01)).coeffs)
+    assert a.shape == b.shape
+    block = form(cfg, (cfg.P1, np.array([a, b, a + b])), tol=1e-6, n_start=8)[2]
+    assert block.shape == (1, 1, 3, 3)
+    B = block[0, 0]
+    assert B == pytest.approx(B.T, rel=1e-9)
     # polarization identity: B(a+b, a+b) = B(a,a) + 2 B(a,b) + B(b,b)
-    total = Polynomial(tuple(np.polynomial.polynomial.polyadd(cfg.P2.coeffs, other.coeffs)))
-    both = c2(total, total)
-    aa = c2(cfg.P2, cfg.P2)
-    bb = c2(other, other)
-    assert both == pytest.approx(aa + 2 * cross + bb, rel=1e-8)
+    assert B[2, 2] == pytest.approx(B[0, 0] + 2 * B[0, 1] + B[1, 1], rel=1e-8)
 
 
 def test_zero_p2_kills_cross_and_diagonal_terms():
@@ -553,8 +550,8 @@ def test_gram_blocks_match_the_flat_rule(name):
     # d1 = d2 = 5: P1 powers 1..5, P2 powers 3..5, at the kappa preset's (Q, R)
     cfg = renormalized_q(kappa_preset())
     integrand, d = kernels(
-        cfg, Family(np.eye(6)[1:], 0, 2), Family(np.eye(6)[1:], 1, 2),
-        Family(np.eye(6)[3:], 0, 2), Family(np.eye(6)[3:], 1, 2),
+        cfg, Family(np.eye(6)[1:], 2), Family(np.eye(6)[1:], 3),
+        Family(np.eye(6)[3:], 2), Family(np.eye(6)[3:], 3),
     )[name]
     assert_matches_flat_rule(integrand, d)
 
@@ -598,25 +595,10 @@ def test_c2_kernel_is_unchanged_by_the_mirror():
         assert_mirrored(moments.c2_integrand(Q, P2, Qo, P2o, R, th2),
                         moments.c2_integrand(Qo, P2o, Q, P2, R, th2))
     # families: each member pair of the block, on the mirrored axes
-    left = Family(rng.uniform(-1.0, 1.0, (3, 8)), 0, 4), Family(np.eye(6)[3:], 2, 4)
-    right = Family(rng.uniform(-1.0, 1.0, (2, 5)), 1, 4), Family(rng.uniform(-1.0, 1.0, (4, 7)), 3, 4)
+    left = Family(rng.uniform(-1.0, 1.0, (3, 8)), 0), Family(np.eye(6)[3:], 2)
+    right = Family(rng.uniform(-1.0, 1.0, (2, 5)), 1), Family(rng.uniform(-1.0, 1.0, (4, 7)), 3)
     assert_mirrored(moments.c2_integrand(*left, *right, R, th2),
                     moments.c2_integrand(*right, *left, R, th2))
-
-
-def test_mirror_is_read_from_the_sides():
-    Q, P2 = kappa_preset().Q, kappa_preset().P2
-    assert moments._mirror((Q, P2), (Q, P2)) == ()
-    assert moments._mirror((Q, P2), (Q, P2.scale(2.0))) is None
-    assert moments._mirror((Q, P2), (Q, Family(np.eye(6)[3:], 0, 1))) is None
-    eye, basis = np.eye(6)[3:], np.eye(3)
-    mirrored = (Family(basis, 0, 4), Family(eye, 2, 4)), (Family(basis, 1, 4), Family(eye, 3, 4))
-    assert moments._mirror(*mirrored) == (1, 0, 3, 2)
-    assert moments._mirror((Q, Family(eye, 0, 2)), (Q, Family(eye, 1, 2))) == (1, 0)
-    # other coefficients, or axes that no one swap exchanges
-    assert moments._mirror((Q, Family(eye, 0, 2)), (Q, Family(2.0 * eye, 1, 2))) is None
-    assert moments._mirror((Family(basis, 0, 3), Family(eye, 1, 3)),
-                           (Family(basis, 1, 3), Family(eye, 2, 3))) is None
 
 
 def assert_triangle_is_the_square(integrand):
@@ -638,11 +620,9 @@ def test_symmetrized_c2_block_triangle_matches_the_square():
     # d1 = d2 = 5 at the kappa preset's (Q, R): each P2 member is made
     # symmetric in (u, v), and its triangle sums the unsymmetrized square
     cfg = renormalized_q(kappa_preset())
-    p2, swapped = Family(np.eye(6)[3:], 0, 2), Family(np.eye(6)[3:], 1, 2)
+    p2, swapped = Family(np.eye(6)[3:], 2), Family(np.eye(6)[3:], 3)
     kernel = moments.c2_integrand(cfg.Q, p2, cfg.Q, swapped, cfg.R, cfg.theta2)
-    perm = moments._mirror((cfg.Q, p2), (cfg.Q, swapped))
-    assert perm == (1, 0)
-    symmetric = moments._symmetrized(kernel, perm)
+    symmetric = moments._symmetrized(kernel)
     assert_triangle_is_the_square(symmetric)
     for n in (12, 18):
         rule = quad.gauss_rule(n)
@@ -655,8 +635,8 @@ def test_blocks_use_the_triangle_for_mirrored_sides_only(monkeypatch):
     # evaluate's c2 reaches the module's integrate_cube with a QuadratureRule
     # as its third positional argument, the signature tools that wrap the
     # quadrature rely on, and a pair rule one rung behind it: 8 at n = 12,
-    # 12 at 18, and in a search tensor 6 at n = 8, 8 at 12; c12 and sides
-    # that do not mirror keep the square
+    # 12 at 18, and in a search tensor 6 at n = 8, 8 at 12; c12 keeps the
+    # square
     from critline import optimize
 
     calls = []
@@ -681,9 +661,24 @@ def test_blocks_use_the_triangle_for_mirrored_sides_only(monkeypatch):
     optimize.build_gram(cfg.Q, cfg.R, cfg.theta1, cfg.theta2, 5, 5, optimize.SEARCH_GRAM_TOL)
     assert orders(4) == [(8, 6), (12, 8)]
     assert orders(3) == [(8, None), (12, None)]
-    calls.clear()
-    form(cfg, (cfg.P1, cfg.P2), (cfg.P1, make_p2((0.02, 0.01))), tol=1e-6, n_start=8)
-    assert [pair for _, pair in orders(4)] == [None, None]
+
+
+@pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])
+def test_one_row_matrices_are_the_polynomial_side(preset):
+    # the preset's side as coefficient rows: one member per block, and c2
+    # symmetrized per node, which a single member leaves as it is
+    cfg = renormalized_q(preset())
+    side = (cfg.Q, cfg.P1, cfg.P2)
+    rows = tuple(np.array([p.coeffs]) for p in side)
+    args = (cfg.R, cfg.theta1, cfg.theta2, quad.DEFAULT_TOL, quad.N_SEQUENCE_START)
+    for (want, want_trace), (got, got_trace) in zip(blocks(side, *args), blocks(rows, *args)):
+        assert np.shape(got) == (1, 1, 1, 1)
+        assert abs(got.item() - want) <= 1e-15 * abs(want)
+        # a delta is |new - old| / max(|new|, |old|, 1): moving both rungs
+        # by 1e-15 relative moves it by at most 2e-15
+        assert [n for n, _ in got_trace] == [n for n, _ in want_trace]
+        for (_, got_delta), (_, want_delta) in zip(got_trace[1:], want_trace[1:]):
+            assert abs(got_delta - want_delta) <= 2e-15
 
 
 @pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])

@@ -163,7 +163,7 @@ def polarized_gram(Q, R, theta1, theta2, d1, d2, tol):
 
     def q(w):
         side = (Q, Polynomial((0.0,) + tuple(w[:d1])), make_p2(tuple(w[d1:])))
-        (c1, _), (c12, _), (c2, _) = moments.blocks(side, side, R, theta1, theta2, tol, 8)
+        (c1, _), (c12, _), (c2, _) = moments.blocks(side, R, theta1, theta2, tol, 8)
         return c1 + 2.0 * c12 + c2
 
     M = np.zeros((size, size))

@@ -13,7 +13,6 @@ from critline import moments, oracle
 from critline.jet import Jet
 from critline.oracle import (
     ArithmeticTables,
-    ContourSpec,
     OracleError,
     check_contour_identity,
     check_euler_maclaurin,
@@ -165,55 +164,33 @@ def test_tables_bounds():
 # -- contour integration -----------------------------------------------------
 
 
-def _term(f, spec):
-    """f on ``spec``'s circle as the term ``contour_circle`` takes: the unit
-    node w goes to f(center + radius*w) * radius*w."""
+def _term(f, center, radius):
+    """f on the circle |z - center| = radius as the term ``contour_circle``
+    takes: the unit node w goes to f(center + radius*w) * radius*w."""
     with mpmath.workdps(oracle.CONTOUR_DPS):
-        center, radius = mpmath.mpmathify(spec.center), mpmath.mpmathify(spec.radius)
+        center, radius = mpmath.mpmathify(center), mpmath.mpmathify(radius)
     return lambda w: f(center + radius * w) * radius * w
 
 
-def _circle(f, spec):
-    """``contour_circle`` of f(z) on ``spec``'s circle."""
-    return contour_circle(_term(f, spec), spec)
+def _circle(f, center, radius):
+    """``contour_circle`` of f(z) on the circle |z - center| = radius."""
+    return contour_circle(_term(f, center, radius))
 
 
 def test_contour_residue_of_simple_pole():
-    value = _circle(lambda z: 1.0 / z, ContourSpec(radius=1.0)).value
+    value = _circle(lambda z: 1.0 / z, 0.0, 1.0).value
     assert abs(value - 1.0) < 1e-13
 
 
 def test_contour_residue_of_double_pole():
     # e^z / z^2 has residue 1 at the origin
-    value = _circle(lambda z: mpmath.exp(z) / z**2, ContourSpec(radius=0.5)).value
+    value = _circle(lambda z: mpmath.exp(z) / z**2, 0.0, 0.5).value
     assert abs(value - 1.0) < 1e-13
 
 
 def test_contour_no_enclosed_pole():
-    value = _circle(lambda z: 1.0 / (z - 2.0), ContourSpec(radius=1.0)).value
+    value = _circle(lambda z: 1.0 / (z - 2.0), 0.0, 1.0).value
     assert abs(value) < 1e-13
-
-
-def test_contour_spec_validation():
-    with pytest.raises(OracleError):
-        ContourSpec(radius=0.0)
-    with pytest.raises(OracleError):
-        ContourSpec(radius=-1.0)
-    # the ladder folds conjugate nodes, which needs a centre on the real axis
-    with pytest.raises(OracleError, match="center must be real"):
-        ContourSpec(center=0.1j)
-    spec = ContourSpec(center=complex(-0.2, 0.0))
-    assert type(spec.center) is float and spec.center == -0.2
-
-
-@pytest.mark.parametrize(
-    "center, radius",
-    [(math.nan, 1.0), (math.inf, 1.0), (complex(0.0, math.nan), 1.0),
-     (0.0, math.nan), (0.0, math.inf)],
-)
-def test_contour_spec_rejects_non_finite(center, radius):
-    with pytest.raises(OracleError):
-        ContourSpec(center=center, radius=radius)
 
 
 def _contour_circle_per_point(term, n):
@@ -234,18 +211,13 @@ def test_shared_contour_nodes_change_no_value():
     # to far below a double's rounding, and an imaginary part that is 0
     # exactly, where the plain sum keeps a 40-digit rounding residue
     rungs = set()
-    for spec in (
-        ContourSpec(center=0.0, radius=0.3),
-        ContourSpec(center=-0.2, radius=0.1),
-        ContourSpec(center=0.1, radius=0.45),
-        ContourSpec(center=0.0, radius=1.5),
-    ):
-        term = _term(f, spec)
-        circle = contour_circle(term, spec)
+    for circle_at in ((0.0, 0.3), (-0.2, 0.1), (0.1, 0.45), (0.0, 1.5)):
+        term = _term(f, *circle_at)
+        circle = contour_circle(term)
         expected = complex(_contour_circle_per_point(term, circle.points))
-        assert abs(circle.value.real - expected.real) <= 1e-30 * abs(expected), spec
+        assert abs(circle.value.real - expected.real) <= 1e-30 * abs(expected), circle_at
         assert circle.value.imag == 0.0
-        assert contour_circle(term, spec) == circle
+        assert contour_circle(term) == circle
         rungs.add(circle.points)
     # the value is the plain rule at a rung above the first one too
     assert len(rungs) > 1, rungs
@@ -256,26 +228,25 @@ def test_parameters_converted_once_change_no_value():
     # gives the same bits
     alpha, beta, logq = 0.037, -0.081, 13.7
     a, b, lq = map(mpmath.mpf, (alpha, beta, logq))
-    spec = ContourSpec(center=0.0, radius=0.3)
     per_point = _circle(
-        lambda s: mpmath.exp(logq * s) * (alpha + s) * (-beta + s) / s**4, spec
+        lambda s: mpmath.exp(logq * s) * (alpha + s) * (-beta + s) / s**4, 0.0, 0.3
     ).value
     per_circle = _circle(
-        lambda s: mpmath.exp(lq * s) * (a + s) * (-b + s) / s**4, spec
+        lambda s: mpmath.exp(lq * s) * (a + s) * (-b + s) / s**4, 0.0, 0.3
     ).value
     assert per_circle == per_point
 
 
 def test_contour_node_cache_is_bounded():
     for radius in (0.5, 1.0, 2.0):
-        _circle(lambda z: 1.0 / z, ContourSpec(radius=radius))
+        _circle(lambda z: 1.0 / z, 0.0, radius)
     info = oracle._roots_of_unity.cache_info()
     assert info.currsize == info.maxsize == 1
     assert len(oracle._roots_of_unity()) == oracle.CONTOUR_POINTS // 2 + 1
 
 
 def test_contour_extended_precision_path():
-    value = _circle(lambda z: 1.0 / z, ContourSpec(radius=1.0)).value
+    value = _circle(lambda z: 1.0 / z, 0.0, 1.0).value
     assert abs(value - 1.0) < 1e-14
 
 
@@ -286,7 +257,7 @@ def test_contour_extended_precision_path():
 def test_contour_certificate_bounds_the_true_error(f, radius):
     # both residues are 1; the returned double adds at most one rounding of
     # the 40-digit value, which the certificate does not cover
-    circle = _circle(f, ContourSpec(radius=radius))
+    circle = _circle(f, 0.0, radius)
     assert math.isfinite(circle.certificate)
     assert abs(circle.value - 1.0) <= circle.certificate + 2.0**-52
 
@@ -300,17 +271,17 @@ def test_contour_ladder_climbs_until_certified():
     def f(z):
         return mpmath.exp(z) / z**2
 
-    circle = _circle(f, ContourSpec(radius=20.0))
+    circle = _circle(f, 0.0, 20.0)
     assert circle.points == 256
     assert circle.certificate <= 1e-30
-    short = _circle(f, ContourSpec(radius=0.5))
+    short = _circle(f, 0.0, 0.5)
     assert short.points == oracle.CONTOUR_START_POINTS
 
 
 def test_contour_pole_near_the_circle_is_uncertified():
     # a pole at 0.99 of the radius: the trapezoid error falls only like
     # 0.99^n, so no rung up to 512 meets the floor
-    circle = _circle(lambda z: 1.0 / (z - 0.99), ContourSpec(radius=1.0))
+    circle = _circle(lambda z: 1.0 / (z - 0.99), 0.0, 1.0)
     assert circle.points == oracle.CONTOUR_POINTS
     assert circle.certificate == math.inf
 
@@ -325,9 +296,9 @@ def test_contour_pole_near_the_circle_is_uncertified():
 def test_uncertified_circle_fails_its_check(monkeypatch, kind, params):
     ladder = oracle.contour_circle
 
-    def with_near_pole(term, spec):
+    def with_near_pole(term):
         # 1 / (z - pole) with the pole at center + 0.99 radius, as a term of w
-        return ladder(lambda w: term(w) + w / (w - 0.99), spec)
+        return ladder(lambda w: term(w) + w / (w - 0.99))
 
     monkeypatch.setattr(oracle, "contour_circle", with_near_pole)
     if kind == "q_operator":
@@ -360,13 +331,13 @@ def test_folded_ladder_on_every_suite_circle(monkeypatch, suite, circles, term_b
     ladder = oracle.contour_circle
     recorded, calls = [], [0]
 
-    def recording(term, spec):
+    def recording(term):
         def counted(w):
             calls[0] += 1
             return term(w)
 
-        circle = ladder(counted, spec)
-        recorded.append((term, spec, circle))
+        circle = ladder(counted)
+        recorded.append((term, circle))
         return circle
 
     monkeypatch.setattr(oracle, "contour_circle", recording)
@@ -374,12 +345,12 @@ def test_folded_ladder_on_every_suite_circle(monkeypatch, suite, circles, term_b
     assert len(recorded) == circles
     assert calls[0] <= term_budget, calls[0]
     nodes = oracle._roots_of_unity()
-    for term, spec, circle in recorded:
+    for k, (term, circle) in enumerate(recorded):
         with mpmath.workdps(oracle.CONTOUR_DPS):
             for w in (nodes[1], nodes[37], nodes[128], nodes[255]):
-                assert term(w.conjugate()) == term(w).conjugate(), (spec, w)
+                assert term(w.conjugate()) == term(w).conjugate(), (k, w)
             expected = complex(_contour_circle_per_point(term, circle.points))
-        assert abs(circle.value.real - expected.real) <= 1e-30 * abs(expected), spec
+        assert abs(circle.value.real - expected.real) <= 1e-30 * abs(expected), k
         assert circle.value.imag == 0.0
 
 
@@ -413,6 +384,16 @@ def _f_of_z(kind, params):
     return q_operator
 
 
+def _circles_of(kind, params):
+    """The (center, radius) of each kind's circles, in the order drawn."""
+    if kind == "K1":
+        return [(0.0, 0.3)]
+    if kind == "F_residues":
+        s = params["s"]
+        return [(0.0, 0.3 * abs(s)), (-s, 0.3 * abs(s))]
+    return [(0.0, 0.25)]
+
+
 @pytest.mark.parametrize(
     "kind, params",
     [("K1", dict(i=1, alpha=0.07, beta=-0.03, logq=12.0)),
@@ -430,25 +411,26 @@ def test_unit_node_terms_match_the_f_of_z_form(monkeypatch, kind, params):
     ladder = oracle.contour_circle
     circles = []
 
-    def recording(term, spec):
-        circles.append((term, spec))
-        return ladder(term, spec)
+    def recording(term):
+        circles.append(term)
+        return ladder(term)
 
     monkeypatch.setattr(oracle, "contour_circle", recording)
     if kind == "q_operator":
         assert check_q_operator(**params).passed
     else:
         assert check_contour_identity(kind, **params).passed
-    assert len(circles) == (2 if kind == "F_residues" else 1)
     f = _f_of_z(kind, params)
-    for term, spec in circles:
-        reference = _term(f, spec)
-        got, want = ladder(term, spec), ladder(reference, spec)
+    circles_at = _circles_of(kind, params)
+    assert len(circles) == len(circles_at)
+    for term, circle_at in zip(circles, circles_at):
+        reference = _term(f, *circle_at)
+        got, want = ladder(term), ladder(reference)
         assert got.points == want.points
         with mpmath.workdps(oracle.CONTOUR_DPS):
             a = _contour_circle_per_point(term, got.points)
             b = _contour_circle_per_point(reference, got.points)
-            assert abs(a - b) <= 1e-30 * abs(b), (spec, a, b)
+            assert abs(a - b) <= 1e-30 * abs(b), (circle_at, a, b)
 
 
 def test_oracle_does_not_import_quad():
@@ -521,7 +503,7 @@ def _l1_rhs_jet(i, alpha, beta, logq):
 def test_closed_form_contour_sides_match_the_jet_ring(monkeypatch):
     # the right sides alone: a stub circle keeps the 200 draws cheap
     monkeypatch.setattr(oracle, "contour_circle",
-                        lambda term, spec: oracle.ContourValue(0j, 0.0, 0))
+                        lambda term: oracle.ContourValue(0j, 0.0, 0))
     rng = np.random.default_rng(2718)
     for _ in range(200):
         alpha, beta = rng.uniform(-0.1, 0.1, size=2)
