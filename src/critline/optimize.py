@@ -183,7 +183,15 @@ def _search_R(score: Callable[[float], float], R0: float, budget: int) -> None:
     """Minimize ``score`` over ``R_RANGE``, calling it at most 1 + ``budget``
     times: bracket from R0 and R0 + ``R_STEP``, stepping downhill with each
     step ``GOLDEN`` times the last until the score rises or the range ends,
-    then narrow the bracket to ``R_TOL`` by golden section."""
+    then narrow the bracket to ``R_TOL`` by Brent's method (R. P. Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 5).  It
+    keeps the best R so far, x, the second best, w, and the one before, v,
+    starting from the bracket's three points.  Each step goes to the vertex
+    of the parabola through them when that lies inside the bracket and is
+    shorter than half the step before last, and otherwise 1/GOLDEN^2 of the
+    way into the larger part of the bracket.  No step is shorter than
+    ``R_TOL`` / 4, so every scored R lies strictly inside the bracket and
+    none is scored twice."""
     values: dict[float, float] = {}
 
     def f(R: float) -> float:
@@ -203,14 +211,39 @@ def _search_R(score: Callable[[float], float], R0: float, budget: int) -> None:
         if c == b or f(c) >= f(b):
             break
         a, b = b, c
-    lo, mid, hi = min(a, c), b, max(a, c)
+    lo, hi = min(a, c), max(a, c)
+    x, (w, v) = b, sorted((lo, hi), key=f)
+    least = R_TOL / 4  # the shortest step; inside a bracket wider than R_TOL it is a new R
+    step = last = hi - lo  # the bracket's width stands in for the steps before the first
     while hi - lo > R_TOL and len(values) <= budget:
-        # the new point goes into the larger part, 1/GOLDEN^2 of it from mid
-        x = mid + ((hi - mid) if hi - mid > mid - lo else (lo - mid)) / GOLDEN**2
-        if f(x) < f(mid):
-            lo, mid, hi = (mid, x, hi) if x > mid else (lo, x, mid)
+        mid = (lo + hi) / 2
+        golden = True
+        if abs(last) > least:
+            # x + p / q is the vertex of the parabola through x, w and v
+            r, q = (x - w) * (f(x) - f(v)), (x - v) * (f(x) - f(w))
+            p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+            p, q = (-p, q) if q > 0 else (p, -q)
+            if abs(p) < abs(0.5 * q * last) and q * (lo - x) < p < q * (hi - x):
+                golden, last, step = False, step, p / q
+                if min(x + step - lo, hi - x - step) < 2 * least:
+                    # a vertex next to an end: the shortest step toward the middle
+                    step = math.copysign(least, mid - x)
+        if golden:
+            # 1/GOLDEN^2 of the way into the larger part
+            last = (lo - x) if x >= mid else (hi - x)
+            step = last / GOLDEN**2
+        u = x + (step if abs(step) >= least else math.copysign(least, step))
+        if f(u) <= f(x):
+            # u is the new best, and x bounds the bracket on its side
+            lo, hi = (x, hi) if u >= x else (lo, x)
+            v, w, x = w, x, u
         else:
-            lo, hi = (lo, x) if x > mid else (x, hi)
+            # u bounds the bracket on its side, and ranks against w and v
+            lo, hi = (u, hi) if u < x else (lo, u)
+            if f(u) <= f(w) or w == x:
+                v, w = w, u
+            elif f(u) <= f(v) or v in (x, w):
+                v = u
 
 
 # -- full optimization ------------------------------------------------------
@@ -263,10 +296,11 @@ def optimize_full(
         raise moments.ConfigError(f"the number of extra seeds must be in [0, {len(_SEED_SCALES)}]")
 
     R0, odd0 = _published_seed(mode, q_degree)
-    rng = np.random.default_rng(20260826)
-    starts = [np.array([1.0 - odd.sum(), *odd]) for odd in [odd0] + [
-        odd0 + scale * rng.standard_normal(odd0.size) for scale in _SEED_SCALES[:extra_seeds]
-    ]]
+    odds = [odd0]
+    if extra_seeds:  # numpy.random is imported on first use
+        rng = np.random.default_rng(20260826)
+        odds += [odd0 + scale * rng.standard_normal(odd0.size) for scale in _SEED_SCALES[:extra_seeds]]
+    starts = [np.array([1.0 - odd.sum(), *odd]) for odd in odds]
     basis = _q_basis(QSpec(odd_coeffs=tuple(odd0)).powers())
     points: dict[float, tuple] = {}  # R -> (kappa, q, (P1, P2), c of (q, P1, P2) on R's tensor)
     rounds = 0

@@ -414,6 +414,20 @@ def test_importing_the_cli_does_not_import_mpmath():
     assert run.stdout.strip() == "[]"
 
 
+def test_a_search_without_extra_seeds_does_not_import_numpy_random():
+    # numpy imports numpy.random on first use, and only the extra seeds draw
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    argv = ["optimize", "--mode", "simple", "--d1", "3", "--d2", "3", "--max-iterations", "2",
+            "--seeds", "0"]
+    code = (f"import sys, critline.cli; assert critline.cli.main({argv!r}) == 0; "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     # ``python -m critline`` is cli.main: the same stdout and the same exit code
     src = Path(cli.__file__).resolve().parents[1]

@@ -278,6 +278,72 @@ def test_alternation_never_raises_c(preset_tensor):
 NO_PSI2_KAPPA = 0.408959216383342  # Nelder-Mead's --no-psi2 optimum at CLI defaults
 
 
+def search(score, budget=optimize.MAX_ITERATIONS):
+    """Every R ``_search_R`` scores from R0 = 1, in order."""
+    calls = []
+
+    def counted(R):
+        calls.append(R)
+        return score(R)
+
+    optimize._search_R(counted, 1.0, budget)
+    return calls
+
+
+def quadratic(R):
+    return (R - 1.07) ** 2
+
+
+def kink(R):
+    return abs(R - 1.3)
+
+
+def flat(R):
+    return 0.5
+
+
+def test_the_search_lands_on_a_quadratic_minimum_in_few_scores():
+    # the minimum lies inside the first bracket, [1.0, 1.05 + GOLDEN * R_STEP]
+    calls = search(quadratic)
+    assert len(calls) <= 12
+    assert abs(min(calls, key=quadratic) - 1.07) <= optimize.R_TOL
+    assert len(set(calls)) == len(calls)
+
+
+def test_the_search_closes_on_a_kink():
+    # a parabola through |R - 1.3| misses its corner, and the golden steps
+    # Brent's method falls back on still close the bracket around it
+    calls = search(kink)
+    assert abs(min(calls, key=kink) - 1.3) <= optimize.R_TOL
+    assert len(set(calls)) == len(calls) < 1 + optimize.MAX_ITERATIONS
+
+
+def test_a_flat_score_ends_the_search():
+    # after 3 bracketing scores, golden steps shrink a bracket about 0.13
+    # wide by 1/GOLDEN a score, so 25 more reach R_TOL; the budget is not
+    # what stops the loop
+    calls = search(flat)
+    assert len(set(calls)) == len(calls) <= 40
+
+
+@pytest.mark.parametrize("sign, edge", [(-1.0, optimize.R_RANGE[1]), (1.0, optimize.R_RANGE[0])],
+                         ids=["rising", "falling"])
+def test_a_monotone_score_ends_at_the_edge_of_the_range(sign, edge):
+    calls = search(lambda R: sign * R)
+    assert all(optimize.R_RANGE[0] <= R <= optimize.R_RANGE[1] for R in calls)
+    assert edge in calls
+    assert len(set(calls)) == len(calls) < 1 + optimize.MAX_ITERATIONS
+
+
+@pytest.mark.parametrize("score", [quadratic, kink, flat, lambda R: -R],
+                         ids=["quadratic", "kink", "flat", "monotone"])
+@pytest.mark.parametrize("budget", [0, 1, 2, 5])
+def test_the_search_keeps_to_its_budget(score, budget):
+    calls = search(score, budget)
+    assert calls[0] == 1.0
+    assert len(set(calls)) == len(calls) <= 1 + budget
+
+
 def no_psi2_search(q_degree):
     return optimize.optimize_full(THETA1, THETA2, d1=5, d2=0, q_degree=q_degree)
 
@@ -318,6 +384,7 @@ def test_every_outer_point_builds_its_own_gram(monkeypatch):
     assert {tol for _, tol in tensors} == {optimize.SEARCH_GRAM_TOL}
     Rs = [R for R, _ in tensors]
     assert len(Rs) == len(set(Rs)) == diag["outer_evaluations"]
+    assert diag["outer_evaluations"] <= 12
     assert grams == []
     assert diag["alternation_rounds"] >= diag["outer_evaluations"] + diag["seeds"] - 1
     assert report.kappa >= NO_PSI2_KAPPA - 1e-12
