@@ -248,11 +248,8 @@ def _search_R(score: Callable[[float], float], R0: float, budget: int) -> None:
 
 # -- full optimization ------------------------------------------------------
 
-_SEED_SCALES = (0.02, 0.05, 0.1)
-EXTRA_SEEDS = len(_SEED_SCALES)
 
-
-def _published_seed(mode: str, q_degree: int) -> tuple[float, np.ndarray]:
+def _published_start(mode: str, q_degree: int) -> tuple[float, np.ndarray]:
     """R and odd-basis Q coefficients of the ``mode`` preset, Q cut or padded to ``q_degree``."""
     if mode == SIMPLE_ZEROS:
         R, spec = presets.KAPPA_STAR_R, presets.KAPPA_STAR_QSPEC
@@ -270,20 +267,19 @@ def optimize_full(
     q_degree: int,
     mode: str = ALL_ZEROS,
     max_iterations: int = MAX_ITERATIONS,
-    extra_seeds: int = EXTRA_SEEDS,
 ) -> KappaReport:
     """Search R alone, with the exact alternating solve for (Q, P1, P2) at
     each R: one :func:`build_tensor` at ``SEARCH_GRAM_TOL``, then
     :func:`alternate`, from the published Q (cut or padded to ``q_degree``)
-    and ``extra_seeds`` (0 to 3) perturbations of it at the published R, and
-    from the best Q so far at every later R.  ``max_iterations`` caps the
-    tensor builds after the first.  A quadrature failure, a failed solve or a
-    c that is not a positive number at any R raises :class:`OptimizeError`
-    naming that R.  At each R, P is solved once more at the final Q on the
-    same tensor; the R with the best search c reports that (Q, P1, P2), which
-    :func:`moments.evaluate` certifies.  Q(0) = 1 throughout; simple
-    mode takes only ``q_degree = 1``, and ``d2 = 0`` disables the P2 piece.
-    Inputs it cannot use raise ConfigError before any tensor build.
+    at the published R and from the best Q so far at every later R.
+    ``max_iterations`` caps the tensor builds after the first.  A quadrature
+    failure, a failed solve or a c that is not a positive number at any R
+    raises :class:`OptimizeError` naming that R.  At each R, P is solved once
+    more at the final Q on the same tensor; the R with the best search c
+    reports that (Q, P1, P2), which :func:`moments.evaluate` certifies.
+    Q(0) = 1 throughout; simple mode takes only ``q_degree = 1``, and
+    ``d2 = 0`` disables the P2 piece.  Inputs it cannot use raise
+    ConfigError before any tensor build.
     """
     moments.check_thetas(theta1, theta2)
     check_degrees(d1, d2)
@@ -292,31 +288,24 @@ def optimize_full(
     moments.check_mode(mode, q_degree)
     if max_iterations < 0:
         raise moments.ConfigError(f"max_iterations must be >= 0, got {max_iterations}")
-    if not 0 <= extra_seeds <= len(_SEED_SCALES):
-        raise moments.ConfigError(f"the number of extra seeds must be in [0, {len(_SEED_SCALES)}]")
 
-    R0, odd0 = _published_seed(mode, q_degree)
-    odds = [odd0]
-    if extra_seeds:  # numpy.random is imported on first use
-        rng = np.random.default_rng(20260826)
-        odds += [odd0 + scale * rng.standard_normal(odd0.size) for scale in _SEED_SCALES[:extra_seeds]]
-    starts = [np.array([1.0 - odd.sum(), *odd]) for odd in odds]
+    R0, odd0 = _published_start(mode, q_degree)
+    start = np.array([1.0 - odd0.sum(), *odd0])
     basis = _q_basis(QSpec(odd_coeffs=tuple(odd0)).powers())
     points: dict[float, tuple] = {}  # R -> (kappa, q, (P1, P2), c of (q, P1, P2) on R's tensor)
     rounds = 0
 
     def score(R: float) -> float:
         nonlocal rounds
-        seeds = [max(points.values(), key=lambda point: point[0])[1]] if points else starts
+        q = max(points.values(), key=lambda point: point[0])[1] if points else start
         try:
             T = build_tensor(basis, R, theta1, theta2, d1, d2, SEARCH_GRAM_TOL)
-            runs = [alternate(T, q, d1) for q in seeds]
-            q, history = min(runs, key=lambda run: run[1][-1])
+            q, history = alternate(T, q, d1)
             gram = gram_at(T, q, d1)
             w, c_w = solve_constrained(gram)
         except (quad.QuadratureError, OptimizeError) as exc:
             raise OptimizeError(f"search failed at R = {R!r}: {exc}") from exc
-        rounds += sum(len(history) // 2 for _, history in runs)
+        rounds += len(history) // 2
         c = history[-1]
         if not 0.0 < c < math.inf:
             raise OptimizeError(f"total constant {c!r} is not a positive number at R = {R!r}")
@@ -333,6 +322,5 @@ def optimize_full(
         outer_evaluations=len(points),
         alternation_rounds=rounds,
         inner_c_min=c_min,
-        seeds=len(starts),
     )
     return report

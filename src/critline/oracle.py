@@ -887,28 +887,48 @@ def _euler_suite() -> list[CheckResult]:
     return out
 
 
+# The contour suite's ten drawn parameter sets, pinned so that no numpy
+# version can change them: (alpha, beta, logq, K1's i, K2's j, L1's i, then
+# F's j, k, s and logx), each value as numpy.random.default_rng(31415) first
+# drew it in that order (alpha, beta in (-0.1, 0.1); logq in (5, 25); i in
+# 1..5, j in 3..5, i in 3..5; j, k in 0..3; |s| in (0.3, 1.5) of either sign;
+# logx in (2, 8)).
+_CONTOUR_PANEL = (
+    (-6.21340943451898e-05, -0.07695949217087875, 22.243544505256402, 5, 5, 3,
+     0, 3, 1.1443234710813297, 3.473351977548039),
+    (0.0643040208926163, -0.05679321861023499, 5.060956055668722, 5, 4, 3,
+     0, 3, -0.9350781259255849, 3.324728068674541),
+    (0.06737539015292407, -0.028420217047110327, 24.140835848179158, 4, 4, 4,
+     1, 2, 0.8498152756573971, 5.441815763404741),
+    (-0.07004100550242398, -0.0182939623462582, 22.883431967753577, 4, 3, 4,
+     1, 2, 1.3427568278330748, 2.4629131371948083),
+    (0.02266580498400128, -0.0567700845959787, 14.090435535343966, 1, 3, 3,
+     1, 0, 0.3738231424585195, 2.133387322731164),
+    (0.0021061131150166973, 0.04642495454412904, 14.072841494505667, 3, 5, 4,
+     0, 0, -1.485176807447335, 7.083795208745406),
+    (-0.09203658762152891, -0.09962782073244428, 23.290881288839184, 5, 3, 3,
+     2, 1, 0.4727714374588491, 3.48118018511503),
+    (-0.09660323122540596, 0.014115697081835535, 18.039630951580833, 5, 5, 3,
+     1, 2, -1.1774763494719453, 4.696048927024201),
+    (0.09597948226240877, -0.05603324287720018, 7.4229807754676695, 2, 4, 3,
+     1, 1, 1.3640286059289874, 2.433712813825201),
+    (-0.07387678681867121, -0.048224934282154776, 9.789078312500543, 4, 5, 4,
+     2, 0, 0.5330766547513714, 3.766775280719954),
+)
+
+
 def _contour_suite() -> list[CheckResult]:
-    rng = np.random.default_rng(31415)
     out = [
         check_contour_identity("K1", i=2, alpha=0.0, beta=0.0, logq=10.0),
         check_contour_identity("K2", j=3, alpha=0.03, beta=0.02, logq=20.0),
         check_contour_identity("L1", i=3, alpha=0.05, beta=-0.04, logq=15.0),
         check_contour_identity("F_residues", j=1, k=2, s=0.5, logx=5.0),
     ]
-    for _ in range(10):
-        alpha, beta = rng.uniform(-0.1, 0.1, size=2)
-        logq = rng.uniform(5.0, 25.0)
-        out.append(check_contour_identity("K1", i=int(rng.integers(1, 6)),
-                                          alpha=alpha, beta=beta, logq=logq))
-        out.append(check_contour_identity("K2", j=int(rng.integers(3, 6)),
-                                          alpha=alpha, beta=beta, logq=logq))
-        out.append(check_contour_identity("L1", i=int(rng.integers(3, 6)),
-                                          alpha=alpha, beta=beta, logq=logq))
-        out.append(check_contour_identity(
-            "F_residues", j=int(rng.integers(0, 4)), k=int(rng.integers(0, 4)),
-            s=float(rng.uniform(0.3, 1.5) * rng.choice((-1.0, 1.0))),
-            logx=float(rng.uniform(2.0, 8.0)),
-        ))
+    for alpha, beta, logq, i1, j2, i3, j, k, s, logx in _CONTOUR_PANEL:
+        out.append(check_contour_identity("K1", i=i1, alpha=alpha, beta=beta, logq=logq))
+        out.append(check_contour_identity("K2", j=j2, alpha=alpha, beta=beta, logq=logq))
+        out.append(check_contour_identity("L1", i=i3, alpha=alpha, beta=beta, logq=logq))
+        out.append(check_contour_identity("F_residues", j=j, k=k, s=s, logx=logx))
     return out
 
 

@@ -104,16 +104,24 @@ def _q_basis(powers: tuple[int, ...]) -> np.ndarray:
     does; the defect is checked here, once per basis, to guard against future
     basis changes.  Expanding and evaluating a row round in proportion to its
     monomial coefficients, so the tolerance is ``Q_SYMMETRY_TOL`` times
-    ``max(1, sum |row|)``.
+    ``max(1, sum |row|)``.  That sum is 3^k, and from k = 647 on it overflows
+    (a coefficient does from k = 651), so such a power raises before any
+    check.
     """
     basis = np.zeros((len(powers) + 1, max(powers, default=0) + 1))
     basis[0, 0] = 1.0
     for row, k in enumerate(powers, start=1):
         term = np.polynomial.polynomial.polypow(np.array([1.0, -2.0]), k)
         basis[row, : len(term)] = term
-    for row in basis:
+    with np.errstate(over="ignore"):
+        scales = np.maximum(1.0, np.sum(np.abs(basis), axis=1))
+    finite = np.isfinite(scales)
+    if not finite.all():
+        k = powers[int(np.argmin(finite)) - 1]
+        raise PolynomialError(f"(1 - 2x)^{k} overflows: its coefficients' magnitudes sum to 3^{k}")
+    for row, scale in zip(basis, scales):
         defect = q_symmetry_defect(Polynomial(tuple(row)))
-        if defect > Q_SYMMETRY_TOL * max(1.0, float(np.sum(np.abs(row)))):
+        if defect > Q_SYMMETRY_TOL * scale:
             raise PolynomialError(f"Q(x) + Q(1-x) deviates from constant by {defect:.3e}")
     basis.setflags(write=False)
     return basis

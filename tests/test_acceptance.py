@@ -59,7 +59,7 @@ def test_criterion_3_ablation_without_second_piece():
     historical single-piece window [0.4083, 0.4093]."""
     report = optimize.optimize_full(
         theta1=THETA1, theta2=THETA2, d1=5, d2=0, q_degree=7,
-        mode=moments.ALL_ZEROS, max_iterations=400, extra_seeds=3,
+        mode=moments.ALL_ZEROS, max_iterations=400,
     )
     assert 0.4083 <= report.kappa <= 0.4093, report.kappa
 
@@ -71,7 +71,7 @@ def test_criterion_4_optimizer_sanity():
     preset_report = moments.evaluate(kappa_star_preset())
     opt_report = optimize.optimize_full(
         theta1=THETA1, theta2=THETA2, d1=5, d2=5, q_degree=1,
-        mode=moments.SIMPLE_ZEROS, max_iterations=2, extra_seeds=0,
+        mode=moments.SIMPLE_ZEROS, max_iterations=2,
     )
     assert opt_report.kappa >= preset_report.kappa - 1e-6
 

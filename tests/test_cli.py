@@ -78,7 +78,7 @@ def test_parser_defaults_are_the_library_constants(tmp_path):
     args = cli.build_parser().parse_args(["optimize"])
     assert args.d2 == 5
     assert args.max_iterations == optimize.MAX_ITERATIONS
-    assert args.seeds == optimize.EXTRA_SEEDS
+    assert args.seeds == 0
     assert (args.theta1, args.theta2) == (presets.THETA1, presets.THETA2)
     path = tmp_path / "defaults.cfg"
     path.write_text("R = 1.1\np1_coeffs = 0.6, 0.4\n")
@@ -264,11 +264,13 @@ def test_tiny_theta1_ends_in_a_number_or_exit_3(tmp_path, capsys, argv):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("seeds", ["-1", "4"])
-def test_seeds_outside_the_seed_scales_is_config_error(capsys, seeds):
-    # three perturbation scales exist, so --seeds runs 0 to 3 extra seeds
-    assert main(["optimize", "--no-psi2", "--seeds", seeds]) == EXIT_CONFIG
-    assert "extra seeds must be in [0, 3]" in capsys.readouterr().err
+@pytest.mark.parametrize("seeds", ["-1", "1", "3", "4"])
+def test_seeds_other_than_0_is_a_usage_error(capsys, seeds):
+    # a search has one start, so --seeds takes only 0, which nothing reads
+    with pytest.raises(SystemExit) as exc_info:
+        main(["optimize", "--no-psi2", "--seeds", seeds])
+    assert exc_info.value.code == EXIT_CONFIG
+    assert "argument --seeds: invalid choice" in capsys.readouterr().err
 
 
 def test_no_psi2_with_d2_is_a_usage_error(capsys):
@@ -292,9 +294,10 @@ def test_no_psi2_with_d2_is_a_usage_error(capsys):
         (["--no-psi2", "--theta2", "0.6"], "theta2 must be < theta1"),
         (["--no-psi2", "--theta1", "nan"], "theta1 and theta2 must be finite"),
         (["--no-psi2", "--d1", "300"], f"P1 degree 300 exceeds {quad.N_MAX - 1}"),
+        (["--no-psi2", "--q-degree", "651", "--max-iterations", "0"], "(1 - 2x)^647 overflows"),
     ],
     ids=["d1=0", "d2=2", "q-degree=8", "max-iterations=-1", "simple-q-degree=5",
-         "theta1=0.9", "theta2=0.6", "theta1=nan", "d1=300"],
+         "theta1=0.9", "theta2=0.6", "theta1=nan", "d1=300", "q-degree=651"],
 )
 def test_unusable_search_inputs_are_config_errors(monkeypatch, capsys, args, reason):
     # rejected before any outer step, with the reason, instead of a search
@@ -414,15 +417,24 @@ def test_importing_the_cli_does_not_import_mpmath():
     assert run.stdout.strip() == "[]"
 
 
-def test_a_search_without_extra_seeds_does_not_import_numpy_random():
-    # numpy imports numpy.random on first use, and only the extra seeds draw
+@pytest.mark.parametrize(
+    "argv",
+    [["optimize", "--mode", "simple", "--d1", "3", "--d2", "3", "--max-iterations", "2",
+      "--seeds", "0"],
+     ["optimize", "--no-psi2"],
+     ["verify", "--suite", "contour"]],
+    ids=["optimize-budget-2", "optimize-no-psi2", "verify-contour"],
+)
+def test_no_command_imports_numpy_random(argv):
+    # numpy 2 imports numpy.random on first use, and nothing draws: the search
+    # has one start and the contour suite's parameters are pinned.  numpy 1
+    # imports it with numpy, so only modules beyond numpy's own count
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    argv = ["optimize", "--mode", "simple", "--d1", "3", "--d2", "3", "--max-iterations", "2",
-            "--seeds", "0"]
-    code = (f"import sys, critline.cli; assert critline.cli.main({argv!r}) == 0; "
-            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    code = ("import sys, numpy; before = set(sys.modules); import critline.cli; "
+            f"assert critline.cli.main({argv!r}) == 0; "
+            "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy.random')))")
     run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert run.stdout.splitlines()[-1] == "[]"

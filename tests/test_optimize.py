@@ -226,7 +226,7 @@ def test_optimum_is_stationary_in_the_p2_scale():
     # constrained solve, read back through moments.evaluate
     report = optimize.optimize_full(
         theta1=THETA1, theta2=THETA2, d1=3, d2=3, q_degree=1,
-        mode=moments.SIMPLE_ZEROS, max_iterations=2, extra_seeds=0,
+        mode=moments.SIMPLE_ZEROS, max_iterations=2,
     )
     assert abs(report.c12 + report.c2) <= 1e-12
     # the reported P is the optimum at the reported (Q, R) on a Gram at a
@@ -360,7 +360,7 @@ def test_unknown_mode_is_rejected_before_any_gram_build(monkeypatch):
     with pytest.raises(moments.ConfigError, match="unknown mode 'bogus'"):
         optimize.optimize_full(
             theta1=THETA1, theta2=THETA2, d1=2, d2=0, q_degree=1,
-            mode="bogus", max_iterations=20, extra_seeds=0,
+            mode="bogus", max_iterations=20,
         )
     assert builds == []
 
@@ -386,7 +386,7 @@ def test_every_outer_point_builds_its_own_gram(monkeypatch):
     assert len(Rs) == len(set(Rs)) == diag["outer_evaluations"]
     assert diag["outer_evaluations"] <= 12
     assert grams == []
-    assert diag["alternation_rounds"] >= diag["outer_evaluations"] + diag["seeds"] - 1
+    assert diag["alternation_rounds"] >= diag["outer_evaluations"]
     assert report.kappa >= NO_PSI2_KAPPA - 1e-12
 
 
@@ -408,9 +408,8 @@ def test_the_budget_caps_the_tensor_builds(monkeypatch):
 
     monkeypatch.setattr(optimize, "build_tensor", counted_tensor)
     report = optimize.optimize_full(THETA1, THETA2, d1=3, d2=0, q_degree=1,
-                                    mode=moments.SIMPLE_ZEROS, max_iterations=2, extra_seeds=2)
+                                    mode=moments.SIMPLE_ZEROS, max_iterations=2)
     assert report.diagnostics["outer_evaluations"] == 3
-    assert report.diagnostics["seeds"] == 3
     assert Rs[:2] == [presets.KAPPA_STAR_R, presets.KAPPA_STAR_R + optimize.R_STEP]
     assert len(Rs) == 3 and report.config.R in Rs
 

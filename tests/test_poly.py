@@ -185,6 +185,15 @@ def test_make_q_rejects_a_wrong_basis(monkeypatch):
         make_q(QSpec(odd_coeffs=(0.6, 0.2, -0.3, 0.4, -0.5, 1e-3), const=0.5))
 
 
+@pytest.mark.parametrize("top", [647, 651])
+def test_a_q_basis_that_overflows_raises(top):
+    # sum |coeffs| of (1 - 2x)^k is 3^k, past the largest double from k = 647
+    # (a coefficient itself from k = 651): no tolerance can check such a row
+    with pytest.raises(PolynomialError, match=r"\(1 - 2x\)\^647 overflows"):
+        poly._q_basis(tuple(range(1, top + 1, 2)))
+    assert poly._q_basis(tuple(range(1, 646, 2))).shape == (324, 646)
+
+
 def test_make_q_value_at_zero():
     spec = QSpec(odd_coeffs=(0.604, -0.08, -0.06, 0.046), const=0.492)
     q = make_q(spec)
