@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -438,6 +439,28 @@ def test_no_command_imports_numpy_random(argv):
     run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_a_repeated_command_reuses_the_heap_pages_it_freed():
+    # at glibc's default trim threshold the repeat faulted about 640 pages
+    # back in (4,700 for the first search after ``optimize --no-psi2``); main
+    # keeps freed heap in the process, so the repeat touches almost no new page
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    search = ["optimize", "--mode", "simple", "--d1", "3", "--d2", "3", "--max-iterations", "2"]
+    code = ("import contextlib, io, resource, critline.cli as cli\n"
+            "faults = []\n"
+            f"for argv in {[['optimize', '--no-psi2'], search, search]!r}:\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0\n"
+            "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+            "print(faults[-1])")
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert int(run.stdout.splitlines()[-1]) < 100
 
 
 def test_python_dash_m_runs_the_cli(capsys):
