@@ -192,11 +192,14 @@ def _series(taylor: list[Polynomial], c0, c) -> list:
 
 def _grid(taylor: list[Polynomial], c0, cx, cy, cap: int) -> list[list]:
     """Coefficients of x^i y^j, i, j <= cap, in p(c0 + cx*x + cy*y): that is
-    p^(i+j)(c0) cx^i cy^j / (i! j!), read from ``taylor`` (order 2*cap)."""
+    p^(i+j)(c0) cx^i cy^j / (i! j!), read from ``taylor`` (order up to
+    2*cap).  An entry whose order i + j is past the end of ``taylor`` (past
+    p's degree) is 0 and is left ``None``, which :func:`_coeff` skips."""
     t = [p(c0) for p in taylor]
     px, py = [1.0, cx, cx * cx], [1.0, cy, cy * cy]
     return [
-        [t[i + j] * (math.comb(i + j, i) * px[i] * py[j]) for j in range(cap + 1)]
+        [t[i + j] * (math.comb(i + j, i) * px[i] * py[j]) if i + j < len(t) else None
+         for j in range(cap + 1)]
         for i in range(cap + 1)
     ]
 
@@ -208,11 +211,13 @@ def _times_exp(s: list, L) -> list:
 
 
 def _coeff(a: list, b: list, k: int, l: int | None = None):
-    """The coefficient of h^k (series) or x^k y^l (grids) in the product a*b."""
+    """The coefficient of h^k (series) or x^k y^l (grids) in the product a*b,
+    skipping the ``None`` (zero) entries of the grid b."""
     if l is None:
         terms = (a[m] * b[k - m] for m in range(k + 1))
     else:
-        terms = (a[i][j] * b[k - i][l - j] for i in range(k + 1) for j in range(l + 1))
+        terms = (a[i][j] * b[k - i][l - j] for i in range(k + 1) for j in range(l + 1)
+                 if b[k - i][l - j] is not None)
     acc = next(terms)
     for term in terms:
         acc = acc + term
@@ -301,8 +306,11 @@ def c2_integrand(Q, P2, Q_other, P2_other, R: float, theta2: float):
     W times Q_other's grid qb is nine products: only there do Q_other's
     members meet the P members.  Exchanging (Q, P2) with (Q_other, P2_other)
     and u with v exchanges x with y and leaves the coefficient unchanged.
+    Q's grids need its Taylor series to order 4, or to deg Q when that is
+    lower (a linear Q in simple mode): the orders past it are absent, not
+    zeros multiplied through.
     """
-    q, qo = _taylor(Q, 4), _taylor(Q_other, 4)
+    q, qo = (_taylor(p, min(4, p.degree)) for p in (Q, Q_other))
     pa = _taylor(P2.derivative().derivative(), 2)
     pb = _taylor(P2_other.derivative().derivative(), 2)
 

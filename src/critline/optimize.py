@@ -279,7 +279,8 @@ def optimize_full(
     reports that (Q, P1, P2), which :func:`moments.evaluate` certifies.
     Q(0) = 1 throughout; simple mode takes only ``q_degree = 1``, and
     ``d2 = 0`` disables the P2 piece.  Inputs it cannot use raise
-    ConfigError before any tensor build.
+    ConfigError before any tensor build, a ``q_degree`` above 323 among
+    them.
     """
     moments.check_thetas(theta1, theta2)
     check_degrees(d1, d2)
@@ -292,6 +293,15 @@ def optimize_full(
     R0, odd0 = _published_start(mode, q_degree)
     start = np.array([1.0 - odd0.sum(), *odd0])
     basis = _q_basis(QSpec(odd_coeffs=tuple(odd0)).powers())
+    # the kernels multiply two of Q's basis values, each bounded on [0, 1] by
+    # its row's coefficient magnitudes, 3^k for (1 - 2x)^k; from k = 325 on
+    # the product's bound overflows, and a build would fail on inf and nan
+    with np.errstate(over="ignore"):
+        bound = np.max(np.sum(np.abs(basis), axis=1)) ** 2
+    if not np.isfinite(bound):
+        raise moments.ConfigError(
+            f"q_degree {q_degree} is too large: a product of two of Q's basis values is"
+            f" bounded by (3^{q_degree})^2 on [0, 1], which overflows")
     points: dict[float, tuple] = {}  # R -> (kappa, q, (P1, P2), c of (q, P1, P2) on R's tensor)
     rounds = 0
 

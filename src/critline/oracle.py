@@ -14,26 +14,33 @@ for the same rule summed in another order.  Their closed forms are
 product-rule Taylor coefficients (K1, L1), a triangle integral (K2) and
 finite sums (the F residues); the Q operator's derivatives are Cauchy
 integrals on one more such circle.  Each integrand is written in its
-circle's own coordinate, as a term of the unit node w: a pole of order m at
-the centre is radius^-m conj(w)^m there, a product where the point form took
-a negative complex power and a division.  Sums use sieved arithmetic tables,
+circle's own coordinate, as a term of the unit node w,
+e^(L w) conj(w)^m g(w) with real L: a pole of order m at the centre is
+radius^-m conj(w)^m there, a product where the point form took a negative
+complex power and a division.  Each circle hands ``contour_circle`` its g,
+its rate L and its pole order m.  The nodes w_k = exp(2 pi i k/n) make
+conj(w_k)^m the table entry w_(-km mod n), and w_(n/2-k) = -conj(w_k) makes
+the mirrored node's exp(L w) the reciprocal conjugate of node k's, so exp is
+taken at the nodes k <= n/4 alone.  Sums use sieved arithmetic tables,
 real integrals use this module's own Gauss-Legendre rule, and derivative
 operators of the moment kernels get 4th-order finite differences of
 long-double tensor-product Gauss integrals.  Work that does not change
 between evaluations is done once: the circles share the upper half's roots
 of unity, each circle converts its float parameters and its pole powers
-radius^-m to mpmath numbers once, the two F circles (one radius, centres 0
-and -s) share each node's exp(logx radius w), the c12 stencil sums the t
-axis once per y offset and evaluates every other factor on the axes it
-depends on, the c2 stencil evaluates each of its symmetric offset pairs once
-and each offset's axis moments once, and every divisor sum is one Dirichlet
-convolution split at isqrt(N), about 2 isqrt(N) strided slices instead of N.
-All are the same rules as the plain per-point forms, only with
-loop-invariant work hoisted.
+radius^-m to mpmath numbers once, circles with the same rate (the two F
+circles, of one radius about 0 and -s, and the K2 and L1 circles of one
+drawn parameter set) share each node's exponential, the c12 stencil sums
+the t axis once per y offset and evaluates every other factor on the axes
+it depends on, the c2 stencil evaluates each of its symmetric offset pairs
+once and each offset's axis moments once, and every divisor sum is one
+Dirichlet convolution split at isqrt(N), about 2 isqrt(N) strided slices
+instead of N.  All are the same rules as the plain per-point forms, only
+with loop-invariant work hoisted.
 The c2 integral's (u, v) plane is summed per (r, t) slice through its u- and
-v-moments (a sum factorization: the Q factors are expanded as polynomials in
-(u, v) and every other factor splits into a u part and a v part), which is
-the same rule summed in another order, exact in exact arithmetic.
+v-moments (a sum factorization: the Q factors, one of them times the linear
+front factor, are expanded as polynomials in (u, v) and every other factor
+splits into a u part and a v part), which is the same rule summed in
+another order, exact in exact arithmetic.
 Asymptotic statements are tested as bounded-normalized-error properties (their
 O(.) constants are not quantified), never as equalities.
 """
@@ -223,16 +230,43 @@ def _magnitude(value):
     return double if double >= sys.float_info.min else abs(value)
 
 
-def contour_circle(term: Callable[[Any], Any]) -> ContourValue:
+@lru_cache(maxsize=CONTOUR_POINTS // 2 + 1)
+def _node_exponential(rate, k: int):
+    """exp(rate w_k) at ``CONTOUR_DPS`` digits for the k-th node of
+    :func:`_roots_of_unity`, rate real.  Past the quarter circle it is the
+    mirrored node's reciprocal conjugate (see :func:`contour_circle`).  The
+    cache holds one circle's worth, so a circle right after another with the
+    same rate (the second F circle, and L1 after K2 at one drawn parameter
+    set) reuses its values."""
+    import mpmath
+
+    half = CONTOUR_POINTS // 2
+    with mpmath.workdps(CONTOUR_DPS):
+        if 2 * k <= half:
+            return mpmath.exp(rate * _roots_of_unity()[k])
+        mirror = _node_exponential(rate, half - k)
+        return mirror * (1 / (mirror.real**2 + mirror.imag**2))
+
+
+def contour_circle(term: Callable[[Any], Any], exponent=0, pole: int = 0) -> ContourValue:
     """(1/2*pi*i) times the integral of f around a circle, given as the term
-    ``term(w) = f(center + radius*w) * radius*w`` of the unit node w
-    (mpmath numbers in and out): with z = center + radius*w, dz/(2*pi*i) is
-    radius*w dtheta/(2*pi), so the trapezoid value is the mean of the terms.
-    The term is the circle's own coordinate: a pole of order m at the centre
-    is radius^-m conj(w)^m there, since |w| = 1, and a factor like
-    exp(L z) is exp(L center) exp(L radius w), formed once per circle.  The
-    trapezoid rule converges geometrically for an f analytic near the
-    circle; the terms and their sum use mpmath at ``CONTOUR_DPS`` digits.
+    e^(exponent w) conj(w)^pole term(w) = f(center + radius*w) * radius*w
+    of the unit node w (mpmath numbers in and out; ``exponent`` real): with
+    z = center + radius*w, dz/(2*pi*i) is radius*w dtheta/(2*pi), so the
+    trapezoid value is the mean of the terms.  The term is the circle's own
+    coordinate: a pole of order m at the centre is radius^-m conj(w)^m there,
+    since |w| = 1, and a factor like exp(L z) is exp(L center)
+    exp(L radius w).  The trapezoid rule converges geometrically for an f
+    analytic near the circle; the terms and their sum use mpmath at
+    ``CONTOUR_DPS`` digits.
+
+    The two factors cost no mpc power and half the exponentials.  Node k of
+    the n-point table is w_k = exp(2 pi i k/n), so conj(w_k)^m is the table's
+    w_(-km mod n), the conjugate of an upper-half entry where that index is
+    past n/2.  And w_(n/2-k) = -conj(w_k), so with E_k = exp(exponent w_k)
+    the mirrored node's exp(-exponent conj(w_k)) = 1/conj(E_k) is
+    E_k/|E_k|^2: exp is taken for k <= n/4 only, and each other node takes
+    one real reciprocal.
 
     The term must satisfy term(conj w) = conj(term(w)) (Schwarz reflection),
     as it does for every circle here: each is centred on the real axis and
@@ -242,41 +276,57 @@ def contour_circle(term: Callable[[Any], Any]) -> ContourValue:
 
     which is real: only the n/2 + 1 nodes of the closed upper half circle
     are evaluated.  Each rung evaluates only its new (odd-indexed) nodes and
-    keeps the real part and the magnitude of every term; T_{n/2} and the
-    certificate come from the same stored values.
+    keeps every term and its real part; T_{n/2} and the certificate come
+    from the same stored values.
     """
     import mpmath
 
     nodes = _roots_of_unity()
     half = len(nodes) - 1
     with mpmath.workdps(CONTOUR_DPS):
+        rate = mpmath.mpf(exponent)
+
+        def full_term(k):
+            value = term(nodes[k])
+            if pole:
+                # conjugated here, at CONTOUR_DPS: outside, mpc.conjugate()
+                # rounds to the working precision
+                j = -k * pole % CONTOUR_POINTS
+                value *= nodes[j] if j <= half else nodes[CONTOUR_POINTS - j].conjugate()
+            if rate:
+                value *= _node_exponential(rate, k)
+            return value
 
         def values(indices):
-            terms = [term(nodes[k]) for k in indices]
-            return [value.real for value in terms], max(map(_magnitude, terms))
+            terms = [full_term(k) for k in indices]
+            return terms, [value.real for value in terms]
+
+        def certified(certificate, terms):
+            # certificate <= CONTOUR_FLOOR min(1, max |term|); |term| is taken
+            # only at a rung below the floor, and only until one is enough
+            return certificate <= CONTOUR_FLOOR and any(
+                CONTOUR_FLOOR * _magnitude(value) >= certificate for value in terms)
 
         def trapezoid(reals):
             # the ends are w = 1 and w = -1; each inner node stands for itself
-            # and its conjugate
-            inner = mpmath.mpf(0)
-            for value in reals[1:-1]:
-                inner += value
+            # and its conjugate.  fsum adds exactly and rounds once
+            inner = mpmath.fsum(reals[1:-1])
             return (reals[0] + reals[-1] + 2 * inner) / (2 * (len(reals) - 1))
 
         n = CONTOUR_START_POINTS
         stride = CONTOUR_POINTS // n
-        reals, scale = values(range(0, half + 1, stride))
+        terms, reals = values(range(0, half + 1, stride))
         previous = trapezoid(reals[::2])
         while True:
             total = trapezoid(reals)
             certificate = abs(total - previous)
-            if certificate <= CONTOUR_FLOOR * min(1.0, scale):
+            if certified(certificate, terms):
                 return ContourValue(complex(total), float(certificate), n)
             if n == CONTOUR_POINTS:
                 return ContourValue(complex(total), math.inf, n)
             stride //= 2
-            fresh, fresh_scale = values(range(stride, half, 2 * stride))
-            scale = max(scale, fresh_scale)
+            fresh_terms, fresh = values(range(stride, half, 2 * stride))
+            terms += fresh_terms
             reals = [value for pair in zip(reals, fresh) for value in pair] + reals[-1:]
             previous, n = total, 2 * n
 
@@ -398,14 +448,14 @@ def _k1_pair(i: int, alpha: float, beta: float, logq: float):
     with mpmath.workdps(CONTOUR_DPS):
         # float -> mpf is exact: converted once per circle, not at every point
         a, b, r = map(mpmath.mpf, (alpha, beta, 0.3))
-        lqr, pole = logq * r, r**-i
+        rate, scale, a, b = logq * r, r ** (2 - i), a / r, b / r
 
-    # f(s) = e^{logq s} (alpha + s) (s - beta) / s^{i+1} at s = r w, times r w
+    # f(s) = e^{logq s} (alpha + s) (s - beta) / s^{i+1} at s = r w, times r w,
+    # is e^{logq r w} conj(w)^i times this, with alpha and beta in radii
     def term(w):
-        rw = r * w
-        return mpmath.exp(lqr * w) * (a + rw) * (rw - b) * pole * w.conjugate() ** i
+        return (a + w) * (w - b) * scale
 
-    circle = contour_circle(term)
+    circle = contour_circle(term, exponent=rate, pole=i)
     # [xy] of e^{alpha x - beta y} (logq + x + y)^i by the product rule
     last = i * (i - 1) * logq ** (i - 2) if i >= 2 else 0.0
     rhs = (-alpha * beta * logq**i + i * (alpha - beta) * logq ** (i - 1) + last) / factorial(i)
@@ -418,20 +468,22 @@ def _k2_pair(j: int, alpha: float, beta: float, logq: float):
     # the circle |u| = 0.25 must enclose every pole: 0, -alpha and beta
     with mpmath.workdps(CONTOUR_DPS):
         a, b, r = map(mpmath.mpf, (alpha, beta, 0.25))
-        lqr, pole = logq * r, r ** (2 - j)
+        rate, scale, a, b = logq * r, r**-j, a / r, b / r
 
-    # f(u) = e^{logq u} / ((alpha + u) (u - beta) u^{j-1}) at u = r w, times r w
+    # f(u) = e^{logq u} / ((alpha + u) (u - beta) u^{j-1}) at u = r w, times r w,
+    # is e^{logq r w} conj(w)^{j-2} times this, with alpha and beta in radii
     def term(w):
-        rw = r * w
-        return mpmath.exp(lqr * w) * pole * w.conjugate() ** (j - 2) / ((a + rw) * (rw - b))
+        return scale / ((a + w) * (w - b))
 
-    circle = contour_circle(term)
-    # triangle via b = (1 - a)t; extended precision because the logq^j
-    # prefactor amplifies the quadrature sum's rounding
+    circle = contour_circle(term, exponent=rate, pole=j - 2)
+    # triangle via b = (1 - a)t, where 1 - a - b = (1 - a)(1 - t): its power
+    # is an outer product; extended precision because the logq^j prefactor
+    # amplifies the quadrature sum's rounding
     xs, ws = _gauss_rule_ld(96)
     ta = xs[:, None]
     tb = (1.0 - ta) * xs[None, :]
-    vals = (1.0 - ta - tb) ** (j - 2) * np.exp(logq * (-ta * alpha + tb * beta)) * (1.0 - ta)
+    vals = ((1.0 - ta) ** (j - 2) * (1.0 - xs) ** (j - 2)) * np.exp(
+        logq * (-ta * alpha + tb * beta)) * (1.0 - ta)
     inner = np.sum(vals * ws[:, None] * ws[None, :])
     rhs = float(4.0 * np.longdouble(logq) ** j / factorial(j - 2) * inner)
     return 4.0 * circle.value, rhs, circle
@@ -443,14 +495,14 @@ def _l1_pair(i: int, alpha: float, beta: float, logq: float):
     # the circle |s| = 0.25 about the poles 0 and -alpha; (beta + s)^2 is entire
     with mpmath.workdps(CONTOUR_DPS):
         a, b, r = map(mpmath.mpf, (alpha, beta, 0.25))
-        lqr, pole = logq * r, r ** (2 - i)
+        rate, scale, a, b = logq * r, r ** (3 - i), a / r, b / r
 
-    # f(s) = e^{logq s} (beta + s)^2 / ((alpha + s) s^{i-1}) at s = r w, times r w
+    # f(s) = e^{logq s} (beta + s)^2 / ((alpha + s) s^{i-1}) at s = r w, times r w,
+    # is e^{logq r w} conj(w)^{i-2} times this, with alpha and beta in radii
     def term(w):
-        rw = r * w
-        return mpmath.exp(lqr * w) * (b + rw) ** 2 * pole * w.conjugate() ** (i - 2) / (a + rw)
+        return (b + w) ** 2 * scale / (a + w)
 
-    circle = contour_circle(term)
+    circle = contour_circle(term, exponent=rate, pole=i - 2)
     # 2! [x^2] of (logq + x)^{i-1} (its [x^k] is g[k]) times the integral over
     # u of e^{-logq alpha u + (beta - alpha u) x} (1 - u)^{i-2} (h[k])
     u, w = _gauss_rule(96)
@@ -467,7 +519,8 @@ def _f_residue_pair(j: int, k: int, s: float, logx: float):
 
     Both circles have the same radius, so with u = r w about 0 and
     u = -s + r w about -s, x^u is exp(logx r w) and x^{-s} exp(logx r w):
-    each node's exp(logx r w) is computed once for the pair.
+    both circles pass the rate logx r, and the second reuses the first's
+    cached node exponentials.
     """
     if s == 0.0:
         raise OracleError("s must be nonzero")
@@ -475,27 +528,26 @@ def _f_residue_pair(j: int, k: int, s: float, logx: float):
 
     with mpmath.workdps(CONTOUR_DPS):
         mp_s, r = mpmath.mpf(s), mpmath.mpf(0.3 * abs(s))
-        lr, shift = logx * r, mpmath.exp(-logx * mp_s)
-        pole0, pole1 = r**-k, shift * r**-j
-    @lru_cache(maxsize=None)
-    def exp_lrw(w):
-        return mpmath.exp(lr * w)
+        rate, shift = logx * r, mpmath.exp(-logx * mp_s)
+        # s in radii, and r^{-(j+k+1)} from the two poles' powers of r
+        scale0, s_r = r ** -(j + k + 1), mp_s / r
+        scale1 = shift * scale0
 
     # f(r w) r w: the pole u^{k+1} at the centre, (u + s)^{j+1} off it
     def term0(w):
-        return exp_lrw(w) * pole0 * w.conjugate() ** k / (r * w + mp_s) ** (j + 1)
+        return scale0 / (w + s_r) ** (j + 1)
 
     # f(-s + r w) r w: the pole (u + s)^{j+1} at the centre, u^{k+1} off it
     def term1(w):
-        return exp_lrw(w) * pole1 * w.conjugate() ** j / (r * w - mp_s) ** (k + 1)
+        return scale1 / (w - s_r) ** (k + 1)
 
-    circle0 = contour_circle(term0)
+    circle0 = contour_circle(term0, exponent=rate, pole=k)
     rhs0 = sum(
         (-1) ** l * comb(j + l, j) * logx ** (k - l) / (s ** (j + l + 1) * factorial(k - l))
         for l in range(k + 1)
     )
     # residue at u = -s: shift u -> u - s, which swaps j and k and brings x^{-s}
-    circle1 = contour_circle(term1)
+    circle1 = contour_circle(term1, exponent=rate, pole=j)
     rhs1 = math.exp(-logx * s) * sum(
         (-1) ** l * comb(k + l, k) * logx ** (j - l)
         / ((-s) ** (k + l + 1) * factorial(j - l))
@@ -630,17 +682,19 @@ def check_q_operator(Q: Polynomial, X: float, T: float, alpha: float = 0.0):
     logX, logT = math.log(X), math.log(T)
     with mpmath.workdps(CONTOUR_DPS):
         r, lx, step = mpmath.mpf(0.25), mpmath.mpf(logX), -1 / mpmath.mpf(logT)
-        front, lxr = mpmath.exp(-lx * alpha), lx * r
+        front, rate = mpmath.exp(-lx * alpha), -lx * r
         # z^{-k-1} times dz = r w is r^{-k} conj(w)^k on the circle
         weights = [q_k * factorial(k) * (step / r) ** k for k, q_k in enumerate(Q.coeffs)]
 
+    # sum_k weight_k conj(w)^k is conj(w)^d sum_k weight_k w^{d-k} on |w| = 1,
+    # d = deg Q: Horner in w, and the pole conj(w)^d is the circle's
     def term(w):
-        series, cw = 0, w.conjugate()  # Horner in conj(w)
-        for weight in reversed(weights):
-            series = series * cw + weight
-        return front * mpmath.exp(-lxr * w) * series
+        series = 0
+        for weight in weights:
+            series = series * w + weight
+        return front * series
 
-    circle = contour_circle(term)
+    circle = contour_circle(term, exponent=rate, pole=Q.degree)
     lhs, rhs = circle.value.real, Q(logX / logT) * math.exp(-alpha * logX)
     error = math.inf if circle.certificate == math.inf else abs(lhs - rhs) / max(abs(rhs), 1.0)
     return CheckResult.from_error(
@@ -662,6 +716,10 @@ _D1_OFFSETS = (-2.0, -1.0, 1.0, 2.0)
 _D1_WEIGHTS = (1.0, -8.0, 8.0, -1.0)
 _D2_OFFSETS = (-2.0, -1.0, 0.0, 1.0, 2.0)
 _D2_WEIGHTS = (-1.0, 16.0, -30.0, 16.0, -1.0)
+# t nodes per step of the c2 slices: each array then holds 8 n matrices of
+# (deg Q + 2)^2 long doubles, 0.25 MB at n = 24 and deg Q = 7, which stay in
+# cache; the whole t axis at once was slower and raised verify's peak RSS
+_C2_T_BLOCK = 8
 
 
 def _c12_scalars(cfg: moments.MollifierConfig, xs, ys, n: int) -> np.ndarray:
@@ -743,26 +801,30 @@ def _c2_scalars(cfg: moments.MollifierConfig, pairs, n: int) -> np.ndarray:
     with c' = c + (alpha + beta)/2 and T_k = Q^(k)/k!: a coefficient matrix
     Qa (for A) or Qb (for B) per slice.  The centre halves each term's reach:
     for a degree-11 Q, expanding about u = v = 0 put the scalar 1.2e-17
-    (relative) off the node-by-node sum, and the centre 1.6e-18.  Every other
-    factor splits into a u part and a v part:
-    exp(-theta2 R E) exp(2RtG) = exp(-theta2 R (x + y) + 2Rt g0)
-    exp(R (1 - 2t) theta2 p u) exp(R (1 - 2t) theta2 q v), the front factor
-    1/theta2 + E is (1/(2 theta2) + x - p u) + (1/(2 theta2) + y - q v), and
-    each P2'' factor depends on one of u, v.  So the slice's (u, v) sum is
-    Qa^T H_u Qb : H_v over the two halves of the front factor, where H_u and
-    H_v are the Hankel matrices of the u- and v-moments
-    sum_u w_u (u factors) (u - 1/2)^k, k <= 2 deg Q.  That is the same rule
-    as summing the full integrand over all n^4 nodes, exact in exact
-    arithmetic, at O(n deg Q + deg Q^3) per slice instead of O(n^2 deg Q).
-    The u-moments at offset x are the v-moments at offset y = x, so each
-    distinct offset's moments are built once for all pairs.  The expansions
-    and moments are built for all slices at once; the matrices are formed one
-    t node at a time, so each step holds n of them.
+    (relative) off the node-by-node sum, and the centre 1.6e-18.  The front
+    factor 1/theta2 + E = 1/theta2 + x + y - p u - q v is linear in (u, v)
+    too: about the centre it is f0 - p (u - 1/2) - q (v - 1/2) with
+    f0 = 1/theta2 + (x + y)/2 - r, and Qa times it is the (d + 2) x (d + 2)
+    coefficient matrix QaF, d = deg Q.  Every other factor splits into a u
+    part and a v part: exp(-theta2 R E) exp(2RtG) =
+    exp(-theta2 R (x + y) + 2Rt g0) exp(R (1 - 2t) theta2 p u)
+    exp(R (1 - 2t) theta2 q v), and each P2'' factor depends on one of u, v.
+    So the slice's (u, v) sum is QaF^T H_u Qb : H_v, where H_u and H_v are
+    the (d + 2) x (d + 1) Hankel matrices of the u- and v-moments
+    sum_u w_u (u factors) (u - 1/2)^k, k <= 2d + 1: 1,224 long-double
+    multiply-adds per slice at d = 7.  That is the same rule as summing the
+    full integrand over all n^4 nodes, exact in exact arithmetic, at
+    O(n deg Q + deg Q^3) per slice instead of O(n^2 deg Q).  The u-moments
+    at offset x are the v-moments at offset y = x, so each distinct offset's
+    moments are built once for all pairs.  The expansions and moments are
+    built for all slices at once; the matrices are formed ``_C2_T_BLOCK``
+    t nodes at a time, so each step's arrays stay small enough for the
+    processor's cache.
 
-    Swapping (x, u) with (y, v) swaps p and q, turns Qa into Qb^T and Qb
-    into Qa^T, and swaps H_u and H_v; the trace of the four-matrix product is
-    invariant under that, and u and v share one rule, so the scalar is
-    symmetric in (x, y) up to rounding.
+    Swapping (x, u) with (y, v) swaps p and q and H_u with H_v, turns Qa
+    into Qb^T and Qb into Qa^T, and leaves the front factor as it is, so it
+    moves from Qa to Qb; the sum is the same, and u and v share one rule,
+    so the scalar is symmetric in (x, y) up to rounding.
     """
     ld = np.longdouble
     th2, R = ld(cfg.theta2), ld(cfg.R)
@@ -774,7 +836,9 @@ def _c2_scalars(cfg: moments.MollifierConfig, pairs, n: int) -> np.ndarray:
     hankel = np.add.outer(np.arange(d + 1), np.arange(d + 1))
     binom = np.array([[comb(a + b, a) if a + b <= d else 0 for b in range(d + 1)]
                       for a in range(d + 1)], dtype=ld)
-    centred = _powers_ld(nodes - 0.5, 2 * d)
+    # H_u and H_v: rows to the front factor's degree d + 1, columns to d
+    moment_index = np.add.outer(np.arange(d + 2), np.arange(d + 1))
+    centred = _powers_ld(nodes - 0.5, 2 * d + 1)
 
     def expansion(c, alpha, beta):
         # T_(i+j) at the centre and the powers of alpha and beta, per slice
@@ -787,18 +851,20 @@ def _c2_scalars(cfg: moments.MollifierConfig, pairs, n: int) -> np.ndarray:
     @lru_cache(maxsize=None)
     def axis_moments(offset):
         # sum_u w_u exp(R (1 - 2t) theta2 s u) P2''((1 - u) s) (u - 1/2)^k per
-        # slice with s = offset + r, bare and times the axis's half of the
-        # front factor; the same on the u axis at x and the v axis at y
+        # slice with s = offset + r; the same on the u axis at x and the v
+        # axis at y
         s = offset + r
         base = (weights * P2dd((1.0 - nodes) * s[..., None])) * np.exp(
             (R * th2 * (1.0 - 2.0 * t) * s)[..., None] * nodes)
-        front = 1.0 / (2.0 * th2) + offset - s[..., None] * nodes
-        return np.stack((base, base * front)) @ centred
+        return base @ centred
 
     def matrix(taylor, alpha_powers, beta_powers):
-        # [(u - 1/2)^i (v - 1/2)^j] Q(c + alpha u + beta v) on one t node
-        return (taylor[..., np.minimum(hankel, d)] * binom
-                * alpha_powers[..., :, None] * beta_powers[..., None, :])
+        # [(u - 1/2)^i (v - 1/2)^j] Q(c + alpha u + beta v) on each slice
+        out = taylor[..., np.minimum(hankel, d)]
+        out *= binom
+        out *= alpha_powers[..., :, None]
+        out *= beta_powers[..., None, :]
+        return out
 
     out = np.empty(len(pairs), dtype=ld)
     for i, (x, y) in enumerate(pairs):
@@ -808,13 +874,20 @@ def _c2_scalars(cfg: moments.MollifierConfig, pairs, n: int) -> np.ndarray:
         qa = expansion(-th2 * y + t * g0, (1.0 - t) * th2 * p, -t * th2 * q)
         qb = expansion(-th2 * x + t * g0, -t * th2 * p, (1.0 - t) * th2 * q)
         mu, mv = axis_moments(x), axis_moments(y)
+        # the front factor's coefficients of 1, u - 1/2 and v - 1/2, per r
+        f0, fu, fv = (c[..., None, None] for c in (1.0 / th2 + 0.5 * (x + y) - r, -p, -q))
         slices = np.empty((n, n), dtype=ld)
-        for k in range(n):
-            a = np.swapaxes(matrix(*(part[k] for part in qa)), -1, -2)
-            b = matrix(*(part[k] for part in qb))
-            # Qa^T H_u Qb : (H_v front) + Qa^T (H_u front) Qb : H_v on each r
-            hu, hv = mu[:, k][..., hankel], mv[:, k][..., hankel]
-            slices[k] = np.sum((a @ hu @ b) * hv[::-1], axis=(0, -2, -1))
+        for start in range(0, n, _C2_T_BLOCK):
+            ts = slice(start, start + _C2_T_BLOCK)
+            a = np.swapaxes(matrix(*(part[ts] for part in qa)), -1, -2)
+            # QaF^T[j, i] = f0 Qa^T[j, i] + fu Qa^T[j, i - 1] + fv Qa^T[j - 1, i]
+            qaf = np.zeros(a.shape[:-2] + (d + 2, d + 2), dtype=ld)
+            np.multiply(f0, a, out=qaf[..., : d + 1, : d + 1])
+            qaf[..., : d + 1, 1:] += fu * a
+            qaf[..., 1:, : d + 1] += fv * a
+            hu, hv = mu[ts][..., moment_index], mv[ts][..., moment_index]
+            b = matrix(*(part[ts] for part in qb))
+            slices[ts] = np.sum((qaf @ hu @ b) * hv, axis=(-2, -1))
         outer = (
             ld(2) / 3 * (1.0 - r) ** 4 * p * q * weights
             * (weights * np.exp(R * (2.0 * nodes * g0 - th2 * (x + y))))[:, None]

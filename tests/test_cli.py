@@ -316,6 +316,32 @@ def test_unusable_search_inputs_are_config_errors(monkeypatch, capsys, args, rea
     assert not builds
 
 
+@pytest.mark.parametrize("q_degree", [325, 401, 645])
+def test_q_degrees_whose_kernel_products_overflow_are_config_errors(monkeypatch, capsys, q_degree):
+    # from about 401 on, the c1 kernel's products of two basis values
+    # overflowed during the first build (numpy RuntimeWarnings, which fail a
+    # test here, then exit 3); every degree whose bound (3^k)^2 overflows is
+    # refused before any build
+    builds = []
+    monkeypatch.setattr(optimize, "build_tensor", lambda *args, **kwargs: builds.append(args))
+    argv = ["optimize", "--no-psi2", "--q-degree", str(q_degree), "--max-iterations", "0"]
+    assert main(argv) == EXIT_CONFIG
+    assert f"q_degree {q_degree} is too large" in capsys.readouterr().err
+    assert not builds
+
+
+def test_the_largest_q_degree_whose_kernel_products_are_bounded_is_built(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def build(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(optimize, "build_tensor", build)
+    with pytest.raises(Built):
+        optimize.optimize_full(4.0 / 7.0, 0.5, 5, 0, 323, max_iterations=0)
+
+
 def test_p1_degree_beyond_the_exact_u_rule_is_config_error(tmp_path, capsys):
     # c1's u-rule of deg P1 + 1 nodes must be a rule quad can build: the
     # config is refused, exit 2, before any quadrature

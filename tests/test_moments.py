@@ -19,7 +19,7 @@ from critline.moments import (
     evaluate,
     renormalized_q,
 )
-from critline.poly import Polynomial, QSpec, make_p1, make_p2, make_q
+from critline.poly import Polynomial, QSpec, _q_basis, make_p1, make_p2, make_q
 from critline.presets import kappa_preset, kappa_star_preset
 
 THETA1 = 4.0 / 7.0
@@ -679,6 +679,21 @@ def test_one_row_matrices_are_the_polynomial_side(preset):
         assert [n for n, _ in got_trace] == [n for n, _ in want_trace]
         for (_, got_delta), (_, want_delta) in zip(got_trace[1:], want_trace[1:]):
             assert abs(got_delta - want_delta) <= 2e-15
+
+
+@pytest.mark.parametrize("powers", [(1,), (1, 3)])
+def test_q_orders_past_its_degree_change_no_bit(powers):
+    # c2's kernel takes Q's Taylor series to deg Q only when deg Q < 4: the
+    # same basis padded with zero columns (degree 6) takes it to order 4 and
+    # multiplies the zero orders through, to the same bits
+    basis = _q_basis(powers)
+    padded = np.hstack([basis, np.zeros((len(basis), 6 - basis.shape[1] + 1))])
+    args = (1.2, THETA1, THETA2, quad.DEFAULT_TOL, quad.N_SEQUENCE_START)
+    p_rows = (np.eye(4)[1:], np.eye(5)[3:])
+    for (want, want_trace), (got, got_trace) in zip(blocks((padded, *p_rows), *args),
+                                                    blocks((basis, *p_rows), *args)):
+        assert np.array_equal(got, want)
+        assert got_trace == want_trace
 
 
 @pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])

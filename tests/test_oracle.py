@@ -8,6 +8,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from critline import moments, oracle
 from critline.jet import Jet
@@ -203,6 +204,17 @@ def _contour_circle_per_point(term, n):
         return total / n
 
 
+def _composed(term, exponent=0, pole=0):
+    """The whole term ``contour_circle(term, exponent=..., pole=...)`` sums,
+    e^(exponent w) conj(w)^pole term(w), each factor computed at the point."""
+
+    def full(w):
+        with mpmath.workdps(oracle.CONTOUR_DPS):
+            return mpmath.exp(exponent * w) * w.conjugate() ** pole * term(w)
+
+    return full
+
+
 def test_shared_contour_nodes_change_no_value():
     def f(z):
         return mpmath.exp(3.0 * z) / ((z + 0.2) * z**3)
@@ -296,9 +308,10 @@ def test_contour_pole_near_the_circle_is_uncertified():
 def test_uncertified_circle_fails_its_check(monkeypatch, kind, params):
     ladder = oracle.contour_circle
 
-    def with_near_pole(term):
-        # 1 / (z - pole) with the pole at center + 0.99 radius, as a term of w
-        return ladder(lambda w: term(w) + w / (w - 0.99))
+    def with_near_pole(term, **factors):
+        # 1 / (z - pole) with the pole at center + 0.99 radius, as a term of
+        # w, times the circle's own exponential and pole factors
+        return ladder(lambda w: term(w) + w / (w - 0.99), **factors)
 
     monkeypatch.setattr(oracle, "contour_circle", with_near_pole)
     if kind == "q_operator":
@@ -331,13 +344,13 @@ def test_folded_ladder_on_every_suite_circle(monkeypatch, suite, circles, term_b
     ladder = oracle.contour_circle
     recorded, calls = [], [0]
 
-    def recording(term):
+    def recording(term, **factors):
         def counted(w):
             calls[0] += 1
             return term(w)
 
-        circle = ladder(counted)
-        recorded.append((term, circle))
+        circle = ladder(counted, **factors)
+        recorded.append((_composed(term, **factors), circle))
         return circle
 
     monkeypatch.setattr(oracle, "contour_circle", recording)
@@ -352,6 +365,55 @@ def test_folded_ladder_on_every_suite_circle(monkeypatch, suite, circles, term_b
             expected = complex(_contour_circle_per_point(term, circle.points))
         assert abs(circle.value.real - expected.real) <= 1e-30 * abs(expected), k
         assert circle.value.imag == 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    exponent=st.floats(min_value=-12.0, max_value=12.0),
+    pole=st.integers(min_value=0, max_value=5),
+    zeros=st.lists(st.floats(min_value=-2.0, max_value=2.0), max_size=2),
+    poles=st.lists(st.floats(min_value=-0.6, max_value=0.6), max_size=2),
+    pair=st.tuples(st.floats(min_value=-0.5, max_value=0.5),
+                   st.floats(min_value=0.05, max_value=0.5)),
+)
+def test_exponent_and_pole_factors_match_the_per_point_rule(exponent, pole, zeros, poles, pair):
+    # g is rational with real coefficients: real zeros, real poles and a
+    # conjugate pair of poles, all inside the unit circle.  The mirrored
+    # exponentials and the table's powers of conj(w) give the rule that
+    # computes e^(L w) and conj(w)^m at every point, to far below a double
+    with mpmath.workdps(oracle.CONTOUR_DPS):
+        zeros, poles = [mpmath.mpf(z) for z in zeros], [mpmath.mpf(p) for p in poles]
+        re, im = map(mpmath.mpf, pair)
+
+    def g(w):
+        value = 1 / ((w - re) ** 2 + im**2)
+        for z in zeros:
+            value *= w - z
+        for p in poles:
+            value /= w - p
+        return value
+
+    circle = contour_circle(g, exponent=exponent, pole=pole)
+    expected = complex(_contour_circle_per_point(_composed(g, exponent, pole), circle.points))
+    assert abs(circle.value.real - expected.real) <= 1e-30 * max(abs(expected), 1.0)
+    assert circle.value.imag == 0.0
+
+
+def test_contour_suite_exponential_budget(monkeypatch):
+    # exp is taken at the nodes k <= n/4 of each circle, the mirrored nodes
+    # take a reciprocal, and circles with one rate share their nodes' values:
+    # one complex exp per term took 2,359 calls
+    oracle._roots_of_unity()
+    oracle._node_exponential.cache_clear()
+    exp, calls = mpmath.exp, [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "exp", counted)
+    assert all(r.passed for r in oracle._contour_suite())
+    assert calls[0] <= 1450, calls[0]
 
 
 def _f_of_z(kind, params):
@@ -411,9 +473,9 @@ def test_unit_node_terms_match_the_f_of_z_form(monkeypatch, kind, params):
     ladder = oracle.contour_circle
     circles = []
 
-    def recording(term):
-        circles.append(term)
-        return ladder(term)
+    def recording(term, **factors):
+        circles.append((term, factors))
+        return ladder(term, **factors)
 
     monkeypatch.setattr(oracle, "contour_circle", recording)
     if kind == "q_operator":
@@ -423,12 +485,12 @@ def test_unit_node_terms_match_the_f_of_z_form(monkeypatch, kind, params):
     f = _f_of_z(kind, params)
     circles_at = _circles_of(kind, params)
     assert len(circles) == len(circles_at)
-    for term, circle_at in zip(circles, circles_at):
+    for (term, factors), circle_at in zip(circles, circles_at):
         reference = _term(f, *circle_at)
-        got, want = ladder(term), ladder(reference)
+        got, want = ladder(term, **factors), ladder(reference)
         assert got.points == want.points
         with mpmath.workdps(oracle.CONTOUR_DPS):
-            a = _contour_circle_per_point(term, got.points)
+            a = _contour_circle_per_point(_composed(term, **factors), got.points)
             b = _contour_circle_per_point(reference, got.points)
             assert abs(a - b) <= 1e-30 * abs(b), (circle_at, a, b)
 
@@ -503,7 +565,7 @@ def _l1_rhs_jet(i, alpha, beta, logq):
 def test_closed_form_contour_sides_match_the_jet_ring(monkeypatch):
     # the right sides alone: a stub circle keeps the 200 draws cheap
     monkeypatch.setattr(oracle, "contour_circle",
-                        lambda term: oracle.ContourValue(0j, 0.0, 0))
+                        lambda term, **factors: oracle.ContourValue(0j, 0.0, 0))
     rng = np.random.default_rng(2718)
     for _ in range(200):
         alpha, beta = rng.uniform(-0.1, 0.1, size=2)
