@@ -382,27 +382,31 @@ def blocks(side, R: float, theta1: float, theta2: float, tol: float, n_start: in
     and its triangle would have a kink on the diagonal.  c1 and c12 are not
     symmetrized; each caller symmetrizes what it builds.
     """
-    (Q, Q_other), (P1, P1_other), (P2, P2_other) = (
-        _sides(slot, axis) for slot, axis in zip(side, (0, 2, 2)))
+    # a kernel that overflows (a huge R or coefficient) yields inf or nan,
+    # which the ladder's non-finite check reports; numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        (Q, Q_other), (P1, P1_other), (P2, P2_other) = (
+            _sides(slot, axis) for slot, axis in zip(side, (0, 2, 2)))
 
-    def integral(integrand, d: int, symmetric: bool = False):
-        return quad.integrate_converged(integrand, d, tol=tol, n_start=n_start, symmetric=symmetric)
+        def integral(integrand, d: int, symmetric: bool = False):
+            return quad.integrate_converged(integrand, d, tol=tol, n_start=n_start,
+                                            symmetric=symmetric)
 
-    K1, t1 = integral(c1_integrand(Q, P1, Q_other, P1_other, R, theta1), 1)
-    c1 = K1 / theta1
-    if P2 is None:
-        return (c1, t1), (0.0, []), (0.0, [])
-    K12, t12 = integral(c12_integrand(Q, P1, Q_other, P2_other, R, theta1, theta2), 3)
-    # d^2/dxdy = 1! 1! [xy]
-    # the ratio, not the squares: theta1**2 underflows for a tiny theta1
-    c12 = 4.0 * (theta2 / theta1) ** 2 * math.exp(R) * K12
-    kernel = c2_integrand(Q, P2, Q_other, P2_other, R, theta2)
-    if isinstance(Q, Family) or isinstance(P2, Family):
-        kernel = _symmetrized(kernel)
-    K2, t2 = integral(kernel, 4, symmetric=True)
-    # d^4/dx^2dy^2 = 2! 2! [x^2 y^2]
-    c2 = (2.0 / 3.0) * (4.0 * K2)
-    return (c1, t1), (c12, t12), (c2, t2)
+        K1, t1 = integral(c1_integrand(Q, P1, Q_other, P1_other, R, theta1), 1)
+        c1 = K1 / theta1
+        if P2 is None:
+            return (c1, t1), (0.0, []), (0.0, [])
+        K12, t12 = integral(c12_integrand(Q, P1, Q_other, P2_other, R, theta1, theta2), 3)
+        # d^2/dxdy = 1! 1! [xy]
+        # the ratio, not the squares: theta1**2 underflows for a tiny theta1
+        c12 = 4.0 * (theta2 / theta1) ** 2 * math.exp(R) * K12
+        kernel = c2_integrand(Q, P2, Q_other, P2_other, R, theta2)
+        if isinstance(Q, Family) or isinstance(P2, Family):
+            kernel = _symmetrized(kernel)
+        K2, t2 = integral(kernel, 4, symmetric=True)
+        # d^4/dx^2dy^2 = 2! 2! [x^2 y^2]
+        c2 = (2.0 / 3.0) * (4.0 * K2)
+        return (c1, t1), (c12, t12), (c2, t2)
 
 
 # -- public per-config operations ------------------------------------------

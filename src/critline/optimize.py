@@ -4,10 +4,13 @@ At fixed (R, theta1, theta2), c - 1 is a quadratic form in Q and one in
 (P1, P2) (Conrey's quadratic-form optimization): c = 1 + sum T[a, b, k, l]
 q_a q_b w_k w_l, with q Q's coefficients on its odd basis (``poly._q_basis``)
 and w those of P1 and P2 on monomials.  :func:`build_tensor` integrates T
-once per R.  Contracted on its Q axes it is the Gram matrix of (P1, P2),
-contracted on its P axes that of Q, and the constraints P1(1) = 1 and
-Q(0) = sum(q) = 1 have the same form, so one constrained solve serves both;
-:func:`alternate` alternates them, and R is the only searched parameter.
+once per R.  Contracted on its Q axes it is the Gram matrix M of (P1, P2),
+contracted on its P axes that of Q (:func:`gram_at`).  The constraints
+P1(1) = 1 and Q(0) = sum(q) = 1 have the same form, the first d1
+coordinates of w summing to 1 (d1 the size of P1's part, or all of q), so
+one solve serves both: :func:`solve_constrained` minimizes 1 + w'Mw under
+it.  :func:`alternate` alternates the two solves, and R is the only
+searched parameter.
 The (Q, P1, P2) the search solved at its best R is the reported point, and
 :func:`moments.evaluate` certifies it.
 """
@@ -15,7 +18,6 @@ The (Q, P1, P2) the search solved at its best R is the reported point, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import moments, presets, quad
 from .moments import ALL_ZEROS, SIMPLE_ZEROS, KappaReport, MollifierConfig
-from .poly import Polynomial, QSpec, _q_basis, make_p1, make_p2, make_q
+from .poly import QSpec, _q_basis, make_p1, make_p2, make_q
 
 # the search's quadrature: its tolerance and first rung
 SEARCH_GRAM_TOL = 1e-5
@@ -43,7 +45,7 @@ class OptimizeError(RuntimeError):
     pass
 
 
-# -- Gram system ------------------------------------------------------------
+# -- Gram matrices ----------------------------------------------------------
 
 
 def check_degrees(d1: int, d2: int) -> None:
@@ -54,28 +56,6 @@ def check_degrees(d1: int, d2: int) -> None:
     moments.check_p1_degree(d1)
     if d2 != 0 and d2 < 3:
         raise moments.ConfigError(f"d2 must be 0 or >= 3 (P2 starts at x^3), got {d2}")
-
-
-@dataclass(frozen=True)
-class GramSystem:
-    """c(w) = 1 + w'Mw under e'w = 1, ``e`` 1 on the first d1 coordinates
-    and 0 after: P1(1) = 1 over the monomials x^1..x^d1 of P1 and x^3..x^d2
-    of P2, or Q(0) = 1 over Q's odd basis (d1 the basis size)."""
-
-    M: np.ndarray
-    d1: int
-
-    @property
-    def e(self) -> np.ndarray:
-        return np.concatenate([np.ones(self.d1), np.zeros(len(self.M) - self.d1)])
-
-    def split(self, w: np.ndarray) -> tuple[Polynomial, Polynomial]:
-        """Translate a coefficient vector back into (P1, P2)."""
-        a, b = w[: self.d1], w[self.d1 :]
-        return make_p1(tuple(a), normalize=True), make_p2(tuple(b))
-
-    def total(self, w: np.ndarray) -> float:
-        return 1.0 + float(w @ self.M @ w)
 
 
 def build_tensor(
@@ -106,42 +86,32 @@ def build_tensor(
     return T
 
 
-def gram_at(T: np.ndarray, v: np.ndarray, d1: int) -> GramSystem:
-    """The Gram system of T's last two axes with v on its first two: of
-    (P1, P2) at Q's coefficients v, or of Q at v = (P1, P2) when T's axis
-    pairs are swapped.  Plain einsum, without ``optimize=``, calls no BLAS,
-    so the thread count cannot change a bit of the search."""
+def gram_at(T: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The symmetrized Gram matrix M of T's last two axes with v on its
+    first two: of (P1, P2) at Q's coefficients v, or of Q at v = (P1, P2)
+    when T's axis pairs are swapped.  Plain einsum, without ``optimize=``,
+    calls no BLAS, so the thread count cannot change a bit of the search."""
     M = np.einsum("a,b,abkl->kl", v, v, T)
-    return GramSystem(M=0.5 * (M + M.T), d1=d1)
-
-
-def build_gram(
-    Q: Polynomial,
-    R: float,
-    theta1: float,
-    theta2: float,
-    d1: int,
-    d2: int,
-    tol: float,
-) -> GramSystem:
-    """The Gram system of (P1, P2) at one Q: the tensor of the one-member
-    basis [Q].  ``d2 = 0`` disables the second piece (no P2 columns)."""
-    T = build_tensor(np.array([Q.coeffs]), R, theta1, theta2, d1, d2, tol)
-    return gram_at(T, np.ones(1), d1)
+    return 0.5 * (M + M.T)
 
 
 @lru_cache(maxsize=16)
-def _null_basis(n: int, d1: int) -> np.ndarray:
-    """An orthonormal basis of null(e') for e = (1 x d1, 0 x (n - d1)), as
-    columns; read-only, since every Gram of this size shares it."""
+def _surface(n: int, d1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constraint surface e'w = 1 for e = (1 x d1, 0 x (n - d1)): its
+    point e/d1 and an orthonormal basis of null(e'), as columns; read-only,
+    since every Gram of this size shares them."""
     e = np.concatenate([np.ones(d1), np.zeros(n - d1)])
-    basis = np.linalg.qr(e.reshape(-1, 1), mode="complete")[0][:, 1:]
-    basis.setflags(write=False)
-    return basis
+    w0, null_basis = e / d1, np.linalg.qr(e.reshape(-1, 1), mode="complete")[0][:, 1:]
+    w0.setflags(write=False)
+    null_basis.setflags(write=False)
+    return w0, null_basis
 
 
-def solve_constrained(sys: GramSystem) -> tuple[np.ndarray, float]:
-    """Minimize 1 + w'Mw on the constraint surface e'w = 1.
+def solve_constrained(M: np.ndarray, d1: int) -> tuple[np.ndarray, float]:
+    """Minimize c(w) = 1 + w'Mw on the constraint surface e'w = 1, ``e`` 1 on
+    the first d1 coordinates and 0 after: P1(1) = 1 over the monomials
+    x^1..x^d1 of P1 and x^3..x^d2 of P2, or Q(0) = 1 over Q's odd basis (d1
+    the basis size).  Returns w and its c.
 
     There w = e/d1 + Nz, the columns of N an orthonormal basis of null(e'),
     and the minimum solves (N'MN) z = -N'M e/d1.  c is a mean square, so N'MN
@@ -150,15 +120,14 @@ def solve_constrained(sys: GramSystem) -> tuple[np.ndarray, float]:
     it fails (quadrature or conditioning noise), raise :class:`OptimizeError`
     rather than return a stationary point that is not a minimum.
     """
-    null_basis = _null_basis(len(sys.M), sys.d1)
-    w0 = sys.e / sys.d1
+    w0, null_basis = _surface(len(M), d1)
     try:
-        chol = np.linalg.cholesky(null_basis.T @ sys.M @ null_basis)
+        chol = np.linalg.cholesky(null_basis.T @ M @ null_basis)
     except np.linalg.LinAlgError as exc:
         raise OptimizeError("Gram matrix is not positive definite on the constraint surface") from exc
-    z = np.linalg.solve(chol.T, np.linalg.solve(chol, -null_basis.T @ sys.M @ w0))
+    z = np.linalg.solve(chol.T, np.linalg.solve(chol, -null_basis.T @ M @ w0))
     w = w0 + null_basis @ z
-    return w, sys.total(w)
+    return w, 1.0 + float(w @ M @ w)
 
 
 def alternate(T: np.ndarray, q: np.ndarray, d1: int) -> tuple[np.ndarray, list[float]]:
@@ -168,8 +137,8 @@ def alternate(T: np.ndarray, q: np.ndarray, d1: int) -> tuple[np.ndarray, list[f
     ``MAX_ROUNDS`` rounds.  Returns the last q and c after every solve."""
     history: list[float] = []
     for _ in range(MAX_ROUNDS):
-        w, c_w = solve_constrained(gram_at(T, q, d1))
-        q, c_q = solve_constrained(gram_at(T.transpose(2, 3, 0, 1), w, len(q)))
+        w, c_w = solve_constrained(gram_at(T, q), d1)
+        q, c_q = solve_constrained(gram_at(T.transpose(2, 3, 0, 1), w), len(q))
         history += [c_w, c_q]
         if len(history) > 2 and history[-3] - c_q <= ROUND_TOL * c_q:
             break
@@ -311,15 +280,15 @@ def optimize_full(
         try:
             T = build_tensor(basis, R, theta1, theta2, d1, d2, SEARCH_GRAM_TOL)
             q, history = alternate(T, q, d1)
-            gram = gram_at(T, q, d1)
-            w, c_w = solve_constrained(gram)
+            w, c_w = solve_constrained(gram_at(T, q), d1)
         except (quad.QuadratureError, OptimizeError) as exc:
             raise OptimizeError(f"search failed at R = {R!r}: {exc}") from exc
         rounds += len(history) // 2
         c = history[-1]
         if not 0.0 < c < math.inf:
             raise OptimizeError(f"total constant {c!r} is not a positive number at R = {R!r}")
-        points[R] = (moments.compute_kappa(c, R), q, gram.split(w), c_w)
+        P = make_p1(tuple(w[:d1]), normalize=True), make_p2(tuple(w[d1:]))
+        points[R] = (moments.compute_kappa(c, R), q, P, c_w)
         return -points[R][0]
 
     _search_R(score, R0, max_iterations)

@@ -155,7 +155,8 @@ def integrate_converged(f, d: int, tol: float = DEFAULT_TOL, n_start: int = N_SE
     (delta is None for the first order); n is the order on the axes outside
     the pair.  Raises :class:`QuadratureError` with the trace at the first
     order whose value is not finite (more nodes cannot repair a NaN or an
-    overflow), and when the ladder ends unconverged.
+    overflow; that order is listed with delta None), and when the ladder
+    ends unconverged.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -167,10 +168,11 @@ def integrate_converged(f, d: int, tol: float = DEFAULT_TOL, n_start: int = N_SE
         members = 1 if prev is None else np.size(prev)
         pair = gauss_rule(-(-2 * n // 3)) if symmetric else None
         value = integrate_cube(f, d, gauss_rule(n), pair=pair, members=members)
+        if not np.all(np.isfinite(value)):
+            trace.append((n, None))
+            raise QuadratureError(f"non-finite integral at n = {n}: trace {trace}", trace)
         delta = None if prev is None else _rel_diff(value, prev)
         trace.append((n, delta))
-        if not np.all(np.isfinite(value)):
-            raise QuadratureError(f"non-finite integral at n = {n}: trace {trace}", trace)
         if delta is not None and delta < tol:
             return value, trace
         prev = value

@@ -76,8 +76,8 @@ def test_criterion_4_optimizer_sanity():
     assert opt_report.kappa >= preset_report.kappa - 1e-6
 
     cfg = kappa_preset()
-    gram = optimize.build_gram(cfg.Q, cfg.R, cfg.theta1, cfg.theta2, 5, 5, tol=1e-8)
-    _, c_min = optimize.solve_constrained(gram)
+    T = optimize.build_tensor(np.array([cfg.Q.coeffs]), cfg.R, cfg.theta1, cfg.theta2, 5, 5, 1e-8)
+    _, c_min = optimize.solve_constrained(optimize.gram_at(T, np.ones(1)), 5)
     reference = moments.evaluate(replace(cfg, P1=make_p1(KAPPA_P1, normalize=True)))
     assert c_min <= reference.c + 1e-9, (c_min, reference.c)
 

@@ -9,7 +9,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from critline import cli, moments, optimize, oracle, presets, quad
@@ -212,14 +211,32 @@ def test_quad_max_nodes_outside_the_rules_is_config_error(tmp_path, capsys, key,
     assert f"line 3: unknown key {key!r}" in capsys.readouterr().err
 
 
+OVERFLOWING_CONFIGS = [
+    # e^(2Rv) overflows at the first order
+    ("R = 1e308\np1_coeffs = 0.6, 0.4\n", quad.N_SEQUENCE_START),
+    # c1's kernel overflows at the second order only, after a finite first
+    ("R = 355\nq_odd_coeffs = 0.604\nq_const = 0.396\np1_coeffs = 1\n", 18),
+    # the published kappa polynomials at R = 800
+    ("R = 800\nq_const = 0.492\nq_odd_coeffs = 0.604, -0.08, -0.06, 0.046\n"
+     "p1_coeffs = 0.842706, 0.00845721, 0.093117, 0.118788, -0.0630687\n"
+     "p2_coeffs = 0.0245412, -0.00635566, 0.00603128\n", quad.N_SEQUENCE_START),
+    # c2's kernel overflows in P2 squared
+    ("R = 1.28\np1_coeffs = 1\np2_coeffs = 1e300\n", quad.N_SEQUENCE_START),
+]
+
+
 def test_overflowing_integrand_is_numerical_error(tmp_path, capsys):
-    # e^(2Rv) overflows: the first order is already non-finite and the ladder stops there
-    path = tmp_path / "huge.cfg"
-    path.write_text("R = 1e308\np1_coeffs = 0.6, 0.4\n")
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["eval", str(path)]) == EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert f"non-finite integral at n = {quad.N_SEQUENCE_START}" in err
+    # the ladder stops at the first non-finite order and lists it with no
+    # delta; numpy's overflow warnings (errors under this suite's
+    # filterwarnings) stay silent, so stderr is the one failure line
+    for text, n in OVERFLOWING_CONFIGS:
+        path = tmp_path / "huge.cfg"
+        path.write_text(text)
+        assert main(["eval", str(path)]) == EXIT_NUMERICAL, text
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numerical failure: non-finite integral"), err
+        assert f"non-finite integral at n = {n}: trace [" in err and f"({n}, None)]" in err, err
+        assert "nan" not in err, err
 
 
 def test_non_convergence_is_numerical_error(tmp_path, capsys, monkeypatch):

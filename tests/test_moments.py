@@ -658,7 +658,8 @@ def test_blocks_use_the_triangle_for_mirrored_sides_only(monkeypatch):
     assert orders(4) == [(12, 8), (18, 12)]
     assert orders(3) == [(12, None), (18, None)]
     calls.clear()
-    optimize.build_gram(cfg.Q, cfg.R, cfg.theta1, cfg.theta2, 5, 5, optimize.SEARCH_GRAM_TOL)
+    optimize.build_tensor(np.array([cfg.Q.coeffs]), cfg.R, cfg.theta1, cfg.theta2, 5, 5,
+                          optimize.SEARCH_GRAM_TOL)
     assert orders(4) == [(8, 6), (12, 8)]
     assert orders(3) == [(8, None), (12, None)]
 

@@ -104,7 +104,9 @@ def test_non_finite_order_raises_at_once():
 
     with pytest.raises(QuadratureError) as exc_info:
         integrate_converged(late_nan, 1, tol=1e-12)
+    # the failing order is listed with no delta: a NaN is not a distance
     assert [n for n, _ in exc_info.value.trace] == [FIRST, SECOND]
+    assert exc_info.value.trace[-1] == (SECOND, None)
     assert calls == [FIRST, SECOND]
 
 
