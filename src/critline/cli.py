@@ -26,30 +26,6 @@ EXIT_VERIFY = 4
 CONFIG_KEYS = {"theta1", "theta2", "R", "q_const", "q_odd_coeffs", "p1_coeffs", "p2_coeffs", "mode"}
 
 
-def _report_with_normalized_q(cfg: MollifierConfig) -> KappaReport:
-    """Evaluate, renormalizing Q to Q(0) = 1 first when the input does not
-    satisfy the constraint exactly; the unnormalized value is kept in the
-    diagnostics.
-
-    The unnormalized c needs no second evaluation.  The published formula
-    writes c1's diagonal term P1(1)^2 Q(0)^2 as the literal 1, and
-    :func:`moments.evaluate` adds that same 1; every kernel behind c - 1 is
-    quadratic in Q.  So at the verbatim Q, c - 1 scales by Q(0)^2 and the 1
-    stays: c_verbatim = 1 + Q(0)^2 (c - 1) is what evaluating the verbatim
-    input directly gives, not Q(0)^2 c."""
-    q0 = cfg.Q(0.0)
-    if abs(q0 - 1.0) <= 1e-12:
-        return moments.evaluate(cfg)
-    report = moments.evaluate(moments.renormalized_q(cfg))
-    c_verbatim = 1.0 + q0 * q0 * (report.c - 1.0)
-    report.diagnostics.update(
-        q0_verbatim=q0,
-        kappa_verbatim=moments.compute_kappa(c_verbatim, cfg.R),
-        c_verbatim=c_verbatim,
-    )
-    return report
-
-
 def _write_json(path: str, payload: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(payload + "\n")
@@ -149,13 +125,13 @@ def parse_config(path: str) -> MollifierConfig:
 def run_reproduce(args) -> int:
     if args.preset not in PRESETS:
         raise ConfigError(f"unknown preset {args.preset!r}; choose kappa or kappa-star")
-    report = _report_with_normalized_q(PRESETS[args.preset]())
+    report = moments.evaluate(PRESETS[args.preset]())
     _emit(report, args.json)
     return EXIT_OK
 
 
 def run_eval(args) -> int:
-    report = _report_with_normalized_q(parse_config(args.config))
+    report = moments.evaluate(parse_config(args.config))
     _emit(report, args.json)
     return EXIT_OK
 

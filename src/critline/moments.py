@@ -441,23 +441,35 @@ def _p1_normalized(P1: Polynomial, R: float, c1: float, c12: float, c2: float) -
 
 
 def evaluate(cfg: MollifierConfig) -> KappaReport:
-    """The constants and kappa, every ladder certified to ``quad.DEFAULT_TOL``."""
+    """The constants and kappa, every ladder certified to ``quad.DEFAULT_TOL``.
+
+    The mollifier needs Q(0) = 1, so a Q off it by more than 1e-12 is
+    evaluated as Q / Q(0) (:func:`renormalized_q`; Q(0) = 0 is a
+    ``ConfigError``), and the report's ``config`` is that point.  The
+    verbatim input needs no second evaluation: c1's diagonal term, which
+    the published formula writes as the literal 1 for P1(1)^2 Q(0)^2, is
+    the 1 added here, and every kernel behind c - 1 is quadratic in Q.  So
+    at the verbatim Q, c - 1 scales by Q(0)^2 and the 1 stays, and the
+    diagnostics add ``q0_verbatim``, ``kappa_verbatim`` and
+    c_verbatim = 1 + Q(0)^2 (c - 1), not Q(0)^2 c."""
+    q0 = cfg.Q(0.0)
+    renormalize = abs(q0 - 1.0) > 1e-12
+    if renormalize:
+        cfg = renormalized_q(cfg)
     tol = quad.DEFAULT_TOL
     side = (cfg.Q, cfg.P1, None if cfg.P2.is_zero else cfg.P2)
     (c1, t1), (c12, t12), (c2, t2) = blocks(side, cfg.R, cfg.theta1, cfg.theta2,
                                             tol, quad.N_SEQUENCE_START)
     c1, c12, c2 = 1.0 + float(c1), float(c12), float(c2)
     c = c1 + 2.0 * c12 + c2
-    return KappaReport(
-        c1=c1,
-        c12=c12,
-        c2=c2,
-        c=c,
-        kappa=compute_kappa(c, cfg.R),
-        config=cfg,
-        diagnostics={"quad_tol": tol, "c1_trace": t1, "c12_trace": t12, "c2_trace": t2,
-                     **_p1_normalized(cfg.P1, cfg.R, c1, c12, c2)},
-    )
+    diagnostics = {"quad_tol": tol, "c1_trace": t1, "c12_trace": t12, "c2_trace": t2,
+                   **_p1_normalized(cfg.P1, cfg.R, c1, c12, c2)}
+    if renormalize:
+        c_verbatim = 1.0 + q0 * q0 * (c - 1.0)
+        diagnostics.update(q0_verbatim=q0, kappa_verbatim=compute_kappa(c_verbatim, cfg.R),
+                           c_verbatim=c_verbatim)
+    return KappaReport(c1=c1, c12=c12, c2=c2, c=c, kappa=compute_kappa(c, cfg.R),
+                       config=cfg, diagnostics=diagnostics)
 
 
 def renormalized_q(cfg: MollifierConfig) -> MollifierConfig:

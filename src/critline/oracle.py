@@ -924,11 +924,13 @@ def fd_c2(cfg: moments.MollifierConfig) -> float:
 
 
 def check_jet_operators(cfg: moments.MollifierConfig):
-    """c12 and c2 of :func:`moments.evaluate` against the finite-difference oracle."""
+    """c12 and c2 of :func:`moments.evaluate` against the finite-difference
+    oracle, both at ``report.config``: the point the report describes, which
+    is Q / Q(0) when Q(0) is not 1."""
     report = moments.evaluate(cfg)
     c12_jet, c2_jet = report.c12, report.c2
-    c12_fd = fd_c12(cfg)
-    c2_fd = fd_c2(cfg)
+    c12_fd = fd_c12(report.config)
+    c2_fd = fd_c2(report.config)
     err12 = abs(c12_jet - c12_fd) / max(abs(c12_jet), 1e-12)
     err2 = abs(c2_jet - c2_fd) / max(abs(c2_jet), 1e-12)
     return CheckResult.from_error(

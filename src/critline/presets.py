@@ -3,6 +3,10 @@
 ``kappa``: R = 1.28, degree-7 odd-basis Q, theta = (4/7, 1/2), giving the
 headline bound kappa >= .4105.  ``kappa-star``: R = 1.12 with linear Q
 (simple-zeros mode), giving kappa* >= .4058.
+
+The printed ``kappa`` Q has Q(0) = 1.002; :func:`moments.evaluate` scales
+it to Q(0) = 1, which the headline digits assume, and reports the
+unnormalized kappa in its diagnostics.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ def test_criterion_1_kappa_preset(tmp_path):
     payload = run_reproduce("kappa", tmp_path)
     assert payload["kappa"] >= 0.41049
     assert_traces_stable(payload)
-    fd = oracle.check_jet_operators(moments.renormalized_q(kappa_preset()))
+    fd = oracle.check_jet_operators(kappa_preset())
     assert fd.threshold == 1e-6
     assert fd.passed, fd.params
 
@@ -75,7 +75,7 @@ def test_criterion_4_optimizer_sanity():
     )
     assert opt_report.kappa >= preset_report.kappa - 1e-6
 
-    cfg = kappa_preset()
+    cfg = moments.renormalized_q(kappa_preset())
     T = optimize.build_tensor(np.array([cfg.Q.coeffs]), cfg.R, cfg.theta1, cfg.theta2, 5, 5, 1e-8)
     _, c_min = optimize.solve_constrained(optimize.gram_at(T, np.ones(1)), 5)
     reference = moments.evaluate(replace(cfg, P1=make_p1(KAPPA_P1, normalize=True)))

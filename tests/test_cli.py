@@ -112,6 +112,18 @@ def test_readme_config_example_gives_a_positive_bound(tmp_path):
     assert json.loads(out.read_text())["kappa"] == pytest.approx(0.4089575965622455, abs=1e-12)
 
 
+def test_readme_library_example_prints_the_headline(capsys):
+    # evaluate applies Q(0) = 1 itself: kappa at the verbatim Q, where the
+    # printed Q(0) is 1.002, is 0.408856695745
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
+    exec(block, {})
+    printed = float(capsys.readouterr().out)
+    assert abs(printed - 0.410512143710) <= 1e-12
+    shown = re.search(r"print\(report\.kappa\)\s+# (\S+)", block).group(1)
+    assert abs(float(shown) - printed) <= 1e-12
+
+
 def test_parse_config_requires_p1(tmp_path):
     path = tmp_path / "nop1.cfg"
     path.write_text("R = 1.0\n")
@@ -520,46 +532,26 @@ def test_python_dash_m_runs_the_cli(capsys):
         assert run.stdout == capsys.readouterr().out
 
 
-def test_reproduce_normalizes_preset_q(tmp_path, monkeypatch):
-    # stub the heavy evaluation: reproduce must renormalize Q(0) = 1.002 -> 1,
-    # evaluate once, and derive the verbatim values from the normalized report
-    from critline.moments import KappaReport
-
-    captured = []
-
-    def fake_evaluate(cfg):
-        captured.append(cfg.Q(0.0))
-        return KappaReport(c1=2.0, c12=0.0, c2=0.0, c=2.0, kappa=0.4, config=cfg)
-
-    monkeypatch.setattr(moments, "evaluate", fake_evaluate)
-    out = tmp_path / "rep.json"
-    assert main(["reproduce", "--preset", "kappa", "--json", str(out)]) == EXIT_OK
-    assert captured == [pytest.approx(1.0, abs=1e-12)]  # the normalized run only
-    payload = load_report(out.read_text())
-    diagnostics = payload["diagnostics"]
-    assert diagnostics["q0_verbatim"] == pytest.approx(1.002)
-    assert diagnostics["c_verbatim"] == pytest.approx(1.0 + 1.002**2 * (2.0 - 1.0), rel=1e-14)
-    assert diagnostics["kappa_verbatim"] == pytest.approx(
-        1.0 - math.log(diagnostics["c_verbatim"]) / 1.28, rel=1e-14
-    )
-
-
-def test_reproduce_evaluates_once(tmp_path, monkeypatch):
-    # the verbatim diagnostics follow from the one normalized evaluation and
-    # agree with a direct evaluation of the verbatim preset
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_reproduce_writes_the_library_report(preset, tmp_path, monkeypatch):
+    # reproduce is moments.evaluate and the report's JSON, one blocks pass
+    want = json.dumps(moments.evaluate(PRESETS[preset]()).to_dict(), indent=2) + "\n"
     calls = []
-    real_evaluate = moments.evaluate
+    real_blocks = moments.blocks
 
-    def counting_evaluate(cfg, *args, **kwargs):
-        calls.append(cfg.Q(0.0))
-        return real_evaluate(cfg, *args, **kwargs)
+    def counting_blocks(*args):
+        calls.append(args)
+        return real_blocks(*args)
 
-    monkeypatch.setattr(moments, "evaluate", counting_evaluate)
+    monkeypatch.setattr(moments, "blocks", counting_blocks)
     out = tmp_path / "rep.json"
-    assert main(["reproduce", "--preset", "kappa", "--json", str(out)]) == EXIT_OK
-    assert calls == [pytest.approx(1.0, abs=1e-12)]
-    diagnostics = load_report(out.read_text())["diagnostics"]
-    verbatim = real_evaluate(PRESETS["kappa"]())
-    assert diagnostics["q0_verbatim"] == pytest.approx(1.002, abs=1e-12)
-    assert diagnostics["c_verbatim"] == pytest.approx(verbatim.c, rel=1e-12)
-    assert diagnostics["kappa_verbatim"] == pytest.approx(verbatim.kappa, abs=1e-12)
+    assert main(["reproduce", "--preset", preset, "--json", str(out)]) == EXIT_OK
+    assert len(calls) == 1
+    assert out.read_text() == want
+
+
+def test_q0_of_0_is_config_error(tmp_path, capsys):
+    path = tmp_path / "q0.cfg"
+    path.write_text("R = 1.1\nq_const = -0.3\nq_odd_coeffs = 0.3\np1_coeffs = 0.6, 0.4\n")
+    assert main(["eval", str(path)]) == EXIT_CONFIG
+    assert "cannot renormalize" in capsys.readouterr().err

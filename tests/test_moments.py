@@ -308,15 +308,65 @@ def test_renormalized_q():
     assert normed.Q.coeffs == tuple(c / q0 for c in cfg.Q.coeffs)
     with pytest.raises(ConfigError):
         renormalized_q(small_config(Q=Polynomial((0.0, 1.0))))
+    with pytest.raises(ConfigError, match="cannot renormalize"):
+        evaluate(small_config(Q=Polynomial((0.0, 1.0))))
+
+
+def raw_c(cfg):
+    """c at the config as given, Q(0) = 1 or not: one :func:`blocks` pass."""
+    side = (cfg.Q, cfg.P1, None if cfg.P2.is_zero else cfg.P2)
+    (c1, _), (c12, _), (c2, _) = blocks(side, cfg.R, cfg.theta1, cfg.theta2,
+                                        quad.DEFAULT_TOL, quad.N_SEQUENCE_START)
+    return 1.0 + float(c1) + 2.0 * float(c12) + float(c2)
 
 
 def test_renormalization_rescales_the_quadratic_part():
     # every constant is quadratic in Q, so c - 1 scales by 1/Q(0)^2
     cfg = small_config(Q=make_q(QSpec(odd_coeffs=(0.3,), const=0.704)))
     q0 = cfg.Q(0.0)
-    raw = evaluate(cfg)
-    normed = evaluate(renormalized_q(cfg))
-    assert normed.c - 1.0 == pytest.approx((raw.c - 1.0) / q0**2, rel=1e-9)
+    normed = evaluate(cfg)
+    assert normed.config.Q(0.0) == pytest.approx(1.0, abs=1e-15)
+    assert normed.c - 1.0 == pytest.approx((raw_c(cfg) - 1.0) / q0**2, rel=1e-9)
+
+
+def test_evaluate_normalizes_preset_q(monkeypatch):
+    # stub the constants: evaluate must renormalize Q(0) = 1.002 -> 1, run
+    # blocks once, and derive the verbatim values from the normalized c
+    q0s = []
+
+    def fake_blocks(side, *args):
+        q0s.append(side[0](0.0))
+        return (1.0, []), (0.0, []), (0.0, [])
+
+    monkeypatch.setattr(moments, "blocks", fake_blocks)
+    diagnostics = evaluate(kappa_preset()).diagnostics
+    assert q0s == [pytest.approx(1.0, abs=1e-12)]  # the normalized run only
+    assert list(diagnostics)[-3:] == ["q0_verbatim", "kappa_verbatim", "c_verbatim"]
+    assert diagnostics["q0_verbatim"] == pytest.approx(1.002)
+    assert diagnostics["c_verbatim"] == pytest.approx(1.0 + 1.002**2 * (2.0 - 1.0), rel=1e-14)
+    assert diagnostics["kappa_verbatim"] == pytest.approx(
+        1.0 - math.log(diagnostics["c_verbatim"]) / 1.28, rel=1e-14
+    )
+
+
+def test_evaluate_runs_blocks_once(monkeypatch):
+    # the verbatim diagnostics follow from the one normalized blocks pass and
+    # agree with a direct blocks pass at the verbatim preset
+    calls = []
+    real_blocks = moments.blocks
+
+    def counting_blocks(side, *args):
+        calls.append(side[0](0.0))
+        return real_blocks(side, *args)
+
+    monkeypatch.setattr(moments, "blocks", counting_blocks)
+    diagnostics = evaluate(kappa_preset()).diagnostics
+    assert calls == [pytest.approx(1.0, abs=1e-12)]
+    cfg = kappa_preset()
+    c = raw_c(cfg)
+    assert diagnostics["q0_verbatim"] == pytest.approx(1.002, abs=1e-12)
+    assert diagnostics["c_verbatim"] == pytest.approx(c, rel=1e-12)
+    assert diagnostics["kappa_verbatim"] == pytest.approx(compute_kappa(c, cfg.R), abs=1e-12)
 
 
 # -- closed-form kernels against the jet ring ---------------------------------
@@ -651,8 +701,8 @@ def test_blocks_use_the_triangle_for_mirrored_sides_only(monkeypatch):
                 for dim, args, kwargs in calls if dim == d]
 
     monkeypatch.setattr(quad, "integrate_cube", recording)
-    cfg = renormalized_q(kappa_preset())
-    report = evaluate(cfg)
+    report = evaluate(kappa_preset())
+    cfg = report.config
     assert all(isinstance(args[0], quad.QuadratureRule) for _, args, _ in calls)
     assert [n for n, _ in report.diagnostics["c2_trace"]] == [12, 18]
     assert orders(4) == [(12, 8), (18, 12)]
@@ -699,7 +749,7 @@ def test_q_orders_past_its_degree_change_no_bit(powers):
 
 @pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])
 def test_preset_ladders_stop_at_the_second_rung(preset):
-    report = evaluate(renormalized_q(preset()))
+    report = evaluate(preset())
     for name in ("c1_trace", "c12_trace", "c2_trace"):
         assert [n for n, _ in report.diagnostics[name]] == list(quad.ladder(4))[:2] == [12, 18], name
 

@@ -266,6 +266,16 @@ def test_optimum_is_stationary_in_the_p2_scale():
     assert total(M, np.array(cfg.P1.coeffs[1:] + cfg.P2.coeffs[3:])) - c_star <= 1e-12
 
 
+def test_searched_reports_need_no_renormalization():
+    # the search holds Q(0) = 1 by its constraint, so evaluate keeps its Q
+    report = optimize.optimize_full(
+        theta1=THETA1, theta2=THETA2, d1=3, d2=3, q_degree=1,
+        mode=moments.SIMPLE_ZEROS, max_iterations=2,
+    )
+    assert abs(report.config.Q(0.0) - 1.0) <= 1e-12
+    assert "q0_verbatim" not in report.diagnostics
+
+
 # -- the quartic tensor --------------------------------------------------------
 
 

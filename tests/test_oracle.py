@@ -776,10 +776,10 @@ def test_jet_operators_pass_at_the_kappa_preset():
 @pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])
 def test_fd_oracle_agrees_with_evaluate_to_its_floor(preset):
     # a hundredth of JET_OPERATOR_TOL: the stencil's 1/(144 h^4) amplifies
-    # long-double rounding of each scalar to 1.0e-9 (kappa) and 1.8e-10
+    # long-double rounding of each scalar to 5.9e-10 (kappa) and 1.4e-10
     # (kappa-star) relative in c2
-    cfg = preset()
-    report = moments.evaluate(cfg)
+    report = moments.evaluate(preset())
+    cfg = report.config
     assert abs(oracle.fd_c12(cfg) - report.c12) <= 1e-8 * abs(report.c12)
     assert abs(oracle.fd_c2(cfg) - report.c2) <= 1e-8 * abs(report.c2)
 
