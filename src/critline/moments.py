@@ -28,7 +28,7 @@ from typing import Any
 import numpy as np
 
 from . import quad
-from .poly import Polynomial
+from .poly import InY, Polynomial
 
 THETA1_MAX = 4.0 / 7.0
 THETA2_MAX = 0.5
@@ -80,7 +80,7 @@ class MollifierConfig:
     theta1: float
     theta2: float
     R: float
-    Q: Polynomial
+    Q: InY  # Q(x) = p(1 - 2x); Q.coeffs are p's, ascending in y
     P1: Polynomial
     P2: Polynomial
     mode: str = ALL_ZEROS
@@ -181,11 +181,18 @@ def _taylor(p: Polynomial, order: int) -> list[Polynomial]:
     return out
 
 
+def _at(taylor: list[Polynomial], c0) -> list:
+    """Each of ``taylor`` at c0, Q in y (:class:`InY`) mapping c0 to y once."""
+    if isinstance(taylor[0], InY):
+        taylor, c0 = [p.p for p in taylor], 1.0 - 2.0 * c0
+    return [p(c0) for p in taylor]
+
+
 def _series(taylor: list[Polynomial], c0, c) -> list:
     """Coefficients of h^k, k < len(taylor), in p(c0 + c*h)."""
-    out, ck = [taylor[0](c0)], c
-    for p in taylor[1:]:
-        out.append(p(c0) * ck)
+    out, ck = _at(taylor, c0), c
+    for k in range(1, len(out)):
+        out[k] = out[k] * ck
         ck = ck * c
     return out
 
@@ -195,7 +202,7 @@ def _grid(taylor: list[Polynomial], c0, cx, cy, cap: int) -> list[list]:
     p^(i+j)(c0) cx^i cy^j / (i! j!), read from ``taylor`` (order up to
     2*cap).  An entry whose order i + j is past the end of ``taylor`` (past
     p's degree) is 0 and is left ``None``, which :func:`_coeff` skips."""
-    t = [p(c0) for p in taylor]
+    t = _at(taylor, c0)
     px, py = [1.0, cx, cx * cx], [1.0, cy, cy * cy]
     return [
         [t[i + j] * (math.comb(i + j, i) * px[i] * py[j]) if i + j < len(t) else None
@@ -345,7 +352,7 @@ def c2_integrand(Q, P2, Q_other, P2_other, R: float, theta2: float):
 
 
 def _sides(slot, axis: int):
-    """A slot's left and right halves: a :class:`Polynomial` twice, or its
+    """A slot's left and right halves: a polynomial twice, or its
     coefficient rows as families on member axis ``axis`` and the next."""
     if isinstance(slot, np.ndarray):
         return Family(slot, axis), Family(slot, axis + 1)
@@ -369,11 +376,12 @@ def blocks(side, R: float, theta1: float, theta2: float, tol: float, n_start: in
     quadrature ladder from ``n_start`` and normalized: c1 in 1-D (v; its
     u-part is exact in the kernel), c12 in 3-D and c2 in 4-D.
 
-    ``side`` is ``(Q, P1, P2)``, P2 ``None`` for no second piece (c12 and
-    c2 are then ``(0.0, [])``).  A :class:`Polynomial` slot is its own
-    mirror; an array of coefficient rows puts its members on member axis 0
-    (Q) or 2 (P) on the left and the next axis on the right.  c12 pairs the
-    left (Q, P1) with the right (Q, P2).  c2's kernel is unchanged when its
+    ``side`` is ``(Q, P1, P2)``, P2 ``None`` for no second piece (c12 and c2
+    are then ``(0.0, [])``).  A polynomial slot is its own mirror; an array
+    of coefficient rows puts its members on member axis 0 (Q) or 2 (P) on
+    the left and the next axis on the right.  Q's rows are coefficients in
+    y = 1 - 2x, as in :class:`InY`; P's are monomial.  c12 pairs the left
+    (Q, P1) with the right (Q, P2).  c2's kernel is unchanged when its
     sides, x with y and u with v are exchanged, so c2 is summed over the
     (u, v) triangle of node pairs i <= j of the rule of order ceil(2n/3),
     one rung behind the order n of t and r, which its trace lists.  When Q
@@ -387,6 +395,8 @@ def blocks(side, R: float, theta1: float, theta2: float, tol: float, n_start: in
     with np.errstate(over="ignore", invalid="ignore"):
         (Q, Q_other), (P1, P1_other), (P2, P2_other) = (
             _sides(slot, axis) for slot, axis in zip(side, (0, 2, 2)))
+        if isinstance(side[0], np.ndarray):
+            Q, Q_other = InY(Q), InY(Q_other)
 
         def integral(integrand, d: int, symmetric: bool = False):
             return quad.integrate_converged(integrand, d, tol=tol, n_start=n_start,
@@ -401,7 +411,7 @@ def blocks(side, R: float, theta1: float, theta2: float, tol: float, n_start: in
         # the ratio, not the squares: theta1**2 underflows for a tiny theta1
         c12 = 4.0 * (theta2 / theta1) ** 2 * math.exp(R) * K12
         kernel = c2_integrand(Q, P2, Q_other, P2_other, R, theta2)
-        if isinstance(Q, Family) or isinstance(P2, Family):
+        if isinstance(side[0], np.ndarray) or isinstance(side[2], np.ndarray):
             kernel = _symmetrized(kernel)
         K2, t2 = integral(kernel, 4, symmetric=True)
         # d^4/dx^2dy^2 = 2! 2! [x^2 y^2]
@@ -451,7 +461,8 @@ def evaluate(cfg: MollifierConfig) -> KappaReport:
     the 1 added here, and every kernel behind c - 1 is quadratic in Q.  So
     at the verbatim Q, c - 1 scales by Q(0)^2 and the 1 stays, and the
     diagnostics add ``q0_verbatim``, ``kappa_verbatim`` and
-    c_verbatim = 1 + Q(0)^2 (c - 1), not Q(0)^2 c."""
+    c_verbatim = 1 + Q(0)^2 (c - 1), not Q(0)^2 c, the last two left out
+    when that c is not a positive number (Q(0)^2 overflows from 1e154)."""
     q0 = cfg.Q(0.0)
     renormalize = abs(q0 - 1.0) > 1e-12
     if renormalize:
@@ -466,8 +477,10 @@ def evaluate(cfg: MollifierConfig) -> KappaReport:
                    **_p1_normalized(cfg.P1, cfg.R, c1, c12, c2)}
     if renormalize:
         c_verbatim = 1.0 + q0 * q0 * (c - 1.0)
-        diagnostics.update(q0_verbatim=q0, kappa_verbatim=compute_kappa(c_verbatim, cfg.R),
-                           c_verbatim=c_verbatim)
+        diagnostics["q0_verbatim"] = q0
+        if 0.0 < c_verbatim < math.inf:
+            diagnostics.update(kappa_verbatim=compute_kappa(c_verbatim, cfg.R),
+                               c_verbatim=c_verbatim)
     return KappaReport(c1=c1, c12=c12, c2=c2, c=c, kappa=compute_kappa(c, cfg.R),
                        config=cfg, diagnostics=diagnostics)
 
@@ -475,6 +488,6 @@ def evaluate(cfg: MollifierConfig) -> KappaReport:
 def renormalized_q(cfg: MollifierConfig) -> MollifierConfig:
     """Config with Q rescaled so Q(0) = 1 exactly (the verbatim preset has 1.002)."""
     q0 = cfg.Q(0.0)
-    if q0 == 0.0:
-        raise ConfigError("cannot renormalize: Q(0) = 0")
+    if q0 == 0.0 or not math.isfinite(q0):
+        raise ConfigError(f"cannot renormalize: Q(0) = {q0:g}")
     return replace(cfg, Q=cfg.Q.scale(1.0 / q0))

@@ -2,15 +2,15 @@
 
 At fixed (R, theta1, theta2), c - 1 is a quadratic form in Q and one in
 (P1, P2) (Conrey's quadratic-form optimization): c = 1 + sum T[a, b, k, l]
-q_a q_b w_k w_l, with q Q's coefficients on its odd basis (``poly._q_basis``)
-and w those of P1 and P2 on monomials.  :func:`build_tensor` integrates T
-once per R.  Contracted on its Q axes it is the Gram matrix M of (P1, P2),
-contracted on its P axes that of Q (:func:`gram_at`).  The constraints
-P1(1) = 1 and Q(0) = sum(q) = 1 have the same form, the first d1
-coordinates of w summing to 1 (d1 the size of P1's part, or all of q), so
-one solve serves both: :func:`solve_constrained` minimizes 1 + w'Mw under
-it.  :func:`alternate` alternates the two solves, and R is the only
-searched parameter.
+q_a q_b w_k w_l, with q Q's coefficients at y^0 and the odd powers of
+y = 1 - 2x (``poly.InY``) and w those of P1 and P2 on monomials.
+:func:`build_tensor` integrates T once per R.  Contracted on its Q axes it
+is the Gram matrix M of (P1, P2), contracted on its P axes that of Q
+(:func:`gram_at`).  The constraints P1(1) = 1 and Q(0) = sum(q) = 1 have
+the same form, the first d1 coordinates of w summing to 1 (d1 the size of
+P1's part, or all of q), so one solve serves both: :func:`solve_constrained`
+minimizes 1 + w'Mw under it.  :func:`alternate` alternates the two solves,
+and R is the only searched parameter.
 The (Q, P1, P2) the search solved at its best R is the reported point, and
 :func:`moments.evaluate` certifies it.
 """
@@ -25,12 +25,13 @@ import numpy as np
 
 from . import moments, presets, quad
 from .moments import ALL_ZEROS, SIMPLE_ZEROS, KappaReport, MollifierConfig
-from .poly import QSpec, _q_basis, make_p1, make_p2, make_q
+from .poly import QSpec, make_p1, make_p2, make_q
 
 # the search's quadrature: its tolerance and first rung
 SEARCH_GRAM_TOL = 1e-5
 GRAM_N_START = 8
 MAX_ITERATIONS = 200
+Q_DEGREE_MAX = 23  # from 25 on, Q's Gram matrix is not positive definite to rounding
 # the R search: admissible range, first bracketing step, final bracket width
 R_RANGE = (0.1, 5.0)
 R_STEP = 0.05
@@ -62,8 +63,8 @@ def build_tensor(
     basis: np.ndarray, R: float, theta1: float, theta2: float, d1: int, d2: int, tol: float
 ) -> np.ndarray:
     """T with c = 1 + sum T[a, b, k, l] q_a q_b w_k w_l for
-    Q = sum_a q_a basis[a] (monomial coefficients, one row per member) and w
-    the P1 and P2 monomial coefficients (none of P2 if d2 = 0).
+    Q = sum_a q_a basis[a] (coefficients in y = 1 - 2x, one row per member)
+    and w the P1 and P2 monomial coefficients (none of P2 if d2 = 0).
 
     One :func:`moments.blocks` pass on the side (basis, P1's monomials,
     P2's monomials): Q's rows land on member axes 0 and 1, the P rows on 2
@@ -110,8 +111,8 @@ def _surface(n: int, d1: int) -> tuple[np.ndarray, np.ndarray]:
 def solve_constrained(M: np.ndarray, d1: int) -> tuple[np.ndarray, float]:
     """Minimize c(w) = 1 + w'Mw on the constraint surface e'w = 1, ``e`` 1 on
     the first d1 coordinates and 0 after: P1(1) = 1 over the monomials
-    x^1..x^d1 of P1 and x^3..x^d2 of P2, or Q(0) = 1 over Q's odd basis (d1
-    the basis size).  Returns w and its c.
+    x^1..x^d1 of P1 and x^3..x^d2 of P2, or Q(0) = 1 over Q's powers of y,
+    each 1 at x = 0 (d1 the number of powers).  Returns w and its c.
 
     There w = e/d1 + Nz, the columns of N an orthonormal basis of null(e'),
     and the minimum solves (N'MN) z = -N'M e/d1.  c is a mean square, so N'MN
@@ -219,7 +220,7 @@ def _search_R(score: Callable[[float], float], R0: float, budget: int) -> None:
 
 
 def _published_start(mode: str, q_degree: int) -> tuple[float, np.ndarray]:
-    """R and odd-basis Q coefficients of the ``mode`` preset, Q cut or padded to ``q_degree``."""
+    """R and the odd-power coefficients of the ``mode`` preset's Q, cut or padded to q_degree."""
     if mode == SIMPLE_ZEROS:
         R, spec = presets.KAPPA_STAR_R, presets.KAPPA_STAR_QSPEC
     else:
@@ -248,29 +249,24 @@ def optimize_full(
     reports that (Q, P1, P2), which :func:`moments.evaluate` certifies.
     Q(0) = 1 throughout; simple mode takes only ``q_degree = 1``, and
     ``d2 = 0`` disables the P2 piece.  Inputs it cannot use raise
-    ConfigError before any tensor build, a ``q_degree`` above 323 among
-    them.
+    ConfigError before any tensor build, a ``q_degree`` above
+    ``Q_DEGREE_MAX`` among them.
     """
     moments.check_thetas(theta1, theta2)
     check_degrees(d1, d2)
     if q_degree < 1 or q_degree % 2 != 1:
         raise moments.ConfigError(f"q_degree must be a positive odd integer, got {q_degree}")
+    if q_degree > Q_DEGREE_MAX:
+        raise moments.ConfigError(f"q_degree {q_degree} exceeds {Q_DEGREE_MAX}: from 25 on, Q's"
+                                  f" Gram matrix is not positive definite to rounding")
     moments.check_mode(mode, q_degree)
     if max_iterations < 0:
         raise moments.ConfigError(f"max_iterations must be >= 0, got {max_iterations}")
 
     R0, odd0 = _published_start(mode, q_degree)
     start = np.array([1.0 - odd0.sum(), *odd0])
-    basis = _q_basis(QSpec(odd_coeffs=tuple(odd0)).powers())
-    # the kernels multiply two of Q's basis values, each bounded on [0, 1] by
-    # its row's coefficient magnitudes, 3^k for (1 - 2x)^k; from k = 325 on
-    # the product's bound overflows, and a build would fail on inf and nan
-    with np.errstate(over="ignore"):
-        bound = np.max(np.sum(np.abs(basis), axis=1)) ** 2
-    if not np.isfinite(bound):
-        raise moments.ConfigError(
-            f"q_degree {q_degree} is too large: a product of two of Q's basis values is"
-            f" bounded by (3^{q_degree})^2 on [0, 1], which overflows")
+    # y^0, y^1, y^3, ..., y^q_degree: rows of the identity
+    basis = np.eye(q_degree + 1)[[0, *range(1, q_degree + 1, 2)]]
     points: dict[float, tuple] = {}  # R -> (kappa, q, (P1, P2), c of (q, P1, P2) on R's tensor)
     rounds = 0
 

@@ -669,10 +669,19 @@ def check_mellin_pair(P1: Polynomial, y1: float, n: float) -> CheckResult:
 # -- Q as a differential operator -------------------------------------------
 
 
-def check_q_operator(Q: Polynomial, X: float, T: float, alpha: float = 0.0):
+def q_monomials(Q, number=float) -> list:
+    """Q's monomial coefficients from its coefficients p_k in y = 1 - 2x, in
+    ``number``: (-2)^j sum_k C(k, j) p_k for x^j.  The checks evaluate Q by
+    this alone, never by the class the kernels call (``poly.InY``)."""
+    p = [number(c) for c in Q.coeffs]
+    return [(-2) ** j * sum(comb(k, j) * p[k] for k in range(j, len(p))) for j in range(len(p))]
+
+
+def check_q_operator(Q, X: float, T: float, alpha: float = 0.0):
     """Q(-(1/log T) d/d alpha) applied to X^{-alpha} equals Q(log X/log T)
-    times X^{-alpha}.  Each derivative is a Cauchy integral: the left side is
-    one circle of radius 1/4 about 0 over X^{-(alpha + z)} times
+    times X^{-alpha}, with q_k the monomial coefficients of ``Q``
+    (:func:`q_monomials`).  Each derivative is a Cauchy integral: the left
+    side is one circle of radius 1/4 about 0 over X^{-(alpha + z)} times
     sum_k q_k k! (-1/log T)^k z^{-k-1}, sharing no formula with the right.
     An uncertified circle fails the check with an infinite error."""
     if X <= 1 or T <= 1:
@@ -681,10 +690,12 @@ def check_q_operator(Q: Polynomial, X: float, T: float, alpha: float = 0.0):
 
     logX, logT = math.log(X), math.log(T)
     with mpmath.workdps(CONTOUR_DPS):
+        q = q_monomials(Q, mpmath.mpf)
         r, lx, step = mpmath.mpf(0.25), mpmath.mpf(logX), -1 / mpmath.mpf(logT)
         front, rate = mpmath.exp(-lx * alpha), -lx * r
         # z^{-k-1} times dz = r w is r^{-k} conj(w)^k on the circle
-        weights = [q_k * factorial(k) * (step / r) ** k for k, q_k in enumerate(Q.coeffs)]
+        weights = [q_k * factorial(k) * (step / r) ** k for k, q_k in enumerate(q)]
+        at_point = float(mpmath.polyval(q[::-1], logX / logT))
 
     # sum_k weight_k conj(w)^k is conj(w)^d sum_k weight_k w^{d-k} on |w| = 1,
     # d = deg Q: Horner in w, and the pole conj(w)^d is the circle's
@@ -694,8 +705,8 @@ def check_q_operator(Q: Polynomial, X: float, T: float, alpha: float = 0.0):
             series = series * w + weight
         return front * series
 
-    circle = contour_circle(term, exponent=rate, pole=Q.degree)
-    lhs, rhs = circle.value.real, Q(logX / logT) * math.exp(-alpha * logX)
+    circle = contour_circle(term, exponent=rate, pole=len(q) - 1)
+    lhs, rhs = circle.value.real, at_point * math.exp(-alpha * logX)
     error = math.inf if circle.certificate == math.inf else abs(lhs - rhs) / max(abs(rhs), 1.0)
     return CheckResult.from_error(
         "q_operator", {"X": X, "T": T, "alpha": alpha, "lhs": lhs, "rhs": rhs,
@@ -741,7 +752,15 @@ def _c12_scalars(cfg: moments.MollifierConfig, xs, ys, n: int) -> np.ndarray:
     ld = np.longdouble
     th1, th2, R = ld(cfg.theta1), ld(cfg.theta2), ld(cfg.R)
     xs, ys = np.asarray(xs, dtype=ld), np.asarray(ys, dtype=ld)
-    Q, P1 = cfg.Q, cfg.P1
+    q, P1 = q_monomials(cfg.Q, ld), cfg.P1
+
+    def Q(z):  # Horner in place, as Polynomial evaluates, on extended-precision q
+        acc = np.full(np.shape(z), q[-1], dtype=ld)
+        for c in q[-2::-1]:
+            acc *= z
+            acc += c
+        return acc
+
     P2dd = cfg.P2.derivative().derivative()
     nodes, weights = _gauss_rule_ld(n)
     s, t, u = nodes[:, None, None], nodes[None, :, None], nodes[None, None, :]
@@ -767,15 +786,15 @@ def _powers_ld(a, k: int) -> np.ndarray:
     return out
 
 
-def _taylor_rows_ld(Q: Polynomial) -> np.ndarray:
+def _taylor_rows_ld(q) -> np.ndarray:
     """Row k holds the ascending coefficients of T_k = Q^(k)/k!, in extended
-    precision: T_k(c) = sum_m C(m + k, k) q_(m+k) c^m.
+    precision: T_k(c) = sum_m C(m + k, k) q_(m+k) c^m, q Q's monomial
+    coefficients.
 
-    Built from Q's coefficients rather than by repeated
-    :meth:`Polynomial.derivative`, whose float64 k q_k rounds.
+    Built from q rather than by repeated :meth:`Polynomial.derivative`,
+    whose float64 k q_k rounds.
     """
-    q = np.array(Q.coeffs, dtype=np.longdouble)
-    d = Q.degree
+    d = len(q) - 1
     rows = np.zeros((d + 1, d + 1), dtype=np.longdouble)
     for k in range(d + 1):
         for m in range(d + 1 - k):
@@ -828,11 +847,11 @@ def _c2_scalars(cfg: moments.MollifierConfig, pairs, n: int) -> np.ndarray:
     """
     ld = np.longdouble
     th2, R = ld(cfg.theta2), ld(cfg.R)
-    d = cfg.Q.degree
+    rows = _taylor_rows_ld(q_monomials(cfg.Q, ld)).T[::-1]
+    d = len(rows) - 1
     P2dd = cfg.P2.derivative().derivative()
     nodes, weights = _gauss_rule_ld(n)
     t, r = nodes[:, None], nodes[None, :]  # the slices, t on the leading axis
-    rows = _taylor_rows_ld(cfg.Q).T[::-1]
     hankel = np.add.outer(np.arange(d + 1), np.arange(d + 1))
     binom = np.array([[comb(a + b, a) if a + b <= d else 0 for b in range(d + 1)]
                       for a in range(d + 1)], dtype=ld)

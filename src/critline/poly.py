@@ -1,10 +1,11 @@
 """Real polynomials and the three constrained smoothing-polynomial families.
 
-Coefficients are stored in ascending powers: ``coeffs[k]`` multiplies ``x**k``.
+Coefficients are stored in ascending powers: ``coeffs[k]`` multiplies ``x**k``
+(``y**k`` for Q).
 The three families are:
 
-* ``Q``: built on the ``(1 - 2x)`` odd-power basis plus a constant, which makes
-  ``Q(x) + Q(1-x)`` constant by construction.
+* ``Q``: a constant plus odd powers of ``y = 1 - 2x``, held as a polynomial in
+  y (:class:`InY`), which makes ``Q(x) + Q(1-x)`` constant by construction.
 * ``P1``: no constant term, normalized (or tolerance-checked) to ``P1(1) = 1``.
 * ``P2``: vanishing to third order at 0, i.e. coefficients start at ``x**3``.
 """
@@ -12,18 +13,11 @@ The three families are:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 P1_VERBATIM_TOL = 1e-5
-Q_SYMMETRY_TOL = 1e-12
-# where q_symmetry_defect compares Q(x) + Q(1-x), x on 21 points of [0, 1]
-_SYMMETRY_GRID = np.linspace(0.0, 1.0, 21)
-_SYMMETRY_MIRROR = 1.0 - _SYMMETRY_GRID
-_SYMMETRY_GRID.setflags(write=False)
-_SYMMETRY_MIRROR.setflags(write=False)
 
 
 class PolynomialError(ValueError):
@@ -82,70 +76,47 @@ class Polynomial:
 
 
 @dataclass(frozen=True)
-class QSpec:
-    """Q in the ``(1 - 2x)`` basis: ``const + sum_k odd_coeffs[k] * (1-2x)**k_odd``.
+class InY:
+    """Q(x) = p(1 - 2x) for p, a :class:`Polynomial` or ``moments.Family`` in
+    y = 1 - 2x; ``coeffs`` are p's.  It has what the kernels use: evaluation,
+    ``degree``, ``derivative`` and ``scale``."""
 
-    Only odd powers appear, so ``Q(x) + Q(1-x) = 2 * const`` identically.
-    """
+    p: Any
+
+    @property
+    def coeffs(self):
+        return self.p.coeffs
+
+    @property
+    def degree(self) -> int:
+        return self.p.degree
+
+    def __call__(self, x):
+        return self.p(1.0 - 2.0 * x)
+
+    def derivative(self) -> "InY":
+        return InY(self.p.derivative().scale(-2.0))
+
+    def scale(self, factor: float) -> "InY":
+        return InY(self.p.scale(factor))
+
+
+@dataclass(frozen=True)
+class QSpec:
+    """Q = const + sum_k odd_coeffs[k] y^(2k+1), y = 1 - 2x: Q(x) + Q(1-x) = 2 const."""
 
     odd_coeffs: tuple[float, ...] = ()
     const: float = 1.0
 
-    def powers(self) -> tuple[int, ...]:
-        return tuple(range(1, 2 * len(self.odd_coeffs) + 1, 2))
 
-
-@lru_cache(maxsize=32)
-def _q_basis(powers: tuple[int, ...]) -> np.ndarray:
-    """Monomial coefficients of 1 and of (1 - 2x)^k for k in ``powers``, one
-    row each; read-only, since every caller with these powers shares it.
-
-    Each row must make Q(x) + Q(1-x) constant, so every Q built on the basis
-    does; the defect is checked here, once per basis, to guard against future
-    basis changes.  Expanding and evaluating a row round in proportion to its
-    monomial coefficients, so the tolerance is ``Q_SYMMETRY_TOL`` times
-    ``max(1, sum |row|)``.  That sum is 3^k, and from k = 647 on it overflows
-    (a coefficient does from k = 651), so such a power raises before any
-    check.
-    """
-    basis = np.zeros((len(powers) + 1, max(powers, default=0) + 1))
-    basis[0, 0] = 1.0
-    for row, k in enumerate(powers, start=1):
-        term = np.polynomial.polynomial.polypow(np.array([1.0, -2.0]), k)
-        basis[row, : len(term)] = term
-    with np.errstate(over="ignore"):
-        scales = np.maximum(1.0, np.sum(np.abs(basis), axis=1))
-    finite = np.isfinite(scales)
-    if not finite.all():
-        k = powers[int(np.argmin(finite)) - 1]
-        raise PolynomialError(f"(1 - 2x)^{k} overflows: its coefficients' magnitudes sum to 3^{k}")
-    for row, scale in zip(basis, scales):
-        defect = q_symmetry_defect(Polynomial(tuple(row)))
-        if defect > Q_SYMMETRY_TOL * scale:
-            raise PolynomialError(f"Q(x) + Q(1-x) deviates from constant by {defect:.3e}")
-    basis.setflags(write=False)
-    return basis
-
-
-def make_q(spec: QSpec) -> Polynomial:
-    """Expand a QSpec into monomial coefficients.
-
-    The expansion weights the rows of the cached ``(1 - 2x)^k`` basis and sums
-    them in row order: the constant first, then the powers in turn, so every
-    coefficient rounds as in a term-by-term expansion.  The basis rows are
-    symmetry-checked, so the result satisfies the symmetry constraint.
-    """
-    weights = np.array((spec.const, *spec.odd_coeffs), dtype=float)
-    out = np.sum(weights[:, None] * _q_basis(spec.powers()), axis=0)
-    if not np.all(np.isfinite(out)):
+def make_q(spec: QSpec) -> InY:
+    """Q in y = 1 - 2x: ``const`` at y^0 and ``odd_coeffs`` at y, y^3, ...."""
+    coeffs = np.zeros(2 * len(spec.odd_coeffs) + 1)
+    coeffs[0] = spec.const
+    coeffs[1::2] = spec.odd_coeffs
+    if not np.all(np.isfinite(coeffs)):
         raise PolynomialError("Q has a non-finite coefficient")
-    return Polynomial(tuple(out))
-
-
-def q_symmetry_defect(q: Polynomial) -> float:
-    """Max deviation of Q(x) + Q(1-x) from Q(0) + Q(1) on a grid in [0, 1]."""
-    vals = q(_SYMMETRY_GRID) + q(_SYMMETRY_MIRROR)
-    return float(np.max(np.abs(vals - (q(0.0) + q(1.0)))))
+    return InY(Polynomial(tuple(coeffs)))
 
 
 def make_p1(coeffs: Sequence[float], normalize: bool = False) -> Polynomial:

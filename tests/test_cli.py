@@ -324,42 +324,27 @@ def test_no_psi2_with_d2_is_a_usage_error(capsys):
         (["--no-psi2", "--theta2", "0.6"], "theta2 must be < theta1"),
         (["--no-psi2", "--theta1", "nan"], "theta1 and theta2 must be finite"),
         (["--no-psi2", "--d1", "300"], f"P1 degree 300 exceeds {quad.N_MAX - 1}"),
-        (["--no-psi2", "--q-degree", "651", "--max-iterations", "0"], "(1 - 2x)^647 overflows"),
+        (["--no-psi2", "--q-degree", "25", "--max-iterations", "0"], "q_degree 25 exceeds 23"),
+        (["--no-psi2", "--q-degree", "651", "--max-iterations", "0"], "q_degree 651 exceeds 23"),
     ],
     ids=["d1=0", "d2=2", "q-degree=8", "max-iterations=-1", "simple-q-degree=5",
-         "theta1=0.9", "theta2=0.6", "theta1=nan", "d1=300", "q-degree=651"],
+         "theta1=0.9", "theta2=0.6", "theta1=nan", "d1=300", "q-degree=25", "q-degree=651"],
 )
 def test_unusable_search_inputs_are_config_errors(monkeypatch, capsys, args, reason):
     # rejected before any outer step, with the reason, instead of a search
-    # whose every tensor build fails or that silently runs something else
+    # whose every tensor build fails or that silently runs something else;
+    # a build is recorded, not run (an unguarded q-degree 651 build would
+    # take more memory than the machine has)
     builds = []
-    real_build = optimize.build_tensor
-
-    def counted_build(*build_args, **kwargs):
-        builds.append(build_args)
-        return real_build(*build_args, **kwargs)
-
-    monkeypatch.setattr(optimize, "build_tensor", counted_build)
+    monkeypatch.setattr(optimize, "build_tensor", lambda *args, **kwargs: builds.append(args))
     assert main(["optimize", *args]) == EXIT_CONFIG
     assert reason in capsys.readouterr().err
     assert not builds
 
 
-@pytest.mark.parametrize("q_degree", [325, 401, 645])
-def test_q_degrees_whose_kernel_products_overflow_are_config_errors(monkeypatch, capsys, q_degree):
-    # from about 401 on, the c1 kernel's products of two basis values
-    # overflowed during the first build (numpy RuntimeWarnings, which fail a
-    # test here, then exit 3); every degree whose bound (3^k)^2 overflows is
-    # refused before any build
-    builds = []
-    monkeypatch.setattr(optimize, "build_tensor", lambda *args, **kwargs: builds.append(args))
-    argv = ["optimize", "--no-psi2", "--q-degree", str(q_degree), "--max-iterations", "0"]
-    assert main(argv) == EXIT_CONFIG
-    assert f"q_degree {q_degree} is too large" in capsys.readouterr().err
-    assert not builds
-
-
-def test_the_largest_q_degree_whose_kernel_products_are_bounded_is_built(monkeypatch):
+def test_the_largest_q_degree_is_built(monkeypatch):
+    # 23 passes every check and reaches the first tensor build; 25 above
+    # exits 2 without one
     class Built(Exception):
         pass
 
@@ -368,7 +353,8 @@ def test_the_largest_q_degree_whose_kernel_products_are_bounded_is_built(monkeyp
 
     monkeypatch.setattr(optimize, "build_tensor", build)
     with pytest.raises(Built):
-        optimize.optimize_full(4.0 / 7.0, 0.5, 5, 0, 323, max_iterations=0)
+        optimize.optimize_full(4.0 / 7.0, 0.5, 5, 0, optimize.Q_DEGREE_MAX, max_iterations=0)
+    assert optimize.Q_DEGREE_MAX == 23
 
 
 def test_p1_degree_beyond_the_exact_u_rule_is_config_error(tmp_path, capsys):
@@ -554,4 +540,60 @@ def test_q0_of_0_is_config_error(tmp_path, capsys):
     path = tmp_path / "q0.cfg"
     path.write_text("R = 1.1\nq_const = -0.3\nq_odd_coeffs = 0.3\np1_coeffs = 0.6, 0.4\n")
     assert main(["eval", str(path)]) == EXIT_CONFIG
-    assert "cannot renormalize" in capsys.readouterr().err
+    assert "cannot renormalize: Q(0) = 0\n" in capsys.readouterr().err
+
+
+def test_an_overflowing_q0_is_config_error(tmp_path, capsys):
+    # finite coefficients in y whose sum, Q(0), overflows: no finite rescaling
+    # exists (Q / inf would be the zero polynomial, with kappa = 1)
+    path = tmp_path / "q0.cfg"
+    path.write_text("R = 1.1\nq_const = 1e308\nq_odd_coeffs = 1e308\np1_coeffs = 0.6, 0.4\n")
+    assert main(["eval", str(path)]) == EXIT_CONFIG
+    assert "cannot renormalize: Q(0) = inf" in capsys.readouterr().err
+
+
+def test_a_huge_q0_leaves_out_the_verbatim_kappa(tmp_path, capsys):
+    # Q(0)^2 overflows in c_verbatim = 1 + Q(0)^2 (c - 1): the normalized
+    # point's kappa is reported, and c_verbatim and kappa_verbatim are left
+    # out, as kappa_p1_normalized is when it is not finite
+    path = tmp_path / "huge.cfg"
+    path.write_text("R = 1.1\nq_const = 1e200\np1_coeffs = 0.6, 0.4\n")
+    out = tmp_path / "r.json"
+    assert main(["eval", str(path), "--json", str(out)]) == EXIT_OK
+    report = load_report(out.read_text())
+    assert math.isfinite(report["kappa"])
+    assert report["Q"] == [1.0]
+    diagnostics = report["diagnostics"]
+    assert diagnostics["q0_verbatim"] == 1e200
+    assert "c_verbatim" not in diagnostics and "kappa_verbatim" not in diagnostics
+    assert "unnormalized" not in capsys.readouterr().out
+
+
+def config_of(report):
+    """A report's point as a config: its "Q" is ascending in y = 1 - 2x, so
+    entry 0 is q_const and entries 1, 3, 5, ... are q_odd_coeffs."""
+    Q = report["Q"]
+    assert Q[2::2] == [0.0] * len(Q[2::2])
+    lists = {"q_odd_coeffs": Q[1::2], "p1_coeffs": report["P1"][1:], "p2_coeffs": report["P2"][3:]}
+    lines = [f"{key} = {report[key]!r}" for key in ("theta1", "theta2", "R")]
+    lines += [f"mode = {report['mode']}", f"q_const = {Q[0]!r}"]
+    lines += [f"{key} = {', '.join(map(repr, values))}" for key, values in lists.items()]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "--preset", "kappa"],
+    ["optimize", "--mode", "simple", "--d1", "3", "--d2", "3", "--max-iterations", "2"],
+    ["optimize", "--no-psi2", "--q-degree", "9", "--max-iterations", "0"],
+], ids=["kappa", "simple-search", "q9-search"])
+def test_a_report_fed_back_as_a_config_gives_its_kappa(tmp_path, capsys, argv):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main([*argv, "--json", str(first)]) == EXIT_OK
+    report = load_report(first.read_text())
+    path = tmp_path / "point.cfg"
+    path.write_text(config_of(report))
+    assert main(["eval", str(path), "--json", str(second)]) == EXIT_OK
+    again = load_report(second.read_text())
+    assert abs(again["kappa"] - report["kappa"]) <= 1e-15
+    assert again["Q"] == report["Q"]
+    capsys.readouterr()

@@ -19,7 +19,7 @@ from critline.moments import (
     evaluate,
     renormalized_q,
 )
-from critline.poly import Polynomial, QSpec, _q_basis, make_p1, make_p2, make_q
+from critline.poly import InY, Polynomial, QSpec, make_p1, make_p2, make_q
 from critline.presets import kappa_preset, kappa_star_preset
 
 THETA1 = 4.0 / 7.0
@@ -69,7 +69,7 @@ def test_config_rejects_non_finite_inputs(bad):
     with pytest.raises(ConfigError, match="P2"):
         small_config(P2=make_p2((bad,)))
     with pytest.raises(ConfigError, match="Q"):
-        small_config(Q=Polynomial((0.7, bad)))
+        small_config(Q=InY(Polynomial((0.7, bad))))
     with pytest.raises(ConfigError, match="P1"):
         small_config(P1=Polynomial((0.0, 1.0, bad)))
 
@@ -306,10 +306,11 @@ def test_renormalized_q():
     normed = renormalized_q(cfg)
     assert normed.Q(0.0) == pytest.approx(1.0, abs=1e-15)
     assert normed.Q.coeffs == tuple(c / q0 for c in cfg.Q.coeffs)
+    vanishing = make_q(QSpec(odd_coeffs=(0.5,), const=-0.5))  # Q(x) = -x
     with pytest.raises(ConfigError):
-        renormalized_q(small_config(Q=Polynomial((0.0, 1.0))))
+        renormalized_q(small_config(Q=vanishing))
     with pytest.raises(ConfigError, match="cannot renormalize"):
-        evaluate(small_config(Q=Polynomial((0.0, 1.0))))
+        evaluate(small_config(Q=vanishing))
 
 
 def raw_c(cfg):
@@ -372,6 +373,11 @@ def test_evaluate_runs_blocks_once(monkeypatch):
 # -- closed-form kernels against the jet ring ---------------------------------
 
 
+def jet_q(Q, a):
+    """Q at the jet a: p(1 - 2a), with p read off Q's coefficients in y."""
+    return jet_eval_poly(Polynomial(Q.coeffs), a * -2.0 + 1.0)
+
+
 def jet_c12_integrand(Q, P1, P2, R, theta1, theta2):
     """The (1,1)-jet c12 integrand the closed-form kernel replaced."""
     P2dd = P2.derivative().derivative()
@@ -381,8 +387,8 @@ def jet_c12_integrand(Q, P1, P2, R, theta1, theta2):
         b = (1.0 - s) * t
         jac = 1.0 - s
         expo = Jet.linear(R * u * theta2 * (a - b), -R * theta1, R * theta1, 1, 1).exp()
-        qa = jet_eval_poly(Q, Jet.linear(a * u * theta2, -theta1, 0.0, 1, 1))
-        qb = jet_eval_poly(Q, Jet.linear(1.0 - b * u * theta2, 0.0, theta1, 1, 1))
+        qa = jet_q(Q, Jet.linear(a * u * theta2, -theta1, 0.0, 1, 1))
+        qb = jet_q(Q, Jet.linear(1.0 - b * u * theta2, 0.0, theta1, 1, 1))
         p1 = jet_eval_poly(P1, Jet.linear(1.0 - (1.0 - u) * theta2 / theta1, 1.0, 1.0, 1, 1))
         scalar = u * u * (1.0 - u) * P2dd((1.0 - a - b) * u) * jac
         return expo * qa * qb * p1 * scalar
@@ -401,10 +407,10 @@ def jet_c2_integrand(Q, P2, P2_other, R, theta2):
         E = Jet.linear(e0, ex, ey, 2, 2)
         exp_e = Jet.linear(-theta2 * R * e0, -theta2 * R * ex, -theta2 * R * ey, 2, 2).exp()
         exp_g = Jet.linear(2.0 * R * t * g0, 2.0 * R * t * gx, 2.0 * R * t * gy, 2, 2).exp()
-        qa = jet_eval_poly(
+        qa = jet_q(
             Q, Jet.linear(theta2 * u * r + t * g0, theta2 * u + t * gx, -theta2 + t * gy, 2, 2)
         )
-        qb = jet_eval_poly(
+        qb = jet_q(
             Q, Jet.linear(theta2 * v * r + t * g0, -theta2 + t * gx, theta2 * v + t * gy, 2, 2)
         )
         xr = Jet.linear(r, 1.0, 0.0, 2, 2)
@@ -732,12 +738,26 @@ def test_one_row_matrices_are_the_polynomial_side(preset):
             assert abs(got_delta - want_delta) <= 2e-15
 
 
+def test_q_rows_alone_symmetrize_c2():
+    # Q's rows become families wrapped in y = 1 - 2x; with P2 a polynomial,
+    # the Q slot alone must still have c2 symmetrized per node, which makes
+    # its block symmetric under the swap of both member-axis pairs
+    from critline import optimize
+
+    cfg = renormalized_q(kappa_preset())
+    rows = np.eye(8)[[0, 1, 3]]
+    _, _, (c2, _) = blocks((rows, cfg.P1, cfg.P2), cfg.R, cfg.theta1, cfg.theta2,
+                           optimize.SEARCH_GRAM_TOL, optimize.GRAM_N_START)
+    assert c2.shape == (3, 3, 1, 1)
+    assert np.max(np.abs(c2 - c2.transpose(1, 0, 3, 2))) <= 1e-15 * np.max(np.abs(c2))
+
+
 @pytest.mark.parametrize("powers", [(1,), (1, 3)])
 def test_q_orders_past_its_degree_change_no_bit(powers):
     # c2's kernel takes Q's Taylor series to deg Q only when deg Q < 4: the
     # same basis padded with zero columns (degree 6) takes it to order 4 and
     # multiplies the zero orders through, to the same bits
-    basis = _q_basis(powers)
+    basis = np.eye(max(powers) + 1)[[0, *powers]]
     padded = np.hstack([basis, np.zeros((len(basis), 6 - basis.shape[1] + 1))])
     args = (1.2, THETA1, THETA2, quad.DEFAULT_TOL, quad.N_SEQUENCE_START)
     p_rows = (np.eye(4)[1:], np.eye(5)[3:])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from critline import moments, optimize, presets, quad
 from critline.cli import EXIT_NUMERICAL, main
 from critline.optimize import OptimizeError, build_tensor, gram_at, solve_constrained
-from critline.poly import Polynomial, QSpec, _q_basis, make_p1, make_p2, make_q
+from critline.poly import Polynomial, QSpec, make_p1, make_p2, make_q
 from critline.presets import kappa_preset, kappa_star_preset
 
 THETA1 = 4.0 / 7.0
@@ -287,7 +287,9 @@ def preset_tensor(request):
     preset's (q, w) with Q(0) = 1."""
     preset, spec = request.param
     cfg = moments.renormalized_q(preset())
-    T = optimize.build_tensor(_q_basis(spec.powers()), cfg.R, cfg.theta1, cfg.theta2, 5, 5, 1e-10)
+    top = 2 * len(spec.odd_coeffs)
+    basis = np.eye(top + 1)[[0, *range(1, top + 1, 2)]]  # y^0 and the odd powers of y
+    T = optimize.build_tensor(basis, cfg.R, cfg.theta1, cfg.theta2, 5, 5, 1e-10)
     q = np.array([spec.const, *spec.odd_coeffs]) / (spec.const + sum(spec.odd_coeffs))
     w = np.array(cfg.P1.coeffs[1:] + cfg.P2.coeffs[3:])
     return cfg, T, q, w
@@ -433,6 +435,17 @@ def test_a_higher_degree_q_is_no_worse():
     q7, q9 = no_psi2_search(7), no_psi2_search(9)
     assert q9.kappa >= q7.kappa - 1e-12
     assert q9.config.Q.degree == 9
+
+
+def test_a_higher_degree_q_is_no_worse_up_to_the_cap():
+    # at one R, each odd degree's space contains the last one's, so kappa
+    # cannot fall; Q's monomial coefficients (up to 3^k) made it fall 1.6e-8
+    # from degree 17 to 19 and c1's ladder fail at 21
+    kappas = [optimize.optimize_full(THETA1, THETA2, d1=5, d2=0, q_degree=q,
+                                     max_iterations=0).kappa
+              for q in range(7, optimize.Q_DEGREE_MAX + 1, 2)]
+    assert optimize.Q_DEGREE_MAX == 23
+    assert all(b >= a - 1e-12 for a, b in zip(kappas, kappas[1:])), kappas
 
 
 def test_the_budget_caps_the_tensor_builds(monkeypatch):

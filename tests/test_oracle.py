@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import inspect
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -435,7 +436,8 @@ def _f_of_z(kind, params):
     lx = math.log(params["X"])
     with mpmath.workdps(oracle.CONTOUR_DPS):
         step = -1 / mpmath.mpf(math.log(params["T"]))
-        weights = [q_k * math.factorial(k) * step**k for k, q_k in enumerate(params["Q"].coeffs)]
+        q = oracle.q_monomials(params["Q"], mpmath.mpf)
+        weights = [q_k * math.factorial(k) * step**k for k, q_k in enumerate(q)]
 
     def q_operator(z):
         series = 0
@@ -511,6 +513,27 @@ def test_oracle_does_not_import_quad():
         assert not any(name.split(".")[-1] == module for name in imported), imported
         assert module not in vars(oracle)
     assert "Jet" not in vars(oracle)
+
+
+def test_oracle_evaluates_q_only_through_its_own_expansion(monkeypatch):
+    # the finite differences and the Q operator read Q's coefficients in y
+    # and expand them to monomials themselves: every method of the class
+    # the kernels evaluate Q through fails here, and the checks still pass
+    from critline.poly import InY
+
+    cfg = moments.renormalized_q(kappa_preset())
+    report = moments.evaluate(cfg)
+    c12, c2 = report.c12, report.c2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called InY")
+
+    for name in ("__call__", "derivative", "scale"):
+        monkeypatch.setattr(InY, name, refuse)
+    monkeypatch.setattr(InY, "degree", property(refuse))
+    assert all(result.passed for result in oracle.run_suite("qop"))
+    assert abs(oracle.fd_c12(cfg) - c12) <= oracle.JET_OPERATOR_TOL * abs(c12)
+    assert abs(oracle.fd_c2(cfg) - c2) <= oracle.JET_OPERATOR_TOL * abs(c2)
 
 
 # -- identity checks ---------------------------------------------------------
@@ -606,6 +629,21 @@ def test_q_operator_constant_q_is_exact():
     assert result.error < 1e-15
 
 
+def test_q_monomials_expand_q_in_y_exactly():
+    # in rational arithmetic the expansion is exact: at x = 1/3 its
+    # monomials sum to sum_k p_k (1/3)^k, and in floats they match the
+    # program's Q; a constant is its own expansion
+    q = make_q(QSpec(odd_coeffs=(0.604, -0.08, -0.06, 0.046), const=0.492))
+    monomials = oracle.q_monomials(q, Fraction)
+    x = Fraction(1, 3)
+    assert sum(m * x**j for j, m in enumerate(monomials)) == sum(
+        Fraction(p) * (1 - 2 * x) ** k for k, p in enumerate(q.coeffs))
+    grid = np.linspace(0.0, 1.0, 11)
+    values = np.polynomial.polynomial.polyval(grid, oracle.q_monomials(q))
+    assert np.max(np.abs(values - q(grid))) <= 1e-14
+    assert oracle.q_monomials(Polynomial((1.0,))) == [1.0]
+
+
 def test_q_operator_preset_style_q():
     q = make_q(QSpec(odd_coeffs=(0.604, -0.08, -0.06, 0.046), const=0.492))
     result = check_q_operator(q, X=(1e8) ** (4.0 / 7.0), T=1e8, alpha=-0.1 / math.log(1e8))
@@ -684,11 +722,17 @@ def _tensor_integral_ld(f, d, n):
     return np.sum(values * weight.ravel())
 
 
+def oracle_q(cfg):
+    """Q as the oracle evaluates it: its own monomial expansion, in long double."""
+    q = oracle.q_monomials(cfg.Q, np.longdouble)
+    return lambda z: np.polynomial.polynomial.polyval(z, q)
+
+
 def _c12_scalar_meshgrid(cfg, x, y, n):
     ld = np.longdouble
     th1, th2, R = ld(cfg.theta1), ld(cfg.theta2), ld(cfg.R)
     x, y = ld(x), ld(y)
-    Q, P1 = cfg.Q, cfg.P1
+    Q, P1 = oracle_q(cfg), cfg.P1
     P2dd = cfg.P2.derivative().derivative()
 
     def f(s, t, u):
@@ -711,7 +755,7 @@ def _c2_scalar_meshgrid(cfg, x, y, n):
     ld = np.longdouble
     th2, R = ld(cfg.theta2), ld(cfg.R)
     x, y = ld(x), ld(y)
-    Q = cfg.Q
+    Q = oracle_q(cfg)
     P2dd = cfg.P2.derivative().derivative()
 
     def f(t, r, u, v):
@@ -776,7 +820,7 @@ def test_jet_operators_pass_at_the_kappa_preset():
 @pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])
 def test_fd_oracle_agrees_with_evaluate_to_its_floor(preset):
     # a hundredth of JET_OPERATOR_TOL: the stencil's 1/(144 h^4) amplifies
-    # long-double rounding of each scalar to 5.9e-10 (kappa) and 1.4e-10
+    # long-double rounding of each scalar to 4.5e-10 (kappa) and 1.4e-10
     # (kappa-star) relative in c2
     report = moments.evaluate(preset())
     cfg = report.config

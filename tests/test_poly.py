@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from critline import poly
 from critline.poly import (
+    InY,
     Polynomial,
     PolynomialError,
     QSpec,
     make_p1,
     make_p2,
     make_q,
-    q_symmetry_defect,
 )
 
 coeff_lists = st.lists(
@@ -121,27 +120,59 @@ def test_in_place_horner_matches_the_out_of_place_loop():
     assert type(p(np.array(0.5, dtype=np.longdouble))) is np.longdouble
 
 
-def term_by_term_q(spec):
-    """Q's monomial coefficients as ``make_q`` expanded them before its basis
-    was cached: the constant, then c * (1 - 2x)^k added power by power."""
-    out = np.zeros(max(spec.powers(), default=0) + 1)
-    out[0] = spec.const
-    for c, k in zip(spec.odd_coeffs, spec.powers()):
-        term = np.polynomial.polynomial.polypow(np.array([1.0, -2.0]), k)
-        out[: len(term)] += c * term
-    return Polynomial(tuple(out))
+def term_by_term_q(spec, x):
+    """Q(x) summed term by term: the constant, then c * (1 - 2x)^k power by
+    power, each power a product of k factors."""
+    total = spec.const + 0.0 * x
+    for j, c in enumerate(spec.odd_coeffs):
+        total = total + c * (1.0 - 2.0 * x) ** (2 * j + 1)
+    return total
 
 
 def test_make_q_matches_the_term_by_term_expansion():
-    # the cached basis changes no bit of Q, and callers cannot write to it
+    # make_q places the coefficients at y^0 and the odd powers of y = 1 - 2x,
+    # the even ones exactly 0, and its values are the term-by-term sum's to
+    # rounding relative to sum |q_k|, whatever the degree
     rng = np.random.default_rng(11)
-    for n_odd in range(7):
+    x = np.linspace(0.0, 1.0, 33)
+    for n_odd in (0, 1, 4, 12, 50):
         for scale in (1e-3, 1.0, 10.0):
             odd = tuple(scale * rng.standard_normal(n_odd))
             spec = QSpec(odd_coeffs=odd, const=1.0 - sum(odd))
-            assert make_q(spec).coeffs == term_by_term_q(spec).coeffs, (n_odd, scale)
-    with pytest.raises(ValueError):
-        poly._q_basis((1, 3))[1, 0] = 0.0
+            q = make_q(spec)
+            coeffs = (spec.const, *(v for c in odd for v in (c, 0.0)))
+            assert q.coeffs == Polynomial(coeffs).coeffs
+            size = abs(spec.const) + sum(map(abs, odd))
+            assert np.max(np.abs(q(x) - term_by_term_q(spec, x))) <= 1e-14 * size, (n_odd, scale)
+
+
+def test_q_in_y_keeps_a_high_degree_accurate():
+    # (1 - 2x)^k has monomial coefficients whose magnitudes sum to 3^k, so a
+    # monomial Q of degree 41 rounds to about 1e-16 * 3^41 = 4e3; in y it
+    # stays at rounding level, here against 40-digit arithmetic
+    import mpmath
+
+    odd = tuple(np.random.default_rng(41).uniform(-1.0, 1.0, 21))
+    spec = QSpec(odd_coeffs=odd, const=0.25)
+    q = make_q(spec)
+    assert q.degree == 41
+    with mpmath.workdps(40):
+        for x in np.linspace(0.0, 1.0, 17):
+            y = 1 - 2 * mpmath.mpf(x)
+            want = spec.const + mpmath.fsum(c * y ** (2 * j + 1) for j, c in enumerate(odd))
+            assert abs(q(x) - want) <= 1e-14, x
+
+
+def test_q_in_y_derivative_and_scale():
+    # d/dx p(1 - 2x) = -2 p'(1 - 2x), against the derivative of Q's monomial
+    # expansion; scale multiplies the values
+    q = make_q(QSpec(odd_coeffs=(0.604, -0.08, -0.06, 0.046), const=0.492))
+    monomial = np.polynomial.Polynomial(q.coeffs)(np.polynomial.Polynomial([1.0, -2.0]))
+    x = np.linspace(0.0, 1.0, 9)
+    assert isinstance(q.derivative(), InY)
+    assert np.allclose(q.derivative()(x), monomial.deriv()(x), rtol=0.0, atol=1e-13)
+    assert q.derivative().degree == q.degree - 1
+    assert np.allclose(q.scale(-3.0)(x), -3.0 * q(x), rtol=0.0, atol=1e-14)
 
 
 def test_derivative_and_antiderivative():
@@ -160,38 +191,22 @@ def test_scale_is_pointwise(a, factor):
 # -- Q family ---------------------------------------------------------------
 
 
-def test_qspec_default_powers():
-    assert QSpec(odd_coeffs=(0.1, 0.2, 0.3)).powers() == (1, 3, 5)
-    assert QSpec().powers() == ()
+def symmetry_defect(q):
+    """Max deviation of Q(x) + Q(1-x) from Q(0) + Q(1), x on 21 points of [0, 1]."""
+    x = np.linspace(0.0, 1.0, 21)
+    return float(np.max(np.abs(q(x) + q(1.0 - x) - (q(0.0) + q(1.0)))))
 
 
 @given(
     st.lists(st.floats(min_value=-1, max_value=1, allow_nan=False), max_size=6),
     st.floats(min_value=-2, max_value=2, allow_nan=False),
 )
-@example(odd=[0.6, 0.2, -0.3, 0.4, -0.5, 0.6], const=-0.3)  # defect 2.4e-12 from rounding
+@example(odd=[0.6, 0.2, -0.3, 0.4, -0.5, 0.6], const=-0.3)
 def test_make_q_symmetry(odd, const):
     q = make_q(QSpec(odd_coeffs=tuple(odd), const=const))
-    assert q_symmetry_defect(q) <= 1e-10
+    assert symmetry_defect(q) <= 1e-10
     # Q(x) + Q(1-x) collapses to twice the basis constant
     assert q(0.3) + q(0.7) == pytest.approx(2.0 * const, abs=1e-10)
-
-
-def test_make_q_rejects_a_wrong_basis(monkeypatch):
-    # an even power, (1 - 2x)^10, makes Q(x) + Q(1 - x) vary by twice its
-    # coefficient: far above the tolerance, which scales with sum |q_k|
-    monkeypatch.setattr(QSpec, "powers", lambda self: (1, 3, 5, 7, 9, 10))
-    with pytest.raises(PolynomialError, match="deviates from constant"):
-        make_q(QSpec(odd_coeffs=(0.6, 0.2, -0.3, 0.4, -0.5, 1e-3), const=0.5))
-
-
-@pytest.mark.parametrize("top", [647, 651])
-def test_a_q_basis_that_overflows_raises(top):
-    # sum |coeffs| of (1 - 2x)^k is 3^k, past the largest double from k = 647
-    # (a coefficient itself from k = 651): no tolerance can check such a row
-    with pytest.raises(PolynomialError, match=r"\(1 - 2x\)\^647 overflows"):
-        poly._q_basis(tuple(range(1, top + 1, 2)))
-    assert poly._q_basis(tuple(range(1, 646, 2))).shape == (324, 646)
 
 
 def test_make_q_value_at_zero():
