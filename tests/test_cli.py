@@ -342,6 +342,19 @@ def test_unusable_search_inputs_are_config_errors(monkeypatch, capsys, args, rea
     assert not builds
 
 
+@pytest.mark.parametrize("q_degree", [325, 401, 645])
+def test_q_degrees_whose_kernel_products_overflow_are_config_errors(monkeypatch, capsys, q_degree):
+    # degrees at which a monomial basis's kernel products overflowed (3^k
+    # coefficients squared) stay refused before any build: Q held in y has no
+    # such overflow, and the degree cap refuses them first
+    builds = []
+    monkeypatch.setattr(optimize, "build_tensor", lambda *args, **kwargs: builds.append(args))
+    argv = ["optimize", "--no-psi2", "--q-degree", str(q_degree), "--max-iterations", "0"]
+    assert main(argv) == EXIT_CONFIG
+    assert f"q_degree {q_degree} exceeds {optimize.Q_DEGREE_MAX}" in capsys.readouterr().err
+    assert not builds
+
+
 def test_the_largest_q_degree_is_built(monkeypatch):
     # 23 passes every check and reaches the first tensor build; 25 above
     # exits 2 without one
