@@ -15,7 +15,7 @@ import sys
 
 from . import moments, oracle, optimize, quad
 from .moments import ConfigError, KappaReport, MollifierConfig
-from .poly import PolynomialError, QSpec, make_p1, make_p2, make_q
+from .poly import make_p1, make_p2, make_q
 from .presets import PRESETS, THETA1, THETA2
 
 EXIT_OK = 0
@@ -109,14 +109,10 @@ def parse_config(path: str) -> MollifierConfig:
     if not p1:
         raise ConfigError("missing required key 'p1_coeffs'")
     mode = entries.get("mode", (moments.ALL_ZEROS, 0))[0]
-    try:
-        return MollifierConfig(
-            theta1=theta1, theta2=theta2, R=R,
-            Q=make_q(QSpec(odd_coeffs=q_odd, const=q_const)),
-            P1=make_p1(p1), P2=make_p2(p2), mode=mode,
-        )
-    except PolynomialError as exc:
-        raise ConfigError(str(exc)) from exc
+    return MollifierConfig(
+        theta1=theta1, theta2=theta2, R=R,
+        Q=make_q(q_const, q_odd), P1=make_p1(p1), P2=make_p2(p2), mode=mode,
+    )
 
 
 # -- subcommands ------------------------------------------------------------
@@ -244,7 +240,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, PolynomialError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (quad.QuadratureError, optimize.OptimizeError, ValueError) as exc:

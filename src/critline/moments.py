@@ -28,7 +28,7 @@ from typing import Any
 import numpy as np
 
 from . import quad
-from .poly import InY, Polynomial
+from .poly import ConfigError, InY, Polynomial
 
 THETA1_MAX = 4.0 / 7.0
 THETA2_MAX = 0.5
@@ -36,10 +36,6 @@ _THETA_SLACK = 1e-9
 
 ALL_ZEROS = "all_zeros"
 SIMPLE_ZEROS = "simple_zeros"
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def check_thetas(theta1: float, theta2: float) -> None:

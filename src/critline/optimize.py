@@ -25,7 +25,7 @@ import numpy as np
 
 from . import moments, presets, quad
 from .moments import ALL_ZEROS, SIMPLE_ZEROS, KappaReport, MollifierConfig
-from .poly import QSpec, make_p1, make_p2, make_q
+from .poly import make_p1, make_p2, make_q
 
 # the search's quadrature: its tolerance and first rung
 SEARCH_GRAM_TOL = 1e-5
@@ -222,11 +222,11 @@ def _search_R(score: Callable[[float], float], R0: float, budget: int) -> None:
 def _published_start(mode: str, q_degree: int) -> tuple[float, np.ndarray]:
     """R and the odd-power coefficients of the ``mode`` preset's Q, cut or padded to q_degree."""
     if mode == SIMPLE_ZEROS:
-        R, spec = presets.KAPPA_STAR_R, presets.KAPPA_STAR_QSPEC
+        R, (_, odd) = presets.KAPPA_STAR_R, presets.KAPPA_STAR_Q
     else:
-        R, spec = presets.KAPPA_R, presets.KAPPA_QSPEC
+        R, (_, odd) = presets.KAPPA_R, presets.KAPPA_Q
     n_odd = (q_degree + 1) // 2
-    return R, np.array((spec.odd_coeffs + (0.0,) * n_odd)[:n_odd])
+    return R, np.array((odd + (0.0,) * n_odd)[:n_odd])
 
 
 def optimize_full(
@@ -283,7 +283,7 @@ def optimize_full(
         c = history[-1]
         if not 0.0 < c < math.inf:
             raise OptimizeError(f"total constant {c!r} is not a positive number at R = {R!r}")
-        P = make_p1(tuple(w[:d1]), normalize=True), make_p2(tuple(w[d1:]))
+        P = make_p1(w[:d1]), make_p2(tuple(w[d1:]))
         points[R] = (moments.compute_kappa(c, R), q, P, c_w)
         return -points[R][0]
 
@@ -291,7 +291,7 @@ def optimize_full(
 
     R = max(points, key=lambda R: points[R][0])
     _, q, (P1, P2), c_min = points[R]
-    Q = make_q(QSpec(odd_coeffs=tuple(q[1:]), const=q[0]))
+    Q = make_q(q[0], q[1:])
     report = moments.evaluate(MollifierConfig(theta1, theta2, R, Q, P1, P2, mode))
     report.diagnostics.update(
         outer_evaluations=len(points),

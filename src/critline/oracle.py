@@ -1045,13 +1045,13 @@ def _mellin_suite() -> list[CheckResult]:
 
 
 def _qop_suite() -> list[CheckResult]:
-    from .presets import KAPPA_QSPEC, KAPPA_R, KAPPA_STAR_QSPEC
+    from .presets import KAPPA_Q, KAPPA_R, KAPPA_STAR_Q
     from .poly import make_q
 
     T = 1e8
     out = []
-    for spec, theta in ((KAPPA_QSPEC, 4.0 / 7.0), (KAPPA_STAR_QSPEC, 0.5)):
-        Q = make_q(spec)
+    for q, theta in ((KAPPA_Q, 4.0 / 7.0), (KAPPA_STAR_Q, 0.5)):
+        Q = make_q(*q)
         X = T**theta
         out.append(check_q_operator(Q, X, T, alpha=0.0))
         out.append(check_q_operator(Q, X, T, alpha=-KAPPA_R / math.log(T)))

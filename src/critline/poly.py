@@ -6,7 +6,7 @@ The three families are:
 
 * ``Q``: a constant plus odd powers of ``y = 1 - 2x``, held as a polynomial in
   y (:class:`InY`), which makes ``Q(x) + Q(1-x)`` constant by construction.
-* ``P1``: no constant term, normalized (or tolerance-checked) to ``P1(1) = 1``.
+* ``P1``: no constant term, and ``|P1(1) - 1| <= 1e-5``, else :class:`ConfigError`.
 * ``P2``: vanishing to third order at 0, i.e. coefficients start at ``x**3``.
 """
 
@@ -20,8 +20,8 @@ import numpy as np
 P1_VERBATIM_TOL = 1e-5
 
 
-class PolynomialError(ValueError):
-    """Invalid polynomial construction or violated family constraint."""
+class ConfigError(ValueError):
+    """An invalid parameter point (also ``moments.ConfigError``)."""
 
 
 @dataclass(frozen=True)
@@ -101,40 +101,22 @@ class InY:
         return InY(self.p.scale(factor))
 
 
-@dataclass(frozen=True)
-class QSpec:
-    """Q = const + sum_k odd_coeffs[k] y^(2k+1), y = 1 - 2x: Q(x) + Q(1-x) = 2 const."""
-
-    odd_coeffs: tuple[float, ...] = ()
-    const: float = 1.0
-
-
-def make_q(spec: QSpec) -> InY:
-    """Q in y = 1 - 2x: ``const`` at y^0 and ``odd_coeffs`` at y, y^3, ...."""
-    coeffs = np.zeros(2 * len(spec.odd_coeffs) + 1)
-    coeffs[0] = spec.const
-    coeffs[1::2] = spec.odd_coeffs
-    if not np.all(np.isfinite(coeffs)):
-        raise PolynomialError("Q has a non-finite coefficient")
+def make_q(const: float, odd_coeffs: Sequence[float]) -> InY:
+    """Q in y = 1 - 2x: ``const`` at y^0 and ``odd_coeffs`` at y, y^3, ...,
+    so Q(x) + Q(1-x) = 2 const."""
+    coeffs = np.zeros(2 * len(odd_coeffs) + 1)
+    coeffs[0] = const
+    coeffs[1::2] = odd_coeffs
     return InY(Polynomial(tuple(coeffs)))
 
 
-def make_p1(coeffs: Sequence[float], normalize: bool = False) -> Polynomial:
-    """Build P1 from coefficients of powers 1..d (no constant term allowed).
-
-    In verbatim mode the printed coefficients must satisfy |P1(1) - 1| <= 1e-5;
-    with ``normalize`` the polynomial is rescaled so P1(1) = 1 exactly.
-    """
-    p = Polynomial((0.0,) + tuple(coeffs))
-    if p.coeffs[0] != 0.0:
-        raise PolynomialError("P1 must have zero constant term")
+def make_p1(coeffs: Sequence[float]) -> Polynomial:
+    """P1 from the coefficients of x, x^2, ...; raises :class:`ConfigError`
+    unless |P1(1) - 1| <= ``P1_VERBATIM_TOL``."""
+    p = Polynomial((0.0, *coeffs))
     at_one = p(1.0)
-    if normalize:
-        if at_one == 0.0:
-            raise PolynomialError("cannot normalize P1 with P1(1) = 0")
-        return p.scale(1.0 / at_one)
     if abs(at_one - 1.0) > P1_VERBATIM_TOL:
-        raise PolynomialError(f"P1(1) = {at_one!r} violates |P1(1) - 1| <= {P1_VERBATIM_TOL}")
+        raise ConfigError(f"P1(1) = {at_one!r} violates |P1(1) - 1| <= {P1_VERBATIM_TOL}")
     return p
 
 

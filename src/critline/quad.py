@@ -5,8 +5,8 @@ fixed-order tensor rules converge geometrically in the order; there is no
 adaptive subdivision.  :func:`integrate_converged` climbs the ladder
 n = 12, 18, 27, 41, ... (n -> ceil(3n/2), the last rung clamped to ``N_MAX``)
 and stops when two successive rungs agree.  The rule cap and the node budget
-are its only bounds: it ends before any rung of more than ``NODE_BUDGET``
-nodes, so 1-D to 3-D ladders end at n = 256 and 4-D ladders at n = 62.
+are its only bounds: it ends before any rung whose n^d exceeds ``NODE_BUDGET``,
+so 1-D to 3-D ladders end at n = 256 and 4-D ladders at n = 62.
 Integrands must be vectorized: coordinate k arrives on its own axis of d
 (shape 1 x ... x n x ... x 1), and the integrand returns its member axes, if
 any, then the d node axes (length 1 where it does not depend on one).  Members
@@ -37,9 +37,12 @@ import numpy as np
 DEFAULT_TOL = 1e-10
 N_SEQUENCE_START = 12
 N_MAX = 256
-# Largest rung, in nodes n**d.  2^24 = 256^3, so every rule order fits in 1-D
-# to 3-D; a 4-D ladder that has not converged by n = 62 (62^4 = 1.5e7 nodes)
-# fails there instead of climbing to 256^4 = 4.3e9 nodes.
+# Largest rung, as a bound on n**d, not on the nodes a pair rule takes.
+# 2^24 = 256^3, so every rule order fits in 1-D to 3-D; a 4-D ladder that has
+# not converged by n = 62 fails there instead of climbing to 256^4 = 4.3e9.
+# c2, the only 4-D integral, runs on the pair rule: 62^2 * 903 = 3.5e6 nodes
+# at n = 62, and n = 93 would take 93^2 * 1953 = 1.69e7 > 2^24, so its last
+# rung is 62 under either count.
 NODE_BUDGET = 1 << 24
 # Values per integrand call (nodes times the values f returns per node), in
 # whole rows of the first axis (at least one).  The kappa preset's evaluate and

@@ -13,8 +13,8 @@ import pytest
 
 from critline import moments, optimize, oracle, quad
 from critline.cli import EXIT_OK, main
-from critline.poly import Polynomial, QSpec, make_p1, make_p2, make_q
-from critline.presets import KAPPA_P1, kappa_preset, kappa_star_preset
+from critline.poly import Polynomial, make_p1, make_p2, make_q
+from critline.presets import kappa_preset, kappa_star_preset
 
 pytestmark = pytest.mark.slow
 
@@ -78,23 +78,23 @@ def test_criterion_4_optimizer_sanity():
     cfg = moments.renormalized_q(kappa_preset())
     T = optimize.build_tensor(np.array([cfg.Q.coeffs]), cfg.R, cfg.theta1, cfg.theta2, 5, 5, 1e-8)
     _, c_min = optimize.solve_constrained(optimize.gram_at(T, np.ones(1)), 5)
-    reference = moments.evaluate(replace(cfg, P1=make_p1(KAPPA_P1, normalize=True)))
+    reference = moments.evaluate(replace(cfg, P1=cfg.P1.scale(1.0 / cfg.P1(1.0))))
     assert c_min <= reference.c + 1e-9, (c_min, reference.c)
 
 
 def random_config(rng):
     n_odd = int(rng.integers(1, 4))
     odd = tuple(rng.uniform(-0.5, 0.8, size=n_odd))
-    q = make_q(QSpec(odd_coeffs=odd, const=1.0 - sum(odd)))
+    q = make_q(1.0 - sum(odd), odd)
     n_p1 = int(rng.integers(2, 5))
     p1 = rng.uniform(-0.5, 1.0, size=n_p1)
-    p1 /= p1.sum()
+    P1 = Polynomial((0.0, *(p1 / p1.sum())))
     n_p2 = int(rng.integers(1, 3))
     p2 = tuple(rng.uniform(-0.5, 0.5, size=n_p2))
     theta2 = float(rng.uniform(0.3, 0.5))
     return moments.MollifierConfig(
         theta1=THETA1, theta2=theta2, R=float(rng.uniform(0.8, 1.6)),
-        Q=q, P1=make_p1(tuple(p1), normalize=True), P2=make_p2(p2),
+        Q=q, P1=P1.scale(1.0 / P1(1.0)), P2=make_p2(p2),
     )
 
 

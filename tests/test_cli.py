@@ -193,7 +193,8 @@ def test_unknown_preset_is_config_error(capsys, preset):
 
 @pytest.mark.parametrize(
     "line",
-    ["R = inf", "R = nan", "theta1 = inf", "p2_coeffs = nan"],
+    ["R = inf", "R = nan", "theta1 = inf", "p2_coeffs = nan", "q_const = inf",
+     "q_odd_coeffs = 0.5, nan"],
 )
 def test_non_finite_config_is_config_error(tmp_path, capsys, line):
     path = tmp_path / "nonfinite.cfg"

@@ -19,7 +19,7 @@ from critline.moments import (
     evaluate,
     renormalized_q,
 )
-from critline.poly import InY, Polynomial, QSpec, make_p1, make_p2, make_q
+from critline.poly import InY, Polynomial, make_p1, make_p2, make_q
 from critline.presets import kappa_preset, kappa_star_preset
 
 THETA1 = 4.0 / 7.0
@@ -34,7 +34,7 @@ def small_config(**overrides):
         theta1=THETA1,
         theta2=THETA2,
         R=1.1,
-        Q=make_q(QSpec(odd_coeffs=(0.3,), const=0.7)),
+        Q=make_q(0.7, (0.3,)),
         P1=make_p1((0.6, 0.4)),
         P2=make_p2((0.05, -0.01)),
     )
@@ -75,11 +75,11 @@ def test_config_rejects_non_finite_inputs(bad):
 
 
 def test_simple_zeros_requires_linear_q():
-    cfg = small_config(Q=make_q(QSpec(odd_coeffs=(0.5,), const=0.5)), mode=SIMPLE_ZEROS)
+    cfg = small_config(Q=make_q(0.5, (0.5,)), mode=SIMPLE_ZEROS)
     assert cfg.mode == SIMPLE_ZEROS
     with pytest.raises(ConfigError, match="simple mode searches a linear Q"):
         small_config(
-            Q=make_q(QSpec(odd_coeffs=(0.3, 0.1), const=0.6)), mode=SIMPLE_ZEROS
+            Q=make_q(0.6, (0.3, 0.1)), mode=SIMPLE_ZEROS
         )
 
 
@@ -149,7 +149,7 @@ def test_c1_kernel_evaluates_each_factor_once():
     # exact u-moments; each call evaluates Q(v), Q'(v) and the other side's
     # two once each, and no P
     cfg, other = small_config(), make_p1((0.3, 0.7))
-    other_q = make_q(QSpec(odd_coeffs=(0.2, 0.1), const=0.7))
+    other_q = make_q(0.7, (0.2, 0.1))
     calls = {name: 0 for name in ("Q", "Q'", "P", "P'", "R", "R'", "O", "O'")}
     integrand = moments.c1_integrand(
         Counted(cfg.Q, calls, "Q"), Counted(cfg.P1, calls, "P"),
@@ -300,13 +300,13 @@ def test_p1_normalized_kappa_is_left_out_when_undefined():
 
 
 def test_renormalized_q():
-    cfg = small_config(Q=make_q(QSpec(odd_coeffs=(0.3,), const=0.704)))
+    cfg = small_config(Q=make_q(0.704, (0.3,)))
     q0 = cfg.Q(0.0)
     assert q0 != 1.0
     normed = renormalized_q(cfg)
     assert normed.Q(0.0) == pytest.approx(1.0, abs=1e-15)
     assert normed.Q.coeffs == tuple(c / q0 for c in cfg.Q.coeffs)
-    vanishing = make_q(QSpec(odd_coeffs=(0.5,), const=-0.5))  # Q(x) = -x
+    vanishing = make_q(-0.5, (0.5,))  # Q(x) = -x
     with pytest.raises(ConfigError):
         renormalized_q(small_config(Q=vanishing))
     with pytest.raises(ConfigError, match="cannot renormalize"):
@@ -323,7 +323,7 @@ def raw_c(cfg):
 
 def test_renormalization_rescales_the_quadratic_part():
     # every constant is quadratic in Q, so c - 1 scales by 1/Q(0)^2
-    cfg = small_config(Q=make_q(QSpec(odd_coeffs=(0.3,), const=0.704)))
+    cfg = small_config(Q=make_q(0.704, (0.3,)))
     q0 = cfg.Q(0.0)
     normed = evaluate(cfg)
     assert normed.config.Q(0.0) == pytest.approx(1.0, abs=1e-15)
@@ -436,9 +436,10 @@ def kernel_panel():
     for n_odd in (1, 2, 3, 4):
         odd = tuple(rng.uniform(-0.5, 0.8, size=n_odd))
         p1 = rng.uniform(-0.5, 1.0, size=int(rng.integers(2, 6)))
+        P1 = Polynomial((0.0, *(p1 / p1.sum())))
         panel.append(dict(
-            Q=make_q(QSpec(odd_coeffs=odd, const=1.0 - sum(odd))),
-            P1=make_p1(tuple(p1 / p1.sum()), normalize=True),
+            Q=make_q(1.0 - sum(odd), odd),
+            P1=P1.scale(1.0 / P1(1.0)),
             P2=make_p2(tuple(rng.uniform(-0.5, 0.5, size=3))),
             P2_other=make_p2(tuple(rng.uniform(-0.5, 0.5, size=2))),
             R=float(rng.uniform(0.8, 1.6)),

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from critline import moments, optimize, presets, quad
 from critline.cli import EXIT_NUMERICAL, main
 from critline.optimize import OptimizeError, build_tensor, gram_at, solve_constrained
-from critline.poly import Polynomial, QSpec, make_p1, make_p2, make_q
+from critline.poly import Polynomial, make_p2, make_q
 from critline.presets import kappa_preset, kappa_star_preset
 
 THETA1 = 4.0 / 7.0
@@ -139,7 +139,7 @@ def test_build_tensor_p1_only_closed_form():
     assert M[0, 0] == pytest.approx(expected, rel=1e-11)
 
 
-SMALL_Q = make_q(QSpec(odd_coeffs=(0.4,), const=0.6))
+SMALL_Q = make_q(0.6, (0.4,))
 SMALL_R = 1.1
 
 
@@ -169,17 +169,19 @@ def test_gram_reconstructs_direct_evaluation(small_gram):
         assert total(small_gram, w) == pytest.approx(direct, rel=5e-5)
 
 
-def test_gram_split_normalizes_p1():
-    # the search splits its solved w into P1 on x..x^d1, rescaled to
-    # P1(1) = 1, and P2 on x^3..x^d2
+@pytest.mark.parametrize("d2, max_iterations", [(4, 0), (3, 2)], ids=["d2-4", "budget-2"])
+def test_search_split_holds_p1_at_one(d2, max_iterations):
+    # the search splits its solved w into P1 on x..x^d1 and P2 on x^3..x^d2;
+    # the constrained solve alone holds P1(1) = 1, with nothing rescaled after
+    # it, at one R and in the benchmark's budget-2 search
     report = optimize.optimize_full(
-        theta1=THETA1, theta2=THETA2, d1=3, d2=4, q_degree=1,
-        mode=moments.SIMPLE_ZEROS, max_iterations=0,
+        theta1=THETA1, theta2=THETA2, d1=3, d2=d2, q_degree=1,
+        mode=moments.SIMPLE_ZEROS, max_iterations=max_iterations,
     )
     cfg = report.config
-    assert cfg.P1(1.0) == pytest.approx(1.0, abs=1e-14)
+    assert abs(cfg.P1(1.0) - 1.0) <= 1e-14
     assert cfg.P2.coeffs[:3] == (0.0, 0.0, 0.0)
-    assert (cfg.P1.degree, cfg.P2.degree) == (3, 4)
+    assert (cfg.P1.degree, cfg.P2.degree) == (3, d2)
 
 
 # -- one-pass blocks against polarization --------------------------------------
@@ -203,7 +205,7 @@ def polarized_gram(Q, R, theta1, theta2, d1, d2, tol):
 
 
 def test_one_pass_gram_matches_polarization():
-    Q = make_q(QSpec(odd_coeffs=(0.55, -0.07), const=0.52))
+    Q = make_q(0.52, (0.55, -0.07))
     assert Q.degree == 3
     M = gram(Q, 1.2, d1=3, d2=4, tol=1e-10)
     reference = polarized_gram(Q, 1.2, THETA1, THETA2, 3, 4, tol=1e-10)
@@ -240,7 +242,7 @@ def test_rescaled_presets_are_the_constrained_optimum(preset_gram):
     # six-figure rounding: its gradient along the constraint surface is small,
     # and the solve's minimum lies below it by no more than 1e-9
     cfg, M, a, b = preset_gram
-    w = np.concatenate([make_p1(tuple(a), normalize=True).coeffs[1:], b])
+    w = np.concatenate([cfg.P1.scale(1.0 / cfg.P1(1.0)).coeffs[1:], b])
     e = constraint(len(M), a.size)
     assert e @ w == pytest.approx(1.0, abs=1e-14)
     null_basis = np.linalg.qr(e.reshape(-1, 1), mode="complete")[0][:, 1:]
@@ -280,17 +282,17 @@ def test_searched_reports_need_no_renormalization():
 
 
 @pytest.fixture(scope="module", params=[
-    (kappa_preset, presets.KAPPA_QSPEC), (kappa_star_preset, presets.KAPPA_STAR_QSPEC),
+    (kappa_preset, presets.KAPPA_Q), (kappa_star_preset, presets.KAPPA_STAR_Q),
 ], ids=["kappa", "kappa-star"])
 def preset_tensor(request):
     """The d1 = d2 = 5 tensor at a preset's R over its Q's odd basis, and the
     preset's (q, w) with Q(0) = 1."""
-    preset, spec = request.param
+    preset, (const, odd) = request.param
     cfg = moments.renormalized_q(preset())
-    top = 2 * len(spec.odd_coeffs)
+    top = 2 * len(odd)
     basis = np.eye(top + 1)[[0, *range(1, top + 1, 2)]]  # y^0 and the odd powers of y
     T = optimize.build_tensor(basis, cfg.R, cfg.theta1, cfg.theta2, 5, 5, 1e-10)
-    q = np.array([spec.const, *spec.odd_coeffs]) / (spec.const + sum(spec.odd_coeffs))
+    q = np.array([const, *odd]) / (const + sum(odd))
     w = np.array(cfg.P1.coeffs[1:] + cfg.P2.coeffs[3:])
     return cfg, T, q, w
 

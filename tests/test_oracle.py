@@ -23,7 +23,7 @@ from critline.oracle import (
     check_q_operator,
     contour_circle,
 )
-from critline.poly import Polynomial, QSpec, make_p1, make_p2, make_q
+from critline.poly import Polynomial, make_p1, make_p2, make_q
 from critline.presets import kappa_preset, kappa_star_preset
 
 
@@ -303,7 +303,7 @@ def test_contour_pole_near_the_circle_is_uncertified():
     "kind, params",
     [("K1", dict(i=2, alpha=0.0, beta=0.0, logq=10.0)),
      ("F_residues", dict(j=1, k=2, s=0.5, logx=5.0)),
-     ("q_operator", dict(Q=make_q(QSpec(odd_coeffs=(0.604, -0.08, -0.06, 0.046), const=0.492)),
+     ("q_operator", dict(Q=make_q(0.492, (0.604, -0.08, -0.06, 0.046)),
                          X=(1e8) ** (4.0 / 7.0), T=1e8))],
 )
 def test_uncertified_circle_fails_its_check(monkeypatch, kind, params):
@@ -466,7 +466,7 @@ def _circles_of(kind, params):
      ("L1", dict(i=5, alpha=0.05, beta=-0.04, logq=15.0)),
      ("F_residues", dict(j=2, k=0, s=0.5, logx=5.0)),
      ("F_residues", dict(j=1, k=3, s=-1.3, logx=7.5)),
-     ("q_operator", dict(Q=make_q(QSpec(odd_coeffs=(0.604, -0.08, -0.06, 0.046), const=0.492)),
+     ("q_operator", dict(Q=make_q(0.492, (0.604, -0.08, -0.06, 0.046)),
                          X=(1e8) ** (4.0 / 7.0), T=1e8, alpha=-0.1 / math.log(1e8)))],
 )
 def test_unit_node_terms_match_the_f_of_z_form(monkeypatch, kind, params):
@@ -633,7 +633,7 @@ def test_q_monomials_expand_q_in_y_exactly():
     # in rational arithmetic the expansion is exact: at x = 1/3 its
     # monomials sum to sum_k p_k (1/3)^k, and in floats they match the
     # program's Q; a constant is its own expansion
-    q = make_q(QSpec(odd_coeffs=(0.604, -0.08, -0.06, 0.046), const=0.492))
+    q = make_q(0.492, (0.604, -0.08, -0.06, 0.046))
     monomials = oracle.q_monomials(q, Fraction)
     x = Fraction(1, 3)
     assert sum(m * x**j for j, m in enumerate(monomials)) == sum(
@@ -645,7 +645,7 @@ def test_q_monomials_expand_q_in_y_exactly():
 
 
 def test_q_operator_preset_style_q():
-    q = make_q(QSpec(odd_coeffs=(0.604, -0.08, -0.06, 0.046), const=0.492))
+    q = make_q(0.492, (0.604, -0.08, -0.06, 0.046))
     result = check_q_operator(q, X=(1e8) ** (4.0 / 7.0), T=1e8, alpha=-0.1 / math.log(1e8))
     assert result.passed
 
@@ -778,8 +778,8 @@ def _constant_q():
 
 def _degree_11_q():
     # the largest --q-degree searched for kappa
-    spec = QSpec(odd_coeffs=(0.604, -0.08, -0.06, 0.046, -0.02, 0.01), const=0.492)
-    return dataclasses.replace(kappa_preset(), Q=make_q(spec))
+    Q = make_q(0.492, (0.604, -0.08, -0.06, 0.046, -0.02, 0.01))
+    return dataclasses.replace(kappa_preset(), Q=Q)
 
 
 def _cubic_p2():
