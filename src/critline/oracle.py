@@ -102,80 +102,68 @@ class CheckResult:
 # -- arithmetic tables ------------------------------------------------------
 
 
-class ArithmeticTables:
-    """Sieved Mobius, Mobius-squared-convolution, and divisor-function tables.
+def _sieve_mu(N: int) -> np.ndarray:
+    """mu(n) for n <= N, sieving with the primes p <= D = isqrt(N) alone.
 
-    ``mu2`` holds the Dirichlet coefficients of 1/zeta^2, i.e. mu * mu under
-    Dirichlet convolution.  ``dk(k)`` is the k-fold divisor function.
+    Each such p strikes its composite multiples, flips the sign of every
+    multiple and zeroes the multiples of p^2.  A number n <= N has at
+    most one prime factor p > D, and then n = k p with k <= N // (D + 1):
+    one step per k flips the signs of all those k p at once.  Integer
+    arithmetic, so the order of the flips does not change a bit.
     """
+    D = math.isqrt(N)
+    mu = np.ones(N + 1, dtype=np.int64)
+    mu[0] = 0
+    is_prime = np.ones(N + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, D + 1):
+        if not is_prime[p]:
+            continue
+        is_prime[p * p :: p] = False
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+    large = np.flatnonzero(is_prime[D + 1 :]) + (D + 1)
+    for k in range(1, N // (D + 1) + 1):
+        mu[k * large[: np.searchsorted(large, N // k, side="right")]] *= -1
+    return mu
 
-    def __init__(self, N: int = DEFAULT_N):
-        if not 1 <= N <= 1_000_000:
-            raise OracleError("N must be in [1, 10^6]")
-        self.N = N
-        self.mu = self._sieve_mu(N)
-        self.mu2 = self._dirichlet(self.mu, self.mu)
-        self._dk: dict[int, np.ndarray] = {}
 
-    @staticmethod
-    def _sieve_mu(N: int) -> np.ndarray:
-        """mu(n) for n <= N, sieving with the primes p <= D = isqrt(N) alone.
+def _dirichlet(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Dirichlet convolution out[m] = sum of a[d] b[e] over de = m,
+    for 1 <= m <= N = a.size - 1 (index 0 of either input is unused).
 
-        Each such p strikes its composite multiples, flips the sign of every
-        multiple and zeroes the multiples of p^2.  A number n <= N has at
-        most one prime factor p > D, and then n = k p with k <= N // (D + 1):
-        one step per k flips the signs of all those k p at once.  Integer
-        arithmetic, so the order of the flips does not change a bit.
-        """
-        D = math.isqrt(N)
-        mu = np.ones(N + 1, dtype=np.int64)
-        mu[0] = 0
-        is_prime = np.ones(N + 1, dtype=bool)
-        is_prime[:2] = False
-        for p in range(2, D + 1):
-            if not is_prime[p]:
-                continue
-            is_prime[p * p :: p] = False
-            mu[p::p] *= -1
-            mu[p * p :: p * p] = 0
-        large = np.flatnonzero(is_prime[D + 1 :]) + (D + 1)
-        for k in range(1, N // (D + 1) + 1):
-            mu[k * large[: np.searchsorted(large, N // k, side="right")]] *= -1
-        return mu
+    Hyperbola split at D = isqrt(N): every pair with de <= N has d <= D,
+    summed one d at a time over all its e, or d > D and then
+    e <= N // (D + 1), summed one e at a time over all its d > D.  Each
+    term is one strided slice, so the loop runs at most 2 D times.
+    Integer arithmetic: the sum order does not change a bit.
+    """
+    N = a.size - 1
+    D = math.isqrt(N)
+    out = np.zeros(N + 1, dtype=np.int64)
+    for d in range(1, D + 1):
+        out[d::d] += a[d] * b[1 : N // d + 1]
+    for e in range(1, N // (D + 1) + 1):
+        top = N // e
+        out[(D + 1) * e : top * e + 1 : e] += a[D + 1 : top + 1] * b[e]
+    return out
 
-    @staticmethod
-    def _dirichlet(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The Dirichlet convolution out[m] = sum of a[d] b[e] over de = m,
-        for 1 <= m <= N = a.size - 1 (index 0 of either input is unused).
 
-        Hyperbola split at D = isqrt(N): every pair with de <= N has d <= D,
-        summed one d at a time over all its e, or d > D and then
-        e <= N // (D + 1), summed one e at a time over all its d > D.  Each
-        term is one strided slice, so the loop runs at most 2 D times.
-        Integer arithmetic: the sum order does not change a bit.
-        """
-        N = a.size - 1
-        D = math.isqrt(N)
-        out = np.zeros(N + 1, dtype=np.int64)
-        for d in range(1, D + 1):
-            out[d::d] += a[d] * b[1 : N // d + 1]
-        for e in range(1, N // (D + 1) + 1):
-            top = N // e
-            out[(D + 1) * e : top * e + 1 : e] += a[D + 1 : top + 1] * b[e]
-        return out
-
-    def dk(self, k: int) -> np.ndarray:
-        """d_k(n) for n <= N: the number of ordered k-factorizations."""
-        if not 1 <= k <= 5:
-            raise OracleError("k must be in [1, 5]")
-        if k not in self._dk:
-            if k == 1:
-                table = np.ones(self.N + 1, dtype=np.int64)
-                table[0] = 0
-            else:
-                table = self._dirichlet(self.dk(k - 1), self.dk(1))
-            self._dk[k] = table
-        return self._dk[k]
+@lru_cache(maxsize=8)
+def divisor_counts(k: int, N: int) -> np.ndarray:
+    """d_k(n) for n <= N, the number of ordered k-factorizations of n, at
+    index n (read-only; index 0 is 0).  Checks at one (k, N) share the array."""
+    if not 1 <= N <= 1_000_000:
+        raise OracleError("N must be in [1, 10^6]")
+    if not 1 <= k <= 5:
+        raise OracleError("k must be in [1, 5]")
+    if k == 1:
+        table = np.ones(N + 1, dtype=np.int64)
+        table[0] = 0
+    else:
+        table = _dirichlet(divisor_counts(k - 1, N), divisor_counts(1, N))
+    table.setflags(write=False)
+    return table
 
 
 # -- contour integration ----------------------------------------------------
@@ -334,15 +322,6 @@ def contour_circle(term: Callable[[Any], Any], exponent=0, pole: int = 0) -> Con
 # -- Euler-Maclaurin style sum/integral comparisons -------------------------
 
 
-def _tables_up_to(n: int, tables: ArithmeticTables | None) -> ArithmeticTables:
-    """``tables`` if it reaches n, fresh tables up to n if it is None."""
-    if tables is None:
-        return ArithmeticTables(n)
-    if tables.N < n:
-        raise OracleError(f"need tables.N >= {n}, got tables.N = {tables.N}")
-    return tables
-
-
 def _gauss_integral_01(g: Callable[[np.ndarray], np.ndarray]) -> float:
     nodes, weights = _gauss_rule(96)
     return float(np.sum(g(nodes) * weights))
@@ -376,8 +355,7 @@ def check_euler_maclaurin(kind: str, **params) -> CheckResult:
             raise OracleError("need z <= x")
         if abs(s) > 1.0 / math.log(x):
             raise OracleError("need |s| <= 1/log x")
-        tables = _tables_up_to(int(z), params.get("tables"))
-        dk = tables.dk(k)[1 : int(z) + 1].astype(float)
+        dk = divisor_counts(k, int(z))[1:].astype(float)
         n = np.arange(1, int(z) + 1, dtype=float)
         lhs = float(
             np.sum(dk * n ** (-1.0 - s) * F(np.log(x / n) / math.log(x))
@@ -398,12 +376,11 @@ def check_euler_maclaurin(kind: str, **params) -> CheckResult:
     )
 
 
-def check_logsave(k: int, sigma: float, x: float, tables: ArithmeticTables | None = None):
+def check_logsave(k: int, sigma: float, x: float):
     """Bounded-ratio check of the log-saving divisor-sum estimate."""
     if not -1.0 <= sigma <= 0.0:
         raise OracleError("need -1 <= sigma <= 0")
-    tables = _tables_up_to(int(x), tables)
-    dk = tables.dk(k)[1 : int(x) + 1].astype(float)
+    dk = divisor_counts(k, int(x))[1:].astype(float)
     n = np.arange(1, int(x) + 1, dtype=float)
     lhs = float(np.sum(dk / n * (x / n) ** sigma))
     log3x = math.log(3 * x)
@@ -611,14 +588,17 @@ def check_mobius_identities(N: int = DEFAULT_N):
     over h | m is mu(m).  Verified in exact integer arithmetic.
 
     Both divisor sums, ``mu2`` and the ``dk`` tables come from one helper,
-    :meth:`ArithmeticTables._dirichlet`.  The unit identity is what pins that
-    shared helper: its input is the independently sieved mu, and its expected
-    value [m = 1] comes from no convolution at all.
+    :func:`_dirichlet`.  The unit identity is what pins that shared helper:
+    its input is the independently sieved mu, and its expected value [m = 1]
+    comes from no convolution at all.
     """
-    tables = ArithmeticTables(N)
-    mu, mu2, one = tables.mu, tables.mu2, tables.dk(1)
-    unit = tables._dirichlet(mu, one)
-    mob = tables._dirichlet(mu2, one)
+    if not 1 <= N <= 1_000_000:
+        raise OracleError("N must be in [1, 10^6]")
+    mu = _sieve_mu(N)
+    mu2 = _dirichlet(mu, mu)  # the Dirichlet coefficients of 1/zeta^2
+    one = np.ones(N + 1, dtype=np.int64)
+    unit = _dirichlet(mu, one)
+    mob = _dirichlet(mu2, one)
     expected_unit = np.zeros(N + 1, dtype=np.int64)
     expected_unit[1] = 1
     failures = int(np.count_nonzero(unit[1:] - expected_unit[1:])) + int(
@@ -733,6 +713,22 @@ _D2_WEIGHTS = (-1.0, 16.0, -30.0, 16.0, -1.0)
 _C2_T_BLOCK = 8
 
 
+def _horner_ld(coeffs, z) -> np.ndarray:
+    """The polynomial with ascending ``coeffs`` at the extended-precision
+    array z: Horner in place, the steps and order of ``Polynomial``'s."""
+    acc = np.full(np.shape(z), coeffs[-1], dtype=np.longdouble)
+    for c in coeffs[-2::-1]:
+        acc *= z
+        acc += c
+    return acc
+
+
+def _second_derivative(P) -> list:
+    """The ascending coefficients (k - 1)(k p_k) of P'', rounded in doubles
+    as two ``Polynomial.derivative`` steps round them."""
+    return [(k - 1) * (k * p) for k, p in enumerate(P.coeffs) if k >= 2] or [0.0]
+
+
 def _c12_scalars(cfg: moments.MollifierConfig, xs, ys, n: int) -> np.ndarray:
     """The c12 integrand's inner integral at every pair of real offsets,
     pre-factor included: entry [i, j] is at (xs[i], ys[j]), and finite
@@ -752,27 +748,18 @@ def _c12_scalars(cfg: moments.MollifierConfig, xs, ys, n: int) -> np.ndarray:
     ld = np.longdouble
     th1, th2, R = ld(cfg.theta1), ld(cfg.theta2), ld(cfg.R)
     xs, ys = np.asarray(xs, dtype=ld), np.asarray(ys, dtype=ld)
-    q, P1 = q_monomials(cfg.Q, ld), cfg.P1
-
-    def Q(z):  # Horner in place, as Polynomial evaluates, on extended-precision q
-        acc = np.full(np.shape(z), q[-1], dtype=ld)
-        for c in q[-2::-1]:
-            acc *= z
-            acc += c
-        return acc
-
-    P2dd = cfg.P2.derivative().derivative()
+    q, p2dd = q_monomials(cfg.Q, ld), _second_derivative(cfg.P2)
     nodes, weights = _gauss_rule_ld(n)
     s, t, u = nodes[:, None, None], nodes[None, :, None], nodes[None, None, :]
     b = (1.0 - s) * t
-    common = np.exp(R * th2 * u * (s - b)) * P2dd((1.0 - s - b) * u)
-    g = np.stack([np.einsum("stu,t->su", common * Q(1.0 + y * th1 - b * u * th2), weights)
-                  for y in ys])
+    common = np.exp(R * th2 * u * (s - b)) * _horner_ld(p2dd, (1.0 - s - b) * u)
+    g = np.stack([np.einsum("stu,t->su", common * _horner_ld(q, 1.0 + y * th1 - b * u * th2),
+                            weights) for y in ys])
     x = xs[:, None, None]
     # on (x, s, u) and on (x, y, u), with the s and u weights
-    qx = (weights * (1.0 - nodes))[:, None] * Q(-x * th1 + nodes[:, None] * nodes * th2)
-    p1 = weights * nodes * nodes * (1.0 - nodes) * P1(
-        x + ys[:, None] + 1.0 - (1.0 - nodes) * th2 / th1)
+    qx = (weights * (1.0 - nodes))[:, None] * _horner_ld(q, -x * th1 + nodes[:, None] * nodes * th2)
+    p1 = weights * nodes * nodes * (1.0 - nodes) * _horner_ld(
+        cfg.P1.coeffs, x + ys[:, None] + 1.0 - (1.0 - nodes) * th2 / th1)
     value = np.einsum("xsu,xyu,ysu->xy", qx, p1, g)
     return 4.0 * (th2**2 / th1**2) * np.exp(R * (1.0 + th1 * (ys - xs[:, None]))) * value
 
@@ -849,7 +836,7 @@ def _c2_scalars(cfg: moments.MollifierConfig, pairs, n: int) -> np.ndarray:
     th2, R = ld(cfg.theta2), ld(cfg.R)
     rows = _taylor_rows_ld(q_monomials(cfg.Q, ld)).T[::-1]
     d = len(rows) - 1
-    P2dd = cfg.P2.derivative().derivative()
+    p2dd = _second_derivative(cfg.P2)
     nodes, weights = _gauss_rule_ld(n)
     t, r = nodes[:, None], nodes[None, :]  # the slices, t on the leading axis
     hankel = np.add.outer(np.arange(d + 1), np.arange(d + 1))
@@ -873,7 +860,7 @@ def _c2_scalars(cfg: moments.MollifierConfig, pairs, n: int) -> np.ndarray:
         # slice with s = offset + r; the same on the u axis at x and the v
         # axis at y
         s = offset + r
-        base = (weights * P2dd((1.0 - nodes) * s[..., None])) * np.exp(
+        base = (weights * _horner_ld(p2dd, (1.0 - nodes) * s[..., None])) * np.exp(
             (R * th2 * (1.0 - 2.0 * t) * s)[..., None] * nodes)
         return base @ centred
 
@@ -969,15 +956,13 @@ def _euler_suite() -> list[CheckResult]:
     for l in (0, 1, 2):
         for s in (0.0, 0.05, -0.05):
             out.append(check_euler_maclaurin("basic", l=l, s=s, x=1e4))
-    tables = ArithmeticTables(10_000)
     for k in (1, 2, 3):
-        out.append(check_euler_maclaurin("diag", k=k, F=one, H=one, x=1e4, s=0.0,
-                                         tables=tables))
+        out.append(check_euler_maclaurin("diag", k=k, F=one, H=one, x=1e4, s=0.0))
         out.append(check_euler_maclaurin("cross", k=k, F=ident, H=ident, x=1e4,
-                                         z=5e3, s=0.0, tables=tables))
+                                         z=5e3, s=0.0))
     for k in (1, 2, 3, 4, 5):
         for sigma in (0.0, -0.25, -1.0):
-            out.append(check_logsave(k, sigma, 1e4, tables=tables))
+            out.append(check_logsave(k, sigma, 1e4))
     return out
 
 

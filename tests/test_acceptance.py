@@ -140,7 +140,6 @@ def test_criterion_8_asymptotic_lemmas():
     and dividing out one more log factor makes them non-increasing over
     x in {1e3, 1e4, 1e5}; the log-saving ratio stays below 10 for k <= 5."""
     xs = (1e3, 1e4, 1e5)
-    tables = oracle.ArithmeticTables(100_000)
     F = Polynomial((0.2, 0.5, -0.3, 0.1))
     H = Polynomial((1.0, -0.4, 0.2))
 
@@ -158,9 +157,7 @@ def test_criterion_8_asymptotic_lemmas():
             for x in xs:
                 z = x if kind == "diag" else x / 2.0
                 results.append(
-                    oracle.check_euler_maclaurin(
-                        kind, k=k, F=F, H=H, x=x, z=z, s=0.0, tables=tables
-                    )
+                    oracle.check_euler_maclaurin(kind, k=k, F=F, H=H, x=x, z=z, s=0.0)
                 )
             assert all(r.error <= oracle.ASYMPTOTIC_CONSTANT for r in results)
             scaled = [r.error / math.log(3 * (r.params["x"] if kind == "diag" else r.params["z"]))
@@ -169,7 +166,7 @@ def test_criterion_8_asymptotic_lemmas():
     for k in (1, 2, 3, 4, 5):
         for sigma in (0.0, -0.25, -1.0):
             for x in xs:
-                r = oracle.check_logsave(k, sigma, x, tables=tables)
+                r = oracle.check_logsave(k, sigma, x)
                 assert r.error <= oracle.ASYMPTOTIC_CONSTANT, (k, sigma, x, r.error)
 
 

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from critline import moments, oracle
 from critline.jet import Jet
 from critline.oracle import (
-    ArithmeticTables,
     OracleError,
     check_contour_identity,
     check_euler_maclaurin,
@@ -31,30 +30,50 @@ from critline.presets import kappa_preset, kappa_star_preset
 
 
 def test_mobius_small_values():
-    mu = ArithmeticTables(30).mu
+    mu = oracle._sieve_mu(30)
     expected = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 10: 1, 12: 0, 30: -1}
     for n, value in expected.items():
         assert mu[n] == value
 
 
 def test_mu2_is_mobius_convolved_with_itself():
-    t = ArithmeticTables(30)
+    mu = oracle._sieve_mu(30)
+    mu2 = oracle._dirichlet(mu, mu)
     # mu * mu at 2: mu(1)mu(2) + mu(2)mu(1) = -2; at 4: mu(2)^2 = 1; at 6: 4
-    assert t.mu2[1] == 1
-    assert t.mu2[2] == -2
-    assert t.mu2[4] == 1
-    assert t.mu2[6] == 4
-    assert t.mu2[8] == 0
+    assert mu2[1] == 1
+    assert mu2[2] == -2
+    assert mu2[4] == 1
+    assert mu2[6] == 4
+    assert mu2[8] == 0
 
 
 def test_divisor_functions():
-    t = ArithmeticTables(100)
-    assert t.dk(1)[10] == 1
-    assert t.dk(2)[12] == 6  # divisors of 12
-    assert t.dk(3)[4] == 6  # ordered triples with product 4
-    assert t.dk(3)[7] == 3
+    dk = oracle.divisor_counts
+    assert dk(1, 100)[10] == 1
+    assert dk(2, 100)[12] == 6  # divisors of 12
+    assert dk(3, 100)[4] == 6  # ordered triples with product 4
+    assert dk(3, 100)[7] == 3
     with pytest.raises(OracleError):
-        t.dk(6)
+        dk(6, 100)
+
+
+def test_divisor_counts_are_shared_and_read_only(monkeypatch):
+    # one cached array per (k, N), which no reader can change: two checks at
+    # the same (k, N) read the same object
+    table = oracle.divisor_counts(2, 1000)
+    with pytest.raises(ValueError):
+        table[1] = 0
+    cached, read = oracle.divisor_counts, []
+
+    def recording(k, N):
+        read.append(cached(k, N))
+        return read[-1]
+
+    monkeypatch.setattr(oracle, "divisor_counts", recording)
+    one = Polynomial((1.0,))
+    assert check_euler_maclaurin("diag", k=2, F=one, H=one, x=1e3, s=0.0).passed
+    assert oracle.check_logsave(2, 0.0, 1e3).passed
+    assert len(read) == 2 and read[0] is table and read[1] is table
 
 
 def _dirichlet_double_loop(a, b):
@@ -74,7 +93,7 @@ def test_dirichlet_matches_the_double_loop(N):
     rng = np.random.default_rng(N)
     a = rng.integers(-1000, 1001, size=N + 1)
     b = rng.integers(-1000, 1001, size=N + 1)
-    got = ArithmeticTables._dirichlet(a, b)
+    got = oracle._dirichlet(a, b)
     assert got.dtype == np.int64
     assert got.tolist() == _dirichlet_double_loop(a, b)
 
@@ -94,7 +113,7 @@ def test_dirichlet_runs_about_two_square_roots_of_steps():
     N = 10**5
     a = np.ones(N + 1, dtype=np.int64).view(_CountingArray)
     _CountingArray.reads = 0
-    ArithmeticTables._dirichlet(a, np.ones(N + 1, dtype=np.int64))
+    oracle._dirichlet(a, np.ones(N + 1, dtype=np.int64))
     assert 0 < _CountingArray.reads <= 2 * math.isqrt(N) + 2, _CountingArray.reads
 
 
@@ -120,19 +139,20 @@ def test_tables_match_direct_counting():
     # p^2, ... (the coefficients of (1 - x)^2), and d_k(p^a) counts the
     # ordered ways to split a among k factors, C(a + k - 1, k - 1)
     N = 2000
-    t = ArithmeticTables(N)
+    mu = oracle._sieve_mu(N)
+    mu2 = oracle._dirichlet(mu, mu)
+    dk = {k: oracle.divisor_counts(k, N) for k in range(1, 6)}
     mu2_at_prime_power = (1, -2, 1)
     for n in range(1, N + 1):
         exponents = _factorize(n)
-        mu2 = math.prod(mu2_at_prime_power[a] if a < 3 else 0 for a in exponents)
-        assert t.mu2[n] == mu2, n
+        assert mu2[n] == math.prod(mu2_at_prime_power[a] if a < 3 else 0 for a in exponents), n
         for k in range(1, 6):
-            assert t.dk(k)[n] == math.prod(math.comb(a + k - 1, k - 1) for a in exponents), (n, k)
+            assert dk[k][n] == math.prod(math.comb(a + k - 1, k - 1) for a in exponents), (n, k)
 
 
 def _sieve_mu_every_p(N):
-    """The Mobius sieve ``ArithmeticTables`` ran before it sieved with the
-    primes up to isqrt(N) alone: every p in 2..N, composites skipped."""
+    """The Mobius sieve ``_sieve_mu`` ran before it sieved with the primes
+    up to isqrt(N) alone: every p in 2..N, composites skipped."""
     mu = np.ones(N + 1, dtype=np.int64)
     mu[0] = 0
     is_prime = np.ones(N + 1, dtype=bool)
@@ -151,16 +171,17 @@ def _sieve_mu_every_p(N):
 def test_sieve_mu_matches_the_every_p_loop(N):
     # squares and their neighbours, where isqrt(N) moves, and the sizes the
     # mobius suite uses
-    got = ArithmeticTables._sieve_mu(N)
+    got = oracle._sieve_mu(N)
     assert got.dtype == np.int64
     assert np.array_equal(got, _sieve_mu_every_p(N))
 
 
 def test_tables_bounds():
-    with pytest.raises(OracleError):
-        ArithmeticTables(0)
-    with pytest.raises(OracleError):
-        ArithmeticTables(2_000_000)
+    for N in (0, 2_000_000):
+        with pytest.raises(OracleError, match=r"N must be in \[1, 10\^6\]"):
+            oracle.divisor_counts(1, N)
+        with pytest.raises(OracleError, match=r"N must be in \[1, 10\^6\]"):
+            check_mobius_identities(N)
 
 
 # -- contour integration -----------------------------------------------------
@@ -536,6 +557,22 @@ def test_oracle_evaluates_q_only_through_its_own_expansion(monkeypatch):
     assert abs(oracle.fd_c2(cfg) - c2) <= oracle.JET_OPERATOR_TOL * abs(c2)
 
 
+def test_fd_oracle_evaluates_p1_and_p2_only_through_its_own_horner(monkeypatch):
+    # the c12 and c2 kernels evaluate P1 and differentiate P2 through
+    # Polynomial; the finite differences read their coefficients alone
+    cfg = kappa_preset()
+    report = moments.evaluate(cfg)
+    c12, c2 = report.c12, report.c2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called Polynomial")
+
+    for name in ("__call__", "derivative"):
+        monkeypatch.setattr(Polynomial, name, refuse)
+    assert abs(oracle.fd_c12(report.config) - c12) <= oracle.JET_OPERATOR_TOL * abs(c12)
+    assert abs(oracle.fd_c2(report.config) - c2) <= oracle.JET_OPERATOR_TOL * abs(c2)
+
+
 # -- identity checks ---------------------------------------------------------
 
 
@@ -648,19 +685,6 @@ def test_q_operator_preset_style_q():
     q = make_q(0.492, (0.604, -0.08, -0.06, 0.046))
     result = check_q_operator(q, X=(1e8) ** (4.0 / 7.0), T=1e8, alpha=-0.1 / math.log(1e8))
     assert result.passed
-
-
-def test_logsave_rejects_undersized_tables():
-    with pytest.raises(OracleError, match=r"need tables.N >= 10000, got tables.N = 1000$"):
-        oracle.check_logsave(2, 0.0, 1e4, tables=ArithmeticTables(1000))
-
-
-@pytest.mark.parametrize("kind", ["diag", "cross"])
-def test_euler_maclaurin_rejects_undersized_tables(kind):
-    one = Polynomial((1.0,))
-    with pytest.raises(OracleError, match=r"need tables.N >= 5000, got tables.N = 1000$"):
-        check_euler_maclaurin(kind, k=2, F=one, H=one, x=5e3, z=5e3, s=0.0,
-                              tables=ArithmeticTables(1000))
 
 
 def test_euler_maclaurin_validation():
