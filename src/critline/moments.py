@@ -11,12 +11,13 @@ operators are exact and quadrature is the only error source.  The quadrature
 ladder's delta is measured on that coefficient.
 
 Each kernel is linear in each of its four polynomials, a (Q, P) pair per
-side.  Given :class:`Family` objects in their place, the same kernel returns
-a whole block of that 4-linear form per node.  c is a symmetric form, so
-:func:`blocks` takes one side and pairs it with its mirror; it is the one
-path from kernel to constant, for :func:`evaluate` and the tensors of
-:mod:`critline.optimize`, and it sums c2 over a triangle of the (u, v) plane,
-ruled one rung of the ladder behind t and r.
+side, each a :class:`Family` of coefficient rows (Q's in y = 1 - 2x), and
+returns a whole block of that 4-linear form per node.  c is a symmetric
+form, so :func:`blocks` takes one side of coefficient rows and pairs it with
+its mirror; it is the one path from kernel to constant, for
+:func:`evaluate` (one row per slot) and the tensors of
+:mod:`critline.optimize`, and it sums c2 over a triangle of the (u, v)
+plane, ruled one rung of the ladder behind t and r.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ class KappaReport:
 def c1_integrand(Q, P1, Q_other, P1_other, R: float, theta1: float):
     """e^{2Rv} times the u-integral of L_Q(P1) L_Qo(P1o), a function of v
     alone, with L_Q(P) = Q(v)P'(u) + th1 (Q'(v) + R Q(v)) P(u), Qo = Q_other
-    and P1o = P1_other.
+    and P1o = P1_other; Q = p(1 - 2x) is given as p, so Q'(v) = -2 p'(1 - 2v).
 
     With q = Q(v), qp = th1 (Q'(v) + R Q(v)) and qo, qpo the same of Qo, the
     product is q qo P1'P1o' + q qpo P1'P1o + qp qo P1 P1o' + qp qpo P1 P1o.
@@ -147,12 +148,13 @@ def c1_integrand(Q, P1, Q_other, P1_other, R: float, theta1: float):
     # the u-axis is summed away and kept as length 1: v's node axis
     U_dd, U_d0, U_0d, U_00 = (np.sum(f * rule.weights, axis=-1, keepdims=True)
                               for f in (ad * bd, ad * b, a * bd, a * b))
-    Qd, Qod = Q.derivative(), Q_other.derivative()
+    (Qy, Qd), (Qoy, Qod) = (_taylor(p, 1, -2.0) for p in (Q, Q_other))
 
     def integrand(v):
-        q, qo = Q(v), Q_other(v)
-        qp = theta1 * (Qd(v) + R * q)
-        qpo = theta1 * (Qod(v) + R * qo)
+        y = 1.0 - 2.0 * v
+        q, qo = Qy(y), Qoy(y)
+        qp = theta1 * (Qd(y) + R * q)
+        qpo = theta1 * (Qod(y) + R * qo)
         mixed = U_d0 * (q * qpo) + U_0d * (qp * qo)
         return np.exp(2.0 * R * v) * (U_dd * (q * qo) + mixed + U_00 * (qp * qpo))
 
@@ -166,39 +168,33 @@ def c1_integrand(Q, P1, Q_other, P1_other, R: float, theta1: float):
 # exponential, are closed forms (Taylor-mode differentiation specialized to
 # degree-1 inputs).  Coefficient series are lists indexed by power, grids are
 # lists of lists indexed [i][j] for x^i y^j; entries are per-node arrays.
+# Q, held in y = 1 - 2x, takes Taylor step -2 and is expanded at 1 - 2 c0.
 
 
-def _taylor(p: Polynomial, order: int) -> list[Polynomial]:
-    """``p^(k) / k!`` for k = 0..order: at c0 they give the coefficients of
-    h^k in p(c0 + h)."""
+def _taylor(p: Family, order: int, step: float = 1.0) -> list[Family]:
+    """``step^k p^(k) / k!`` for k = 0..order: at c0 they give the
+    coefficients of h^k in p(c0 + step*h)."""
     out = [p]
     for k in range(1, order + 1):
-        out.append(out[-1].derivative().scale(1.0 / k))
+        out.append(out[-1].derivative().scale(step / k))
     return out
 
 
-def _at(taylor: list[Polynomial], c0) -> list:
-    """Each of ``taylor`` at c0, Q in y (:class:`InY`) mapping c0 to y once."""
-    if isinstance(taylor[0], InY):
-        taylor, c0 = [p.p for p in taylor], 1.0 - 2.0 * c0
-    return [p(c0) for p in taylor]
-
-
-def _series(taylor: list[Polynomial], c0, c) -> list:
+def _series(taylor: list[Family], c0, c) -> list:
     """Coefficients of h^k, k < len(taylor), in p(c0 + c*h)."""
-    out, ck = _at(taylor, c0), c
+    out, ck = [p(c0) for p in taylor], c
     for k in range(1, len(out)):
         out[k] = out[k] * ck
         ck = ck * c
     return out
 
 
-def _grid(taylor: list[Polynomial], c0, cx, cy, cap: int) -> list[list]:
+def _grid(taylor: list[Family], c0, cx, cy, cap: int) -> list[list]:
     """Coefficients of x^i y^j, i, j <= cap, in p(c0 + cx*x + cy*y): that is
     p^(i+j)(c0) cx^i cy^j / (i! j!), read from ``taylor`` (order up to
     2*cap).  An entry whose order i + j is past the end of ``taylor`` (past
     p's degree) is 0 and is left ``None``, which :func:`_coeff` skips."""
-    t = _at(taylor, c0)
+    t = [p(c0) for p in taylor]
     px, py = [1.0, cx, cx * cx], [1.0, cy, cy * cy]
     return [
         [t[i + j] * (math.comb(i + j, i) * px[i] * py[j]) if i + j < len(t) else None
@@ -233,10 +229,10 @@ def _coeff(a: list, b: list, k: int, l: int | None = None):
 class Family:
     """Polynomials as the rows of a coefficient matrix (ascending powers),
     evaluated together by Horner, their members on axis ``axis`` of four
-    leading axes, then the argument's axes.  In place of a
-    :class:`Polynomial` (the kernels use only evaluation, ``degree``,
-    ``derivative`` and ``scale``), families on distinct axes make a kernel
-    return a whole block."""
+    leading axes (less the unit ones left of it), then the argument's axes.
+    Families on distinct axes make a kernel, which uses only evaluation,
+    ``degree``, ``derivative`` and ``scale``, return a whole block.  Each
+    row evaluates and differentiates to the bits of :class:`Polynomial`."""
 
     def __init__(self, coeffs: np.ndarray, axis: int):
         self.coeffs = coeffs
@@ -247,15 +243,22 @@ class Family:
         return self.coeffs.shape[1] - 1
 
     def __call__(self, x):
-        shape = [1] * (4 + np.ndim(x))
-        shape[self.axis] = len(self.coeffs)
-        acc = 0.0
-        for c in self.coeffs.T[::-1]:
-            acc = acc * x + c.reshape(shape)
+        # Horner in place, Polynomial's steps; one row has only unit member
+        # axes, and evaluates on x's shape with numbers for columns
+        m = len(self.coeffs)
+        members = (m,) + (1,) * (3 - self.axis) if m > 1 else ()
+        lead, *lower = (self.coeffs[0, ::-1].tolist() if m == 1 else
+                        self.coeffs.T[::-1].reshape((-1, *members) + (1,) * np.ndim(x)))
+        acc = np.full(members + np.shape(x), lead)
+        for c in lower:
+            np.multiply(acc, x, out=acc)
+            np.add(acc, c, out=acc)
         return acc
 
     def derivative(self) -> "Family":
-        return Family(np.polynomial.polynomial.polyder(self.coeffs, axis=1), self.axis)
+        n = self.coeffs.shape[1]  # degree 0 gives a zero row
+        return Family(np.arange(1, n) * self.coeffs[:, 1:] if n > 1 else np.zeros_like(self.coeffs),
+                      self.axis)
 
     def scale(self, factor: float) -> "Family":
         return Family(factor * self.coeffs, self.axis)
@@ -273,7 +276,7 @@ def c12_integrand(Q, P1, Q_other, P2, R: float, theta1: float, theta2: float):
     two exponential-times-Q factors depend on x only and on y only, so they
     form a rank-1 outer product that contracts against P1's (1,1) grid.
     """
-    q, qo = _taylor(Q, 1), _taylor(Q_other, 1)
+    q, qo = _taylor(Q, 1, -2.0), _taylor(Q_other, 1, -2.0)
     p1 = _taylor(P1, 2)
     P2dd = P2.derivative().derivative()
 
@@ -281,8 +284,8 @@ def c12_integrand(Q, P1, Q_other, P2, R: float, theta1: float, theta2: float):
         a = s
         b = (1.0 - s) * t
         jac = 1.0 - s
-        X = _times_exp(_series(q, a * u * theta2, -theta1), -R * theta1)
-        Y = _times_exp(_series(qo, 1.0 - b * u * theta2, theta1), R * theta1)
+        X = _times_exp(_series(q, 1.0 - 2.0 * (a * u * theta2), -theta1), -R * theta1)
+        Y = _times_exp(_series(qo, 1.0 - 2.0 * (1.0 - b * u * theta2), theta1), R * theta1)
         XY = [[xi * yj for yj in Y] for xi in X]
         grid = _grid(p1, 1.0 - (1.0 - u) * theta2 / theta1, 1.0, 1.0, 1)
         scalar = u * u * (1.0 - u) * P2dd((1.0 - a - b) * u) * jac
@@ -313,7 +316,7 @@ def c2_integrand(Q, P2, Q_other, P2_other, R: float, theta2: float):
     lower (a linear Q in simple mode): the orders past it are absent, not
     zeros multiplied through.
     """
-    q, qo = (_taylor(p, min(4, p.degree)) for p in (Q, Q_other))
+    q, qo = (_taylor(p, min(4, p.degree), -2.0) for p in (Q, Q_other))
     pa = _taylor(P2.derivative().derivative(), 2)
     pb = _taylor(P2_other.derivative().derivative(), 2)
 
@@ -330,8 +333,8 @@ def c2_integrand(Q, P2, Q_other, P2_other, R: float, theta2: float):
         Lx = rt * gx - theta2 * R * ex
         Ly = rt * gy - theta2 * R * ey
         tg0, tgx, tgy = t * g0, t * gx, t * gy
-        qa = _grid(q, theta2 * u * r + tg0, theta2 * u + tgx, tgy - theta2, 2)
-        qb = _grid(qo, theta2 * v * r + tg0, tgx - theta2, theta2 * v + tgy, 2)
+        qa = _grid(q, 1.0 - 2.0 * (theta2 * u * r + tg0), theta2 * u + tgx, tgy - theta2, 2)
+        qb = _grid(qo, 1.0 - 2.0 * (theta2 * v * r + tg0), tgx - theta2, theta2 * v + tgy, 2)
         X = side(pa, r, ex, Lx)
         Y = side(pb, r, ey, Ly)
         fx, fy = 0.5 / theta2 - r * u, 0.5 / theta2 - r * v
@@ -347,20 +350,13 @@ def c2_integrand(Q, P2, Q_other, P2_other, R: float, theta2: float):
 # -- the 4-linear form: every kernel integral goes through here -------------
 
 
-def _sides(slot, axis: int):
-    """A slot's left and right halves: a polynomial twice, or its
-    coefficient rows as families on member axis ``axis`` and the next."""
-    if isinstance(slot, np.ndarray):
-        return Family(slot, axis), Family(slot, axis + 1)
-    return slot, slot
-
-
 def _symmetrized(integrand):
     """0.5 (F + F with member axes 0, 1 and 2, 3 swapped) per node: each
     member of a block between mirrored families is then symmetric in (u, v)."""
 
     def symmetric(*xs):
         F = integrand(*xs)
+        F = F.reshape((1,) * (4 + np.ndim(xs[0]) - F.ndim) + F.shape)  # all four member axes
         return 0.5 * (F + F.transpose((1, 0, 3, 2) + tuple(range(4, F.ndim))))
 
     return symmetric
@@ -372,44 +368,45 @@ def blocks(side, R: float, theta1: float, theta2: float, tol: float, n_start: in
     quadrature ladder from ``n_start`` and normalized: c1 in 1-D (v; its
     u-part is exact in the kernel), c12 in 3-D and c2 in 4-D.
 
-    ``side`` is ``(Q, P1, P2)``, P2 ``None`` for no second piece (c12 and c2
-    are then ``(0.0, [])``).  A polynomial slot is its own mirror; an array
-    of coefficient rows puts its members on member axis 0 (Q) or 2 (P) on
-    the left and the next axis on the right.  Q's rows are coefficients in
+    ``side`` is ``(Q, P1, P2)``, each a 2-D array of coefficient rows, P2
+    ``None`` for no second piece (c12 and c2 are then ``(0.0, [])``).  Each
+    slot's members lie on member axis 0 (Q) or 2 (P1, P2) on the left and
+    the next axis on the right, so a block has shape (mQ, mQ, mP, mP'), and
+    one row per slot gives (1, 1, 1, 1).  Q's rows are coefficients in
     y = 1 - 2x, as in :class:`InY`; P's are monomial.  c12 pairs the left
     (Q, P1) with the right (Q, P2).  c2's kernel is unchanged when its
     sides, x with y and u with v are exchanged, so c2 is summed over the
     (u, v) triangle of node pairs i <= j of the rule of order ceil(2n/3),
-    one rung behind the order n of t and r, which its trace lists.  When Q
-    or P2 is an array, c2 is first symmetrized per node, which leaves the
-    block's integral as it is: a member alone is not symmetric in (u, v),
-    and its triangle would have a kink on the diagonal.  c1 and c12 are not
-    symmetrized; each caller symmetrizes what it builds.
+    one rung behind the order n of t and r, which its trace lists.  c2 is
+    first symmetrized per node, which leaves the block's integral as it is
+    (and a single member's bits): a member alone is not symmetric in
+    (u, v), and its triangle would have a kink on the diagonal.  c1 and c12
+    are not symmetrized; each caller symmetrizes what it builds.
     """
     # a kernel that overflows (a huge R or coefficient) yields inf or nan,
     # which the ladder's non-finite check reports; numpy need not warn first
     with np.errstate(over="ignore", invalid="ignore"):
-        (Q, Q_other), (P1, P1_other), (P2, P2_other) = (
-            _sides(slot, axis) for slot, axis in zip(side, (0, 2, 2)))
-        if isinstance(side[0], np.ndarray):
-            Q, Q_other = InY(Q), InY(Q_other)
+        q_rows, p1_rows, p2_rows = side
+        Q, Q_other = Family(q_rows, 0), Family(q_rows, 1)
+        P1, P1_other = Family(p1_rows, 2), Family(p1_rows, 3)
 
-        def integral(integrand, d: int, symmetric: bool = False):
-            return quad.integrate_converged(integrand, d, tol=tol, n_start=n_start,
-                                            symmetric=symmetric)
+        def integral(integrand, d: int, p_rows, p_other_rows, symmetric: bool = False):
+            value, trace = quad.integrate_converged(integrand, d, tol=tol, n_start=n_start,
+                                                    symmetric=symmetric)
+            return np.reshape(value, (len(q_rows),) * 2 + (len(p_rows), len(p_other_rows))), trace
 
-        K1, t1 = integral(c1_integrand(Q, P1, Q_other, P1_other, R, theta1), 1)
+        K1, t1 = integral(c1_integrand(Q, P1, Q_other, P1_other, R, theta1), 1, p1_rows, p1_rows)
         c1 = K1 / theta1
-        if P2 is None:
+        if p2_rows is None:
             return (c1, t1), (0.0, []), (0.0, [])
-        K12, t12 = integral(c12_integrand(Q, P1, Q_other, P2_other, R, theta1, theta2), 3)
+        P2, P2_other = Family(p2_rows, 2), Family(p2_rows, 3)
+        K12, t12 = integral(c12_integrand(Q, P1, Q_other, P2_other, R, theta1, theta2), 3,
+                            p1_rows, p2_rows)
         # d^2/dxdy = 1! 1! [xy]
         # the ratio, not the squares: theta1**2 underflows for a tiny theta1
         c12 = 4.0 * (theta2 / theta1) ** 2 * math.exp(R) * K12
-        kernel = c2_integrand(Q, P2, Q_other, P2_other, R, theta2)
-        if isinstance(side[0], np.ndarray) or isinstance(side[2], np.ndarray):
-            kernel = _symmetrized(kernel)
-        K2, t2 = integral(kernel, 4, symmetric=True)
+        kernel = _symmetrized(c2_integrand(Q, P2, Q_other, P2_other, R, theta2))
+        K2, t2 = integral(kernel, 4, p2_rows, p2_rows, symmetric=True)
         # d^4/dx^2dy^2 = 2! 2! [x^2 y^2]
         c2 = (2.0 / 3.0) * (4.0 * K2)
         return (c1, t1), (c12, t12), (c2, t2)
@@ -464,10 +461,11 @@ def evaluate(cfg: MollifierConfig) -> KappaReport:
     if renormalize:
         cfg = renormalized_q(cfg)
     tol = quad.DEFAULT_TOL
-    side = (cfg.Q, cfg.P1, None if cfg.P2.is_zero else cfg.P2)
-    (c1, t1), (c12, t12), (c2, t2) = blocks(side, cfg.R, cfg.theta1, cfg.theta2,
-                                            tol, quad.N_SEQUENCE_START)
-    c1, c12, c2 = 1.0 + float(c1), float(c12), float(c2)
+    # one row per slot: each block is (1, 1, 1, 1), and c12 and c2 are 0.0 without P2
+    q, p1, p2 = (np.array([p.coeffs]) for p in (cfg.Q, cfg.P1, cfg.P2))
+    (c1, t1), (c12, t12), (c2, t2) = blocks((q, p1, None if cfg.P2.is_zero else p2), cfg.R,
+                                            cfg.theta1, cfg.theta2, tol, quad.N_SEQUENCE_START)
+    c1, c12, c2 = 1.0 + c1.item(), np.asarray(c12).item(), np.asarray(c2).item()
     c = c1 + 2.0 * c12 + c2
     diagnostics = {"quad_tol": tol, "c1_trace": t1, "c12_trace": t12, "c2_trace": t2,
                    **_p1_normalized(cfg.P1, cfg.R, c1, c12, c2)}

@@ -327,34 +327,38 @@ def _gauss_integral_01(g: Callable[[np.ndarray], np.ndarray]) -> float:
     return float(np.sum(g(nodes) * weights))
 
 
-def check_euler_maclaurin(kind: str, **params) -> CheckResult:
+def check_euler_maclaurin(kind: str, *, s: float, x: float, l: int | None = None,
+                          k: int | None = None, F: Polynomial | None = None,
+                          H: Polynomial | None = None, z: float | None = None) -> CheckResult:
     """Compare a weighted divisor sum with its integral main term.
 
-    ``basic``: sum of n^{-1-s} log(x/n)^l vs (log x)^{l+1} x^{-s} times the
-    moment integral.  ``cross``: the d_k sum against the single-integral form
-    (params k, F, H, x, z, s).  ``diag``: the z = x special case.  The error
-    is normalized by the power of log the remainder carries.
+    ``basic`` (l, s, x): sum of n^{-1-s} log(x/n)^l vs (log x)^{l+1} x^{-s}
+    times the moment integral.  ``cross`` (k, F, H, x, z, s): the d_k sum
+    against the single-integral form; ``diag`` (k, F, H, x, s) is its z = x
+    case.  Any other set of parameters raises TypeError.  The error is
+    normalized by the power of log the remainder carries.
     """
+    takes = {"basic": ("l",), "diag": ("F", "H", "k"), "cross": ("F", "H", "k", "z")}
+    if kind not in takes:
+        raise OracleError(f"unknown kind {kind!r}")
+    params = {name: v for name, v in zip("FHklz", (F, H, k, l, z)) if v is not None}
+    if tuple(params) != takes[kind]:
+        raise TypeError(f"euler_maclaurin[{kind}] takes {takes[kind]} and s, x; got {tuple(params)}")
+    params.update(x=x, s=s)
+    s, x = float(s), float(x)
+    if abs(s) > 1.0 / math.log(x):
+        raise OracleError("need |s| <= 1/log x")
     if kind == "basic":
-        l, s, x = int(params["l"]), float(params["s"]), float(params["x"])
-        if abs(s) > 1.0 / math.log(x):
-            raise OracleError("need |s| <= 1/log x")
         n = np.arange(1, int(x) + 1, dtype=float)
         lhs = float(np.sum(n ** (-1.0 - s) * np.log(x / n) ** l))
         rhs = math.log(x) ** (l + 1) * x ** (-s) * _gauss_integral_01(
             lambda a: x ** (s * a) * a**l
         )
         normalizer = math.log(3 * x) ** l
-    elif kind in ("cross", "diag"):
-        k = int(params["k"])
-        F: Polynomial = params["F"]
-        H: Polynomial = params["H"]
-        x, s = float(params["x"]), float(params["s"])
-        z = x if kind == "diag" else float(params["z"])
+    else:
+        z = x if kind == "diag" else float(z)
         if z > x:
             raise OracleError("need z <= x")
-        if abs(s) > 1.0 / math.log(x):
-            raise OracleError("need |s| <= 1/log x")
         dk = divisor_counts(k, int(z))[1:].astype(float)
         n = np.arange(1, int(z) + 1, dtype=float)
         lhs = float(
@@ -367,8 +371,6 @@ def check_euler_maclaurin(kind: str, **params) -> CheckResult:
             * z ** (u * s)
         )
         normalizer = math.log(3 * z) ** (k - 1)
-    else:
-        raise OracleError(f"unknown kind {kind!r}")
     error = abs(lhs - rhs) / normalizer
     return CheckResult.from_error(
         f"euler_maclaurin[{kind}]", dict(params, lhs=lhs, rhs=rhs),
@@ -652,7 +654,7 @@ def check_mellin_pair(P1: Polynomial, y1: float, n: float) -> CheckResult:
 def q_monomials(Q, number=float) -> list:
     """Q's monomial coefficients from its coefficients p_k in y = 1 - 2x, in
     ``number``: (-2)^j sum_k C(k, j) p_k for x^j.  The checks evaluate Q by
-    this alone, never by the class the kernels call (``poly.InY``)."""
+    this alone, never through ``poly.InY`` or ``moments.Family``."""
     p = [number(c) for c in Q.coeffs]
     return [(-2) ** j * sum(comb(k, j) * p[k] for k in range(j, len(p))) for j in range(len(p))]
 

@@ -13,7 +13,7 @@ The three families are:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -77,11 +77,11 @@ class Polynomial:
 
 @dataclass(frozen=True)
 class InY:
-    """Q(x) = p(1 - 2x) for p, a :class:`Polynomial` or ``moments.Family`` in
-    y = 1 - 2x; ``coeffs`` are p's.  It has what the kernels use: evaluation,
-    ``degree``, ``derivative`` and ``scale``."""
+    """Q(x) = p(1 - 2x) for a :class:`Polynomial` p in y = 1 - 2x; ``coeffs``
+    are p's.  It has what a config reads of Q: evaluation, ``coeffs``,
+    ``degree`` and ``scale``; the kernels take p's coefficients as rows."""
 
-    p: Any
+    p: Polynomial
 
     @property
     def coeffs(self):
@@ -93,9 +93,6 @@ class InY:
 
     def __call__(self, x):
         return self.p(1.0 - 2.0 * x)
-
-    def derivative(self) -> "InY":
-        return InY(self.p.derivative().scale(-2.0))
 
     def scale(self, factor: float) -> "InY":
         return InY(self.p.scale(factor))

@@ -112,9 +112,10 @@ def test_criterion_5_jets_vs_finite_differences():
 def test_criterion_6_c1_closed_form():
     """c1 at Q = 1, P1 = x matches the elementary closed form to 1e-12."""
     R = 1.28
-    side = (Polynomial((1.0,)), make_p1((1.0,)), None)
+    # Q = 1 and P1 = x as one coefficient row each (Q's in y = 1 - 2x)
+    side = (np.array([[1.0]]), np.array([make_p1((1.0,)).coeffs]), None)
     (c1_part, _), _, _ = moments.blocks(side, R, THETA1, THETA2, 1e-13, quad.N_SEQUENCE_START)
-    c1 = 1.0 + c1_part
+    c1 = 1.0 + c1_part.item()
     expected = 1.0 + math.expm1(2 * R) * ((1 + THETA1 * R) ** 3 - 1) / (6 * THETA1**2 * R**2)
     assert abs(c1 - expected) <= 1e-12
 
@@ -152,12 +153,13 @@ def test_criterion_8_asymptotic_lemmas():
         scaled = scaled_errors(results)
         assert scaled == sorted(scaled, reverse=True), (l, scaled)
     for k in (1, 2, 3):
-        for kind, kwargs in (("diag", {}), ("cross", {})):
+        for kind in ("diag", "cross"):
             results = []
             for x in xs:
-                z = x if kind == "diag" else x / 2.0
+                # diag is the z = x case and takes no z
+                z = {} if kind == "diag" else {"z": x / 2.0}
                 results.append(
-                    oracle.check_euler_maclaurin(kind, k=k, F=F, H=H, x=x, z=z, s=0.0)
+                    oracle.check_euler_maclaurin(kind, k=k, F=F, H=H, x=x, s=0.0, **z)
                 )
             assert all(r.error <= oracle.ASYMPTOTIC_CONSTANT for r in results)
             scaled = [r.error / math.log(3 * (r.params["x"] if kind == "diag" else r.params["z"]))

@@ -87,12 +87,60 @@ def test_theta_boundaries_are_inclusive():
     small_config(theta1=4.0 / 7.0, theta2=0.5)  # the published point
 
 
+def rows(p):
+    """A slot of :func:`moments.blocks`: a polynomial as one coefficient row
+    (Q's in y), an array of rows as it is, ``None`` as it is."""
+    return p if p is None or isinstance(p, np.ndarray) else np.array([p.coeffs])
+
+
 def form(cfg, p, tol, n_start=quad.N_SEQUENCE_START):
-    """The (c1 - 1, c12, c2) values of :func:`moments.blocks` on the side
-    (cfg's Q, *p), p a (P1, P2) pair, at cfg's (R, theta1, theta2)."""
+    """The (c1 - 1, c12, c2) blocks of :func:`moments.blocks` on the side
+    (cfg's Q, *p), p a (P1, P2) pair, each slot as coefficient rows, at cfg's
+    (R, theta1, theta2)."""
     return [value for value, _ in blocks(
-        (cfg.Q, *p), cfg.R, cfg.theta1, cfg.theta2, tol, n_start
+        tuple(rows(slot) for slot in (cfg.Q, *p)), cfg.R, cfg.theta1, cfg.theta2, tol, n_start
     )]
+
+
+# -- families of coefficient rows ----------------------------------------------
+
+
+FAMILY_ROWS = {
+    # criterion 6's Q = 1, in y: degree 0, whose derivative is a zero row
+    "Q = 1": np.array([[1.0]]),
+    "kappa Q in y": np.array([kappa_preset().Q.coeffs]),
+    "P2 monomials": np.eye(6)[3:],
+    "random": np.random.default_rng(7).uniform(-1.0, 1.0, (3, 6)),
+}
+
+
+def assert_family_is_the_polynomials(family, x):
+    """Each row of ``family`` at x has the bits of :class:`Polynomial` on it,
+    the reference; one row evaluates on x's shape, and m rows put their
+    members on the family's axis, the unit axes left of it left out."""
+    got, m = family(x), len(family.coeffs)
+    members = (m,) + (1,) * (3 - family.axis) if m > 1 else ()
+    assert np.shape(got) == members + np.shape(x)
+    for row, value in zip(family.coeffs, np.reshape(got, (m,) + np.shape(x))):
+        want = Polynomial(tuple(row))(x)
+        assert np.asarray(value).tobytes() == np.asarray(want, dtype=float).tobytes(), (row, x)
+
+
+@pytest.mark.parametrize("axis", range(4))
+@pytest.mark.parametrize("name", FAMILY_ROWS)
+def test_family_is_polynomial_bit_for_bit(name, axis):
+    coeffs = FAMILY_ROWS[name]
+    family = Family(coeffs, axis)
+    grid = np.random.default_rng(11).uniform(-1.5, 1.5, (2, 3, 4))
+    for x in (0.37, -1.25, np.float64(0.6), np.linspace(-1.0, 1.0, 7), grid):
+        assert_family_is_the_polynomials(family, x)
+        assert_family_is_the_polynomials(family.derivative(), x)
+        assert_family_is_the_polynomials(family.derivative().derivative(), x)
+    # the derivative's rows are Polynomial's (up to its trailing zeros),
+    # degree 0 a zero row
+    for row, drow in zip(coeffs, family.derivative().coeffs):
+        assert Polynomial(tuple(drow)).coeffs == Polynomial(tuple(row)).derivative().coeffs
+    assert family.derivative().degree == max(family.degree - 1, 0)
 
 
 # -- c1 ----------------------------------------------------------------------
@@ -108,7 +156,8 @@ def test_c1_closed_form():
 
 
 class Counted:
-    """A polynomial that counts its evaluations, and its derivative's."""
+    """A polynomial that counts its evaluations, and its derivative's (a
+    scaled polynomial counts as the one it scales)."""
 
     def __init__(self, p, calls, name):
         self.p, self.calls, self.name = p, calls, name
@@ -120,6 +169,15 @@ class Counted:
 
     def derivative(self):
         return Counted(self.p.derivative(), self.calls, self.name + "'")
+
+    def scale(self, factor):
+        return Counted(self.p.scale(factor), self.calls, self.name)
+
+
+def q_and_derivative(Q, v):
+    """Q(v) and Q'(v) = -2 p'(1 - 2v) for Q = p(1 - 2x)."""
+    y = 1.0 - 2.0 * v
+    return Q.p(y), -2.0 * Q.p.derivative()(y)
 
 
 def tensor_c1(Q, P1, P1_other, R, theta1):
@@ -135,7 +193,7 @@ def tensor_c1(Q, P1, P1_other, R, theta1):
     weights_1d = np.array([float(w / 2) for _, w in rule])
     u, v = (g.ravel() for g in np.meshgrid(nodes, nodes, indexing="ij"))
     weights = np.outer(weights_1d, weights_1d).ravel()
-    Qv, Qdv = Q(v), Q.derivative()(v)
+    Qv, Qdv = q_and_derivative(Q, v)
 
     def L(P):
         return Qv * P.derivative()(u) + theta1 * Qdv * P(u) + theta1 * R * Qv * P(u)
@@ -151,9 +209,10 @@ def test_c1_kernel_evaluates_each_factor_once():
     cfg, other = small_config(), make_p1((0.3, 0.7))
     other_q = make_q(0.7, (0.2, 0.1))
     calls = {name: 0 for name in ("Q", "Q'", "P", "P'", "R", "R'", "O", "O'")}
+    # the kernels take Q as p in y = 1 - 2x
     integrand = moments.c1_integrand(
-        Counted(cfg.Q, calls, "Q"), Counted(cfg.P1, calls, "P"),
-        Counted(other_q, calls, "R"), Counted(other, calls, "O"), cfg.R, cfg.theta1,
+        Counted(cfg.Q.p, calls, "Q"), Counted(cfg.P1, calls, "P"),
+        Counted(other_q.p, calls, "R"), Counted(other, calls, "O"), cfg.R, cfg.theta1,
     )
     assert calls == {"Q": 0, "Q'": 0, "P": 1, "P'": 1, "R": 0, "R'": 0, "O": 1, "O'": 1}
     v = np.linspace(1.0, 0.0, 7)
@@ -168,15 +227,15 @@ def test_c1_kernel_evaluates_each_factor_once():
     u, w = rule.nodes[:, None], rule.weights[:, None]
 
     def L(Q, P):
-        Qd, Pd = Q.derivative(), P.derivative()
-        return Q(v) * Pd(u) + cfg.theta1 * Qd(v) * P(u) + cfg.theta1 * cfg.R * Q(v) * P(u)
+        (q, qd), Pd = q_and_derivative(Q, v), P.derivative()
+        return q * Pd(u) + cfg.theta1 * qd * P(u) + cfg.theta1 * cfg.R * q * P(u)
 
     expected = np.exp(2.0 * cfg.R * v) * np.sum(L(cfg.Q, cfg.P1) * L(other_q, other) * w, axis=0)
     assert np.allclose(value, expected, rtol=1e-14, atol=0.0)
 
 
 C1_FAMILIES = {
-    "preset P1": lambda cfg: cfg.P1,
+    "preset P1": lambda cfg: np.array([cfg.P1.coeffs]),
     "monomials d1=5": lambda cfg: np.eye(6)[1:],
     "monomials d1=9": lambda cfg: np.eye(10)[1:],
 }
@@ -190,10 +249,11 @@ def test_c1_block_matches_the_tensor_rule(preset, family):
     # axes 2 (left) and 3 (right)
     cfg = renormalized_q(preset())
     p1 = C1_FAMILIES[family](cfg)
+    m = len(p1)
     got = form(cfg, (p1, None), tol=1e-12)[0]
-    left, right = (p1, p1) if isinstance(p1, Polynomial) else (Family(p1, 2), Family(p1, 3))
-    want = tensor_c1(cfg.Q, left, right, cfg.R, cfg.theta1)
-    assert np.shape(got) == np.shape(want)
+    assert np.shape(got) == (1, 1, m, m)
+    want = np.reshape(tensor_c1(cfg.Q, Family(p1, 2), Family(p1, 3), cfg.R, cfg.theta1), (m, m))
+    got = got[0, 0]
     assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), np.max(np.abs(got / want - 1.0))
 
 
@@ -314,11 +374,12 @@ def test_renormalized_q():
 
 
 def raw_c(cfg):
-    """c at the config as given, Q(0) = 1 or not: one :func:`blocks` pass."""
-    side = (cfg.Q, cfg.P1, None if cfg.P2.is_zero else cfg.P2)
+    """c at the config as given, Q(0) = 1 or not: one :func:`blocks` pass on
+    one coefficient row per slot."""
+    side = (rows(cfg.Q), rows(cfg.P1), None if cfg.P2.is_zero else rows(cfg.P2))
     (c1, _), (c12, _), (c2, _) = blocks(side, cfg.R, cfg.theta1, cfg.theta2,
                                         quad.DEFAULT_TOL, quad.N_SEQUENCE_START)
-    return 1.0 + float(c1) + 2.0 * float(c12) + float(c2)
+    return 1.0 + c1.item() + 2.0 * c12.item() + c2.item()
 
 
 def test_renormalization_rescales_the_quadratic_part():
@@ -332,12 +393,13 @@ def test_renormalization_rescales_the_quadratic_part():
 
 def test_evaluate_normalizes_preset_q(monkeypatch):
     # stub the constants: evaluate must renormalize Q(0) = 1.002 -> 1, run
-    # blocks once, and derive the verbatim values from the normalized c
+    # blocks once, and derive the verbatim values from the normalized c;
+    # Q(0) is the sum of Q's row in y = 1 - 2x
     q0s = []
 
     def fake_blocks(side, *args):
-        q0s.append(side[0](0.0))
-        return (1.0, []), (0.0, []), (0.0, [])
+        q0s.append(side[0].sum())
+        return (np.ones((1, 1, 1, 1)), []), (np.zeros((1, 1, 1, 1)), []), (np.zeros((1, 1, 1, 1)), [])
 
     monkeypatch.setattr(moments, "blocks", fake_blocks)
     diagnostics = evaluate(kappa_preset()).diagnostics
@@ -357,7 +419,7 @@ def test_evaluate_runs_blocks_once(monkeypatch):
     real_blocks = moments.blocks
 
     def counting_blocks(side, *args):
-        calls.append(side[0](0.0))
+        calls.append(side[0].sum())
         return real_blocks(side, *args)
 
     monkeypatch.setattr(moments, "blocks", counting_blocks)
@@ -455,10 +517,11 @@ def kernel_panel():
 def test_closed_form_kernels_match_the_jet_ring(point):
     rule = quad.gauss_rule(8)
     Q, P1, P2, other, R, th2 = (point[k] for k in ("Q", "P1", "P2", "P2_other", "R", "theta2"))
-    c12 = quad.integrate_cube(moments.c12_integrand(Q, P1, Q, P2, R, THETA1, th2), 3, rule)
+    q = Q.p  # the kernels take Q as p in y = 1 - 2x
+    c12 = quad.integrate_cube(moments.c12_integrand(q, P1, q, P2, R, THETA1, th2), 3, rule)
     c12_jet = quad.integrate_cube(coefficient_grid(jet_c12_integrand(Q, P1, P2, R, THETA1, th2)), 3, rule)
     assert c12 == pytest.approx(float(c12_jet[1, 1]), rel=1e-13, abs=0.0)
-    c2 = quad.integrate_cube(moments.c2_integrand(Q, P2, Q, other, R, th2), 4, rule)
+    c2 = quad.integrate_cube(moments.c2_integrand(q, P2, q, other, R, th2), 4, rule)
     c2_jet = quad.integrate_cube(coefficient_grid(jet_c2_integrand(Q, P2, other, R, th2)), 4, rule)
     assert c2 == pytest.approx(float(c2_jet[2, 2]), rel=1e-13, abs=0.0)
 
@@ -467,7 +530,7 @@ def test_closed_form_kernels_match_the_jet_ring(point):
 #
 # Before Q_other, each kernel took one Q for both of its Q factors.  These are
 # those kernels as they were, the reference for the 4-linear ones at
-# Q_other = Q.
+# Q_other = Q, with Q = p(1 - 2x) read through p as the kernels read it now.
 
 
 def bilinear_c1_integrand(Q, P1, P1_other, R, theta1):
@@ -477,11 +540,9 @@ def bilinear_c1_integrand(Q, P1, P1_other, R, theta1):
     b, bd = P1_other(u), P1_other.derivative()(u)
     U0, U1, U2 = (np.sum(f * rule.weights, axis=-1, keepdims=True)
                   for f in (ad * bd, ad * b + a * bd, a * b))
-    Qd = Q.derivative()
-
     def integrand(v):
-        q = Q(v)
-        qp = theta1 * (Qd(v) + R * q)
+        q, qd = q_and_derivative(Q, v)
+        qp = theta1 * (qd + R * q)
         return np.exp(2.0 * R * v) * (U0 * (q * q) + U1 * (q * qp) + U2 * (qp * qp))
 
     return integrand
@@ -495,7 +556,7 @@ def bilinear_grid(taylor, c0, cx, cy, cap):
 
 
 def bilinear_c12_integrand(Q, P1, P2, R, theta1, theta2):
-    q = moments._taylor(Q, 1)
+    q = moments._taylor(Q.p, 1, -2.0)
     p1 = moments._taylor(P1, 2)
     P2dd = P2.derivative().derivative()
 
@@ -503,8 +564,9 @@ def bilinear_c12_integrand(Q, P1, P2, R, theta1, theta2):
         a = s
         b = (1.0 - s) * t
         jac = 1.0 - s
-        X = moments._times_exp(moments._series(q, a * u * theta2, -theta1), -R * theta1)
-        Y = moments._times_exp(moments._series(q, 1.0 - b * u * theta2, theta1), R * theta1)
+        X = moments._times_exp(moments._series(q, 1.0 - 2.0 * (a * u * theta2), -theta1), -R * theta1)
+        Y = moments._times_exp(moments._series(q, 1.0 - 2.0 * (1.0 - b * u * theta2), theta1),
+                               R * theta1)
         XY = [[xi * yj for yj in Y] for xi in X]
         grid = bilinear_grid(p1, 1.0 - (1.0 - u) * theta2 / theta1, 1.0, 1.0, 1)
         scalar = u * u * (1.0 - u) * P2dd((1.0 - a - b) * u) * jac
@@ -514,7 +576,7 @@ def bilinear_c12_integrand(Q, P1, P2, R, theta1, theta2):
 
 
 def bilinear_c2_integrand(Q, P2, P2_other, R, theta2):
-    q = moments._taylor(Q, 4)
+    q = moments._taylor(Q.p, 4, -2.0)
     pa = moments._taylor(P2.derivative().derivative(), 2)
     pb = moments._taylor(P2_other.derivative().derivative(), 2)
 
@@ -530,8 +592,8 @@ def bilinear_c2_integrand(Q, P2, P2_other, R, theta2):
         Lx = rt * gx - theta2 * R * ex
         Ly = rt * gy - theta2 * R * ey
         tg0, tgx, tgy = t * g0, t * gx, t * gy
-        qa = bilinear_grid(q, theta2 * u * r + tg0, theta2 * u + tgx, tgy - theta2, 2)
-        qb = bilinear_grid(q, theta2 * v * r + tg0, tgx - theta2, theta2 * v + tgy, 2)
+        qa = bilinear_grid(q, 1.0 - 2.0 * (theta2 * u * r + tg0), theta2 * u + tgx, tgy - theta2, 2)
+        qb = bilinear_grid(q, 1.0 - 2.0 * (theta2 * v * r + tg0), tgx - theta2, theta2 * v + tgy, 2)
         qq = [[moments._coeff(qa, qb, k, l) for l in range(3)] for k in range(3)]
         X = side(pa, r, ex, Lx)
         Y = side(pb, r, ey, Ly)
@@ -550,12 +612,13 @@ def bilinear_c2_integrand(Q, P2, P2_other, R, theta2):
 def test_four_linear_kernels_at_q_other_q_match_the_bilinear_ones(preset):
     cfg = renormalized_q(preset())
     Q, P1, P2, R, th1, th2 = cfg.Q, cfg.P1, cfg.P2, cfg.R, cfg.theta1, cfg.theta2
+    q = Q.p  # the kernels take Q as p in y = 1 - 2x
     pairs = {
-        "c1": (moments.c1_integrand(Q, P1, Q, P1, R, th1),
+        "c1": (moments.c1_integrand(q, P1, q, P1, R, th1),
                bilinear_c1_integrand(Q, P1, P1, R, th1), 1),
-        "c12": (moments.c12_integrand(Q, P1, Q, P2, R, th1, th2),
+        "c12": (moments.c12_integrand(q, P1, q, P2, R, th1, th2),
                 bilinear_c12_integrand(Q, P1, P2, R, th1, th2), 3),
-        "c2": (moments.c2_integrand(Q, P2, Q, P2, R, th2),
+        "c2": (moments.c2_integrand(q, P2, q, P2, R, th2),
                bilinear_c2_integrand(Q, P2, P2, R, th2), 4),
     }
     for n in (12, 18):
@@ -594,7 +657,7 @@ def assert_matches_flat_rule(integrand, d):
 
 
 def kernels(cfg, p1_rows, p1_cols, p2_rows, p2_cols):
-    Q, R, th1, th2 = cfg.Q, cfg.R, cfg.theta1, cfg.theta2
+    Q, R, th1, th2 = cfg.Q.p, cfg.R, cfg.theta1, cfg.theta2
     return {
         "c1": (moments.c1_integrand(Q, p1_rows, Q, p1_cols, R, th1), 1),
         "c12": (moments.c12_integrand(Q, p1_rows, Q, p2_cols, R, th1, th2), 3),
@@ -670,7 +733,8 @@ def assert_triangle_is_the_square(integrand):
 @pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])
 def test_c2_triangle_matches_the_square_at_presets(preset):
     cfg = renormalized_q(preset())
-    assert_triangle_is_the_square(moments.c2_integrand(cfg.Q, cfg.P2, cfg.Q, cfg.P2, cfg.R, cfg.theta2))
+    q = cfg.Q.p
+    assert_triangle_is_the_square(moments.c2_integrand(q, cfg.P2, q, cfg.P2, cfg.R, cfg.theta2))
 
 
 def test_symmetrized_c2_block_triangle_matches_the_square():
@@ -678,7 +742,7 @@ def test_symmetrized_c2_block_triangle_matches_the_square():
     # symmetric in (u, v), and its triangle sums the unsymmetrized square
     cfg = renormalized_q(kappa_preset())
     p2, swapped = Family(np.eye(6)[3:], 2), Family(np.eye(6)[3:], 3)
-    kernel = moments.c2_integrand(cfg.Q, p2, cfg.Q, swapped, cfg.R, cfg.theta2)
+    kernel = moments.c2_integrand(cfg.Q.p, p2, cfg.Q.p, swapped, cfg.R, cfg.theta2)
     symmetric = moments._symmetrized(kernel)
     assert_triangle_is_the_square(symmetric)
     for n in (12, 18):
@@ -721,33 +785,15 @@ def test_blocks_use_the_triangle_for_mirrored_sides_only(monkeypatch):
     assert orders(3) == [(8, None), (12, None)]
 
 
-@pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])
-def test_one_row_matrices_are_the_polynomial_side(preset):
-    # the preset's side as coefficient rows: one member per block, and c2
-    # symmetrized per node, which a single member leaves as it is
-    cfg = renormalized_q(preset())
-    side = (cfg.Q, cfg.P1, cfg.P2)
-    rows = tuple(np.array([p.coeffs]) for p in side)
-    args = (cfg.R, cfg.theta1, cfg.theta2, quad.DEFAULT_TOL, quad.N_SEQUENCE_START)
-    for (want, want_trace), (got, got_trace) in zip(blocks(side, *args), blocks(rows, *args)):
-        assert np.shape(got) == (1, 1, 1, 1)
-        assert abs(got.item() - want) <= 1e-15 * abs(want)
-        # a delta is |new - old| / max(|new|, |old|, 1): moving both rungs
-        # by 1e-15 relative moves it by at most 2e-15
-        assert [n for n, _ in got_trace] == [n for n, _ in want_trace]
-        for (_, got_delta), (_, want_delta) in zip(got_trace[1:], want_trace[1:]):
-            assert abs(got_delta - want_delta) <= 2e-15
-
-
 def test_q_rows_alone_symmetrize_c2():
-    # Q's rows become families wrapped in y = 1 - 2x; with P2 a polynomial,
-    # the Q slot alone must still have c2 symmetrized per node, which makes
-    # its block symmetric under the swap of both member-axis pairs
+    # three Q rows in y = 1 - 2x and one P2 row: c2 is symmetrized per
+    # node, which makes its block symmetric under the swap of both
+    # member-axis pairs
     from critline import optimize
 
     cfg = renormalized_q(kappa_preset())
-    rows = np.eye(8)[[0, 1, 3]]
-    _, _, (c2, _) = blocks((rows, cfg.P1, cfg.P2), cfg.R, cfg.theta1, cfg.theta2,
+    side = (np.eye(8)[[0, 1, 3]], rows(cfg.P1), rows(cfg.P2))
+    _, _, (c2, _) = blocks(side, cfg.R, cfg.theta1, cfg.theta2,
                            optimize.SEARCH_GRAM_TOL, optimize.GRAM_N_START)
     assert c2.shape == (3, 3, 1, 1)
     assert np.max(np.abs(c2 - c2.transpose(1, 0, 3, 2))) <= 1e-15 * np.max(np.abs(c2))
@@ -775,6 +821,22 @@ def test_preset_ladders_stop_at_the_second_rung(preset):
         assert [n for n, _ in report.diagnostics[name]] == list(quad.ladder(4))[:2] == [12, 18], name
 
 
+# evaluate's (c1, c12, c2) at each preset, as the kernels gave them before
+# the rows-only blocks path: a kernel edit that moves a bit fails here, not
+# only at the 1e-12 kappa pin
+PRESET_CONSTANTS = {
+    kappa_preset: (2.1313603782539476, -0.0047178594812001175, 0.004717864237794663),
+    kappa_star_preset: (1.9535287309271219, -0.008064081647835227, 0.008064080136967147),
+}
+
+
+@pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])
+def test_preset_constants_are_pinned(preset):
+    report = evaluate(preset())
+    for got, want in zip((report.c1, report.c12, report.c2), PRESET_CONSTANTS[preset]):
+        assert abs(got - want) <= 1e-15 * abs(want), (got, want)
+
+
 # -- the ladder's certificate against a higher-order reference ----------------
 
 
@@ -784,10 +846,11 @@ def assert_certificate_honest(cfg):
     integral scatters by about 4e-14 between orders once converged.  c2 is
     checked on the square and on the path :func:`moments.blocks` takes for
     mirrored sides, its (u, v) pair plane a rung behind t and r."""
-    c2 = moments.c2_integrand(cfg.Q, cfg.P2, cfg.Q, cfg.P2, cfg.R, cfg.theta2)
+    q = cfg.Q.p  # the kernels take Q as p in y = 1 - 2x
+    c2 = moments.c2_integrand(q, cfg.P2, q, cfg.P2, cfg.R, cfg.theta2)
     kernels = (
-        ("c1", moments.c1_integrand(cfg.Q, cfg.P1, cfg.Q, cfg.P1, cfg.R, cfg.theta1), 1, False),
-        ("c12", moments.c12_integrand(cfg.Q, cfg.P1, cfg.Q, cfg.P2, cfg.R, cfg.theta1,
+        ("c1", moments.c1_integrand(q, cfg.P1, q, cfg.P1, cfg.R, cfg.theta1), 1, False),
+        ("c12", moments.c12_integrand(q, cfg.P1, q, cfg.P2, cfg.R, cfg.theta1,
                                       cfg.theta2), 3, False),
         ("c2", c2, 4, False),
         ("c2 pairs", c2, 4, True),

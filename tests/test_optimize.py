@@ -192,9 +192,10 @@ def polarized_gram(Q, R, theta1, theta2, d1, d2, tol):
     size = d1 + d2 - 2
 
     def q(w):
-        side = (Q, Polynomial((0.0,) + tuple(w[:d1])), make_p2(tuple(w[d1:])))
+        p1, p2 = Polynomial((0.0,) + tuple(w[:d1])), make_p2(tuple(w[d1:]))
+        side = tuple(np.array([p.coeffs]) for p in (Q, p1, p2))
         (c1, _), (c12, _), (c2, _) = moments.blocks(side, R, theta1, theta2, tol, 8)
-        return c1 + 2.0 * c12 + c2
+        return c1.item() + 2.0 * c12.item() + c2.item()
 
     M = np.zeros((size, size))
     eye = np.eye(size)

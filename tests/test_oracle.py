@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import inspect
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -538,8 +539,10 @@ def test_oracle_does_not_import_quad():
 
 def test_oracle_evaluates_q_only_through_its_own_expansion(monkeypatch):
     # the finite differences and the Q operator read Q's coefficients in y
-    # and expand them to monomials themselves: every method of the class
-    # the kernels evaluate Q through fails here, and the checks still pass
+    # and expand them to monomials themselves: every method of the config's
+    # Q class and of the families the kernels evaluate Q through fails
+    # here, and the checks still pass
+    from critline.moments import Family
     from critline.poly import InY
 
     cfg = moments.renormalized_q(kappa_preset())
@@ -547,11 +550,14 @@ def test_oracle_evaluates_q_only_through_its_own_expansion(monkeypatch):
     c12, c2 = report.c12, report.c2
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the oracle called InY")
+        raise AssertionError("the oracle called InY or Family")
 
-    for name in ("__call__", "derivative", "scale"):
+    for name in ("__call__", "scale"):
         monkeypatch.setattr(InY, name, refuse)
     monkeypatch.setattr(InY, "degree", property(refuse))
+    for name in ("__call__", "derivative", "scale"):
+        monkeypatch.setattr(Family, name, refuse)
+    monkeypatch.setattr(Family, "degree", property(refuse))
     assert all(result.passed for result in oracle.run_suite("qop"))
     assert abs(oracle.fd_c12(cfg) - c12) <= oracle.JET_OPERATOR_TOL * abs(c12)
     assert abs(oracle.fd_c2(cfg) - c2) <= oracle.JET_OPERATOR_TOL * abs(c2)
@@ -692,6 +698,25 @@ def test_euler_maclaurin_validation():
         check_euler_maclaurin("basic", l=0, s=0.5, x=1e4)  # |s| too large
     with pytest.raises(OracleError):
         check_euler_maclaurin("helix", l=0, s=0.0, x=1e4)
+
+
+def test_euler_maclaurin_rejects_a_parameter_its_kind_does_not_take():
+    # each kind takes its own keywords: an unknown one, or one of another
+    # kind, is an error and never lands silently in the result's params
+    one = Polynomial((1.0,))
+    diag = dict(k=2, F=one, H=one, x=1e3, s=0.0)
+    assert check_euler_maclaurin("diag", **diag).passed
+    with pytest.raises(TypeError, match="tables"):
+        check_euler_maclaurin("diag", **diag, tables="stale")
+    with pytest.raises(TypeError, match="zz"):
+        check_euler_maclaurin("diag", **diag, zz=3)
+    for kind, kwargs, message in (
+        ("basic", dict(l=0, k=2, s=0.0, x=1e4), "basic] takes ('l',) and s, x; got ('k', 'l')"),
+        ("diag", dict(diag, z=1e3), "diag] takes ('F', 'H', 'k') and s, x; got ('F', 'H', 'k', 'z')"),
+        ("cross", diag, "cross] takes ('F', 'H', 'k', 'z') and s, x; got ('F', 'H', 'k')"),
+    ):
+        with pytest.raises(TypeError, match=re.escape(message)):
+            check_euler_maclaurin(kind, **kwargs)
 
 
 def test_out_of_scope_listing():

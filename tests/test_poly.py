@@ -153,14 +153,18 @@ def test_q_in_y_keeps_a_high_degree_accurate():
 
 
 def test_q_in_y_derivative_and_scale():
+    # the kernels differentiate Q in y: its Taylor list of step -2 gives
     # d/dx p(1 - 2x) = -2 p'(1 - 2x), against the derivative of Q's monomial
-    # expansion; scale multiplies the values
+    # expansion; scale multiplies the values and keeps Q in y
+    from critline.moments import Family, _taylor
+
     q = make_q(0.492, (0.604, -0.08, -0.06, 0.046))
     monomial = np.polynomial.Polynomial(q.coeffs)(np.polynomial.Polynomial([1.0, -2.0]))
     x = np.linspace(0.0, 1.0, 9)
-    assert isinstance(q.derivative(), InY)
-    assert np.allclose(q.derivative()(x), monomial.deriv()(x), rtol=0.0, atol=1e-13)
-    assert q.derivative().degree == q.degree - 1
+    _, dq = _taylor(Family(np.array([q.coeffs]), 0), 1, -2.0)
+    assert np.allclose(dq(1.0 - 2.0 * x), monomial.deriv()(x), rtol=0.0, atol=1e-13)
+    assert dq.degree == q.degree - 1
+    assert isinstance(q.scale(-3.0), InY)
     assert np.allclose(q.scale(-3.0)(x), -3.0 * q(x), rtol=0.0, atol=1e-14)
 
 
