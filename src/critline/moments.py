@@ -482,6 +482,7 @@ def evaluate(cfg: MollifierConfig) -> KappaReport:
 def renormalized_q(cfg: MollifierConfig) -> MollifierConfig:
     """Config with Q rescaled so Q(0) = 1 exactly (the verbatim preset has 1.002)."""
     q0 = cfg.Q(0.0)
-    if q0 == 0.0 or not math.isfinite(q0):
+    # a subnormal Q(0) is finite and nonzero, but its reciprocal overflows
+    if q0 == 0.0 or not (math.isfinite(q0) and math.isfinite(1.0 / q0)):
         raise ConfigError(f"cannot renormalize: Q(0) = {q0:g}")
     return replace(cfg, Q=cfg.Q.scale(1.0 / q0))

@@ -1,48 +1,30 @@
 """Independent numerical verification of the exactly-checkable identities.
 
-Everything here deliberately avoids the moment evaluation paths it is
-checking, the quadrature and the jet ring included: contour integrals use
-the trapezoid rule on circles in 40-digit mpmath arithmetic, climbing n = 64,
-128, 256, 512 points until the difference from the n/2-point sum (its every
-other node) is at most 1e-14, relative to the largest point value where that
-is below 1, which certifies the value far inside every check's threshold.
-Every circle is centred on the real axis and every integrand has real
-parameters, so term(conj w) = conj(term(w)) (Schwarz reflection): each
-n-point rule is summed over the n/2 + 1 nodes of the closed upper half
-circle and its value is real, half the term evaluations of the plain rule
-for the same rule summed in another order.  Their closed forms are
-product-rule Taylor coefficients (K1, L1), a triangle integral (K2) and
-finite sums (the F residues); the Q operator's derivatives are Cauchy
-integrals on one more such circle.  Each integrand is written in its
-circle's own coordinate, as a term of the unit node w,
-e^(L w) conj(w)^m g(w) with real L: a pole of order m at the centre is
-radius^-m conj(w)^m there, a product where the point form took a negative
-complex power and a division.  Each circle hands ``contour_circle`` its g,
-its rate L and its pole order m.  The nodes w_k = exp(2 pi i k/n) make
-conj(w_k)^m the table entry w_(-km mod n), and w_(n/2-k) = -conj(w_k) makes
-the mirrored node's exp(L w) the reciprocal conjugate of node k's, so exp is
-taken at the nodes k <= n/4 alone.  Sums use sieved arithmetic tables,
-real integrals use this module's own Gauss-Legendre rule, and derivative
-operators of the moment kernels get 4th-order finite differences of
-long-double tensor-product Gauss integrals.  Work that does not change
-between evaluations is done once: the circles share the upper half's roots
-of unity, each circle converts its float parameters and its pole powers
-radius^-m to mpmath numbers once, circles with the same rate (the two F
-circles, of one radius about 0 and -s, and the K2 and L1 circles of one
-drawn parameter set) share each node's exponential, the c12 stencil sums
-the t axis once per y offset and evaluates every other factor on the axes
-it depends on, the c2 stencil evaluates each of its symmetric offset pairs
-once and each offset's axis moments once, and every divisor sum is one
-Dirichlet convolution split at isqrt(N), about 2 isqrt(N) strided slices
-instead of N.  All are the same rules as the plain per-point forms, only
-with loop-invariant work hoisted.
-The c2 integral's (u, v) plane is summed per (r, t) slice through its u- and
-v-moments (a sum factorization: the Q factors, one of them times the linear
-front factor, are expanded as polynomials in (u, v) and every other factor
-splits into a u part and a v part), which is the same rule summed in
-another order, exact in exact arithmetic.
-Asymptotic statements are tested as bounded-normalized-error properties (their
-O(.) constants are not quantified), never as equalities.
+Each identity is one check with named parameters, which its suite calls
+directly: ``check_k1``, ``check_k2``, ``check_l1`` and ``check_f_residues``
+(contour), ``check_euler_maclaurin``, ``check_divisor_sum`` and
+``check_logsave`` (euler), ``check_mobius_identities`` (mobius),
+``check_mellin_pair`` (mellin), ``check_q_operator`` (qop) and
+``check_jet_operators`` (jets).
+
+Nothing here shares a code path with what it checks, the quadrature, the jet
+ring and the moment kernels included.  Contour integrals use the trapezoid
+rule on circles centred on the real axis, in 40-digit mpmath arithmetic, on
+a ladder of 64 to 512 points certified by the change from the half rule
+(:func:`contour_circle`).  Their closed forms are product-rule Taylor
+coefficients (K1, L1), a triangle integral (K2) and finite sums (the F
+residues); the Q operator's derivatives are Cauchy integrals on one more
+circle.  The five checks read off circles build their results one way
+(:func:`_circle_check`): the circles' points are summed, the largest
+certificate is kept, and a circle the ladder could not certify fails its
+check with an infinite error.  Sums use sieved arithmetic tables, real
+integrals this module's own Gauss-Legendre rule, and the derivative
+operators of the moment kernels 4th-order finite differences of long-double
+tensor-product Gauss integrals (:func:`fd_c12`, :func:`fd_c2`).  Each
+shortcut in these (loop-invariant work hoisted, a symmetry folded, a sum
+factorized) is the same rule summed in another order, as each function's
+docstring says.  Asymptotic statements are tested as bounded-normalized-error
+properties (their O(.) constants are not quantified), never as equalities.
 """
 
 from __future__ import annotations
@@ -327,54 +309,54 @@ def _gauss_integral_01(g: Callable[[np.ndarray], np.ndarray]) -> float:
     return float(np.sum(g(nodes) * weights))
 
 
-def check_euler_maclaurin(kind: str, *, s: float, x: float, l: int | None = None,
-                          k: int | None = None, F: Polynomial | None = None,
-                          H: Polynomial | None = None, z: float | None = None) -> CheckResult:
-    """Compare a weighted divisor sum with its integral main term.
-
-    ``basic`` (l, s, x): sum of n^{-1-s} log(x/n)^l vs (log x)^{l+1} x^{-s}
-    times the moment integral.  ``cross`` (k, F, H, x, z, s): the d_k sum
-    against the single-integral form; ``diag`` (k, F, H, x, s) is its z = x
-    case.  Any other set of parameters raises TypeError.  The error is
-    normalized by the power of log the remainder carries.
-    """
-    takes = {"basic": ("l",), "diag": ("F", "H", "k"), "cross": ("F", "H", "k", "z")}
-    if kind not in takes:
-        raise OracleError(f"unknown kind {kind!r}")
-    params = {name: v for name, v in zip("FHklz", (F, H, k, l, z)) if v is not None}
-    if tuple(params) != takes[kind]:
-        raise TypeError(f"euler_maclaurin[{kind}] takes {takes[kind]} and s, x; got {tuple(params)}")
-    params.update(x=x, s=s)
+def check_euler_maclaurin(l: int, s: float, x: float) -> CheckResult:
+    """The sum of n^{-1-s} log(x/n)^l over n <= x against its main term,
+    (log x)^{l+1} x^{-s} times the moment integral, for |s| <= 1/log x.  The
+    error is normalized by log(3x)^l, the power of log the remainder carries."""
+    params = {"l": l, "x": x, "s": s}
     s, x = float(s), float(x)
     if abs(s) > 1.0 / math.log(x):
         raise OracleError("need |s| <= 1/log x")
-    if kind == "basic":
-        n = np.arange(1, int(x) + 1, dtype=float)
-        lhs = float(np.sum(n ** (-1.0 - s) * np.log(x / n) ** l))
-        rhs = math.log(x) ** (l + 1) * x ** (-s) * _gauss_integral_01(
-            lambda a: x ** (s * a) * a**l
-        )
-        normalizer = math.log(3 * x) ** l
-    else:
-        z = x if kind == "diag" else float(z)
-        if z > x:
-            raise OracleError("need z <= x")
-        dk = divisor_counts(k, int(z))[1:].astype(float)
-        n = np.arange(1, int(z) + 1, dtype=float)
-        lhs = float(
-            np.sum(dk * n ** (-1.0 - s) * F(np.log(x / n) / math.log(x))
-                   * H(np.log(z / n) / math.log(z)))
-        )
-        logz, logx = math.log(z), math.log(x)
-        rhs = (logz**k / factorial(k - 1)) * z ** (-s) * _gauss_integral_01(
-            lambda u: (1 - u) ** (k - 1) * F(1 - (1 - u) * logz / logx) * H(u)
-            * z ** (u * s)
-        )
-        normalizer = math.log(3 * z) ** (k - 1)
-    error = abs(lhs - rhs) / normalizer
+    n = np.arange(1, int(x) + 1, dtype=float)
+    lhs = float(np.sum(n ** (-1.0 - s) * np.log(x / n) ** l))
+    rhs = math.log(x) ** (l + 1) * x ** (-s) * _gauss_integral_01(lambda a: x ** (s * a) * a**l)
+    return CheckResult.from_error(
+        "euler_maclaurin[basic]", dict(params, lhs=lhs, rhs=rhs),
+        abs(lhs - rhs) / math.log(3 * x) ** l, ASYMPTOTIC_CONSTANT,
+    )
+
+
+def check_divisor_sum(k: int, F: Polynomial, H: Polynomial, x: float, s: float,
+                      z: float | None = None) -> CheckResult:
+    """The sum of d_k(n) n^{-1-s} F(log(x/n)/log x) H(log(z/n)/log z) over
+    n <= z against its single-integral main term, for z <= x and
+    |s| <= 1/log x: ``euler_maclaurin[cross]``, or ``euler_maclaurin[diag]``
+    when z is omitted and taken to be x.  The error is normalized by
+    log(3z)^{k-1}, the power of log the remainder carries."""
+    kind, params = "cross", {"F": F, "H": H, "k": k, "z": z, "x": x, "s": s}
+    if z is None:
+        kind = "diag"
+        del params["z"]
+    s, x = float(s), float(x)
+    if abs(s) > 1.0 / math.log(x):
+        raise OracleError("need |s| <= 1/log x")
+    z = x if z is None else float(z)
+    if z > x:
+        raise OracleError("need z <= x")
+    dk = divisor_counts(k, int(z))[1:].astype(float)
+    n = np.arange(1, int(z) + 1, dtype=float)
+    lhs = float(
+        np.sum(dk * n ** (-1.0 - s) * F(np.log(x / n) / math.log(x))
+               * H(np.log(z / n) / math.log(z)))
+    )
+    logz, logx = math.log(z), math.log(x)
+    rhs = (logz**k / factorial(k - 1)) * z ** (-s) * _gauss_integral_01(
+        lambda u: (1 - u) ** (k - 1) * F(1 - (1 - u) * logz / logx) * H(u)
+        * z ** (u * s)
+    )
     return CheckResult.from_error(
         f"euler_maclaurin[{kind}]", dict(params, lhs=lhs, rhs=rhs),
-        error, ASYMPTOTIC_CONSTANT,
+        abs(lhs - rhs) / math.log(3 * z) ** (k - 1), ASYMPTOTIC_CONSTANT,
     )
 
 
@@ -420,9 +402,29 @@ def _gauss_rule_ld(n: int) -> tuple[np.ndarray, np.ndarray]:
 # -- contour identities -----------------------------------------------------
 
 
-def _k1_pair(i: int, alpha: float, beta: float, logq: float):
+def _circle_check(name: str, params: dict[str, Any], circles, error: float,
+                  threshold: float) -> CheckResult:
+    """The result of a check whose left side is read off ``circles``:
+    ``params`` gains their ``trapezoid_points`` (summed) and
+    ``trapezoid_certificate`` (the largest), and a circle the ladder could
+    not certify fails the check with an infinite error."""
+    certificate = max(circle.certificate for circle in circles)
+    return CheckResult.from_error(
+        name, dict(params, trapezoid_points=sum(circle.points for circle in circles),
+                   trapezoid_certificate=certificate),
+        math.inf if certificate == math.inf else error, threshold,
+    )
+
+
+def check_k1(i: int, alpha: float, beta: float, logq: float) -> CheckResult:
+    """K1: the residue at 0 of e^{logq s} (alpha + s) (s - beta) / s^{i+1}
+    against [xy] of e^{alpha x - beta y} (logq + x + y)^i / i!, for i >= 1."""
     import mpmath
 
+    if max(abs(alpha), abs(beta)) > 0.1:
+        raise OracleError("need |alpha|, |beta| <= 0.1")
+    if i < 1:
+        raise OracleError("K1 needs i >= 1")
     # the circle |s| = 0.3
     with mpmath.workdps(CONTOUR_DPS):
         # float -> mpf is exact: converted once per circle, not at every point
@@ -438,12 +440,20 @@ def _k1_pair(i: int, alpha: float, beta: float, logq: float):
     # [xy] of e^{alpha x - beta y} (logq + x + y)^i by the product rule
     last = i * (i - 1) * logq ** (i - 2) if i >= 2 else 0.0
     rhs = (-alpha * beta * logq**i + i * (alpha - beta) * logq ** (i - 1) + last) / factorial(i)
-    return circle.value, rhs, circle
+    params = dict(i=i, alpha=alpha, beta=beta, logq=logq, lhs=circle.value, rhs=complex(rhs))
+    return _circle_check("contour[K1]", params, (circle,), abs(circle.value - rhs), EXACT_TOL)
 
 
-def _k2_pair(j: int, alpha: float, beta: float, logq: float):
+def check_k2(j: int, alpha: float, beta: float, logq: float) -> CheckResult:
+    """K2: 4 times the residues of e^{logq u} / ((alpha + u) (u - beta) u^{j-1})
+    against 4 logq^j / (j - 2)! times its triangle integral, for j >= 3.  Its
+    values scale like logq^j, so the error is relative to max(1, |rhs|)."""
     import mpmath
 
+    if max(abs(alpha), abs(beta)) > 0.1:
+        raise OracleError("need |alpha|, |beta| <= 0.1")
+    if j < 3:
+        raise OracleError("K2 needs j >= 3")
     # the circle |u| = 0.25 must enclose every pole: 0, -alpha and beta
     with mpmath.workdps(CONTOUR_DPS):
         a, b, r = map(mpmath.mpf, (alpha, beta, 0.25))
@@ -465,12 +475,22 @@ def _k2_pair(j: int, alpha: float, beta: float, logq: float):
         logq * (-ta * alpha + tb * beta)) * (1.0 - ta)
     inner = np.sum(vals * ws[:, None] * ws[None, :])
     rhs = float(4.0 * np.longdouble(logq) ** j / factorial(j - 2) * inner)
-    return 4.0 * circle.value, rhs, circle
+    lhs = 4.0 * circle.value
+    params = dict(j=j, alpha=alpha, beta=beta, logq=logq, lhs=lhs, rhs=complex(rhs))
+    return _circle_check("contour[K2]", params, (circle,), abs(lhs - rhs) / max(1.0, abs(rhs)),
+                         EXACT_TOL)
 
 
-def _l1_pair(i: int, alpha: float, beta: float, logq: float):
+def check_l1(i: int, alpha: float, beta: float, logq: float) -> CheckResult:
+    """L1: the residues of e^{logq s} (beta + s)^2 / ((alpha + s) s^{i-1})
+    against 2! [x^2] of (logq + x)^{i-1} times a Gauss integral over u, for
+    i >= 3."""
     import mpmath
 
+    if max(abs(alpha), abs(beta)) > 0.1:
+        raise OracleError("need |alpha|, |beta| <= 0.1")
+    if i < 3:
+        raise OracleError("L1 needs i >= 3")
     # the circle |s| = 0.25 about the poles 0 and -alpha; (beta + s)^2 is entire
     with mpmath.workdps(CONTOUR_DPS):
         a, b, r = map(mpmath.mpf, (alpha, beta, 0.25))
@@ -489,12 +509,15 @@ def _l1_pair(i: int, alpha: float, beta: float, logq: float):
     h = [float(np.sum(weighted * (beta - alpha * u) ** k)) / factorial(k) for k in range(3)]
     g = (logq ** (i - 1), (i - 1) * logq ** (i - 2), (i - 1) * (i - 2) * logq ** (i - 3) / 2)
     rhs = 2.0 * (g[0] * h[2] + g[1] * h[1] + g[2] * h[0]) / factorial(i - 2)
-    return circle.value, rhs, circle
+    params = dict(i=i, alpha=alpha, beta=beta, logq=logq, lhs=circle.value, rhs=complex(rhs))
+    return _circle_check("contour[L1]", params, (circle,), abs(circle.value - rhs), EXACT_TOL)
 
 
-def _f_residue_pair(j: int, k: int, s: float, logx: float):
-    """Both residues of f(u) = x^u / ((u + s)^{j+1} u^{k+1}), on circles of
-    radius 0.3 |s| about 0 and about -s, so the other pole sits at 1/0.3 radii.
+def check_f_residues(j: int, k: int, s: float, logx: float) -> CheckResult:
+    """Both residues of f(u) = x^u / ((u + s)^{j+1} u^{k+1}) against their
+    finite sums, on circles of radius 0.3 |s| about 0 and about -s, so the
+    other pole sits at 1/0.3 radii; s must be nonzero.  The error is the
+    larger of the two, and ``lhs`` and ``rhs`` are the residue at 0.
 
     Both circles have the same radius, so with u = r w about 0 and
     u = -s + r w about -s, x^u is exp(logx r w) and x^{-s} exp(logx r w):
@@ -532,52 +555,9 @@ def _f_residue_pair(j: int, k: int, s: float, logx: float):
         / ((-s) ** (k + l + 1) * factorial(j - l))
         for l in range(j + 1)
     )
-    return (circle0.value, rhs0, circle0), (circle1.value, rhs1, circle1)
-
-
-# kind -> (pair, name of its index, least index)
-_INDEXED_PAIRS = {"K1": (_k1_pair, "i", 1), "K2": (_k2_pair, "j", 3), "L1": (_l1_pair, "i", 3)}
-
-
-def check_contour_identity(kind: str, **params) -> CheckResult:
-    """Contour integral vs closed form for the K1/K2/L1/F-residue identities.
-
-    ``params`` gains the circles' ``trapezoid_points`` (summed) and
-    ``trapezoid_certificate`` (the largest); a circle the ladder could not
-    certify fails the check with an infinite error.
-    """
-    alpha = float(params.get("alpha", 0.0))
-    beta = float(params.get("beta", 0.0))
-    if max(abs(alpha), abs(beta)) > 0.1:
-        raise OracleError("need |alpha|, |beta| <= 0.1")
-    if kind in _INDEXED_PAIRS:
-        pair, index, least = _INDEXED_PAIRS[kind]
-        n = int(params[index])
-        if n < least:
-            raise OracleError(f"{kind} needs {index} >= {least}")
-        lhs, rhs, circle = pair(n, alpha, beta, float(params["logq"]))
-        circles = (circle,)
-        # K2's values scale like logq^j, so it is normalized by the magnitude
-        error = abs(lhs - rhs) / (max(1.0, abs(rhs)) if kind == "K2" else 1.0)
-    elif kind == "F_residues":
-        pair0, pair1 = _f_residue_pair(
-            int(params["j"]), int(params["k"]), float(params["s"]), float(params["logx"])
-        )
-        circles = (pair0[2], pair1[2])
-        error = max(abs(pair0[0] - pair0[1]), abs(pair1[0] - pair1[1]))
-        lhs, rhs, _ = pair0
-    else:
-        raise OracleError(f"unknown kind {kind!r}")
-    certificate = max(circle.certificate for circle in circles)
-    if certificate == math.inf:
-        error = math.inf
-    return CheckResult.from_error(
-        f"contour[{kind}]",
-        dict(params, lhs=complex(lhs), rhs=complex(rhs),
-             trapezoid_points=sum(circle.points for circle in circles),
-             trapezoid_certificate=certificate),
-        error, EXACT_TOL,
-    )
+    params = dict(j=j, k=k, s=s, logx=logx, lhs=circle0.value, rhs=complex(rhs0))
+    error = max(abs(circle0.value - rhs0), abs(circle1.value - rhs1))
+    return _circle_check("contour[F_residues]", params, (circle0, circle1), error, EXACT_TOL)
 
 
 # -- exact arithmetic identities --------------------------------------------
@@ -664,8 +644,7 @@ def check_q_operator(Q, X: float, T: float, alpha: float = 0.0):
     times X^{-alpha}, with q_k the monomial coefficients of ``Q``
     (:func:`q_monomials`).  Each derivative is a Cauchy integral: the left
     side is one circle of radius 1/4 about 0 over X^{-(alpha + z)} times
-    sum_k q_k k! (-1/log T)^k z^{-k-1}, sharing no formula with the right.
-    An uncertified circle fails the check with an infinite error."""
+    sum_k q_k k! (-1/log T)^k z^{-k-1}, sharing no formula with the right."""
     if X <= 1 or T <= 1:
         raise OracleError("need X, T > 1")
     import mpmath
@@ -689,13 +668,8 @@ def check_q_operator(Q, X: float, T: float, alpha: float = 0.0):
 
     circle = contour_circle(term, exponent=rate, pole=len(q) - 1)
     lhs, rhs = circle.value.real, at_point * math.exp(-alpha * logX)
-    error = math.inf if circle.certificate == math.inf else abs(lhs - rhs) / max(abs(rhs), 1.0)
-    return CheckResult.from_error(
-        "q_operator", {"X": X, "T": T, "alpha": alpha, "lhs": lhs, "rhs": rhs,
-                       "trapezoid_points": circle.points,
-                       "trapezoid_certificate": circle.certificate},
-        error, QOP_TOL,
-    )
+    return _circle_check("q_operator", {"X": X, "T": T, "alpha": alpha, "lhs": lhs, "rhs": rhs},
+                         (circle,), abs(lhs - rhs) / max(abs(rhs), 1.0), QOP_TOL)
 
 
 # -- finite-difference oracle for the jet operators -------------------------
@@ -957,11 +931,10 @@ def _euler_suite() -> list[CheckResult]:
     one = Polynomial((1.0,))
     for l in (0, 1, 2):
         for s in (0.0, 0.05, -0.05):
-            out.append(check_euler_maclaurin("basic", l=l, s=s, x=1e4))
+            out.append(check_euler_maclaurin(l=l, s=s, x=1e4))
     for k in (1, 2, 3):
-        out.append(check_euler_maclaurin("diag", k=k, F=one, H=one, x=1e4, s=0.0))
-        out.append(check_euler_maclaurin("cross", k=k, F=ident, H=ident, x=1e4,
-                                         z=5e3, s=0.0))
+        out.append(check_divisor_sum(k=k, F=one, H=one, x=1e4, s=0.0))
+        out.append(check_divisor_sum(k=k, F=ident, H=ident, x=1e4, z=5e3, s=0.0))
     for k in (1, 2, 3, 4, 5):
         for sigma in (0.0, -0.25, -1.0):
             out.append(check_logsave(k, sigma, 1e4))
@@ -1000,16 +973,16 @@ _CONTOUR_PANEL = (
 
 def _contour_suite() -> list[CheckResult]:
     out = [
-        check_contour_identity("K1", i=2, alpha=0.0, beta=0.0, logq=10.0),
-        check_contour_identity("K2", j=3, alpha=0.03, beta=0.02, logq=20.0),
-        check_contour_identity("L1", i=3, alpha=0.05, beta=-0.04, logq=15.0),
-        check_contour_identity("F_residues", j=1, k=2, s=0.5, logx=5.0),
+        check_k1(i=2, alpha=0.0, beta=0.0, logq=10.0),
+        check_k2(j=3, alpha=0.03, beta=0.02, logq=20.0),
+        check_l1(i=3, alpha=0.05, beta=-0.04, logq=15.0),
+        check_f_residues(j=1, k=2, s=0.5, logx=5.0),
     ]
     for alpha, beta, logq, i1, j2, i3, j, k, s, logx in _CONTOUR_PANEL:
-        out.append(check_contour_identity("K1", i=i1, alpha=alpha, beta=beta, logq=logq))
-        out.append(check_contour_identity("K2", j=j2, alpha=alpha, beta=beta, logq=logq))
-        out.append(check_contour_identity("L1", i=i3, alpha=alpha, beta=beta, logq=logq))
-        out.append(check_contour_identity("F_residues", j=j, k=k, s=s, logx=logx))
+        out.append(check_k1(i=i1, alpha=alpha, beta=beta, logq=logq))
+        out.append(check_k2(j=j2, alpha=alpha, beta=beta, logq=logq))
+        out.append(check_l1(i=i3, alpha=alpha, beta=beta, logq=logq))
+        out.append(check_f_residues(j=j, k=k, s=s, logx=logx))
     return out
 
 

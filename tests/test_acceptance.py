@@ -148,7 +148,7 @@ def test_criterion_8_asymptotic_lemmas():
         return [r.error / math.log(3 * r.params["x"]) for r in results]
 
     for l in (0, 1, 2):
-        results = [oracle.check_euler_maclaurin("basic", l=l, s=0.0, x=x) for x in xs]
+        results = [oracle.check_euler_maclaurin(l=l, s=0.0, x=x) for x in xs]
         assert all(r.error <= oracle.ASYMPTOTIC_CONSTANT for r in results)
         scaled = scaled_errors(results)
         assert scaled == sorted(scaled, reverse=True), (l, scaled)
@@ -158,9 +158,7 @@ def test_criterion_8_asymptotic_lemmas():
             for x in xs:
                 # diag is the z = x case and takes no z
                 z = {} if kind == "diag" else {"z": x / 2.0}
-                results.append(
-                    oracle.check_euler_maclaurin(kind, k=k, F=F, H=H, x=x, s=0.0, **z)
-                )
+                results.append(oracle.check_divisor_sum(k=k, F=F, H=H, x=x, s=0.0, **z))
             assert all(r.error <= oracle.ASYMPTOTIC_CONSTANT for r in results)
             scaled = [r.error / math.log(3 * (r.params["x"] if kind == "diag" else r.params["z"]))
                       for r in results]

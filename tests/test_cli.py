@@ -461,6 +461,119 @@ def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
     assert reports[0] == reports[1]
 
 
+# Settings that make numpy and OpenBLAS round as on another machine: numpy
+# without its AVX-512 exp, log and power loops, and OpenBLAS on its Haswell
+# kernels.  Each applies to the test's own subprocesses alone.
+_MACHINE_SETTINGS = {
+    "no-avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    "haswell-blas": {"OPENBLAS_CORETYPE": "Haswell"},
+}
+
+# What a subprocess's numpy runs on: the CPU features it dispatches to, and
+# the core OpenBLAS picked (None where the library or its name is not found)
+_MACHINE_PROBE = """
+import ctypes, json
+import numpy
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_features__
+corename = None
+try:
+    paths = {line.split()[-1] for line in open("/proc/self/maps") if "openblas" in line}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename64_", "openblas_get_corename"):
+            if hasattr(lib, name):
+                getter = getattr(lib, name)
+                getter.argtypes, getter.restype = [], ctypes.c_char_p
+                corename = getter().decode()
+except OSError:
+    pass
+print(json.dumps({"features": __cpu_features__, "corename": corename}))
+"""
+
+
+def _machine_env(settings):
+    """The environment with only ``settings`` of the machine settings, and
+    this checkout's sources first on the path."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items()
+           if not any(key in s for s in _MACHINE_SETTINGS.values())}
+    env.update(settings)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
+
+
+def _probe_machine(settings):
+    run = subprocess.run([sys.executable, "-c", _MACHINE_PROBE], env=_machine_env(settings),
+                         capture_output=True, text=True)
+    if run.returncode:
+        return None, (run.stderr.strip().splitlines() or ["no output"])[-1]
+    return json.loads(run.stdout), None
+
+
+def _why_not_honoured(settings):
+    """Why numpy or the BLAS cannot honour ``settings`` here, or None."""
+    native, _ = _probe_machine({})
+    probed, error = _probe_machine(settings)
+    if probed is None:
+        return f"numpy does not start under {settings}: {error}"
+    if "NPY_DISABLE_CPU_FEATURES" in settings:
+        names = settings["NPY_DISABLE_CPU_FEATURES"].split()
+        present = [name for name in names if native["features"].get(name)]
+        if not present:
+            return f"this CPU and numpy build dispatch to none of {names}"
+        if any(probed["features"].get(name) for name in present):
+            return f"numpy still dispatches to some of {present}"
+    if "OPENBLAS_CORETYPE" in settings:
+        core = settings["OPENBLAS_CORETYPE"]
+        if native["corename"] is None:
+            return "numpy's BLAS reports no OpenBLAS core name"
+        if (probed["corename"] or "").lower() != core.lower():
+            return (f"OpenBLAS runs on {probed['corename']} under OPENBLAS_CORETYPE={core} "
+                    "(a build without DYNAMIC_ARCH, or a CPU without that core's instructions)")
+        if native["corename"].lower() == core.lower():
+            return f"OpenBLAS already runs on {core} without the setting"
+    return None
+
+
+_PORTABLE_COMMANDS = {
+    "kappa": ["reproduce", "--preset", "kappa"],
+    "kappa-star": ["reproduce", "--preset", "kappa-star"],
+    "no-psi2": ["optimize", "--no-psi2"],
+}
+
+
+def _reports_under(settings, directory):
+    directory.mkdir()
+    reports = {}
+    for name, argv in _PORTABLE_COMMANDS.items():
+        out = directory / f"{name}.json"
+        subprocess.run([sys.executable, "-m", "critline", *argv, "--json", str(out)],
+                       env=_machine_env(settings), check=True, capture_output=True)
+        reports[name] = load_report(out.read_text())
+    return reports
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("setting", list(_MACHINE_SETTINGS))
+def test_kappa_does_not_depend_on_the_math_libraries(setting, tmp_path):
+    # report bytes are reproducible per machine and numpy/BLAS build only:
+    # under these settings the search's R moves by about 2.5e-7 and kappa by
+    # about 1e-15.  kappa holds to 1e-12 and R to the search's R_TOL
+    settings = _MACHINE_SETTINGS[setting]
+    reason = _why_not_honoured(settings)
+    if reason:
+        pytest.skip(reason)
+    native = _reports_under({}, tmp_path / "native")
+    other = _reports_under(settings, tmp_path / setting)
+    for name in _PORTABLE_COMMANDS:
+        assert abs(other[name]["kappa"] - native[name]["kappa"]) <= 1e-12, name
+        assert abs(other[name]["R"] - native[name]["R"]) <= optimize.R_TOL, name
+
+
 def test_importing_the_cli_does_not_import_mpmath():
     # only the oracle uses mpmath, and it imports it inside each function, so
     # reproduce, eval and optimize never pay mpmath's import
@@ -564,6 +677,15 @@ def test_an_overflowing_q0_is_config_error(tmp_path, capsys):
     path.write_text("R = 1.1\nq_const = 1e308\nq_odd_coeffs = 1e308\np1_coeffs = 0.6, 0.4\n")
     assert main(["eval", str(path)]) == EXIT_CONFIG
     assert "cannot renormalize: Q(0) = inf" in capsys.readouterr().err
+
+
+def test_a_q0_whose_reciprocal_overflows_is_config_error(tmp_path, capsys):
+    # every coefficient is finite, but 1 / Q(0) is not: the exit names Q(0),
+    # not a non-finite coefficient of the rescaled Q
+    path = tmp_path / "q0.cfg"
+    path.write_text("R = 1.28\np1_coeffs = 1.0\nq_const = 1e-320\n")
+    assert main(["eval", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: cannot renormalize: Q(0) = 9.99989e-321\n"
 
 
 def test_a_huge_q0_leaves_out_the_verbatim_kappa(tmp_path, capsys):

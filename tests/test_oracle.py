@@ -16,8 +16,13 @@ from critline import moments, oracle
 from critline.jet import Jet
 from critline.oracle import (
     OracleError,
-    check_contour_identity,
+    check_divisor_sum,
     check_euler_maclaurin,
+    check_f_residues,
+    check_k1,
+    check_k2,
+    check_l1,
+    check_logsave,
     check_mellin_pair,
     check_mobius_identities,
     check_q_operator,
@@ -72,8 +77,8 @@ def test_divisor_counts_are_shared_and_read_only(monkeypatch):
 
     monkeypatch.setattr(oracle, "divisor_counts", recording)
     one = Polynomial((1.0,))
-    assert check_euler_maclaurin("diag", k=2, F=one, H=one, x=1e3, s=0.0).passed
-    assert oracle.check_logsave(2, 0.0, 1e3).passed
+    assert check_divisor_sum(k=2, F=one, H=one, x=1e3, s=0.0).passed
+    assert check_logsave(2, 0.0, 1e3).passed
     assert len(read) == 2 and read[0] is table and read[1] is table
 
 
@@ -321,6 +326,11 @@ def test_contour_pole_near_the_circle_is_uncertified():
     assert circle.certificate == math.inf
 
 
+# each circle check by the kind its result is named after
+_CIRCLE_CHECKS = {"K1": check_k1, "K2": check_k2, "L1": check_l1,
+                  "F_residues": check_f_residues, "q_operator": check_q_operator}
+
+
 @pytest.mark.parametrize(
     "kind, params",
     [("K1", dict(i=2, alpha=0.0, beta=0.0, logq=10.0)),
@@ -337,10 +347,7 @@ def test_uncertified_circle_fails_its_check(monkeypatch, kind, params):
         return ladder(lambda w: term(w) + w / (w - 0.99), **factors)
 
     monkeypatch.setattr(oracle, "contour_circle", with_near_pole)
-    if kind == "q_operator":
-        result = check_q_operator(**params)
-    else:
-        result = check_contour_identity(kind, **params)
+    result = _CIRCLE_CHECKS[kind](**params)
     assert result.error == math.inf
     assert not result.passed
     assert result.params["trapezoid_certificate"] == math.inf
@@ -489,23 +496,28 @@ def _circles_of(kind, params):
      ("F_residues", dict(j=2, k=0, s=0.5, logx=5.0)),
      ("F_residues", dict(j=1, k=3, s=-1.3, logx=7.5)),
      ("q_operator", dict(Q=make_q(0.492, (0.604, -0.08, -0.06, 0.046)),
-                         X=(1e8) ** (4.0 / 7.0), T=1e8, alpha=-0.1 / math.log(1e8)))],
+                         X=(1e8) ** (4.0 / 7.0), T=1e8, alpha=-0.1 / math.log(1e8))),
+     # the circle about -s stops at 64 points with the larger certificate
+     ("F_residues", dict(j=0, k=0, s=-1.485176807447335, logx=7.083795208745406))],
 )
 def test_unit_node_terms_match_the_f_of_z_form(monkeypatch, kind, params):
     # each circle's term against f(center + radius w) radius w through the
-    # same ladder: the same rung, and the same 40-digit sum there to 1e-30
+    # same ladder: the same rung, and the same 40-digit sum there to 1e-30.
+    # The result counts every circle's points and keeps the largest
+    # certificate
     ladder = oracle.contour_circle
-    circles = []
+    circles, values = [], []
 
     def recording(term, **factors):
         circles.append((term, factors))
-        return ladder(term, **factors)
+        values.append(ladder(term, **factors))
+        return values[-1]
 
     monkeypatch.setattr(oracle, "contour_circle", recording)
-    if kind == "q_operator":
-        assert check_q_operator(**params).passed
-    else:
-        assert check_contour_identity(kind, **params).passed
+    result = _CIRCLE_CHECKS[kind](**params)
+    assert result.passed
+    assert result.params["trapezoid_points"] == sum(value.points for value in values)
+    assert result.params["trapezoid_certificate"] == max(value.certificate for value in values)
     f = _f_of_z(kind, params)
     circles_at = _circles_of(kind, params)
     assert len(circles) == len(circles_at)
@@ -583,23 +595,23 @@ def test_fd_oracle_evaluates_p1_and_p2_only_through_its_own_horner(monkeypatch):
 
 
 def test_fixed_contour_identities_pass():
-    assert check_contour_identity("K1", i=2, alpha=0.0, beta=0.0, logq=10.0).passed
-    assert check_contour_identity("K2", j=3, alpha=0.03, beta=0.02, logq=20.0).passed
-    assert check_contour_identity("L1", i=3, alpha=0.05, beta=-0.04, logq=15.0).passed
-    assert check_contour_identity("F_residues", j=1, k=2, s=0.5, logx=5.0).passed
+    assert check_k1(i=2, alpha=0.0, beta=0.0, logq=10.0).passed
+    assert check_k2(j=3, alpha=0.03, beta=0.02, logq=20.0).passed
+    assert check_l1(i=3, alpha=0.05, beta=-0.04, logq=15.0).passed
+    assert check_f_residues(j=1, k=2, s=0.5, logx=5.0).passed
 
 
 def test_contour_identity_validation():
-    with pytest.raises(OracleError):
-        check_contour_identity("K1", i=0, logq=5.0)
-    with pytest.raises(OracleError):
-        check_contour_identity("K2", j=2, logq=5.0)
-    with pytest.raises(OracleError):
-        check_contour_identity("K1", i=1, alpha=0.5, logq=5.0)
-    with pytest.raises(OracleError):
-        check_contour_identity("F_residues", j=0, k=0, s=0.0, logx=5.0)
-    with pytest.raises(OracleError):
-        check_contour_identity("parabola", logq=5.0)
+    with pytest.raises(OracleError, match=re.escape("K1 needs i >= 1")):
+        check_k1(i=0, alpha=0.0, beta=0.0, logq=5.0)
+    with pytest.raises(OracleError, match=re.escape("K2 needs j >= 3")):
+        check_k2(j=2, alpha=0.0, beta=0.0, logq=5.0)
+    with pytest.raises(OracleError, match=re.escape("L1 needs i >= 3")):
+        check_l1(i=2, alpha=0.0, beta=0.0, logq=5.0)
+    with pytest.raises(OracleError, match=re.escape("need |alpha|, |beta| <= 0.1")):
+        check_k1(i=1, alpha=0.5, beta=0.0, logq=5.0)
+    with pytest.raises(OracleError, match="s must be nonzero"):
+        check_f_residues(j=0, k=0, s=0.0, logx=5.0)
 
 
 def _k1_rhs_jet(i, alpha, beta, logq):
@@ -637,13 +649,13 @@ def test_closed_form_contour_sides_match_the_jet_ring(monkeypatch):
         alpha, beta = rng.uniform(-0.1, 0.1, size=2)
         logq = rng.uniform(5.0, 25.0)
         i = int(rng.integers(1, 6))
-        _, rhs, _ = oracle._k1_pair(i, alpha, beta, logq)
+        rhs = check_k1(i=i, alpha=alpha, beta=beta, logq=logq).params["rhs"]
         assert abs(rhs - _k1_rhs_jet(i, alpha, beta, logq)) <= 1e-12, (i, alpha, beta, logq)
         i = int(rng.integers(3, 6))
-        _, rhs, _ = oracle._l1_pair(i, alpha, beta, logq)
+        rhs = check_l1(i=i, alpha=alpha, beta=beta, logq=logq).params["rhs"]
         assert abs(rhs - _l1_rhs_jet(i, alpha, beta, logq)) <= 1e-12, (i, alpha, beta, logq)
     # logq = 0 at i = 1 is a legal input: the i(i - 1) logq^{i-2} term is absent
-    _, rhs, _ = oracle._k1_pair(1, 0.05, -0.02, 0.0)
+    rhs = check_k1(i=1, alpha=0.05, beta=-0.02, logq=0.0).params["rhs"]
     assert rhs == pytest.approx(_k1_rhs_jet(1, 0.05, -0.02, 0.0), abs=1e-15)
 
 
@@ -694,29 +706,60 @@ def test_q_operator_preset_style_q():
 
 
 def test_euler_maclaurin_validation():
-    with pytest.raises(OracleError):
-        check_euler_maclaurin("basic", l=0, s=0.5, x=1e4)  # |s| too large
-    with pytest.raises(OracleError):
-        check_euler_maclaurin("helix", l=0, s=0.0, x=1e4)
+    one = Polynomial((1.0,))
+    with pytest.raises(OracleError, match=re.escape("need |s| <= 1/log x")):
+        check_euler_maclaurin(l=0, s=0.5, x=1e4)
+    with pytest.raises(OracleError, match=re.escape("need |s| <= 1/log x")):
+        check_divisor_sum(k=2, F=one, H=one, x=1e4, s=0.5)
+    with pytest.raises(OracleError, match="need z <= x"):
+        check_divisor_sum(k=2, F=one, H=one, x=1e3, s=0.0, z=2e3)
 
 
 def test_euler_maclaurin_rejects_a_parameter_its_kind_does_not_take():
-    # each kind takes its own keywords: an unknown one, or one of another
-    # kind, is an error and never lands silently in the result's params
+    # each check takes its own keywords: an unknown one, or one of the other
+    # check, is an error and never lands silently in the result's params; the
+    # divisor sum is diag without z and cross with it
     one = Polynomial((1.0,))
     diag = dict(k=2, F=one, H=one, x=1e3, s=0.0)
-    assert check_euler_maclaurin("diag", **diag).passed
+    assert check_divisor_sum(**diag).name == "euler_maclaurin[diag]"
+    cross = check_divisor_sum(**diag, z=5e2)
+    assert cross.name == "euler_maclaurin[cross]" and cross.params["z"] == 5e2
     with pytest.raises(TypeError, match="tables"):
-        check_euler_maclaurin("diag", **diag, tables="stale")
+        check_divisor_sum(**diag, tables="stale")
     with pytest.raises(TypeError, match="zz"):
-        check_euler_maclaurin("diag", **diag, zz=3)
-    for kind, kwargs, message in (
-        ("basic", dict(l=0, k=2, s=0.0, x=1e4), "basic] takes ('l',) and s, x; got ('k', 'l')"),
-        ("diag", dict(diag, z=1e3), "diag] takes ('F', 'H', 'k') and s, x; got ('F', 'H', 'k', 'z')"),
-        ("cross", diag, "cross] takes ('F', 'H', 'k', 'z') and s, x; got ('F', 'H', 'k')"),
-    ):
-        with pytest.raises(TypeError, match=re.escape(message)):
-            check_euler_maclaurin(kind, **kwargs)
+        check_divisor_sum(**diag, zz=3)
+    with pytest.raises(TypeError, match="'k'"):
+        check_euler_maclaurin(l=0, k=2, s=0.0, x=1e4)
+
+
+_ONE = Polynomial((1.0,))
+# valid arguments of every public check
+_EVERY_CHECK = (
+    (check_k1, dict(i=2, alpha=0.05, beta=0.0, logq=10.0)),
+    (check_k2, dict(j=3, alpha=0.03, beta=0.02, logq=20.0)),
+    (check_l1, dict(i=3, alpha=0.05, beta=-0.04, logq=15.0)),
+    (check_f_residues, dict(j=1, k=2, s=0.5, logx=5.0)),
+    (check_euler_maclaurin, dict(l=0, s=0.0, x=1e4)),
+    (check_divisor_sum, dict(k=2, F=_ONE, H=_ONE, x=1e3, s=0.0)),
+    (check_logsave, dict(k=2, sigma=0.0, x=1e3)),
+    (check_mellin_pair, dict(P1=make_p1((0.5, 0.5)), y1=1e4, n=10.0)),
+    (check_q_operator, dict(Q=_ONE, X=100.0, T=1e6)),
+    (check_mobius_identities, dict(N=2000)),
+    (oracle.check_jet_operators, dict(cfg=kappa_preset())),
+)
+
+
+@pytest.mark.parametrize("check, params", _EVERY_CHECK, ids=[c.__name__ for c, _ in _EVERY_CHECK])
+@pytest.mark.parametrize("stray", ["alpah", "zz"])
+def test_a_misspelled_keyword_is_an_error(check, params, stray):
+    # a check's signature names its parameters: a misspelled one is rejected,
+    # never run with a default and recorded in the result's params.  alpah
+    # takes alpha's place where the check has one, and goes beside the
+    # parameters elsewhere, as zz does
+    params = dict(params)
+    value = params.pop("alpha", 3) if stray == "alpah" else 3
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{stray}'"):
+        check(**params, **{stray: value})
 
 
 def test_out_of_scope_listing():
