@@ -18,9 +18,11 @@ circle.  The five checks read off circles build their results one way
 (:func:`_circle_check`): the circles' points are summed, the largest
 certificate is kept, and a circle the ladder could not certify fails its
 check with an infinite error.  Sums use sieved arithmetic tables, real
-integrals this module's own Gauss-Legendre rule, and the derivative
-operators of the moment kernels 4th-order finite differences of long-double
-tensor-product Gauss integrals (:func:`fd_c12`, :func:`fd_c2`).  Each
+integrals this module's own Gauss-Legendre rule (Newton's method in long
+double, :func:`_gauss_rule_ld`, rounded to doubles where the integral is
+in doubles), and the derivative operators of the moment kernels 4th-order
+finite differences of long-double tensor-product Gauss integrals of order
+12 (:func:`fd_c12`, :func:`fd_c2`).  Each
 shortcut in these (loop-invariant work hoisted, a symmetry folded, a sum
 factorized) is the same rule summed in another order, as each function's
 docstring says.  Asymptotic statements are tested as bounded-normalized-error
@@ -184,13 +186,18 @@ def _roots_of_unity() -> tuple:
     Every circle shares them: each is the unit node w of a circle's term,
     and the lower half's nodes are their conjugates, which no term is
     evaluated at.  Rung m uses every (n/m)-th node; n/m is a power of two,
-    so these are bit-identical to the m-th roots of unity.
+    so these are bit-identical to the m-th roots of unity.  Only the first
+    eighth of the circle, k <= n/8, takes an exponential; the rest follow by
+    exact maps, w_(n/4-k) = i conj(w_k) and then w_(n/2-k) = -conj(w_k).
     """
     import mpmath
 
     n = CONTOUR_POINTS
     with mpmath.workdps(CONTOUR_DPS):
-        return tuple(mpmath.exp(2j * mpmath.pi * k / n) for k in range(n // 2 + 1))
+        nodes = [mpmath.exp(2j * mpmath.pi * k / n) for k in range(n // 8 + 1)]
+        nodes += [mpmath.mpc(w.imag, w.real) for w in nodes[-2::-1]]
+        nodes += [mpmath.mpc(-w.real, w.imag) for w in nodes[-2::-1]]
+        return tuple(nodes)
 
 
 def _magnitude(value):
@@ -377,23 +384,50 @@ def check_logsave(k: int, sigma: float, x: float):
 
 
 @lru_cache(maxsize=8)
-def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1] (read-only arrays).
+def _gauss_rule_ld(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1] in extended precision
+    (read-only arrays), as computed.
 
     Kept separate from the quad module on purpose: the oracles must not share
-    code paths with what they check.
+    code paths with what they check.  Newton's method on the recurrence
+    n P_n = (2n - 1) x P_(n-1) - (n - 1) P_(n-2) from Tricomi's first guesses
+    (1 - (n - 1)/(8 n^3)) cos(pi (4k - 1)/(4n + 2)), descending, until no
+    step exceeds 1e-18 (at most 10 steps).  The weights are
+    2 / ((1 - x^2) P_n'(x)^2) on [-1, 1], with
+    P_n' = n (P_(n-1) - x P_n) / (1 - x^2), not 2 (1 - x^2) / (n P_(n-1))^2:
+    that form is exact only at the exact root, and near x = 1, where
+    P_(n-1) has a root close by, the node's rounding to a long double moves
+    it by up to 2.6e-15 (n = 62).
     """
-    x, w = np.polynomial.legendre.leggauss(n)
-    nodes, weights = (x + 1.0) / 2.0, w / 2.0
+    k = np.arange(1, n + 1)
+    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    x = x.astype(np.longdouble)
+
+    def legendre(x):
+        # P_n(x) and P_(n-1)(x)
+        below, p = np.ones_like(x), x.copy()
+        for m in range(2, n + 1):
+            below, p = p, ((2 * m - 1) * x * p - (m - 1) * below) / m
+        return p, below
+
+    for _ in range(10):
+        p, below = legendre(x)
+        step = p * (1.0 - x * x) / (n * (below - x * p))
+        x = x - step
+        if np.max(np.abs(step)) < 1e-18:
+            break
+    p, below = legendre(x)
+    nodes = (1.0 - x) / 2
+    weights = (1.0 - x * x) / (n * (below - x * p)) ** 2
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
 
 
 @lru_cache(maxsize=8)
-def _gauss_rule_ld(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_gauss_rule` widened to extended precision (read-only arrays)."""
-    nodes, weights = (a.astype(np.longdouble) for a in _gauss_rule(n))
+def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_gauss_rule_ld` rounded to doubles (read-only arrays)."""
+    nodes, weights = (a.astype(np.float64) for a in _gauss_rule_ld(n))
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -675,17 +709,22 @@ def check_q_operator(Q, X: float, T: float, alpha: float = 0.0):
 # -- finite-difference oracle for the jet operators -------------------------
 
 FD_H = 1e-3
-# Gauss orders of the extended-precision c12 (3-D) and c2 (4-D) integrals
-FD_C12_ORDER = 32
-FD_C2_ORDER = 24
+# Gauss orders of the extended-precision c12 (3-D) and c2 (4-D) integrals.
+# At both presets every stencil scalar at order 12 is within 5e-16 (relative)
+# of order 36 (c2) and 40 (c12), where order 8 is 4e-8 off; from order 10 to
+# 40 fd_c2's distance to moments stays between 8e-11 and 2e-9 with no trend,
+# the stencil's rounding floor, so a higher order buys nothing.
+FD_C12_ORDER = 12
+FD_C2_ORDER = 12
 JET_OPERATOR_TOL = 1e-6
 _D1_OFFSETS = (-2.0, -1.0, 1.0, 2.0)
 _D1_WEIGHTS = (1.0, -8.0, 8.0, -1.0)
 _D2_OFFSETS = (-2.0, -1.0, 0.0, 1.0, 2.0)
 _D2_WEIGHTS = (-1.0, 16.0, -30.0, 16.0, -1.0)
 # t nodes per step of the c2 slices: each array then holds 8 n matrices of
-# (deg Q + 2)^2 long doubles, 0.25 MB at n = 24 and deg Q = 7, which stay in
-# cache; the whole t axis at once was slower and raised verify's peak RSS
+# (deg Q + 2)^2 long doubles, 0.12 MB at n = 12 and deg Q = 7, which stay in
+# cache; at n = 24 the whole t axis at once was slower and raised verify's
+# peak RSS
 _C2_T_BLOCK = 8
 
 

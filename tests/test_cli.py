@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from critline import cli, moments, optimize, oracle, presets, quad
@@ -254,13 +255,31 @@ def test_overflowing_integrand_is_numerical_error(tmp_path, capsys):
 
 def test_non_convergence_is_numerical_error(tmp_path, capsys, monkeypatch):
     # no input makes a ladder fail at the fixed tolerance (R up to 350
-    # converges), so an unreachable one stands in for it
-    monkeypatch.setattr(quad, "DEFAULT_TOL", 1e-18)
+    # converges, and the rules are exact enough for c1's ladder to reach a
+    # delta of 0), so a node budget that holds only the first rung stands in
+    monkeypatch.setattr(quad, "NODE_BUDGET", quad.N_SEQUENCE_START)
     path = tmp_path / "strict.cfg"
     path.write_text("R = 1.1\np1_coeffs = 0.6, 0.4\n")
     assert main(["eval", str(path)]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert "numerical failure" in err and "did not converge" in err and "trace [(12, None)" in err
+
+
+def test_reproduce_eval_and_verify_make_no_lapack_call(tmp_path, monkeypatch):
+    # the Gauss rules come from Newton's method, not from leggauss's
+    # eigenvalue solve, so none of these commands starts LAPACK
+    def refuse(*args, **kwargs):
+        raise RuntimeError("LAPACK called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for rule in (quad.gauss_rule, oracle._gauss_rule, oracle._gauss_rule_ld):
+        rule.cache_clear()
+    path = tmp_path / "point.cfg"
+    path.write_text(CHEAP_CONFIG)
+    assert main(["reproduce", "--preset", "kappa"]) == EXIT_OK
+    assert main(["eval", str(path)]) == EXIT_OK
+    assert all(result.passed for result in oracle.run_suite("all"))
 
 
 @pytest.mark.parametrize("R", ["1e-320", "5e-324"])

@@ -821,12 +821,12 @@ def test_preset_ladders_stop_at_the_second_rung(preset):
         assert [n for n, _ in report.diagnostics[name]] == list(quad.ladder(4))[:2] == [12, 18], name
 
 
-# evaluate's (c1, c12, c2) at each preset, as the kernels gave them before
-# the rows-only blocks path: a kernel edit that moves a bit fails here, not
-# only at the 1e-12 kappa pin
+# evaluate's (c1, c12, c2) at each preset on the exact Gauss rules, which a
+# [41, 62] ladder reproduces to 1 ulp: a kernel or rule edit that moves a
+# bit fails here, not only at the 1e-12 kappa pin
 PRESET_CONSTANTS = {
-    kappa_preset: (2.1313603782539476, -0.0047178594812001175, 0.004717864237794663),
-    kappa_star_preset: (1.9535287309271219, -0.008064081647835227, 0.008064080136967147),
+    kappa_preset: (2.131360378253949, -0.004717859481200117, 0.004717864237794673),
+    kappa_star_preset: (1.9535287309271243, -0.008064081647835227, 0.008064080136967165),
 }
 
 
@@ -842,8 +842,10 @@ def test_preset_constants_are_pinned(preset):
 
 def assert_certificate_honest(cfg):
     """For c1, c12 and c2 the ladder's last delta bounds the relative error of
-    the converged integral against the n = 48 rule, up to a 1e-13 floor: c1's
-    integral scatters by about 4e-14 between orders once converged.  c2 is
+    the converged integral against the n = 48 rule, up to a 2e-15 floor for
+    the rounding of the sums: over both presets and the random panel the
+    error beyond the delta is at most 5.8e-16 (c1), where numpy's
+    ``leggauss`` weights, off by up to 1.2e-12, left 3.3e-14.  c2 is
     checked on the square and on the path :func:`moments.blocks` takes for
     mirrored sides, its (u, v) pair plane a rung behind t and r."""
     q = cfg.Q.p  # the kernels take Q as p in y = 1 - 2x
@@ -860,7 +862,7 @@ def assert_certificate_honest(cfg):
         value, trace = quad.integrate_converged(integrand, d, symmetric=symmetric)
         reference = quad.integrate_cube(integrand, d, rule)
         error = abs(value - reference) / max(abs(value), abs(reference), 1.0)
-        assert error <= trace[-1][1] + 1e-13, (name, error, trace)
+        assert error <= trace[-1][1] + 2e-15, (name, error, trace)
 
 
 @pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])

@@ -802,10 +802,9 @@ def test_qop_suite_passes():
 
 def _tensor_integral_ld(f, d, n):
     """Tensor-product Gauss-Legendre on [0,1]^d in long double, evaluating f
-    at every node of a meshgrid: the form the factored scalars replaced."""
-    x64, w64 = np.polynomial.legendre.leggauss(n)
-    x = ((x64 + 1.0) / 2.0).astype(np.longdouble)
-    w = (w64 / 2.0).astype(np.longdouble)
+    at every node of a meshgrid: the form the factored scalars replaced, on
+    the oracle's own rule."""
+    x, w = oracle._gauss_rule_ld(n)
     grids = np.meshgrid(*([x] * d), indexing="ij")
     weight = np.longdouble(1.0)
     for g in np.meshgrid(*([w] * d), indexing="ij"):
@@ -912,12 +911,29 @@ def test_jet_operators_pass_at_the_kappa_preset():
 @pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])
 def test_fd_oracle_agrees_with_evaluate_to_its_floor(preset):
     # a hundredth of JET_OPERATOR_TOL: the stencil's 1/(144 h^4) amplifies
-    # long-double rounding of each scalar to 4.5e-10 (kappa) and 1.4e-10
-    # (kappa-star) relative in c2
+    # long-double rounding of each scalar to 1.1e-9 (kappa) and 9.3e-10
+    # (kappa-star) relative in c2, between 8e-11 and 2e-9 at any order from
+    # 10 to 40
     report = moments.evaluate(preset())
     cfg = report.config
     assert abs(oracle.fd_c12(cfg) - report.c12) <= 1e-8 * abs(report.c12)
     assert abs(oracle.fd_c2(cfg) - report.c2) <= 1e-8 * abs(report.c2)
+
+
+@pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])
+def test_fd_orders_resolve_every_stencil_scalar(preset):
+    # every scalar the stencils take is converged at the orders verify runs:
+    # within 1e-15 (relative) of orders 36 and 40
+    cfg = moments.evaluate(preset()).config
+    h = oracle.FD_H
+    offsets = np.array(oracle._D1_OFFSETS) * h
+    pairs = [(x * h, y * h) for i, x in enumerate(oracle._D2_OFFSETS)
+             for y in oracle._D2_OFFSETS[i:]]
+    c12 = oracle._c12_scalars(cfg, offsets, offsets, n=oracle.FD_C12_ORDER)
+    c2 = oracle._c2_scalars(cfg, pairs, n=oracle.FD_C2_ORDER)
+    for n in (36, 40):
+        assert np.all(np.abs(c12 / oracle._c12_scalars(cfg, offsets, offsets, n=n) - 1) <= 1e-15), n
+        assert np.all(np.abs(c2 / oracle._c2_scalars(cfg, pairs, n=n) - 1) <= 1e-15), n
 
 
 @pytest.mark.parametrize("preset", [kappa_preset, kappa_star_preset])
