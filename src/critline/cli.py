@@ -63,7 +63,8 @@ def parse_config(path: str) -> MollifierConfig:
     """Read a ``key = value`` config file into a validated configuration."""
     entries: dict[str, tuple[str, int]] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark some editors put first
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
@@ -221,11 +222,12 @@ def _keep_freed_heap() -> None:
     on return.  glibc starts with a 128 kB mmap threshold and trim threshold
     and raises both only after freeing a large mmap'ed block, so whether a
     slab reused the pages the last one freed or faulted them in afresh
-    depended on what the process had allocated before.  The benchmark's
-    budget-2 search, run after ``optimize --no-psi2`` in one interpreter,
-    took 4,700 minor page faults and takes 650; the default q7, d1 = d2 = 5
-    search took 620k faults and 1.1 s of system time, and takes 15k faults
-    and 0.03 s (2-core x86-64 VM, glibc 2.36).  Without glibc's ``mallopt``
+    depended on what the process had allocated before.  The default q7,
+    d1 = d2 = 5 search takes 4.1k minor page faults and 4.07 s with this
+    policy, and 585k faults, 1.2 s of them system time, and 5.06 s without
+    it; the benchmark's budget-2 search, run after ``optimize --no-psi2`` in
+    one interpreter, takes 211 faults with it and 601 without, and a repeat
+    0 and 592 (2-core x86-64 VM, glibc 2.36).  Without glibc's ``mallopt``
     nothing changes."""
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -243,8 +243,9 @@ class Family:
         return self.coeffs.shape[1] - 1
 
     def __call__(self, x):
-        # Horner in place, Polynomial's steps; one row has only unit member
-        # axes, and evaluates on x's shape with numbers for columns
+        # in-place Horner, Polynomial's acc * x + c step for step; one row
+        # has only unit member axes, and evaluates on x's shape with numbers
+        # for columns
         m = len(self.coeffs)
         members = (m,) + (1,) * (3 - self.axis) if m > 1 else ()
         lead, *lower = (self.coeffs[0, ::-1].tolist() if m == 1 else

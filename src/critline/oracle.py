@@ -721,11 +721,6 @@ _D1_OFFSETS = (-2.0, -1.0, 1.0, 2.0)
 _D1_WEIGHTS = (1.0, -8.0, 8.0, -1.0)
 _D2_OFFSETS = (-2.0, -1.0, 0.0, 1.0, 2.0)
 _D2_WEIGHTS = (-1.0, 16.0, -30.0, 16.0, -1.0)
-# t nodes per step of the c2 slices: each array then holds 8 n matrices of
-# (deg Q + 2)^2 long doubles, 0.12 MB at n = 12 and deg Q = 7, which stay in
-# cache; at n = 24 the whole t axis at once was slower and raised verify's
-# peak RSS
-_C2_T_BLOCK = 8
 
 
 def _horner_ld(coeffs, z) -> np.ndarray:
@@ -837,10 +832,8 @@ def _c2_scalars(cfg: moments.MollifierConfig, pairs, n: int) -> np.ndarray:
     full integrand over all n^4 nodes, exact in exact arithmetic, at
     O(n deg Q + deg Q^3) per slice instead of O(n^2 deg Q).  The u-moments
     at offset x are the v-moments at offset y = x, so each distinct offset's
-    moments are built once for all pairs.  The expansions and moments are
-    built for all slices at once; the matrices are formed ``_C2_T_BLOCK``
-    t nodes at a time, so each step's arrays stay small enough for the
-    processor's cache.
+    moments are built once for all pairs.  The expansions, moments and
+    matrices are formed for all n^2 slices in one pass.
 
     Swapping (x, u) with (y, v) swaps p and q and H_u with H_v, turns Qa
     into Qb^T and Qb into Qa^T, and leaves the front factor as it is, so it
@@ -897,18 +890,14 @@ def _c2_scalars(cfg: moments.MollifierConfig, pairs, n: int) -> np.ndarray:
         mu, mv = axis_moments(x), axis_moments(y)
         # the front factor's coefficients of 1, u - 1/2 and v - 1/2, per r
         f0, fu, fv = (c[..., None, None] for c in (1.0 / th2 + 0.5 * (x + y) - r, -p, -q))
-        slices = np.empty((n, n), dtype=ld)
-        for start in range(0, n, _C2_T_BLOCK):
-            ts = slice(start, start + _C2_T_BLOCK)
-            a = np.swapaxes(matrix(*(part[ts] for part in qa)), -1, -2)
-            # QaF^T[j, i] = f0 Qa^T[j, i] + fu Qa^T[j, i - 1] + fv Qa^T[j - 1, i]
-            qaf = np.zeros(a.shape[:-2] + (d + 2, d + 2), dtype=ld)
-            np.multiply(f0, a, out=qaf[..., : d + 1, : d + 1])
-            qaf[..., : d + 1, 1:] += fu * a
-            qaf[..., 1:, : d + 1] += fv * a
-            hu, hv = mu[ts][..., moment_index], mv[ts][..., moment_index]
-            b = matrix(*(part[ts] for part in qb))
-            slices[ts] = np.sum((qaf @ hu @ b) * hv, axis=(-2, -1))
+        a = np.swapaxes(matrix(*qa), -1, -2)
+        # QaF^T[j, i] = f0 Qa^T[j, i] + fu Qa^T[j, i - 1] + fv Qa^T[j - 1, i]
+        qaf = np.zeros((n, n, d + 2, d + 2), dtype=ld)
+        qaf[..., : d + 1, : d + 1] = f0 * a
+        qaf[..., : d + 1, 1:] += fu * a
+        qaf[..., 1:, : d + 1] += fv * a
+        hu, hv = mu[..., moment_index], mv[..., moment_index]
+        slices = np.sum((qaf @ hu @ matrix(*qb)) * hv, axis=(-2, -1))
         outer = (
             ld(2) / 3 * (1.0 - r) ** 4 * p * q * weights
             * (weights * np.exp(R * (2.0 * nodes * g0 - th2 * (x + y))))[:, None]

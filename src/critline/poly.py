@@ -54,14 +54,9 @@ class Polynomial:
         for a Python number, a numpy scalar otherwise)."""
         *lower, lead = self.coeffs
         if np.ndim(x):
-            # one accumulator, updated in place: the same operations in the
-            # same order as acc * x + c, without two temporaries per step
             acc = np.full(np.shape(x), lead, dtype=np.result_type(x, float))
-            for c in reversed(lower):
-                np.multiply(acc, x, out=acc)
-                np.add(acc, c, out=acc)
-            return acc
-        acc = 0.0 * x + lead
+        else:
+            acc = 0.0 * x + lead
         for c in reversed(lower):
             acc = acc * x + c
         return acc

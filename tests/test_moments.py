@@ -184,10 +184,11 @@ def tensor_c1(Q, P1, P1_other, R, theta1):
     """c1 - 1 between P1 and P1_other as the 24 x 24 tensor rule's sum of
     e^{2Rv} L(P1) L(P1_other) over (u, v), normalized.
 
-    The rule's nodes and weights are mpmath's, rounded from 100 bits:
-    numpy's ``leggauss`` weights are off by up to 1.2e-13 relative at n = 24,
-    which would swamp a 1e-14 comparison.  24 nodes are exact in u for
-    degrees up to 47 and converged in v."""
+    The rule's nodes and weights are mpmath's, rounded from 100 bits, not
+    ``quad.gauss_rule``'s: a rule computed apart from the code under test
+    keeps a fault in that rule from showing up on both sides of the 1e-14
+    comparison, where it would cancel.  24 nodes are exact in u for degrees
+    up to 47 and converged in v."""
     rule = mpmath.calculus.quadrature.GaussLegendre(mpmath.mp).calc_nodes(4, 100)
     nodes = np.array([float((x + 1) / 2) for x, _ in rule])
     weights_1d = np.array([float(w / 2) for _, w in rule])

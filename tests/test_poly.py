@@ -80,36 +80,6 @@ def test_horner_from_the_leading_coefficient_changes_nothing(degree):
             assert np.array_equal(np.signbit(got), np.signbit(want)), name
 
 
-def horner_out_of_place(p, x):
-    """The Horner loop ``Polynomial.__call__`` ran on arrays before it updated
-    one accumulator in place: a fresh ``acc * x + c`` at every step."""
-    *lower, lead = p.coeffs
-    acc = np.full(np.shape(x), lead, dtype=np.result_type(x, float))
-    for c in reversed(lower):
-        acc = acc * x + c
-    return acc
-
-
-def test_in_place_horner_matches_the_out_of_place_loop():
-    # degree 7 on 24^3 grids, as the finite-difference oracle evaluates Q;
-    # bit for bit, in the input's float type, and the input left as it was
-    rng = np.random.default_rng(7)
-    p = Polynomial(tuple(rng.uniform(-2.0, 2.0, size=8)))
-    grid = rng.uniform(-1.5, 1.5, size=(24, 24, 24))
-    for x in (grid, grid.astype(np.longdouble) / np.longdouble(3)):
-        before = x.copy()
-        got, want = p(x), horner_out_of_place(p, x)
-        assert got.dtype == want.dtype == x.dtype
-        assert np.array_equal(got, want)
-        assert np.array_equal(x, before)
-    # the docstring's dtype rules: an array evaluates in result_type(x, float)
-    assert p(np.arange(3)).dtype == np.float64
-    assert p(np.ones(3, dtype=np.float32)).dtype == np.float64
-    assert type(p(0.5)) is float
-    assert type(p(np.float32(0.5))) is np.float32
-    assert type(p(np.array(0.5, dtype=np.longdouble))) is np.longdouble
-
-
 def term_by_term_q(const, odd, x):
     """Q(x) summed term by term: the constant, then c * (1 - 2x)^k power by
     power, each power a product of k factors."""
